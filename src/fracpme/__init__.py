@@ -8,7 +8,7 @@ oriented CLI (`cli`).
 """
 
 from .grid import Field, Grid
-from .fracops import FracOperator, FracParams, make_operator, riesz_constant
+from .fracops import FracOperator, FracParams, riesz_constant
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,6 @@ __all__ = [
     "Grid",
     "FracOperator",
     "FracParams",
-    "make_operator",
     "riesz_constant",
     "__version__",
 ]

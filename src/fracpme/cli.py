@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .evolution import NumericalAbort, SolverConfig, exponents, run
-from .fracops import FREESPACE, FracParams, make_operator
+from .evolution import Exponents, NumericalAbort, SolverConfig, run
+from .fracops import FREESPACE, FracOperator, FracParams
 from .grid import Grid
 from .io import (
     build_datum,
@@ -28,7 +28,7 @@ from .io import (
     write_diagnostics,
     write_snapshot,
 )
-from .obstacle import C_of_mass, ObstacleProblem, mass_law, solve_obstacle
+from .obstacle import ObstacleProblem, mass_law, match_mass, solve_obstacle
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -211,8 +211,8 @@ def cmd_evolve(cfg: RunConfig, mode: str) -> int:
         return EXIT_CONFIG
     params = FracParams(s=cfg.s, dim=cfg.n,
                         allow_supercritical=cfg.allow_supercritical)
-    op = make_operator(grid, params, FREESPACE)
-    exp = exponents(cfg.n, cfg.s)
+    op = FracOperator(grid, params, FREESPACE)
+    exp = Exponents(cfg.n, cfg.s)
     solver = SolverConfig(
         cfl_safety=cfg.cfl_safety, end_time=cfg.end_time,
         snapshot_stride=cfg.snapshot_stride,
@@ -234,25 +234,24 @@ def cmd_evolve(cfg: RunConfig, mode: str) -> int:
     return EXIT_OK
 
 
-def cmd_obstacle(cfg: RunConfig) -> int:
+def cmd_obstacle(cfg: RunConfig) -> tuple:
+    """(exit code, solution or None): the profile at level C, or the one whose
+    discrete mass is M, with its snapshots and report written."""
     grid = Grid(cfg.n, cfg.L, cfg.N)
-    exp = exponents(cfg.n, cfg.s)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         if cfg.M is not None:
-            # calibrate the mass law on this grid, then route through it
-            unit = solve_obstacle(ObstacleProblem(C=1.0, a=exp.a, s=cfg.s, grid=grid))
-            level = C_of_mass(cfg.M, cfg.n, cfg.s, unit.mass)
+            sol = match_mass(cfg.M, cfg.s, grid)
         else:
-            level = cfg.C
-        sol = solve_obstacle(ObstacleProblem(C=level, a=exp.a, s=cfg.s, grid=grid))
+            a = Exponents(cfg.n, cfg.s).a
+            sol = solve_obstacle(ObstacleProblem(C=cfg.C, a=a, s=cfg.s, grid=grid))
     except ValueError as exc:
         _machine_line("config", str(exc))
-        return EXIT_CONFIG
+        return EXIT_CONFIG, None
     except RuntimeError as exc:
         _machine_line("numerical", str(exc))
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL, None
     write_snapshot(out / "pressure.txt", sol.pressure, s=cfg.s, time=0.0,
                    mode="obstacle")
     write_snapshot(out / "density.txt", sol.density, s=cfg.s, time=0.0,
@@ -270,7 +269,7 @@ def cmd_obstacle(cfg: RunConfig) -> int:
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print(f"obstacle solve: C = {sol.problem.C:.6g}, R = {sol.contact_radius:.6g}, "
           f"mass = {sol.mass:.6g} -> {out}")
-    return EXIT_OK
+    return EXIT_OK, sol
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -302,17 +301,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         value, sub = job
         if sub.mode == "obstacle":
             return cmd_obstacle(sub)
-        return cmd_evolve(sub, sub.mode)
+        return cmd_evolve(sub, sub.mode), None
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(one, jobs))
+        codes, sols = zip(*pool.map(one, jobs))
     worst = max(codes)
     if (cfg.sweep_mode == "obstacle" and cfg.sweep_key == "C"
             and worst == EXIT_OK and len(values) >= 4):
-        exp = exponents(cfg.n, cfg.s)
-        grid = Grid(cfg.n, cfg.L, cfg.N)
-        sols = [solve_obstacle(ObstacleProblem(C=v, a=exp.a, s=cfg.s, grid=grid))
-                for v in values]
         try:
             slope, coeff = mass_law(sols)
         except ValueError as exc:
@@ -389,7 +384,7 @@ def main(argv=None) -> int:
     if cfg.mode in ("physical", "rescaled"):
         return cmd_evolve(cfg, cfg.mode)
     if cfg.mode == "obstacle":
-        return cmd_obstacle(cfg)
+        return cmd_obstacle(cfg)[0]
     if cfg.mode == "verify":
         return cmd_verify(cfg)
     return cmd_sweep(cfg)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fracops import PERIODIC, FracOperator, gradient
+from .fracops import PERIODIC, FracOperator
 from .grid import Field
 
 CSV_COLUMNS = (
@@ -41,8 +41,6 @@ class DiagnosticsRecord:
     boltzmann: float
     dissipation: float
     support_radius: float
-    # integral |grad H v|^2, filled only when requested (not a CSV column)
-    grad_h_sq: float | None = None
 
     def row(self) -> tuple:
         return tuple(getattr(self, name) for name in CSV_COLUMNS)
@@ -51,7 +49,6 @@ class DiagnosticsRecord:
 @dataclass
 class DiagnosticsSeries:
     records: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def append(self, rec: DiagnosticsRecord):
         if self.records and rec.time <= self.records[-1].time:
@@ -84,20 +81,18 @@ def support_radius(v: Field, threshold: float | None = None) -> float:
     return float(np.sqrt(v.grid.radius2()[mask].max()))
 
 
-def _face_grad_quadrature(pot: np.ndarray, weight: np.ndarray | None, grid,
+def _face_grad_quadrature(pot: np.ndarray, weight: np.ndarray, grid,
                           periodic: bool, drift_coeff: float | None) -> float:
     """Sum over faces of (d pot / d axis + drift)^2 * upwind weight * h^n.
 
     The face velocity is -(d pot + drift), so the upwind cell is the lower
-    one where the face gradient is negative.  weight=None means unit weight
-    (plain squared-gradient integral, face-centered)."""
+    one where the face gradient is negative."""
     h = grid.spacing
     total = 0.0
     for ax in range(grid.dim):
         if periodic:
             g = (np.roll(pot, -1, axis=ax) - pot) / h
-            w = 1.0 if weight is None else np.where(
-                g < 0.0, weight, np.roll(weight, -1, axis=ax))
+            w = np.where(g < 0.0, weight, np.roll(weight, -1, axis=ax))
         else:
             g = np.diff(pot, axis=ax) / h
             if drift_coeff is not None:
@@ -105,20 +100,17 @@ def _face_grad_quadrature(pot: np.ndarray, weight: np.ndarray | None, grid,
                 shape = [1] * grid.dim
                 shape[ax] = faces.size
                 g = g + drift_coeff * faces.reshape(shape)
-            if weight is None:
-                w = 1.0
-            else:
-                lo = [slice(None)] * grid.dim
-                hi = [slice(None)] * grid.dim
-                lo[ax] = slice(None, -1)
-                hi[ax] = slice(1, None)
-                w = np.where(g < 0.0, weight[tuple(lo)], weight[tuple(hi)])
+            lo = [slice(None)] * grid.dim
+            hi = [slice(None)] * grid.dim
+            lo[ax] = slice(None, -1)
+            hi[ax] = slice(1, None)
+            w = np.where(g < 0.0, weight[tuple(lo)], weight[tuple(hi)])
         total += float(np.sum(g * g * w)) * h ** grid.dim
     return total
 
 
-def record(v: Field, time: float, exp, op: FracOperator, confined: bool = True,
-           include_half_gradient: bool = False) -> DiagnosticsRecord:
+def record(v: Field, time: float, exp, op: FracOperator,
+           confined: bool = True) -> DiagnosticsRecord:
     """All diagnostics of one state.  confined=True adds the drift potential
     beta/2 |y|^2 to the dissipation integrand (rescaled flow); the entropy
     formula always carries its beta moment term."""
@@ -139,15 +131,10 @@ def record(v: Field, time: float, exp, op: FracOperator, confined: bool = True,
     dissipation = _face_grad_quadrature(
         kv, vals, grid, periodic, exp.beta if confined else None
     )
-    grad_h_sq = None
-    if include_half_gradient:
-        hv = op.half_inverse(v).values
-        grad_h_sq = _face_grad_quadrature(hv, None, grid, periodic, None)
     return DiagnosticsRecord(
         time=float(time), mass=mass, linf=v.linf(), l2=v.lp(2), l4=v.lp(4),
         moment2=moment2, energy1=energy1, entropy=entropy, boltzmann=boltzmann,
         dissipation=dissipation, support_radius=support_radius(v),
-        grad_h_sq=grad_h_sq,
     )
 
 
@@ -177,38 +164,6 @@ def entropy_dissipation_identity_check(series: DiagnosticsSeries,
         "max_rel_mismatch": float(mismatch.max()),
         "de_dtau": de,
         "dissipation": mid_i,
-    }
-
-
-def boltzmann_identity_check(series: DiagnosticsSeries, exp,
-                             window: tuple | None = None) -> dict:
-    """Centered d/dtau of integral(v log v) against -integral|grad H v|^2 + alpha*mass.
-
-    Records must carry grad_h_sq (run with include_half_gradient)."""
-    if len(series) < 3:
-        raise ValueError("need at least 3 records for the centered difference")
-    if any(r.grad_h_sq is None for r in series.records):
-        raise ValueError("records lack grad_h_sq; rerun with include_half_gradient")
-    t = series.column("time")
-    b = series.column("boltzmann")
-    g = series.column("grad_h_sq")
-    m = series.column("mass")
-    db = (b[2:] - b[:-2]) / (t[2:] - t[:-2])
-    rhs = -g[1:-1] + exp.alpha * m[1:-1]
-    mid_t = t[1:-1]
-    if window is not None:
-        sel = (mid_t >= window[0]) & (mid_t <= window[1])
-        if not sel.any():
-            raise ValueError(f"no interior records in window {window}")
-        db, rhs, mid_t = db[sel], rhs[sel], mid_t[sel]
-    scale = np.maximum(np.maximum(np.abs(db), np.abs(rhs)), 1e-300)
-    mismatch = np.abs(db - rhs) / scale
-    return {
-        "times": mid_t,
-        "mismatch": mismatch,
-        "max_rel_mismatch": float(mismatch.max()),
-        "db_dtau": db,
-        "rhs": rhs,
     }
 
 
@@ -265,17 +220,3 @@ def convergence_to_profile(traj, profile: Field, exp, op: FracOperator,
         entropy_gap=gap, gap_ratio=ratio,
     )
 
-
-def spectral_gap_probe(series: DiagnosticsSeries, profile: Field, exp,
-                       op: FracOperator) -> dict:
-    """Entropy-to-dissipation ratios along a run: the relative form
-    (E(v) - E(profile))/I and the literal form E/I.  Ratios are nan where
-    I < 1e-14 (stationary state); nothing is asserted here."""
-    e_profile = record(profile, 0.0, exp, op, confined=True).entropy
-    t = series.column("time")
-    e = series.column("entropy")
-    i = series.column("dissipation")
-    safe = i > 1e-14
-    rel = np.where(safe, (e - e_profile) / np.where(safe, i, 1.0), np.nan)
-    lit = np.where(safe, e / np.where(safe, i, 1.0), np.nan)
-    return {"times": t, "relative_ratio": rel, "literal_ratio": lit}

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries, record
-from .fracops import FREESPACE, PERIODIC, FracOperator, gradient
-from .grid import Field, Grid
+from .fracops import PERIODIC, FracOperator
+from .grid import Field
 from .remap import resample
 
 QUIESCENT_SPEED = 1e-14
+DT_MAX = 1.0  # step taken when the velocity field is quiescent
 
 
 class NumericalAbort(RuntimeError):
@@ -76,19 +77,11 @@ class Exponents:
         return self.beta / 2.0
 
 
-def exponents(n: int, s: float) -> Exponents:
-    return Exponents(n, s)
-
-
 @dataclass
 class SolverConfig:
     cfl_safety: float = 0.4
-    mode: str = FREESPACE
     end_time: float = 1.0
     snapshot_stride: int = 1
-    positivity_clip: bool = False
-    dt_max: float = 1.0  # used when the velocity field is quiescent
-    include_half_gradient: bool = False  # record integral |grad H v|^2 too
 
     def __post_init__(self):
         if not 0.0 < self.cfl_safety <= 1.0:
@@ -97,8 +90,6 @@ class SolverConfig:
             raise ValueError(f"end_time must be nonnegative, got {self.end_time}")
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
-        if self.dt_max <= 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
 
 @dataclass
@@ -110,17 +101,6 @@ class Trajectory:
 
     def final(self) -> Field:
         return self.snapshots[-1]
-
-
-def velocity_physical(u: Field, op: FracOperator) -> list:
-    """Transport velocity -grad K u at cell centers, one Field per axis.
-
-    This is the field advecting u: u_t + div(u w) = 0.  Outside the support
-    the pressure decays, so the velocity points outward there.
-    """
-    p = op.inverse(u)
-    grads = gradient(p, periodic=(op.mode == PERIODIC))
-    return [g.with_values(-g.values) for g in grads]
 
 
 def _face_velocities(u_values: np.ndarray, op: FracOperator,
@@ -147,8 +127,7 @@ def _face_velocities(u_values: np.ndarray, op: FracOperator,
 
 
 def _stable_dt(face_w: list, h: float, dim: int, periodic: bool,
-               cfl_safety: float, dt_max: float,
-               diffusion_rate: float = 0.0) -> float:
+               cfl_safety: float, diffusion_rate: float = 0.0) -> float:
     """cfl_safety times the sharper of the two step bounds: h over the largest
     per-cell sum of outgoing face speeds (advective positivity), and
     2 / diffusion_rate (non-amplification of the linearized pressure
@@ -173,11 +152,11 @@ def _stable_dt(face_w: list, h: float, dim: int, periodic: bool,
     if peak < QUIESCENT_SPEED:
         # zero flux everywhere: the state is an exact fixed point of the
         # update and the diffusion bound has nothing to amplify
-        return dt_max
+        return DT_MAX
     dt = cfl_safety * h / peak
     if diffusion_rate >= QUIESCENT_SPEED:
         dt = min(dt, cfl_safety * 2.0 / diffusion_rate)
-    return min(dt, dt_max)
+    return min(dt, DT_MAX)
 
 
 def _upwind_divergence(u: np.ndarray, face_w: list, h: float, periodic: bool) -> np.ndarray:
@@ -210,21 +189,18 @@ def _step(u: Field, op: FracOperator, cfg: SolverConfig, drift_beta: float | Non
     h = u.grid.spacing
     face_w = _face_velocities(u.values, op, drift_beta)
     rate = float(u.values.max()) * op.stiffness_bound()
-    dt = _stable_dt(face_w, h, u.grid.dim, periodic, cfg.cfl_safety, cfg.dt_max,
+    dt = _stable_dt(face_w, h, u.grid.dim, periodic, cfg.cfl_safety,
                     diffusion_rate=rate)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     new_vals = u.values - dt * _upwind_divergence(u.values, face_w, h, periodic)
-    if cfg.positivity_clip:
-        new_vals = np.maximum(new_vals, 0.0)
-    else:
-        # The convex-combination positivity bound is exact in exact arithmetic,
-        # but the flux-difference form can leave -O(eps * peak) dust when the
-        # bound is tight.  Zero only that dust; deeper negatives are genuine.
-        floor = -1e-12 * max(float(u.values.max()), 1.0)
-        dust = (new_vals < 0.0) & (new_vals >= floor)
-        if dust.any():
-            new_vals[dust] = 0.0
+    # The convex-combination positivity bound is exact in exact arithmetic,
+    # but the flux-difference form can leave -O(eps * peak) dust when the
+    # bound is tight.  Zero only that dust; deeper negatives are genuine.
+    floor = -1e-12 * max(float(u.values.max()), 1.0)
+    dust = (new_vals < 0.0) & (new_vals >= floor)
+    if dust.any():
+        new_vals[dust] = 0.0
     return Field(u.grid, new_vals, "density"), dt
 
 
@@ -282,10 +258,6 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     drift = exp.beta if mode == "rescaled" else None
     confined = mode == "rescaled"
     traj = Trajectory()
-    traj.diagnostics.metadata.update(
-        n=u0.grid.dim, s=op.s, mode=mode, half_width=u0.grid.half_width,
-        points_per_axis=u0.grid.points_per_axis, operator=op.mode,
-    )
     u = Field(u0.grid, u0.values.copy(), "density")
     t = 0.0
     mass0 = u.mass()
@@ -294,10 +266,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     def note(state: Field, time: float):
         traj.times.append(time)
         traj.snapshots.append(state.copy())
-        traj.diagnostics.append(record(
-            state, time, exp, op, confined=confined,
-            include_half_gradient=cfg.include_half_gradient,
-        ))
+        traj.diagnostics.append(record(state, time, exp, op, confined=confined))
 
     note(u, t)
     steps = 0

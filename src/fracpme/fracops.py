@@ -1,18 +1,16 @@
-"""Fractional Laplacian, its inverse potential, and the half-order potential on a grid.
+"""Fractional Laplacian and its inverse potential on a grid.
 
 Two realizations of the operator family are provided:
 
 * ``periodic_spectral``: Fourier multipliers on the periodized box, |k|^(2s) for the
-  fractional Laplacian and |k|^(-2s) / |k|^(-s) for the inverse and half inverse, with
-  the zero mode of the inverses mapped to 0.  Exact on plane waves.
+  fractional Laplacian and |k|^(-2s) for the inverse, with the zero mode of the
+  inverse mapped to 0.  Exact on plane waves.
 * ``freespace_kernel``: the inverse is realized as convolution with the Riesz kernel
   c(n,s) |x|^(2s-n), discretized by exact cell averages of the kernel over each source
   cell (the singular cell via closed form in 1-D and a polar-coordinate reduction in
-  2-D).  The operator is translation invariant, so a single tap table drives both the
-  dense matrix (small grids) and a zero-padded circular convolution (any grid).
-
-The half inverse is the symmetric square root of the inverse, so the quadratic-form
-identity <f, inverse f> = |half f|^2 holds to round-off in both modes.
+  2-D).  The operator is translation invariant, so a single tap table drives both a
+  zero-padded circular convolution (any grid) and the kernel submatrices of the
+  obstacle solver.  Only the inverse exists in this mode.
 """
 
 from __future__ import annotations
@@ -34,12 +32,6 @@ _MODE_ALIASES = {
     "periodic": PERIODIC,
     "freespace": FREESPACE,
 }
-
-# Dense kernel matrix is stored up to this many grid points; beyond it only the
-# zero-padded circular convolution path is available.
-DENSE_MAX_POINTS = 2 ** 14
-# Dense symmetric square root (eigendecomposition) is heavier, so its cap is lower.
-HALF_INVERSE_DENSE_MAX = 2 ** 13
 
 
 def riesz_constant(n: int, s: float) -> float:
@@ -163,6 +155,18 @@ def _taps_2d(grid: Grid, s: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _second_difference_symbol(m: int, h: float, dim: int) -> np.ndarray:
+    """Symbol of the (negative) discrete Laplacian on an m-point periodic axis,
+    laid out like an rfftn half-spectrum."""
+    k1 = np.fft.fftfreq(m)
+    kr = np.abs(np.fft.rfftfreq(m))
+    if dim == 1:
+        return (4.0 / h**2) * np.sin(np.pi * kr) ** 2
+    return (4.0 / h**2) * (
+        np.sin(np.pi * k1[:, None]) ** 2 + np.sin(np.pi * kr[None, :]) ** 2
+    )
+
+
 class FracOperator:
     """One (grid, s, mode) realization with cached multipliers / kernel tables."""
 
@@ -177,9 +181,6 @@ class FracOperator:
         self.params = params
         self.s = params.s
         self.mode = mode
-        self._dense = None
-        self._half_dense = None
-        self._cho = None
         self._stiffness = None
 
         if mode == PERIODIC:
@@ -193,11 +194,8 @@ class FracOperator:
             self._mult_lap = kabs ** (2.0 * self.s)
             with np.errstate(divide="ignore"):
                 inv = kabs ** (-2.0 * self.s)
-                half = kabs ** (-self.s)
             inv[~np.isfinite(inv)] = 0.0
-            half[~np.isfinite(half)] = 0.0
             self._mult_inv = inv
-            self._mult_half = half
         else:
             taps = _taps_1d(grid, self.s) if grid.dim == 1 else _taps_2d(grid, self.s)
             self.taps = taps
@@ -230,25 +228,6 @@ class FracOperator:
         out = np.fft.irfftn(np.fft.rfftn(pad) * self._taps_hat, s=self._pad_shape, axes=axes)
         return out[(slice(0, n),) * self.grid.dim]
 
-    def dense_matrix(self) -> np.ndarray:
-        """Dense inverse-potential matrix from the tap table (small grids only)."""
-        if self.mode != FREESPACE:
-            raise ValueError("dense matrix exists only for the freespace realization")
-        if self.grid.npoints > DENSE_MAX_POINTS:
-            raise ValueError(
-                f"{self.grid.npoints} points exceed the dense-matrix cap {DENSE_MAX_POINTS}"
-            )
-        if self._dense is None:
-            idx = np.arange(self.grid.points_per_axis)
-            d = np.abs(idx[:, None] - idx[None, :])
-            if self.grid.dim == 1:
-                self._dense = self.taps[d]
-            else:
-                self._dense = self.taps[d[:, None, :, None], d[None, :, None, :]].reshape(
-                    self.grid.npoints, self.grid.npoints
-                )
-        return self._dense
-
     def kernel_submatrix(self, flat_index: np.ndarray) -> np.ndarray:
         """Inverse-potential matrix restricted to the given flat cell indices."""
         if self.mode != FREESPACE:
@@ -261,26 +240,6 @@ class FracOperator:
         dx = np.abs(ix[:, None] - ix[None, :])
         dy = np.abs(iy[:, None] - iy[None, :])
         return self.taps[dx, dy]
-
-    def _half_matrix(self) -> np.ndarray:
-        if self._half_dense is None:
-            if self.grid.npoints > HALF_INVERSE_DENSE_MAX:
-                raise ValueError(
-                    f"freespace half inverse needs <= {HALF_INVERSE_DENSE_MAX} points "
-                    f"(got {self.grid.npoints}); use the periodic realization instead"
-                )
-            vals, vecs = np.linalg.eigh(self.dense_matrix())
-            floor = 1e-14 * vals.max()
-            if vals.min() < -floor:
-                warnings.warn(
-                    f"inverse-potential matrix has negative eigenvalue {vals.min():.3e}; "
-                    "clipping for the square root",
-                    UserWarning,
-                    stacklevel=2,
-                )
-            vals = np.clip(vals, 0.0, None)
-            self._half_dense = (vecs * np.sqrt(vals)) @ vecs.T
-        return self._half_dense
 
     def _check_field(self, f: Field):
         if not f.grid.compatible(self.grid):
@@ -296,47 +255,23 @@ class FracOperator:
         h^(2s-2): the diffusion constraint dt ~ h^(2-2s) beats the advective
         CFL dt ~ h on fine grids whenever s < 1/2."""
         if self._stiffness is None:
-            h = self.grid.spacing
             if self.mode == PERIODIC:
-                n = self.grid.points_per_axis
-                k1 = np.fft.fftfreq(n)
-                kr = np.abs(np.fft.rfftfreq(n))
-                if self.grid.dim == 1:
-                    lap = (4.0 / h**2) * np.sin(np.pi * kr) ** 2
-                else:
-                    lap = (4.0 / h**2) * (
-                        np.sin(np.pi * k1[:, None]) ** 2 + np.sin(np.pi * kr[None, :]) ** 2
-                    )
-                self._stiffness = float((lap * self._mult_inv).max())
+                m, kernel = self.grid.points_per_axis, self._mult_inv
             else:
                 # circulant symbol of the embedded kernel; taps are symmetric
                 # so it is real up to roundoff
-                sym = np.maximum(self._taps_hat.real, 0.0)
-                m = self._pad_shape[0]
-                k1 = np.fft.fftfreq(m)
-                kr = np.abs(np.fft.rfftfreq(m))
-                if self.grid.dim == 1:
-                    lap = (4.0 / h**2) * np.sin(np.pi * kr) ** 2
-                else:
-                    lap = (4.0 / h**2) * (
-                        np.sin(np.pi * k1[:, None]) ** 2 + np.sin(np.pi * kr[None, :]) ** 2
-                    )
-                self._stiffness = float((lap * sym).max())
+                m, kernel = self._pad_shape[0], np.maximum(self._taps_hat.real, 0.0)
+            lap = _second_difference_symbol(m, self.grid.spacing, self.grid.dim)
+            self._stiffness = float((lap * kernel).max())
         return self._stiffness
 
     # -- public applications -------------------------------------------------
 
     def frac_laplacian(self, f: Field) -> Field:
+        if self.mode != PERIODIC:
+            raise ValueError("fractional Laplacian exists only for the periodic realization")
         self._check_field(f)
-        if self.mode == PERIODIC:
-            out = self._spectral_apply(f.values, self._mult_lap)
-        else:
-            from scipy.linalg import cho_factor, cho_solve
-
-            if self._cho is None:
-                self._cho = cho_factor(self.dense_matrix())
-            out = cho_solve(self._cho, f.values.ravel()).reshape(f.values.shape)
-        return Field(self.grid, out, "generic")
+        return Field(self.grid, self._spectral_apply(f.values, self._mult_lap), "generic")
 
     def inverse(self, f: Field) -> Field:
         self._check_field(f)
@@ -345,40 +280,3 @@ class FracOperator:
         else:
             out = self._conv_apply(f.values)
         return Field(self.grid, out, "pressure")
-
-    def half_inverse(self, f: Field) -> Field:
-        self._check_field(f)
-        if self.mode == PERIODIC:
-            out = self._spectral_apply(f.values, self._mult_half)
-        else:
-            out = (self._half_matrix() @ f.values.ravel()).reshape(f.values.shape)
-        return Field(self.grid, out, "generic")
-
-
-def make_operator(grid: Grid, params: FracParams, mode: str) -> FracOperator:
-    return FracOperator(grid, params, mode)
-
-
-def apply_frac_laplacian(op: FracOperator, f: Field) -> Field:
-    return op.frac_laplacian(f)
-
-
-def apply_inverse(op: FracOperator, f: Field) -> Field:
-    return op.inverse(f)
-
-
-def apply_half_inverse(op: FracOperator, f: Field) -> Field:
-    return op.half_inverse(f)
-
-
-def gradient(f: Field, periodic: bool = False) -> list:
-    """Second-order gradient per axis: centered inside, one-sided at a free boundary."""
-    h = f.grid.spacing
-    out = []
-    for ax in range(f.grid.dim):
-        if periodic:
-            g = (np.roll(f.values, -1, axis=ax) - np.roll(f.values, 1, axis=ax)) / (2.0 * h)
-        else:
-            g = np.gradient(f.values, h, axis=ax, edge_order=2)
-        out.append(Field(f.grid, g, "generic"))
-    return out

@@ -13,6 +13,11 @@ positivity ball).  There the system is the linear complementarity problem
 with W the symmetric positive definite kernel submatrix.  Projected SOR sweeps
 (Cryer) drive the residual down, a direct solve on the final active set
 polishes, and the result is re-verified on the full grid.
+
+A target mass M has one route, `match_mass`: it root-finds the level C whose
+discrete mass equals M on the given grid.  Every probe level is capped at the
+largest C the box admits with its margin, and a box whose largest level still
+holds less than M is rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -23,12 +28,19 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .evolution import Exponents
-from .fracops import FREESPACE, FracOperator, FracParams, make_operator
+from .fracops import FREESPACE, FracOperator, FracParams
 from .grid import Field, Grid
 from .remap import resample
 
 MARGIN_FACTOR = 1.5
 DEFAULT_BOX_FACTOR = 3.0
+PSOR_OMEGA = 1.5
+PSOR_MAX_SWEEPS = 10**6
+
+
+def _max_level(a: float, grid: Grid) -> float:
+    """Largest level C whose positivity ball fits the box with the margin."""
+    return a * (grid.half_width / MARGIN_FACTOR) ** 2
 
 
 @dataclass(frozen=True)
@@ -54,13 +66,12 @@ class ObstacleProblem:
             raise ValueError(
                 f"s = {self.s} needs s < 1/2 in one dimension (kernel not positive)"
             )
-        if self.C > 0.0:
+        if self.C > _max_level(self.a, self.grid):
             needed = MARGIN_FACTOR * float(np.sqrt(self.C / self.a))
-            if self.grid.half_width < needed:
-                raise ValueError(
-                    f"grid half-width {self.grid.half_width} below the required "
-                    f"margin {needed:.6g} = 1.5 sqrt(C/a)"
-                )
+            raise ValueError(
+                f"grid half-width {self.grid.half_width} below the required "
+                f"margin {needed:.6g} = 1.5 sqrt(C/a)"
+            )
 
     @property
     def parabola_radius(self) -> float:
@@ -110,8 +121,7 @@ class BarenblattSolution:
         return self.profile.mass
 
 
-def _psor_sweeps(w_mat: np.ndarray, phi: np.ndarray, omega: float,
-                 tol: float, max_iter: int) -> tuple:
+def _psor_sweeps(w_mat: np.ndarray, phi: np.ndarray, tol: float) -> tuple:
     """Projected SOR on LCP(W, -phi), residual kept incrementally.
 
     Returns (V, residual vector, sweeps, residual norm)."""
@@ -121,9 +131,9 @@ def _psor_sweeps(w_mat: np.ndarray, phi: np.ndarray, omega: float,
     diag = np.ascontiguousarray(np.diag(w_mat))
     cols = np.asfortranarray(w_mat)  # column slices contiguous for the axpy
     res = np.inf
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, PSOR_MAX_SWEEPS + 1):
         for i in range(m):
-            target = v[i] - omega * r[i] / diag[i]
+            target = v[i] - PSOR_OMEGA * r[i] / diag[i]
             if target < 0.0:
                 target = 0.0
             d = target - v[i]
@@ -134,7 +144,7 @@ def _psor_sweeps(w_mat: np.ndarray, phi: np.ndarray, omega: float,
         if res <= tol:
             return v, r, sweep, res
     raise RuntimeError(
-        f"projected SOR did not reach tolerance {tol:.3e} in {max_iter} sweeps "
+        f"projected SOR did not reach tolerance {tol:.3e} in {PSOR_MAX_SWEEPS} sweeps "
         f"(residual {res:.3e})"
     )
 
@@ -166,8 +176,7 @@ def _active_set_polish(w_mat: np.ndarray, phi: np.ndarray, v: np.ndarray,
     return v, w_mat @ v - phi
 
 
-def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9, omega: float = 1.5,
-                   max_iter: int = 10**6) -> ObstacleSolution:
+def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9) -> ObstacleSolution:
     """Stationary profile pair for the parabolic obstacle.
 
     tol is relative: convergence and the reported residuals are measured
@@ -177,10 +186,8 @@ def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9, omega: float = 1.5,
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not 0.0 < omega < 2.0:
-        raise ValueError(f"relaxation omega must lie in (0, 2), got {omega}")
     grid = prob.grid
-    op = make_operator(grid, FracParams(s=prob.s, dim=grid.dim), FREESPACE)
+    op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim), FREESPACE)
     phi_full = prob.obstacle_values()
 
     if prob.C <= 0.0:
@@ -201,7 +208,7 @@ def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9, omega: float = 1.5,
     phi = phi_full.ravel()[idx]
 
     scale = max(prob.C, 1.0)
-    v_loc, _, sweeps, _ = _psor_sweeps(w_mat, phi, omega, 0.1 * tol * scale, max_iter)
+    v_loc, _, sweeps, _ = _psor_sweeps(w_mat, phi, 0.1 * tol * scale)
     scale = max(prob.C, float(v_loc.max()))
     v_loc, _ = _active_set_polish(w_mat, phi, v_loc, 0.1 * tol * scale)
 
@@ -298,15 +305,6 @@ def mass_law(solutions: list) -> tuple:
     return float(slope), float(np.exp(intercept))
 
 
-def C_of_mass(mass: float, n: int, s: float, calibration: float) -> float:
-    """Invert the mass law: C = (M / c)^(2 / (n + 2 - 2s))."""
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    if calibration <= 0.0:
-        raise ValueError(f"calibration constant must be positive, got {calibration}")
-    return float((mass / calibration) ** (2.0 / (n + 2.0 - 2.0 * s)))
-
-
 def match_mass(mass: float, s: float, grid: Grid,
                tol: float = 1e-9) -> ObstacleSolution:
     """Profile on `grid` whose discrete mass equals `mass` exactly.
@@ -315,11 +313,14 @@ def match_mass(mass: float, s: float, grid: Grid,
     O(h^2), which would leave a spurious floor in any density comparison at
     matched mass.  So root-find on the level C instead (mass is strictly
     increasing in C), bracketing from the power-law seed by geometric
-    expansion.  Every probe is a full solve at tolerance `tol`.
+    expansion.  Every probe is a full solve at tolerance `tol`, at a level no
+    higher than the largest one the grid box admits; if even that level
+    holds less than `mass`, the box is too small and ValueError is raised.
     """
     if mass <= 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
     a = Exponents(grid.dim, s).a
+    c_max = _max_level(a, grid)
 
     def solved(level: float) -> ObstacleSolution:
         prob = ObstacleProblem(C=level, a=a, s=s, grid=grid)
@@ -329,10 +330,9 @@ def match_mass(mass: float, s: float, grid: Grid,
         return solved(level).mass - mass
 
     # seed with coefficient 1; the true prefactor is O(1) so a few
-    # doublings reach a sign change.  A grid too small to host the
-    # bracket fails the margin check inside ObstacleProblem.
+    # halvings or doublings reach a sign change
     seed = mass ** (2.0 / (grid.dim + 2.0 - 2.0 * s))
-    lo = hi = seed
+    lo = hi = min(seed, c_max)
     g_lo, g_hi = gap(lo), None
     for _ in range(60):
         if g_lo <= 0.0:
@@ -347,8 +347,13 @@ def match_mass(mass: float, s: float, grid: Grid,
     for _ in range(60):
         if g_hi >= 0.0:
             break
+        if hi >= c_max:
+            raise ValueError(
+                f"box too small for mass {mass:g}: the largest level it admits, "
+                f"C = {c_max:.6g}, holds mass {g_hi + mass:.6g}"
+            )
         lo, g_lo = hi, g_hi
-        hi *= 2.0
+        hi = min(2.0 * hi, c_max)
         g_hi = gap(hi)
     else:
         raise RuntimeError("no upper bracket for the mass match")

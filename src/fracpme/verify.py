@@ -25,9 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import entropy_dissipation_identity_check, fit_power_law
-from .evolution import Exponents, SolverConfig, exponents, run, step_physical
-from .fracops import (FREESPACE, PERIODIC, FracParams, apply_frac_laplacian,
-                      apply_inverse, make_operator)
+from .evolution import Exponents, SolverConfig, run, step_physical
+from .fracops import FREESPACE, PERIODIC, FracOperator, FracParams
 from .grid import Field, Grid
 from .io import datum_box, datum_gaussian, datum_parabola_cap, write_diagnostics
 from .obstacle import (ObstacleProblem, as_barenblatt, barenblatt_at,
@@ -65,10 +64,10 @@ class Suite:
 
 def _evolve(grid: Grid, u0: Field, mode: str, s: float, end_time: float,
             stride: int, cfl: float):
-    op = make_operator(grid, FracParams(s=s, dim=grid.dim), FREESPACE)
+    op = FracOperator(grid, FracParams(s=s, dim=grid.dim), FREESPACE)
     cfg = SolverConfig(end_time=end_time, snapshot_stride=stride,
                        cfl_safety=cfl)
-    return run(u0, mode, cfg, op, exponents(grid.dim, s))
+    return run(u0, mode, cfg, op, Exponents(grid.dim, s))
 
 
 def _l1(a: Field, b: Field) -> float:
@@ -122,19 +121,19 @@ def _profile_at(ctx: Suite, n_pts: int):
 def _check_operators(ctx: Suite) -> CheckResult:
     # periodic transform: plane waves are exact eigenvectors
     g = Grid(1, float(np.pi), 64)
-    op = make_operator(g, FracParams(s=0.25, dim=1), PERIODIC)
+    op = FracOperator(g, FracParams(s=0.25, dim=1), PERIODIC)
     wave_dev = 0.0
     for k in (1, 3, 5):
         f = Field(g, np.cos(k * g.axis()))
         lam = float(k) ** 0.5  # |k|^(2s) at s = 1/4
-        out = apply_frac_laplacian(op, f)
+        out = op.frac_laplacian(f)
         wave_dev = max(wave_dev, float(
             np.abs(out.values - lam * f.values).max() / lam))
     # freespace inverse against kernel weights recomputed by quadrature
     g2 = Grid(1, 6.0, ctx.pick(512, 256))
     f2 = Field(g2, np.exp(-g2.axis() ** 2 / 2.0))
-    op2 = make_operator(g2, FracParams(s=0.25, dim=1), FREESPACE)
-    got = apply_inverse(op2, f2).values
+    op2 = FracOperator(g2, FracParams(s=0.25, dim=1), FREESPACE)
+    got = op2.inverse(f2).values
     taps = quadrature_taps_1d(g2, 0.25)
     idx = np.abs(np.arange(g2.points_per_axis)[:, None]
                  - np.arange(g2.points_per_axis)[None, :])
@@ -280,7 +279,7 @@ def _check_obstacle(ctx: Suite) -> CheckResult:
     ref_sol = solve_obstacle(prob)
     r2 = prob.grid.radius2().ravel()
     keep = np.nonzero(r2 <= (prob.parabola_radius + 2 * prob.grid.spacing) ** 2)[0]
-    op = make_operator(prob.grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(prob.grid, FracParams(s=0.25, dim=1), FREESPACE)
     v_ref = lemke_lcp(op.kernel_submatrix(keep),
                       -prob.obstacle_values().ravel()[keep])
     lcp_dev = float(np.abs(ref_sol.density.values.ravel()[keep] - v_ref).max())
@@ -330,7 +329,7 @@ def _check_one_step(ctx: Suite) -> CheckResult:
         prob = make_problem(1.0, 1, 0.25, n_pts)
         b = as_barenblatt(solve_obstacle(prob))
         u1 = barenblatt_at(b, 1.0)
-        op = make_operator(prob.grid, FracParams(s=0.25, dim=1), FREESPACE)
+        op = FracOperator(prob.grid, FracParams(s=0.25, dim=1), FREESPACE)
         stepped, dt = step_physical(u1, op, SolverConfig(cfl_safety=0.4))
         exact = barenblatt_at(b, 1.0 + dt)
         r = _l1(stepped, exact)

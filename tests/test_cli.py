@@ -6,6 +6,7 @@ from fracpme.cli import (EXIT_CONFIG, EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK,
                          RunConfig, main, parse_config, validate_config)
 from fracpme.evolution import NumericalAbort
 from fracpme.io import read_diagnostics, read_snapshot
+from fracpme.obstacle import solve_obstacle
 
 
 def test_flag_overrides_file(tmp_path):
@@ -205,6 +206,29 @@ def test_obstacle_mass_route_round_trip(tmp_path):
     assert abs(mass - 2.0) <= 0.01 * 2.0
 
 
+def _report_mass(out):
+    report = (out / "report.txt").read_text()
+    return float([ln for ln in report.splitlines()
+                  if ln.startswith("mass:")][0].split(":")[1])
+
+
+@pytest.mark.parametrize("argv, mass", [
+    (["--M", "0.1", "--L", "3", "--N", "256"], 0.1),  # level 1 would not fit
+    (["--M", "2", "--N", "512", "--L", "4"], 2.0),    # the README example
+], ids=["small_box", "readme"])
+def test_obstacle_mass_is_exact(tmp_path, argv, mass):
+    out = tmp_path / "run"
+    assert main(["obstacle", *argv, "--out", str(out)]) == EXIT_OK
+    assert abs(_report_mass(out) - mass) <= 1e-12 * mass
+
+
+def test_obstacle_mass_beyond_the_box_is_config_error(tmp_path, capsys):
+    code = main(["obstacle", "--M", "50", "--L", "3", "--N", "64",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "FRACPME-FAIL config: box too small for mass 50" in capsys.readouterr().out
+
+
 def test_diagnostics_deterministic_across_runs(tmp_path):
     args = ["evolve", "--N", "64", "--L", "6", "--end-time", "0.2"]
     assert main(args + ["--out", str(tmp_path / "a")]) == EXIT_OK
@@ -251,6 +275,23 @@ def test_obstacle_sweep_writes_mass_law(tmp_path):
     text = (out / "mass_law.txt").read_text()
     exponent = float(text.splitlines()[0].split(":")[1])
     assert abs(exponent - 1.25) <= 0.025  # 2% of the predicted slope
+
+
+def test_obstacle_sweep_solves_each_level_once(tmp_path, monkeypatch):
+    levels = []
+
+    def counted(prob, *args, **kwargs):
+        levels.append(prob.C)
+        return solve_obstacle(prob, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_obstacle", counted)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--sweep-key", "C", "--sweep-values", "0.5,1,2,4",
+                 "--sweep-mode", "obstacle", "--N", "48", "--L", "7",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert (out / "mass_law.txt").exists()
+    assert sorted(levels) == [0.5, 1.0, 2.0, 4.0]
 
 
 def test_verify_failure_maps_to_exit_1(tmp_path, monkeypatch):

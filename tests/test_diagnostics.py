@@ -7,16 +7,14 @@ from fracpme.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
     DiagnosticsSeries,
-    boltzmann_identity_check,
     convergence_to_profile,
     entropy_dissipation_identity_check,
     fit_power_law,
     record,
-    spectral_gap_probe,
     support_radius,
 )
-from fracpme.evolution import SolverConfig, exponents, run
-from fracpme.fracops import FREESPACE, FracParams, make_operator
+from fracpme.evolution import Exponents, SolverConfig, Trajectory, run
+from fracpme.fracops import FREESPACE, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 
 
@@ -37,8 +35,8 @@ def gaussian_field(grid, width=0.8):
 
 def test_record_cross_checks():
     grid = Grid(dim=1, half_width=8.0, points_per_axis=256)
-    op = make_operator(grid, FracParams(s=0.25, dim=1), FREESPACE)
-    exp = exponents(1, 0.25)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    exp = Exponents(1, 0.25)
     v = gaussian_field(grid)
     rec = record(v, 0.3, exp, op)
     h = grid.spacing
@@ -47,16 +45,15 @@ def test_record_cross_checks():
     assert rec.moment2 == pytest.approx(h * (grid.axis() ** 2 * v.values).sum(), rel=1e-14)
     assert rec.linf == v.linf()
     assert rec.l2 == v.lp(2)
-    # quadratic energy two ways: <v, K v> and |H v|_2^2 (H = K^(1/2))
-    hv = op.half_inverse(v)
-    assert rec.energy1 == pytest.approx(hv.lp(2) ** 2, rel=1e-10)
+    # quadratic energy two ways: FFT convolution and the dense kernel matrix
+    dense = op.kernel_submatrix(np.arange(grid.npoints))
+    assert rec.energy1 == pytest.approx(h * v.values @ dense @ v.values, rel=1e-10)
     assert rec.entropy == pytest.approx(
         0.5 * (rec.energy1 + exp.beta * rec.moment2), rel=1e-14
     )
     pos = v.values[v.values > 0]
     assert rec.boltzmann == pytest.approx(h * (pos * np.log(pos)).sum(), rel=1e-13)
     assert rec.dissipation > 0.0
-    assert rec.grad_h_sq is None
 
 
 def test_record_row_matches_columns():
@@ -69,9 +66,9 @@ def test_record_row_matches_columns():
 
 def test_record_handles_zeros_in_boltzmann():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = make_operator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
     box = Field(grid, np.where(np.abs(grid.axis()) < 1, 0.5, 0.0), "density")
-    rec = record(box, 0.0, exponents(1, 0.25), op)
+    rec = record(box, 0.0, Exponents(1, 0.25), op)
     assert np.isfinite(rec.boltzmann)
     assert rec.boltzmann < 0.0  # 0.5 log 0.5 cells only
 
@@ -122,50 +119,11 @@ def test_entropy_identity_input_errors():
         entropy_dissipation_identity_check(series, window=(5.0, 6.0))
 
 
-def test_boltzmann_identity_on_manufactured_series():
-    # choose grad_h_sq so that -g + alpha m equals d/dt boltzmann exactly
-    exp = exponents(1, 0.25)
-    series = DiagnosticsSeries()
-    dt = 0.01
-    for k in range(101):
-        t = k * dt
-        b = np.exp(-t)
-        series.append(make_record(
-            t, boltzmann=b, mass=2.0, grad_h_sq=-(-b) + exp.alpha * 2.0,
-        ))
-    out = boltzmann_identity_check(series, exp)
-    assert out["max_rel_mismatch"] < dt**2 / 4.0
-
-
-def test_boltzmann_identity_requires_half_gradient():
-    series = DiagnosticsSeries()
-    for t in (0.0, 0.1, 0.2):
-        series.append(make_record(t))
-    with pytest.raises(ValueError, match="grad_h_sq"):
-        boltzmann_identity_check(series, exponents(1, 0.25))
-
-
-def test_boltzmann_identity_on_run_improves_with_resolution():
-    exp = exponents(1, 0.25)
-    mismatches = []
-    for pts in (128, 256):
-        grid = Grid(dim=1, half_width=6.0, points_per_axis=pts)
-        op = make_operator(grid, FracParams(s=0.25, dim=1), FREESPACE)
-        vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
-        traj = run(Field(grid, vals, "density"), "rescaled",
-                   SolverConfig(end_time=1.5, snapshot_stride=10,
-                                include_half_gradient=True), op, exp)
-        chk = boltzmann_identity_check(traj.diagnostics, exp, window=(0.3, 1.2))
-        mismatches.append(chk["max_rel_mismatch"])
-    assert mismatches[1] < 0.25  # measured 0.199 at 256 cells
-    assert mismatches[1] < 0.75 * mismatches[0]
-
-
 def test_entropy_identity_on_run():
     # companion to the refinement study in the acceptance suite
-    exp = exponents(1, 0.25)
+    exp = Exponents(1, 0.25)
     grid = Grid(dim=1, half_width=6.0, points_per_axis=256)
-    op = make_operator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
     traj = run(Field(grid, vals, "density"), "rescaled",
                SolverConfig(end_time=2.0, snapshot_stride=20, cfl_safety=0.3),
@@ -197,9 +155,9 @@ def test_fit_power_law_input_errors():
 
 
 def test_convergence_report_against_final_state():
-    exp = exponents(1, 0.25)
+    exp = Exponents(1, 0.25)
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = make_operator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
     traj = run(Field(grid, vals, "density"), "rescaled",
                SolverConfig(end_time=1.0, snapshot_stride=10), op, exp)
@@ -212,15 +170,16 @@ def test_convergence_report_against_final_state():
         convergence_to_profile(traj, scaled, exp, op)
 
 
-def test_spectral_gap_probe_guards_stationary_records():
-    exp = exponents(1, 0.25)
+def test_gap_ratio_guards_stationary_records():
+    # (E - E_profile) / I is reported only where the dissipation is resolved
+    exp = Exponents(1, 0.25)
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = make_operator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
     profile = gaussian_field(grid)
-    series = DiagnosticsSeries()
-    series.append(make_record(0.0, dissipation=0.5, entropy=2.0))
-    series.append(make_record(1.0, dissipation=1e-16, entropy=1.0))
-    out = spectral_gap_probe(series, profile, exp, op)
-    assert np.isfinite(out["relative_ratio"][0])
-    assert np.isnan(out["relative_ratio"][1])
-    assert np.isnan(out["literal_ratio"][1])
+    traj = Trajectory(times=[0.0, 1.0], snapshots=[profile, profile])
+    traj.diagnostics.append(make_record(0.0, dissipation=0.5, entropy=2.0))
+    traj.diagnostics.append(make_record(1.0, dissipation=1e-16, entropy=1.0))
+    report = convergence_to_profile(traj, profile, exp, op)
+    e_profile = record(profile, 0.0, exp, op).entropy
+    assert report.gap_ratio[0] == pytest.approx((2.0 - e_profile) / 0.5, rel=1e-15)
+    assert np.isnan(report.gap_ratio[1])

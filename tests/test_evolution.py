@@ -7,20 +7,19 @@ from fracpme.evolution import (
     Exponents,
     NumericalAbort,
     SolverConfig,
-    exponents,
+    _face_velocities,
     rescale_backward,
     rescale_forward,
     run,
     step_physical,
     step_rescaled,
-    velocity_physical,
 )
-from fracpme.fracops import FREESPACE, PERIODIC, FracParams, make_operator
+from fracpme.fracops import FREESPACE, PERIODIC, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 
 
 def freespace_op(grid, s=0.25):
-    return make_operator(grid, FracParams(s=s, dim=grid.dim), FREESPACE)
+    return FracOperator(grid, FracParams(s=s, dim=grid.dim), FREESPACE)
 
 
 def box_datum(grid, width=1.0, height=1.0):
@@ -41,7 +40,7 @@ def gaussian_datum(grid, width=0.8):
     ],
 )
 def test_exponent_values(n, s, beta, alpha, sigma, a):
-    e = exponents(n, s)
+    e = Exponents(n, s)
     assert e.beta == pytest.approx(beta, abs=1e-15)
     assert e.alpha == pytest.approx(alpha, abs=1e-15)
     assert e.sigma == pytest.approx(sigma, abs=1e-15)
@@ -51,7 +50,7 @@ def test_exponent_values(n, s, beta, alpha, sigma, a):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.49, 0.75])
 def test_exponent_identity(n, s):
-    e = exponents(n, s)
+    e = Exponents(n, s)
     assert e.alpha + (2.0 - 2.0 * s) * e.beta == pytest.approx(1.0, abs=1e-14)
     assert e.a == pytest.approx(e.beta / 2.0, abs=1e-16)
 
@@ -69,7 +68,6 @@ def test_exponent_validation(n, s):
         {"cfl_safety": 1.5},
         {"end_time": -1.0},
         {"snapshot_stride": 0},
-        {"dt_max": 0.0},
     ],
 )
 def test_solver_config_validation(kwargs):
@@ -80,8 +78,9 @@ def test_solver_config_validation(kwargs):
 def test_velocity_points_outward():
     grid = Grid(dim=1, half_width=8.0, points_per_axis=256)
     op = freespace_op(grid)
-    w = velocity_physical(gaussian_datum(grid), op)[0].values
-    x = grid.axis()
+    # transport velocity -grad K u at the faces, as the stepper uses it
+    (w,) = _face_velocities(gaussian_datum(grid).values, op, None)
+    x = grid.interior_faces()
     assert (w[(x > 0.5) & (x < 4.0)] > 0.0).all()
     assert (w[(x < -0.5) & (x > -4.0)] < 0.0).all()
 
@@ -96,15 +95,15 @@ def test_step_rejects_negative_state():
 
 def test_rescaled_step_rejects_periodic_operator():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = make_operator(grid, FracParams(s=0.25, dim=1), PERIODIC)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
     with pytest.raises(ValueError, match="freespace"):
-        step_rescaled(box_datum(grid), op, exponents(1, 0.25), SolverConfig(mode=PERIODIC))
+        step_rescaled(box_datum(grid), op, Exponents(1, 0.25), SolverConfig())
 
 
 def test_run_input_validation():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = freespace_op(grid)
-    exp = exponents(1, 0.25)
+    exp = Exponents(1, 0.25)
     u = box_datum(grid)
     with pytest.raises(ValueError, match="mode"):
         run(u, "backwards", SolverConfig(), op, exp)
@@ -119,7 +118,7 @@ def test_mass_conserved_and_positive():
     op = freespace_op(grid)
     u0 = box_datum(grid)
     traj = run(u0, "physical", SolverConfig(end_time=0.5, snapshot_stride=10),
-               op, exponents(1, 0.25))
+               op, Exponents(1, 0.25))
     mass = traj.diagnostics.column("mass")
     assert np.abs(mass - mass[0]).max() <= 1e-12 * mass[0]
     for snap in traj.snapshots:
@@ -130,7 +129,7 @@ def test_norms_non_increasing():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=0.5), op,
-               exponents(1, 0.25))
+               Exponents(1, 0.25))
     for name in ("linf", "l2", "l4"):
         col = traj.diagnostics.column(name)
         assert (np.diff(col) <= 1e-8 * col[:-1]).all(), name
@@ -150,11 +149,10 @@ def test_positivity_exact_at_sharp_cfl():
 
 def test_constant_periodic_state_is_stationary():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = make_operator(grid, FracParams(s=0.25, dim=1), PERIODIC)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
     c = Field(grid, np.full(64, 0.7), "density")
-    traj = run(c, "physical", SolverConfig(end_time=3.0, dt_max=1.0, mode=PERIODIC),
-               op, exponents(1, 0.25))
-    assert len(traj.times) == 4  # quiescent field advances in dt_max hops
+    traj = run(c, "physical", SolverConfig(end_time=3.0), op, Exponents(1, 0.25))
+    assert len(traj.times) == 4  # quiescent field advances in DT_MAX hops
     assert np.abs(traj.final().values - 0.7).max() == 0.0
 
 
@@ -174,7 +172,7 @@ def test_dt_cap_honored():
 
 def test_rescale_round_trip():
     grid = Grid(dim=1, half_width=8.0, points_per_axis=512)
-    exp = exponents(1, 0.25)
+    exp = Exponents(1, 0.25)
     u = gaussian_datum(grid)
     v, tau = rescale_forward(u, 1.5, exp)
     assert tau == pytest.approx(np.log1p(1.5), abs=1e-15)
@@ -186,7 +184,7 @@ def test_rescale_round_trip():
 
 def test_rescale_matches_analytic_dilation():
     grid = Grid(dim=1, half_width=8.0, points_per_axis=512)
-    exp = exponents(1, 0.25)
+    exp = Exponents(1, 0.25)
     width = 0.8
     v, _ = rescale_forward(gaussian_datum(grid, width), 1.5, exp)
     lam = 2.5**exp.beta
@@ -198,7 +196,7 @@ def test_pressure_scaling_under_rescale():
     # K u (x) = (1+t)^(-sigma) K v (x (1+t)^(-beta)) for v = rescale of u
     grid = Grid(dim=1, half_width=8.0, points_per_axis=512)
     op = freespace_op(grid)
-    exp = exponents(1, 0.25)
+    exp = Exponents(1, 0.25)
     u = gaussian_datum(grid)
     t = 1.5
     v, _ = rescale_forward(u, t, exp)
@@ -212,7 +210,7 @@ def test_pressure_scaling_under_rescale():
 
 def test_rescale_rejects_negative_time():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    exp = exponents(1, 0.25)
+    exp = Exponents(1, 0.25)
     with pytest.raises(ValueError):
         rescale_forward(box_datum(grid), -0.5, exp)
     with pytest.raises(ValueError):
@@ -223,7 +221,7 @@ def test_records_cover_run():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     traj = run(box_datum(grid), "rescaled", SolverConfig(end_time=0.4, snapshot_stride=7),
-               op, exponents(1, 0.25))
+               op, Exponents(1, 0.25))
     times = np.array(traj.times)
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(0.4, abs=1e-12)
@@ -236,6 +234,6 @@ def test_rescaled_entropy_monotone():
     op = freespace_op(grid)
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
     traj = run(Field(grid, vals, "density"), "rescaled",
-               SolverConfig(end_time=1.5, snapshot_stride=5), op, exponents(1, 0.25))
+               SolverConfig(end_time=1.5, snapshot_stride=5), op, Exponents(1, 0.25))
     e = traj.diagnostics.column("entropy")
     assert (np.diff(e) <= 1e-8 * abs(e[0])).all()

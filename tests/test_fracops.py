@@ -4,12 +4,8 @@ import pytest
 from fracpme.fracops import (
     FREESPACE,
     PERIODIC,
+    FracOperator,
     FracParams,
-    apply_frac_laplacian,
-    apply_half_inverse,
-    apply_inverse,
-    gradient,
-    make_operator,
     riesz_constant,
 )
 from fracpme.grid import Field, Grid
@@ -51,17 +47,17 @@ def test_params_validation():
 def test_unknown_mode_rejected():
     g = grid1(N=16)
     with pytest.raises(ValueError):
-        make_operator(g, FracParams(s=0.25, dim=1), "chebyshev")
+        FracOperator(g, FracParams(s=0.25, dim=1), "chebyshev")
 
 
 @pytest.mark.parametrize("s", [0.25, 0.4])
 @pytest.mark.parametrize("k_mode", [1, 2, 7])
 def test_plane_wave_eigenrelation_1d(s, k_mode):
     g = grid1(L=5.0, N=64)
-    op = make_operator(g, FracParams(s=s, dim=1), PERIODIC)
+    op = FracOperator(g, FracParams(s=s, dim=1), PERIODIC)
     k = 2.0 * np.pi * k_mode / (2.0 * g.half_width)
     f = Field(g, np.cos(k * g.axis()))
-    out = apply_frac_laplacian(op, f)
+    out = op.frac_laplacian(f)
     err = np.max(np.abs(out.values - k ** (2.0 * s) * f.values)) / k ** (2.0 * s)
     assert err < 1e-12
 
@@ -69,47 +65,38 @@ def test_plane_wave_eigenrelation_1d(s, k_mode):
 def test_plane_wave_eigenrelation_2d():
     g = Grid(dim=2, half_width=3.0, points_per_axis=32)
     s = 0.5
-    op = make_operator(g, FracParams(s=s, dim=2), PERIODIC)
+    op = FracOperator(g, FracParams(s=s, dim=2), PERIODIC)
     kx = 2.0 * np.pi * 3 / (2.0 * g.half_width)
     ky = 2.0 * np.pi * 1 / (2.0 * g.half_width)
     x0, x1 = g.coords()
     f = Field(g, np.cos(kx * x0) * np.cos(ky * x1))
     lam = (kx ** 2 + ky ** 2) ** s
-    out = apply_frac_laplacian(op, f)
+    out = op.frac_laplacian(f)
     assert np.max(np.abs(out.values - lam * f.values)) / lam < 1e-12
 
 
 def test_constant_maps_to_zero():
     g = grid1(N=32)
-    op = make_operator(g, FracParams(s=0.3, dim=1), PERIODIC)
+    op = FracOperator(g, FracParams(s=0.3, dim=1), PERIODIC)
     f = Field(g, np.full(g.shape, 2.5))
-    assert apply_frac_laplacian(op, f).linf() < 1e-13
-    assert apply_inverse(op, f).linf() < 1e-13  # zero mode dropped
+    assert op.frac_laplacian(f).linf() < 1e-13
+    assert op.inverse(f).linf() < 1e-13  # zero mode dropped
 
 
 def test_periodic_round_trip():
     rng = np.random.default_rng(7)
     g = grid1(N=128)
-    op = make_operator(g, FracParams(s=0.25, dim=1), PERIODIC)
+    op = FracOperator(g, FracParams(s=0.25, dim=1), PERIODIC)
     f = Field(g, rng.random(g.shape))
-    back = apply_inverse(op, apply_frac_laplacian(op, f))
+    back = op.inverse(op.frac_laplacian(f))
     target = f.values - f.values.mean()
     assert np.linalg.norm(back.values - target) / np.linalg.norm(target) < 1e-10
-
-
-def test_freespace_round_trip():
-    rng = np.random.default_rng(3)
-    g = grid1(L=4.0, N=64)
-    op = make_operator(g, FracParams(s=0.25, dim=1), FREESPACE)
-    f = Field(g, rng.random(g.shape))
-    back = apply_inverse(op, apply_frac_laplacian(op, f))
-    assert np.linalg.norm(back.values - f.values) / np.linalg.norm(f.values) < 1e-10
 
 
 def test_freespace_taps_match_quadrature_1d():
     g = grid1(L=6.0, N=512)
     s = 0.25
-    op = make_operator(g, FracParams(s=s, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=s, dim=1), FREESPACE)
     oracle = quadrature_taps_1d(g, s)
     assert np.max(np.abs(op.taps - oracle) / oracle) < 1e-12
 
@@ -119,9 +106,9 @@ def test_freespace_inverse_matches_quadrature_oracle_on_gaussian():
     # recomputed by adaptive quadrature, N = 512
     g = grid1(L=6.0, N=512)
     s = 0.25
-    op = make_operator(g, FracParams(s=s, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=s, dim=1), FREESPACE)
     f = gaussian_field(g)
-    got = apply_inverse(op, f).values
+    got = op.inverse(f).values
     taps = quadrature_taps_1d(g, s)
     idx = np.abs(np.arange(g.points_per_axis)[:, None] - np.arange(g.points_per_axis)[None, :])
     ref = taps[idx] @ f.values
@@ -132,7 +119,7 @@ def test_freespace_inverse_matches_quadrature_oracle_on_gaussian():
 def test_freespace_taps_match_quadrature_2d(mx, my):
     g = Grid(dim=2, half_width=2.0, points_per_axis=16)
     s = 0.5
-    op = make_operator(g, FracParams(s=s, dim=2), FREESPACE)
+    op = FracOperator(g, FracParams(s=s, dim=2), FREESPACE)
     assert op.taps[mx, my] == pytest.approx(quadrature_tap_2d(g, s, mx, my), rel=1e-12)
 
 
@@ -143,8 +130,8 @@ def test_freespace_far_field_of_box():
     x = g.axis()
     vals = np.where(np.abs(x) <= 0.5, 1.0, 0.0)
     f = Field(g, vals / (vals.sum() * g.spacing), "density")
-    op = make_operator(g, FracParams(s=s, dim=1), FREESPACE)
-    p = apply_inverse(op, f)
+    op = FracOperator(g, FracParams(s=s, dim=1), FREESPACE)
+    p = op.inverse(f)
     i10 = int(np.argmin(np.abs(x - 10.0)))
     tail = riesz_constant(1, s) * np.abs(x[i10]) ** (2.0 * s - 1.0)
     assert abs(p.values[i10] - tail) / tail < 0.01
@@ -156,34 +143,38 @@ def test_freespace_far_field_of_box():
 def test_freespace_inverse_positivity():
     rng = np.random.default_rng(11)
     g = grid1(L=3.0, N=128)
-    op = make_operator(g, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
     f = Field(g, rng.random(g.shape), "density")
-    assert apply_inverse(op, f).values.min() >= 0.0
+    assert op.inverse(f).values.min() >= 0.0
 
 
 def test_dense_matrix_agrees_with_convolution():
     rng = np.random.default_rng(5)
     g = grid1(L=4.0, N=512)
-    op = make_operator(g, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
     f = rng.random(g.shape)
-    via_dense = op.dense_matrix() @ f
-    via_conv = apply_inverse(op, Field(g, f)).values
+    via_dense = op.kernel_submatrix(np.arange(g.npoints)) @ f
+    via_conv = op.inverse(Field(g, f)).values
     assert np.max(np.abs(via_dense - via_conv)) / np.max(np.abs(via_dense)) < 1e-8
 
     g2 = Grid(dim=2, half_width=2.0, points_per_axis=24)
-    op2 = make_operator(g2, FracParams(s=0.5, dim=2), FREESPACE)
+    op2 = FracOperator(g2, FracParams(s=0.5, dim=2), FREESPACE)
     f2 = rng.random(g2.shape)
-    via_dense2 = (op2.dense_matrix() @ f2.ravel()).reshape(g2.shape)
-    via_conv2 = apply_inverse(op2, Field(g2, f2)).values
+    via_dense2 = (op2.kernel_submatrix(np.arange(g2.npoints)) @ f2.ravel()).reshape(g2.shape)
+    via_conv2 = op2.inverse(Field(g2, f2)).values
     assert np.max(np.abs(via_dense2 - via_conv2)) / np.max(np.abs(via_dense2)) < 1e-8
 
 
 def test_kernel_submatrix_consistent_with_dense():
     g = Grid(dim=2, half_width=2.0, points_per_axis=12)
-    op = make_operator(g, FracParams(s=0.5, dim=2), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.5, dim=2), FREESPACE)
+    dense = op.kernel_submatrix(np.arange(g.npoints))
+    # row-major block gather of the tap table, independent of the flat indexing
+    d = np.abs(np.arange(12)[:, None] - np.arange(12)[None, :])
+    blocks = op.taps[d[:, None, :, None], d[None, :, None, :]].reshape(g.npoints, g.npoints)
+    assert np.array_equal(dense, blocks)
     idx = np.array([0, 5, 17, 100, 143])
     sub = op.kernel_submatrix(idx)
-    dense = op.dense_matrix()
     assert np.allclose(sub, dense[np.ix_(idx, idx)], rtol=0.0, atol=1e-15)
 
 
@@ -191,14 +182,19 @@ def test_kernel_submatrix_consistent_with_dense():
 def test_self_adjointness(mode):
     rng = np.random.default_rng(13)
     g = grid1(L=3.0, N=128)
-    op = make_operator(g, FracParams(s=0.3, dim=1), mode)
+    op = FracOperator(g, FracParams(s=0.3, dim=1), mode)
     f = Field(g, rng.random(g.shape))
     v = Field(g, rng.random(g.shape))
-    lf, lv = apply_frac_laplacian(op, f), apply_frac_laplacian(op, v)
-    a = np.dot(lf.values, v.values)
-    b = np.dot(f.values, lv.values)
-    assert abs(a - b) / abs(a) < 1e-12
-    kf, kv = apply_inverse(op, f), apply_inverse(op, v)
+    if mode == PERIODIC:
+        lf, lv = op.frac_laplacian(f), op.frac_laplacian(v)
+        a = np.dot(lf.values, v.values)
+        b = np.dot(f.values, lv.values)
+        assert abs(a - b) / abs(a) < 1e-12
+    else:
+        # the freespace realization has the inverse only
+        with pytest.raises(ValueError, match="periodic"):
+            op.frac_laplacian(f)
+    kf, kv = op.inverse(f), op.inverse(v)
     a = np.dot(kf.values, v.values)
     b = np.dot(f.values, kv.values)
     assert abs(a - b) / abs(a) < 1e-12
@@ -206,36 +202,34 @@ def test_self_adjointness(mode):
 
 @pytest.mark.parametrize("mode", [PERIODIC, FREESPACE])
 def test_energy_identity(mode):
+    # h <f, K f> is the squared norm of the half operator K^(1/2) f, computed
+    # here independently: Parseval on the full FFT (periodic) or the
+    # eigendecomposition of the kernel matrix (freespace)
     rng = np.random.default_rng(17)
     g = grid1(L=3.0, N=256)
-    op = make_operator(g, FracParams(s=0.25, dim=1), mode)
+    op = FracOperator(g, FracParams(s=0.25, dim=1), mode)
     f = Field(g, rng.random(g.shape), "density")
     h = g.spacing
-    quad_form = h * np.dot(f.values, apply_inverse(op, f).values)
-    half = apply_half_inverse(op, f)
-    norm_sq = h * np.dot(half.values, half.values)
+    quad_form = h * np.dot(f.values, op.inverse(f).values)
+    if mode == PERIODIC:
+        k = 2.0 * np.pi * np.fft.fftfreq(g.points_per_axis, d=h)
+        with np.errstate(divide="ignore"):
+            symbol = np.where(k == 0.0, 0.0, np.abs(k) ** (-2.0 * 0.25))
+        fhat = np.fft.fft(f.values)
+        norm_sq = h * float(np.sum(symbol * np.abs(fhat) ** 2)) / g.points_per_axis
+    else:
+        vals, vecs = np.linalg.eigh(op.kernel_submatrix(np.arange(g.npoints)))
+        assert vals.min() > 0.0
+        half = (vecs * np.sqrt(vals)) @ vecs.T @ f.values
+        norm_sq = h * np.dot(half, half)
     assert abs(quad_form - norm_sq) / quad_form < 1e-10
-
-
-@pytest.mark.parametrize("mode", [PERIODIC, FREESPACE])
-def test_half_inverse_squares_to_inverse(mode):
-    rng = np.random.default_rng(19)
-    g = grid1(L=3.0, N=128)
-    op = make_operator(g, FracParams(s=0.35, dim=1), mode)
-    f = Field(g, rng.random(g.shape))
-    twice = apply_half_inverse(op, apply_half_inverse(op, f))
-    kf = apply_inverse(op, f)
-    ref = kf.values if mode == FREESPACE else kf.values - kf.values.mean()
-    got = twice.values if mode == FREESPACE else twice.values - twice.values.mean()
-    assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-10
 
 
 def test_zero_field_fixed_points():
     g = grid1(N=32)
-    op = make_operator(g, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
     z = Field(g, np.zeros(g.shape))
-    assert apply_inverse(op, z).linf() == 0.0
-    assert apply_half_inverse(op, z).linf() == 0.0
+    assert op.inverse(z).linf() == 0.0
 
 
 def test_periodic_gaussian_against_singular_integral_oracle():
@@ -248,9 +242,9 @@ def test_periodic_gaussian_against_singular_integral_oracle():
                 params = FracParams(s=s, dim=1, allow_supercritical=True)
         else:
             params = FracParams(s=s, dim=1)
-        op = make_operator(g, params, PERIODIC)
+        op = FracOperator(g, params, PERIODIC)
         f = gaussian_field(g)
-        got = apply_frac_laplacian(op, f).values
+        got = op.frac_laplacian(f).values
         idx = np.linspace(0, g.points_per_axis - 1, 25).astype(int)
         ref = periodized_frac_laplacian_gaussian_1d(g.axis()[idx], s, 2.0 * g.half_width)
         assert np.max(np.abs(got[idx] - ref)) / np.max(np.abs(ref)) < 1e-6
@@ -265,40 +259,6 @@ def test_singular_integral_oracle_against_fourier_oracle():
         assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-12
 
 
-def test_gradient_exact_on_linears():
-    g = grid1(L=2.0, N=64)
-    f = Field(g, g.axis().copy())
-    (gx,) = gradient(f)
-    assert np.max(np.abs(gx.values - 1.0)) < 1e-13
-
-
-def test_gradient_second_order():
-    errs = []
-    for N in (64, 128):
-        g = grid1(L=2.0, N=N)
-        f = Field(g, 0.5 * g.axis() ** 2)
-        (gx,) = gradient(f)
-        errs.append(np.max(np.abs(gx.values - g.axis())[1:-1]))
-    # quadratics are differentiated exactly by centered differences; the
-    # one-sided ends dominate, so just require the interior to be tiny
-    assert errs[0] < 1e-12 and errs[1] < 1e-12
-    # a quartic shows the O(h^2) interior error
-    errs = []
-    for N in (64, 128):
-        g = grid1(L=2.0, N=N)
-        f = Field(g, g.axis() ** 4)
-        (gx,) = gradient(f)
-        errs.append(np.max(np.abs(gx.values - 4.0 * g.axis() ** 3)[1:-1]))
-    assert errs[0] / errs[1] > 3.5
-
-
-def test_gradient_periodic():
-    g = grid1(L=np.pi, N=128)
-    f = Field(g, np.sin(g.axis()))
-    (gx,) = gradient(f, periodic=True)
-    assert np.max(np.abs(gx.values - np.cos(g.axis()))) < 1e-3
-
-
 def test_mode_consistency_improves_with_box_size():
     # periodic and freespace grad K f agree on the support as the box grows;
     # the gap shrinks like a kernel-tail effect, measured here, not pinned
@@ -309,16 +269,17 @@ def test_mode_consistency_improves_with_box_size():
         x = g.axis()
         f = Field(g, np.where(np.abs(x) <= 1.0, (1.0 - x ** 2) ** 2, 0.0), "density")
         params = FracParams(s=s, dim=1)
-        wp = gradient(apply_inverse(make_operator(g, params, PERIODIC), f), periodic=True)[0]
-        wf = gradient(apply_inverse(make_operator(g, params, FREESPACE), f))[0]
-        on_supp = np.abs(x) <= 1.0
-        gaps.append(np.max(np.abs(wp.values - wf.values)[on_supp]))
+        # face differences of the pressure, as the stepper forms them
+        wp = np.diff(FracOperator(g, params, PERIODIC).inverse(f).values) / g.spacing
+        wf = np.diff(FracOperator(g, params, FREESPACE).inverse(f).values) / g.spacing
+        on_supp = np.abs(g.interior_faces()) <= 1.0
+        gaps.append(np.max(np.abs(wp - wf)[on_supp]))
     assert gaps[1] < gaps[0] / 2.0
 
 
 def test_grid_mismatch_rejected():
     g = grid1(N=32)
     other = grid1(L=2.0, N=32)
-    op = make_operator(g, FracParams(s=0.25, dim=1), PERIODIC)
+    op = FracOperator(g, FracParams(s=0.25, dim=1), PERIODIC)
     with pytest.raises(ValueError):
-        apply_frac_laplacian(op, Field(other, np.zeros(other.shape)))
+        op.frac_laplacian(Field(other, np.zeros(other.shape)))

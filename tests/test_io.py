@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fracpme.diagnostics import CSV_COLUMNS
-from fracpme.evolution import SolverConfig, exponents, run
-from fracpme.fracops import FREESPACE, FracParams, make_operator
+from fracpme.evolution import Exponents, SolverConfig, run
+from fracpme.fracops import FREESPACE, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.io import (SNAPSHOT_VERSION, build_datum, datum_box,
                         datum_gaussian, datum_parabola_cap, parse_datum,
@@ -106,10 +106,10 @@ def test_snapshot_malformed_header_line(tmp_path):
 
 def test_diagnostics_round_trip(tmp_path):
     g = Grid(1, 6.0, 64)
-    op = make_operator(g, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
     traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
                SolverConfig(end_time=0.2, snapshot_stride=2), op,
-               exponents(1, 0.25))
+               Exponents(1, 0.25))
     path = tmp_path / "d.csv"
     write_diagnostics(path, traj.diagnostics)
     table = read_diagnostics(path)
@@ -121,9 +121,9 @@ def test_diagnostics_round_trip(tmp_path):
 def test_diagnostics_repeat_is_byte_identical(tmp_path):
     def once(path):
         g = Grid(1, 6.0, 48)
-        op = make_operator(g, FracParams(s=0.25, dim=1), FREESPACE)
+        op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
         traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
-                   SolverConfig(end_time=0.3), op, exponents(1, 0.25))
+                   SolverConfig(end_time=0.3), op, Exponents(1, 0.25))
         write_diagnostics(path, traj.diagnostics)
         return path.read_bytes()
 
