@@ -9,8 +9,8 @@ Two realizations of the operator family are provided:
   c(n,s) |x|^(2s-n), discretized by exact cell averages of the kernel over each source
   cell (the singular cell via closed form in 1-D and a polar-coordinate reduction in
   2-D).  The operator is translation invariant, so a single tap table drives both a
-  zero-padded circular convolution (any grid) and the kernel submatrices of the
-  obstacle solver.  Only the inverse exists in this mode.
+  zero-padded circular convolution (any grid) and the dense kernel submatrices that
+  the pivoting oracles take.  Only the inverse exists in this mode.
 """
 
 from __future__ import annotations
@@ -229,7 +229,10 @@ class FracOperator:
         return out[(slice(0, n),) * self.grid.dim]
 
     def kernel_submatrix(self, flat_index: np.ndarray) -> np.ndarray:
-        """Inverse-potential matrix restricted to the given flat cell indices."""
+        """Inverse-potential matrix restricted to the given flat cell indices.
+
+        Dense, so it serves only the pivoting oracles and the tests; the
+        obstacle solver applies the kernel through `inverse`."""
         if self.mode != FREESPACE:
             raise ValueError("kernel submatrix exists only for the freespace realization")
         if self.grid.dim == 1:

@@ -10,9 +10,11 @@ positivity ball).  There the system is the linear complementarity problem
 
     V >= 0,   W V - Phi >= 0,   V^T (W V - Phi) = 0
 
-with W the symmetric positive definite kernel submatrix.  Projected SOR sweeps
-(Cryer) drive the residual down, a direct solve on the final active set
-polishes, and the result is re-verified on the full grid.
+with W the symmetric positive definite kernel restricted to those cells.  A
+primal-dual active-set loop solves it: each pass solves W v = Phi on the
+current free set {V > 0} by conjugate gradients, with every product W v done
+by the operator's FFT convolution, so W is never formed.  The result is
+re-verified on the full grid.
 
 A target mass M has one route, `match_mass`: it root-finds the level C whose
 discrete mass equals M on the given grid.  Every probe level is capped at the
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .evolution import Exponents
 from .fracops import FREESPACE, FracOperator, FracParams
@@ -34,8 +37,7 @@ from .remap import resample
 
 MARGIN_FACTOR = 1.5
 DEFAULT_BOX_FACTOR = 3.0
-PSOR_OMEGA = 1.5
-PSOR_MAX_SWEEPS = 10**6
+ACTIVE_SET_MAX_PASSES = 100
 
 
 def _max_level(a: float, grid: Grid) -> float:
@@ -95,6 +97,9 @@ def make_problem(C: float, n: int, s: float, points_per_axis: int,
 
 @dataclass
 class ObstacleSolution:
+    """Profile pair with its full-grid residuals; `sweeps` counts the
+    active-set passes the solve took."""
+
     problem: ObstacleProblem
     pressure: Field
     density: Field
@@ -121,68 +126,57 @@ class BarenblattSolution:
         return self.profile.mass
 
 
-def _psor_sweeps(w_mat: np.ndarray, phi: np.ndarray, tol: float) -> tuple:
-    """Projected SOR on LCP(W, -phi), residual kept incrementally.
+def _active_set_solve(op: FracOperator, phi: np.ndarray, cells: np.ndarray) -> tuple:
+    """Primal-dual active-set loop (Hintermueller-Ito-Kunisch) on LCP(W, -phi),
+    W the kernel restricted to the flat indices `cells`, never formed.
 
-    Returns (V, residual vector, sweeps, residual norm)."""
-    m = phi.size
-    v = np.zeros(m)
-    r = -phi.copy()  # r = W v - phi
-    diag = np.ascontiguousarray(np.diag(w_mat))
-    cols = np.asfortranarray(w_mat)  # column slices contiguous for the axpy
-    res = np.inf
-    for sweep in range(1, PSOR_MAX_SWEEPS + 1):
-        for i in range(m):
-            target = v[i] - PSOR_OMEGA * r[i] / diag[i]
-            if target < 0.0:
-                target = 0.0
-            d = target - v[i]
-            if d != 0.0:
-                v[i] = target
-                r += d * cols[:, i]
+    Each pass solves W_FF v_F = phi_F by CG on the free set F (a principal
+    block of an SPD kernel) with every product done by `op.inverse` on the
+    full grid, then resets F to {v - (W v - phi) > 0}.  Returns (V, passes)
+    once F repeats; raises RuntimeError on a revisited set, on the pass cap,
+    or on a CG breakdown."""
+    grid = op.grid
+    full = np.zeros(grid.npoints)
+
+    def potential(v: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        full[:] = 0.0
+        full[sel] = v
+        return op.inverse(Field(grid, full.reshape(grid.shape))).values.ravel()[sel]
+
+    free = phi > 0.0
+    seen = set()
+    for passes in range(1, ACTIVE_SET_MAX_PASSES + 1):
+        seen.add(free.tobytes())
+        v = np.zeros(phi.size)
+        info = 0
+        if free.any():
+            sel = cells[free]
+            w_ff = LinearOperator((sel.size, sel.size), dtype=float,
+                                  matvec=lambda x: potential(x, sel))
+            v[free], info = cg(w_ff, phi[free], rtol=1e-15, atol=0.0)
+        r = potential(v, cells) - phi
         res = float(np.abs(np.minimum(v, r)).max())
-        if res <= tol:
-            return v, r, sweep, res
-    raise RuntimeError(
-        f"projected SOR did not reach tolerance {tol:.3e} in {PSOR_MAX_SWEEPS} sweeps "
-        f"(residual {res:.3e})"
-    )
-
-
-def _active_set_polish(w_mat: np.ndarray, phi: np.ndarray, v: np.ndarray,
-                       tol: float) -> tuple:
-    """Direct solve on {v > 0}, adjusting the set when the KKT signs object.
-
-    Falls back to the input iterate if the adjustment loop fails to settle."""
-    active = v > 0.0
-    for _ in range(60):
-        if not active.any():
-            r = -phi.copy()
-            if r.min() >= -tol:
-                return np.zeros_like(v), r
-            break
-        idx = np.nonzero(active)[0]
-        sol = np.linalg.solve(w_mat[np.ix_(idx, idx)], phi[idx])
-        if sol.min() < 0.0:
-            active[idx[sol < 0.0]] = False
-            continue
-        cand = np.zeros_like(v)
-        cand[idx] = sol
-        r = w_mat @ cand - phi
-        worst = int(np.argmin(r))
-        if r[worst] >= -tol:
-            return cand, r
-        active[worst] = True
-    return v, w_mat @ v - phi
+        if info != 0:
+            raise RuntimeError(f"obstacle CG stopped with info {info} in active-set "
+                               f"pass {passes} (residual {res:.3e})")
+        nxt = v - r > 0.0
+        if np.array_equal(nxt, free):
+            return v, passes
+        if nxt.tobytes() in seen:
+            raise RuntimeError(f"obstacle active set cycles at pass {passes} "
+                               f"(residual {res:.3e})")
+        free = nxt
+    raise RuntimeError(f"obstacle active set did not settle in {ACTIVE_SET_MAX_PASSES} "
+                       f"passes (residual {res:.3e})")
 
 
 def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9) -> ObstacleSolution:
     """Stationary profile pair for the parabolic obstacle.
 
-    tol is relative: convergence and the reported residuals are measured
-    against max(C, max V).  Raises RuntimeError (with the residual report in
-    the message) if the sweeps stall; C <= 0 short-circuits to the trivial
-    solution.
+    tol is relative: the contact set and the pressure-deficit abort are
+    measured against max(C, max V).  Raises RuntimeError (with the residual
+    in the message) if the active-set loop fails to settle; C <= 0
+    short-circuits to the trivial solution.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -204,13 +198,7 @@ def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9) -> ObstacleSolution
     r2 = grid.radius2()
     reach = prob.parabola_radius + 2.0 * grid.spacing
     idx = np.nonzero(r2.ravel() <= reach**2)[0]
-    w_mat = op.kernel_submatrix(idx)
-    phi = phi_full.ravel()[idx]
-
-    scale = max(prob.C, 1.0)
-    v_loc, _, sweeps, _ = _psor_sweeps(w_mat, phi, 0.1 * tol * scale)
-    scale = max(prob.C, float(v_loc.max()))
-    v_loc, _ = _active_set_polish(w_mat, phi, v_loc, 0.1 * tol * scale)
+    v_loc, sweeps = _active_set_solve(op, phi_full.ravel()[idx], idx)
 
     v_full = np.zeros(grid.npoints)
     v_full[idx] = v_loc
@@ -314,17 +302,21 @@ def match_mass(mass: float, s: float, grid: Grid,
     matched mass.  So root-find on the level C instead (mass is strictly
     increasing in C), bracketing from the power-law seed by geometric
     expansion.  Every probe is a full solve at tolerance `tol`, at a level no
-    higher than the largest one the grid box admits; if even that level
-    holds less than `mass`, the box is too small and ValueError is raised.
+    higher than the largest one the grid box admits, and each level is solved
+    once per call; if even the largest level holds less than `mass`, the box
+    is too small and ValueError is raised.
     """
     if mass <= 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
     a = Exponents(grid.dim, s).a
     c_max = _max_level(a, grid)
+    by_level = {}  # brentq re-probes both bracket ends, and the root is returned
 
     def solved(level: float) -> ObstacleSolution:
-        prob = ObstacleProblem(C=level, a=a, s=s, grid=grid)
-        return solve_obstacle(prob, tol=tol)
+        if level not in by_level:
+            prob = ObstacleProblem(C=level, a=a, s=s, grid=grid)
+            by_level[level] = solve_obstacle(prob, tol=tol)
+        return by_level[level]
 
     def gap(level: float) -> float:
         return solved(level).mass - mass

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from fracpme import cli
+from fracpme import cli, obstacle
 from fracpme.cli import (EXIT_CONFIG, EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK,
                          RunConfig, main, parse_config, validate_config)
 from fracpme.evolution import NumericalAbort
@@ -184,6 +186,24 @@ def test_obstacle_nonconvergence_maps_to_exit_3(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "FRACPME-FAIL numerical: sweeps exhausted" in capsys.readouterr().out
+
+
+def test_obstacle_pass_cap_maps_to_exit_3(tmp_path, monkeypatch, capsys):
+    argv = ["obstacle", "--C", "1", "--N", "32", "--L", "4"]
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == EXIT_OK
+    passes = int((tmp_path / "ok" / "report.txt").read_text()
+                 .split("sweeps: ")[1].split()[0])
+    assert passes >= 2  # so one pass cannot settle the active set
+    capsys.readouterr()
+    monkeypatch.setattr(obstacle, "ACTIVE_SET_MAX_PASSES", 1)
+    code = main(argv + ["--out", str(tmp_path / "capped")])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    line = captured.out.strip().splitlines()[-1]
+    assert line.startswith("FRACPME-FAIL numerical: ")
+    assert re.search(r"residual \d\.\d{3}e[+-]\d+", line)
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "capped" / "report.txt").exists()
 
 
 def test_obstacle_trivial_level_zero(tmp_path):

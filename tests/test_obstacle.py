@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracpme import obstacle
 from fracpme.diagnostics import record
 from fracpme.evolution import Exponents, SolverConfig, step_rescaled
 from fracpme.fracops import FREESPACE, FracOperator, FracParams
@@ -14,6 +15,7 @@ from fracpme.obstacle import (
     convexity_check,
     make_problem,
     mass_law,
+    match_mass,
     scaling_check,
     solve_obstacle,
 )
@@ -106,11 +108,13 @@ def test_far_field_kernel_decay(sol_c1):
     assert abs(measured - predicted) <= 0.1 * predicted
 
 
-def test_psor_matches_lemke_pivoting():
-    prob = make_problem(1.0, 1, 0.25, 128)
+@pytest.mark.parametrize("args", [(1.0, 1, 0.25, 128), (1.0, 2, 0.5, 24)],
+                         ids=["1d", "2d"])
+def test_solver_matches_lemke_pivoting(args):
+    prob = make_problem(*args)
     sol = solve_obstacle(prob)
     grid = prob.grid
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim), FREESPACE)
     r2 = grid.radius2().ravel()
     idx = np.nonzero(r2 <= (prob.parabola_radius + 2 * grid.spacing) ** 2)[0]
     w_mat = op.kernel_submatrix(idx)
@@ -118,6 +122,30 @@ def test_psor_matches_lemke_pivoting():
     v_ref = lemke_lcp(w_mat, -phi)
     v_sol = sol.density.values.ravel()[idx]
     assert np.abs(v_sol - v_ref).max() <= 1e-12
+
+
+def test_solver_forms_no_dense_kernel(monkeypatch):
+    def refuse(self, flat_index):
+        raise AssertionError("dense kernel submatrix requested")
+
+    monkeypatch.setattr(FracOperator, "kernel_submatrix", refuse)
+    for args in ((1.0, 1, 0.25, 128), (1.0, 2, 0.5, 32)):
+        sol = solve_obstacle(make_problem(*args))
+        assert sol.residuals["lcp_residual"] <= 1e-12 * max(1.0, sol.density.linf())
+
+
+def test_match_mass_solves_each_level_once(monkeypatch):
+    levels = []
+
+    def counting(prob, tol):
+        levels.append(prob.C)
+        return solve_obstacle(prob, tol=tol)
+
+    monkeypatch.setattr(obstacle, "solve_obstacle", counting)
+    sol = match_mass(2.0, 0.25, Grid(1, 12.0, 256))
+    assert sol.mass == pytest.approx(2.0, rel=1e-12)
+    assert len(levels) == len(set(levels))
+    assert sol.problem.C in levels
 
 
 @pytest.mark.parametrize("seed", [0, 7, 21])
