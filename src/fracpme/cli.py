@@ -25,6 +25,7 @@ from .grid import Grid
 from .io import (
     build_datum,
     parse_datum,
+    snapshot_datum,
     write_diagnostics,
     write_snapshot,
 )
@@ -201,11 +202,33 @@ def _machine_line(kind: str, detail: str) -> None:
     print(f"FRACPME-FAIL {kind}: {detail}")
 
 
+def _restart_time(path: str, header: dict, cfg: RunConfig, mode: str) -> float:
+    """Time a run from snapshot `path` starts at: the snapshot's own time for
+    a physical or rescaled snapshot of the same s and mode, 0 for obstacle
+    data.  Raises ValueError on a mismatch or an end time already reached."""
+    if header["mode"] == "obstacle":
+        return 0.0
+    if header["mode"] != mode:
+        raise ValueError(f"{path}: snapshot mode {header['mode']!r} does not "
+                         f"match the {mode} run")
+    if header["s"] != cfg.s:
+        raise ValueError(f"{path}: snapshot s = {header['s']:g} does not match "
+                         f"s = {cfg.s:g}")
+    if cfg.end_time <= header["time"]:
+        raise ValueError(f"{path}: end_time {cfg.end_time:g} does not exceed the "
+                         f"snapshot time {header['time']:.17g}")
+    return header["time"]
+
+
 def cmd_evolve(cfg: RunConfig, mode: str) -> int:
     grid = Grid(cfg.n, cfg.L, cfg.N)
     name, args = parse_datum(cfg.datum)
     try:
-        u0 = build_datum(name, args, grid)
+        if name == "from_file":
+            u0, header = snapshot_datum(args[0], grid)
+            start = _restart_time(args[0], header, cfg, mode)
+        else:
+            u0, start = build_datum(name, args, grid), 0.0
     except (ValueError, OSError) as exc:
         _machine_line("config", str(exc))
         return EXIT_CONFIG
@@ -219,17 +242,22 @@ def cmd_evolve(cfg: RunConfig, mode: str) -> int:
     )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    kept = []  # (record, time, state): every snapshot_every-th and the latest
+
+    def keep(k, t, state):
+        if kept and kept[-1][0] % cfg.snapshot_every:
+            kept.pop()  # a later record arrived, so that one was not the last
+        kept.append((k, t, state))
+
     try:
-        traj = run(u0, mode, solver, op, exp)
+        traj = run(u0, mode, solver, op, exp, start_time=start, on_record=keep)
     except NumericalAbort as exc:
         _machine_line("numerical", str(exc))
         return EXIT_NUMERICAL
     write_diagnostics(out / "diagnostics.csv", traj.diagnostics)
-    last = len(traj.times) - 1
-    for k, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
-        if k % cfg.snapshot_every == 0 or k == last:
-            write_snapshot(out / f"snapshot_{k:06d}.txt", snap,
-                           s=cfg.s, time=t, mode=mode)
+    for k, t, snap in kept:
+        write_snapshot(out / f"snapshot_{k:06d}.txt", snap,
+                       s=cfg.s, time=t, mode=mode)
     print(f"{mode} run: {traj.steps} steps, {len(traj.times)} records -> {out}")
     return EXIT_OK
 
@@ -381,13 +409,17 @@ def main(argv=None) -> int:
         for v in violations:
             _machine_line("config", v)
         return EXIT_CONFIG
-    if cfg.mode in ("physical", "rescaled"):
-        return cmd_evolve(cfg, cfg.mode)
-    if cfg.mode == "obstacle":
-        return cmd_obstacle(cfg)[0]
-    if cfg.mode == "verify":
-        return cmd_verify(cfg)
-    return cmd_sweep(cfg)
+    try:
+        if cfg.mode in ("physical", "rescaled"):
+            return cmd_evolve(cfg, cfg.mode)
+        if cfg.mode == "obstacle":
+            return cmd_obstacle(cfg)[0]
+        if cfg.mode == "verify":
+            return cmd_verify(cfg)
+        return cmd_sweep(cfg)
+    except OSError as exc:  # the output directory or a file in it
+        _machine_line("config", f"cannot write outputs: {exc}")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

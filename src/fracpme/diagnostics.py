@@ -69,16 +69,22 @@ class DiagnosticsSeries:
 def support_radius(v: Field, threshold: float | None = None) -> float:
     """Largest cell-center radius where v exceeds the threshold (default
     1e-10 * max|v|); zero for an identically zero field."""
-    peak = v.linf()
+    return _support_radius(v.values, v.linf(), v.grid.radius2(), threshold)
+
+
+def _support_radius(vals: np.ndarray, peak: float, r2: np.ndarray,
+                    threshold: float | None) -> float:
+    """support_radius on raw values with peak = max|vals| and r2 the squared
+    cell-center radii."""
     if peak == 0.0:
         return 0.0
     thr = 1e-10 * peak if threshold is None else threshold
     if thr <= 0.0:
         raise ValueError(f"threshold must be positive, got {thr}")
-    mask = v.values > thr
+    mask = vals > thr
     if not mask.any():
         return 0.0
-    return float(np.sqrt(v.grid.radius2()[mask].max()))
+    return float(np.sqrt(r2[mask].max()))
 
 
 def _face_grad_quadrature(pot: np.ndarray, weight: np.ndarray, grid,
@@ -110,10 +116,11 @@ def _face_grad_quadrature(pot: np.ndarray, weight: np.ndarray, grid,
 
 
 def record(v: Field, time: float, exp, op: FracOperator,
-           confined: bool = True) -> DiagnosticsRecord:
+           confined: bool = True, pressure: Field | None = None) -> DiagnosticsRecord:
     """All diagnostics of one state.  confined=True adds the drift potential
     beta/2 |y|^2 to the dissipation integrand (rescaled flow); the entropy
-    formula always carries its beta moment term."""
+    formula always carries its beta moment term.  pressure, when given, must
+    be op.inverse(v); it is computed here otherwise."""
     grid = v.grid
     h = grid.spacing
     vol = h ** grid.dim
@@ -123,7 +130,7 @@ def record(v: Field, time: float, exp, op: FracOperator,
     mass = vol * float(vals.sum())
     r2 = grid.radius2()
     moment2 = vol * float((r2 * vals).sum())
-    kv = op.inverse(v).values
+    kv = (op.inverse(v) if pressure is None else pressure).values
     energy1 = vol * float((vals * kv).sum())
     entropy = 0.5 * (energy1 + exp.beta * moment2)
     pos = vals[vals > BOLTZMANN_FLOOR]
@@ -131,10 +138,12 @@ def record(v: Field, time: float, exp, op: FracOperator,
     dissipation = _face_grad_quadrature(
         kv, vals, grid, periodic, exp.beta if confined else None
     )
+    linf = v.linf()
     return DiagnosticsRecord(
-        time=float(time), mass=mass, linf=v.linf(), l2=v.lp(2), l4=v.lp(4),
+        time=float(time), mass=mass, linf=linf, l2=v.lp(2), l4=v.lp(4),
         moment2=moment2, energy1=energy1, entropy=entropy, boltzmann=boltzmann,
-        dissipation=dissipation, support_radius=support_radius(v),
+        dissipation=dissipation,
+        support_radius=_support_radius(vals, linf, r2, None),
     )
 
 

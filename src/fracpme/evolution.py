@@ -95,7 +95,7 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     times: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
+    snapshots: list = field(default_factory=list)  # empty when run streams states
     diagnostics: DiagnosticsSeries = field(default_factory=DiagnosticsSeries)
     steps: int = 0  # accepted steps; len(times) counts records, not steps
 
@@ -103,119 +103,112 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _face_velocities(u_values: np.ndarray, op: FracOperator,
-                     drift_beta: float | None) -> list:
-    """Per-axis face velocities.  Freespace: N-1 interior faces (zero-flux box
-    boundary); periodic: N faces with wrap.  Drift adds -beta y exactly at the
-    face positions (rescaled form only)."""
+def _confining_drift(op: FracOperator, beta: float) -> list:
+    """beta y at the interior faces of each axis, shaped to broadcast against
+    that axis's face velocities (rescaled form, freespace only)."""
+    if op.mode == PERIODIC:
+        raise ValueError("the confining drift beta*y is not periodic; use freespace mode")
     grid = op.grid
-    h = grid.spacing
-    p = op.inverse(Field(grid, u_values)).values
+    faces = grid.interior_faces()
     out = []
     for ax in range(grid.dim):
-        if op.mode == PERIODIC:
-            w = -(np.roll(p, -1, axis=ax) - p) / h  # face i+1/2 for each i
-        else:
-            w = -np.diff(p, axis=ax) / h
-            if drift_beta is not None:
-                faces = grid.interior_faces()
-                shape = [1] * grid.dim
-                shape[ax] = faces.size
-                w = w - drift_beta * faces.reshape(shape)
-        out.append(w)
+        shape = [1] * grid.dim
+        shape[ax] = faces.size
+        out.append(beta * faces.reshape(shape))
     return out
 
 
-def _stable_dt(face_w: list, h: float, dim: int, periodic: bool,
-               cfl_safety: float, diffusion_rate: float = 0.0) -> float:
-    """cfl_safety times the sharper of the two step bounds: h over the largest
-    per-cell sum of outgoing face speeds (advective positivity), and
-    2 / diffusion_rate (non-amplification of the linearized pressure
-    diffusion, rate = u_max * operator stiffness; it scales like h^(2-2s)
-    and binds on fine grids when s < 1/2)."""
+def _upwind_step(vals: np.ndarray, pressure: np.ndarray, op: FracOperator,
+                 cfl_safety: float, drift: list | None, dt_cap: float | None) -> tuple:
+    """One upwind step of the state `vals` whose pressure is `pressure` = K vals.
+
+    Returns (new values, dt, face velocities per axis).  Face velocities are
+    minus the pressure difference over h, less the drift when given.
+    Freespace: N-1 interior faces per axis and zero flux through the box
+    boundary; periodic: N faces with wrap.  dt is cfl_safety times the
+    sharper of two bounds: h over the largest per-cell sum of outgoing face
+    speeds (advective positivity), and 2 / (max vals * operator stiffness)
+    (non-amplification of the linearized pressure diffusion; it scales like
+    h^(2-2s) and binds on fine grids when s < 1/2)."""
+    h = op.grid.spacing
+    periodic = op.mode == PERIODIC
+    cut = []  # (lower, upper) neighbour slices along each axis
+    face_w = []
     outflow = None
-    for ax, w in enumerate(face_w):
+    for ax in range(vals.ndim):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        cut.append((lo, hi))
         if periodic:
-            out_right = np.maximum(w, 0.0)                      # through face i+1/2
-            out_left = np.maximum(-np.roll(w, 1, axis=ax), 0.0)  # through face i-1/2
+            w = (np.roll(pressure, -1, axis=ax) - pressure) / -h  # face i+1/2
+            contrib = np.maximum(w, 0.0) + np.maximum(-np.roll(w, 1, axis=ax), 0.0)
         else:
-            pad = [(0, 0)] * dim
-            pad[ax] = (0, 1)
-            out_right = np.pad(np.maximum(w, 0.0), pad)
-            pad[ax] = (1, 0)
-            out_left = np.pad(np.maximum(-w, 0.0), pad)
-        contrib = out_right + out_left
+            w = (pressure[hi] - pressure[lo]) / -h
+            if drift is not None:
+                w -= drift[ax]
+            contrib = np.zeros_like(vals)
+            contrib[lo] = np.maximum(w, 0.0)    # out through face i+1/2
+            contrib[hi] += np.maximum(-w, 0.0)  # out through face i-1/2
+        face_w.append(w)
         outflow = contrib if outflow is None else outflow + contrib
     peak = float(outflow.max())
     if not np.isfinite(peak):
         raise NumericalAbort("non-finite velocity (operator blowup)")
+    vmax = float(vals.max())
     if peak < QUIESCENT_SPEED:
         # zero flux everywhere: the state is an exact fixed point of the
         # update and the diffusion bound has nothing to amplify
-        return DT_MAX
-    dt = cfl_safety * h / peak
-    if diffusion_rate >= QUIESCENT_SPEED:
-        dt = min(dt, cfl_safety * 2.0 / diffusion_rate)
-    return min(dt, DT_MAX)
-
-
-def _upwind_divergence(u: np.ndarray, face_w: list, h: float, periodic: bool) -> np.ndarray:
-    """div(u w) from upwind face fluxes; boundary faces carry zero flux."""
-    div = np.zeros_like(u)
-    for ax, w in enumerate(face_w):
-        if periodic:
-            upwind = np.where(w > 0.0, u, np.roll(u, -1, axis=ax))
-            flux = w * upwind
-            div += (flux - np.roll(flux, 1, axis=ax)) / h
-        else:
-            lo = [slice(None)] * u.ndim
-            hi = [slice(None)] * u.ndim
-            lo[ax] = slice(None, -1)
-            hi[ax] = slice(1, None)
-            upwind = np.where(w > 0.0, u[tuple(lo)], u[tuple(hi)])
-            flux = w * upwind
-            pad = [(0, 0)] * u.ndim
-            pad[ax] = (1, 1)
-            padded = np.pad(flux, pad)
-            div += (padded[tuple(hi)] - padded[tuple(lo)]) / h
-    return div
-
-
-def _step(u: Field, op: FracOperator, cfg: SolverConfig, drift_beta: float | None,
-          dt_cap: float | None) -> tuple:
-    if u.values.min() < 0.0:
-        raise NumericalAbort(f"negative density entering step (min {u.values.min():.3e})")
-    periodic = op.mode == PERIODIC
-    h = u.grid.spacing
-    face_w = _face_velocities(u.values, op, drift_beta)
-    rate = float(u.values.max()) * op.stiffness_bound()
-    dt = _stable_dt(face_w, h, u.grid.dim, periodic, cfg.cfl_safety,
-                    diffusion_rate=rate)
+        dt = DT_MAX
+    else:
+        dt = cfl_safety * h / peak
+        rate = vmax * op.stiffness_bound()
+        if rate >= QUIESCENT_SPEED:
+            dt = min(dt, cfl_safety * 2.0 / rate)
+        dt = min(dt, DT_MAX)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
-    new_vals = u.values - dt * _upwind_divergence(u.values, face_w, h, periodic)
+
+    div = np.zeros_like(vals)
+    for ax, (w, (lo, hi)) in enumerate(zip(face_w, cut)):
+        if periodic:
+            flux = w * np.where(w > 0.0, vals, np.roll(vals, -1, axis=ax))
+            div += (flux - np.roll(flux, 1, axis=ax)) / h
+        else:
+            shape = list(vals.shape)
+            shape[ax] += 1
+            flux = np.zeros(shape)  # boundary faces carry zero flux
+            flux[(slice(None),) * ax + (slice(1, -1),)] = (
+                w * np.where(w > 0.0, vals[lo], vals[hi]))
+            div += (flux[hi] - flux[lo]) / h
+    new_vals = vals - dt * div
     # The convex-combination positivity bound is exact in exact arithmetic,
     # but the flux-difference form can leave -O(eps * peak) dust when the
     # bound is tight.  Zero only that dust; deeper negatives are genuine.
-    floor = -1e-12 * max(float(u.values.max()), 1.0)
-    dust = (new_vals < 0.0) & (new_vals >= floor)
-    if dust.any():
-        new_vals[dust] = 0.0
-    return Field(u.grid, new_vals, "density"), dt
+    if new_vals.min() < 0.0:
+        floor = -1e-12 * max(vmax, 1.0)
+        new_vals[(new_vals < 0.0) & (new_vals >= floor)] = 0.0
+    return new_vals, dt, face_w
+
+
+def _single_step(u: Field, op: FracOperator, cfg: SolverConfig, drift: list | None,
+                 dt_cap: float | None) -> tuple:
+    if u.values.min() < 0.0:
+        raise NumericalAbort(f"negative density entering step (min {u.values.min():.3e})")
+    vals, dt, _ = _upwind_step(u.values, op.inverse(u).values, op, cfg.cfl_safety,
+                               drift, dt_cap)
+    return Field(u.grid, vals, "density"), dt
 
 
 def step_physical(u: Field, op: FracOperator, cfg: SolverConfig,
                   dt_cap: float | None = None) -> tuple:
     """One upwind step of u_t = div(u grad K u); returns (new field, dt)."""
-    return _step(u, op, cfg, None, dt_cap)
+    return _single_step(u, op, cfg, None, dt_cap)
 
 
 def step_rescaled(v: Field, op: FracOperator, exp: Exponents, cfg: SolverConfig,
                   dt_cap: float | None = None) -> tuple:
     """One upwind step of v_tau = div(v (grad K v + beta y)); returns (field, dtau)."""
-    if op.mode == PERIODIC:
-        raise ValueError("the confining drift beta*y is not periodic; use freespace mode")
-    return _step(v, op, cfg, exp.beta, dt_cap)
+    return _single_step(v, op, cfg, _confining_drift(op, exp.beta), dt_cap)
 
 
 def rescale_forward(u: Field, t: float, exp: Exponents) -> tuple:
@@ -242,9 +235,14 @@ def rescale_backward(v: Field, tau: float, exp: Exponents) -> tuple:
 
 
 def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
-        exp: Exponents) -> Trajectory:
-    """Advance u0 to cfg.end_time, recording diagnostics every snapshot_stride
-    accepted steps (plus the initial and final states).
+        exp: Exponents, start_time: float = 0.0, on_record=None) -> Trajectory:
+    """Advance u0 from start_time to cfg.end_time, recording diagnostics every
+    snapshot_stride accepted steps (plus the initial and final states).
+
+    Each state's pressure is computed once and serves both its record and
+    the next step.  Recorded states are kept in traj.snapshots, or, when
+    on_record is given, handed to on_record(k, time, state) for record k
+    and not kept; times, diagnostics and steps are filled either way.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
     any negative value, and on non-finite velocities.
@@ -255,34 +253,48 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
         raise ValueError("initial datum has non-finite entries")
     if u0.values.min() < 0.0:
         raise ValueError("initial datum must be nonnegative")
-    drift = exp.beta if mode == "rescaled" else None
+    if not (np.isfinite(start_time) and start_time >= 0.0):
+        raise ValueError(f"start_time must be finite and nonnegative, got {start_time}")
     confined = mode == "rescaled"
+    drift = _confining_drift(op, exp.beta) if confined else None
+    grid = u0.grid
+    vol = grid.spacing ** grid.dim
+    stop = cfg.end_time - 1e-15 * max(cfg.end_time, 1.0)
     traj = Trajectory()
-    u = Field(u0.grid, u0.values.copy(), "density")
-    t = 0.0
+    u = Field(grid, u0.values.copy(), "density")
+    p = op.inverse(u)
+    t = float(start_time)
     mass0 = u.mass()
     threshold = QUIESCENT_SPEED * max(mass0, 1.0)
 
-    def note(state: Field, time: float):
+    def note(state: Field, pressure: Field, time: float):
+        k = len(traj.times)
         traj.times.append(time)
-        traj.snapshots.append(state.copy())
-        traj.diagnostics.append(record(state, time, exp, op, confined=confined))
+        traj.diagnostics.append(
+            record(state, time, exp, op, confined=confined, pressure=pressure))
+        if on_record is None:
+            traj.snapshots.append(state)
+        else:
+            on_record(k, time, state)
 
-    note(u, t)
+    note(u, p, t)
     steps = 0
-    while t < cfg.end_time - 1e-15 * max(cfg.end_time, 1.0):
-        u, dt = _step(u, op, cfg, drift, dt_cap=cfg.end_time - t)
+    while t < stop:
+        vals, dt, _ = _upwind_step(u.values, p.values, op, cfg.cfl_safety, drift,
+                                   cfg.end_time - t)
         t += dt
         steps += 1
         if mass0 > threshold:
-            drift_rel = abs(u.mass() - mass0) / mass0
+            drift_rel = abs(vol * float(vals.sum()) - mass0) / mass0
             if drift_rel > 1e-9:
                 raise NumericalAbort(
                     f"cumulative mass drift {drift_rel:.3e} exceeds 1e-9 at t = {t:.6g}"
                 )
-        if u.values.min() < 0.0:
-            raise NumericalAbort(f"positivity lost at t = {t:.6g} (min {u.values.min():.3e})")
-        if steps % cfg.snapshot_stride == 0 or t >= cfg.end_time - 1e-15 * max(cfg.end_time, 1.0):
-            note(u, t)
+        if vals.min() < 0.0:
+            raise NumericalAbort(f"positivity lost at t = {t:.6g} (min {vals.min():.3e})")
+        u = Field(grid, vals, "density")
+        p = op.inverse(u)
+        if steps % cfg.snapshot_stride == 0 or t >= stop:
+            note(u, p, t)
     traj.steps = steps
     return traj

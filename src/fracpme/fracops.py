@@ -245,7 +245,7 @@ class FracOperator:
         return self.taps[dx, dy]
 
     def _check_field(self, f: Field):
-        if not f.grid.compatible(self.grid):
+        if f.grid is not self.grid and not f.grid.compatible(self.grid):
             raise ValueError("field grid does not match operator grid")
 
     def stiffness_bound(self) -> float:

@@ -181,12 +181,18 @@ def build_datum(name: str, args: tuple, grid: Grid) -> Field:
     if name == "gaussian_truncated":
         return datum_gaussian(grid, *args)
     if name == "from_file":
-        loaded, _ = read_snapshot(args[0])
-        if not loaded.grid.compatible(grid):
-            raise ValueError(
-                f"{args[0]}: snapshot grid (n={loaded.grid.dim}, "
-                f"L={loaded.grid.half_width}, N={loaded.grid.points_per_axis}) "
-                f"does not match the configured grid"
-            )
-        return Field(grid, loaded.values, kind="density")
+        return snapshot_datum(args[0], grid)[0]
     raise ValueError(f"unknown datum shape {name!r}")
+
+
+def snapshot_datum(path, grid: Grid) -> tuple:
+    """(density Field, header dict) of a snapshot used as initial data; the
+    snapshot's grid must match `grid`."""
+    loaded, header = read_snapshot(path)
+    if not loaded.grid.compatible(grid):
+        raise ValueError(
+            f"{path}: snapshot grid (n={loaded.grid.dim}, "
+            f"L={loaded.grid.half_width}, N={loaded.grid.points_per_axis}) "
+            f"does not match the configured grid"
+        )
+    return Field(grid, loaded.values, kind="density"), header

@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -320,3 +321,130 @@ def test_verify_failure_maps_to_exit_1(tmp_path, monkeypatch):
     monkeypatch.setattr(fracpme.verify, "run_suite",
                         lambda quick, out_dir: False)
     assert main(["verify", "--out", str(tmp_path)]) == EXIT_CRITERION
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--N", "32", "--L", "4", "--end-time", "0.05"],
+    ["obstacle", "--C", "1", "--N", "32", "--L", "4"],
+    ["verify", "--quick"],
+], ids=["evolve", "obstacle", "verify"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code = main(command + ["--out", str(blocker / "sub")])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert "FRACPME-FAIL config: cannot write outputs: " in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_evolve_keeps_only_the_snapshots_it_writes(tmp_path, monkeypatch):
+    # stride 1: every step is a record, one in five is written
+    every = 5
+    seen, stray = [], []
+    real_run = cli.run
+
+    def tracking_run(*args, on_record, **kwargs):
+        def spy(k, t, state):
+            seen.append(weakref.ref(state))
+            on_record(k, t, state)
+            stray.extend(j for j, ref in enumerate(seen)
+                         if ref() is not None and j % every and j != k)
+
+        return real_run(*args, on_record=spy, **kwargs)
+
+    monkeypatch.setattr(cli, "run", tracking_run)
+    out = tmp_path / "run"
+    assert main(["evolve", "--N", "128", "--L", "6", "--end-time", "0.3",
+                 "--snapshot-stride", "1", "--snapshot-every", str(every),
+                 "--out", str(out)]) == EXIT_OK
+    assert len(seen) > 3 * every and (len(seen) - 1) % every
+    assert stray == []
+    written = sorted(int(p.stem.split("_")[1]) for p in out.glob("snapshot_*.txt"))
+    last = len(seen) - 1
+    assert written == sorted({j for j in range(len(seen)) if j % every == 0} | {last})
+    times = read_diagnostics(out / "diagnostics.csv")["time"]
+    for j in (0, last):
+        _, header = read_snapshot(out / f"snapshot_{j:06d}.txt")
+        assert header["time"] == times[j]
+
+
+def _first_run(tmp_path, command):
+    out = tmp_path / "first"
+    assert main([command, "--N", "64", "--L", "6", "--end-time", "0.1",
+                 "--out", str(out)]) == EXIT_OK
+    snap = sorted(out.glob("snapshot_*.txt"))[-1]
+    return snap, read_snapshot(snap)[1]["time"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "rescaled"])
+def test_restart_continues_the_clock(tmp_path, command):
+    snap, t_snap = _first_run(tmp_path, command)
+    assert t_snap == pytest.approx(0.1, abs=1e-12)
+    out = tmp_path / "second"
+    assert main([command, "--N", "64", "--L", "6", "--end-time", "0.25",
+                 "--datum", f"from_file({snap})", "--out", str(out)]) == EXIT_OK
+    times = read_diagnostics(out / "diagnostics.csv")["time"]
+    assert times[0] == t_snap
+    assert times[-1] == pytest.approx(0.25, abs=1e-12)
+    first, _ = read_snapshot(out / "snapshot_000000.txt")
+    np.testing.assert_array_equal(first.values, read_snapshot(snap)[0].values)
+    _, header = read_snapshot(sorted(out.glob("snapshot_*.txt"))[-1])
+    assert header["time"] == times[-1]
+
+
+@pytest.mark.parametrize("first, argv, message", [
+    ("evolve", ["evolve", "--end-time", "0.1"], "does not exceed the snapshot time"),
+    ("evolve", ["evolve", "--end-time", "0.05"], "does not exceed the snapshot time"),
+    ("evolve", ["evolve", "--end-time", "0.3", "--s", "0.3"], "does not match s = 0.3"),
+    ("evolve", ["rescaled", "--end-time", "0.3"], "'physical' does not match the rescaled"),
+    ("rescaled", ["evolve", "--end-time", "0.3"], "'rescaled' does not match the physical"),
+], ids=["end_at_snapshot", "end_before_snapshot", "s_mismatch",
+        "physical_into_rescaled", "rescaled_into_physical"])
+def test_restart_mismatch_is_config_error(tmp_path, capsys, first, argv, message):
+    snap, _ = _first_run(tmp_path, first)
+    capsys.readouterr()
+    out = tmp_path / "second"
+    code = main(argv + ["--N", "64", "--L", "6", "--datum", f"from_file({snap})",
+                        "--out", str(out)])
+    assert code == EXIT_CONFIG
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("FRACPME-FAIL config: ") and message in line
+    assert not (out / "diagnostics.csv").exists()
+
+
+def test_obstacle_snapshot_is_time_zero_data(tmp_path):
+    prof = tmp_path / "profile"
+    assert main(["obstacle", "--C", "1", "--N", "64", "--L", "6",
+                 "--out", str(prof)]) == EXIT_OK
+    out = tmp_path / "run"
+    assert main(["rescaled", "--N", "64", "--L", "6", "--end-time", "0.05",
+                 "--datum", f"from_file({prof / 'density.txt'})",
+                 "--out", str(out)]) == EXIT_OK
+    assert read_diagnostics(out / "diagnostics.csv")["time"][0] == 0.0
+
+
+@pytest.mark.parametrize("failure", ["cg_info", "cycling"])
+def test_obstacle_guard_maps_to_exit_3(tmp_path, monkeypatch, capsys, failure):
+    real_cg = obstacle.cg
+    calls = []
+
+    def broken_cg(op, rhs, **kwargs):
+        calls.append(rhs.size)
+        if failure == "cg_info":
+            return np.zeros(rhs.size), 7
+        # the true solve first, then a zero solve that sends the free set
+        # back to {phi > 0}, the set it started from
+        return real_cg(op, rhs, **kwargs) if len(calls) == 1 else (np.zeros(rhs.size), 0)
+
+    monkeypatch.setattr(obstacle, "cg", broken_cg)
+    code = main(["obstacle", "--C", "1", "--N", "32", "--L", "4",
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    line = captured.out.strip().splitlines()[-1]
+    expected = "CG stopped with info 7" if failure == "cg_info" else "active set cycles"
+    assert line.startswith("FRACPME-FAIL numerical: obstacle ") and expected in line
+    assert re.search(r"residual \d\.\d{3}e[+-]\d+", line)
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "report.txt").exists()

@@ -7,7 +7,7 @@ from fracpme.evolution import (
     Exponents,
     NumericalAbort,
     SolverConfig,
-    _face_velocities,
+    _upwind_step,
     rescale_backward,
     rescale_forward,
     run,
@@ -79,7 +79,8 @@ def test_velocity_points_outward():
     grid = Grid(dim=1, half_width=8.0, points_per_axis=256)
     op = freespace_op(grid)
     # transport velocity -grad K u at the faces, as the stepper uses it
-    (w,) = _face_velocities(gaussian_datum(grid).values, op, None)
+    u = gaussian_datum(grid)
+    _, _, (w,) = _upwind_step(u.values, op.inverse(u).values, op, 0.4, None, None)
     x = grid.interior_faces()
     assert (w[(x > 0.5) & (x < 4.0)] > 0.0).all()
     assert (w[(x < -0.5) & (x > -4.0)] < 0.0).all()
@@ -237,3 +238,63 @@ def test_rescaled_entropy_monotone():
                SolverConfig(end_time=1.5, snapshot_stride=5), op, Exponents(1, 0.25))
     e = traj.diagnostics.column("entropy")
     assert (np.diff(e) <= 1e-8 * abs(e[0])).all()
+
+
+@pytest.mark.parametrize("mode", ["physical", "rescaled"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_pressure_per_state(monkeypatch, dim, mode):
+    # each state's pressure serves its record and the next step
+    grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 32)
+    op = freespace_op(grid, s=0.25 if dim == 1 else 0.5)
+    calls = []
+    inverse = FracOperator.inverse
+
+    def counted(self, f):
+        calls.append(f)
+        return inverse(self, f)
+
+    monkeypatch.setattr(FracOperator, "inverse", counted)
+    u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0), "density")
+    traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op,
+               Exponents(dim, op.s))
+    assert traj.steps >= 3
+    assert len(traj.times) == traj.steps + 1
+    assert len(calls) == traj.steps + 1
+
+
+def test_streamed_states_match_kept_snapshots():
+    grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
+    op = freespace_op(grid)
+    cfg = SolverConfig(end_time=0.3, snapshot_stride=4)
+    kept = run(box_datum(grid), "rescaled", cfg, op, Exponents(1, 0.25))
+    seen = []
+    streamed = run(box_datum(grid), "rescaled", cfg, op, Exponents(1, 0.25),
+                   on_record=lambda k, t, state: seen.append((k, t, state)))
+    assert streamed.snapshots == []
+    assert streamed.steps == kept.steps and streamed.times == kept.times
+    assert streamed.diagnostics.records == kept.diagnostics.records
+    assert [k for k, _, _ in seen] == list(range(len(kept.times)))
+    assert [t for _, t, _ in seen] == kept.times
+    for (_, _, state), snap in zip(seen, kept.snapshots):
+        assert np.array_equal(state.values, snap.values)
+
+
+def test_run_continues_from_start_time():
+    grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
+    op = freespace_op(grid)
+    traj = run(box_datum(grid), "physical", SolverConfig(end_time=1.2, snapshot_stride=5),
+               op, Exponents(1, 0.25), start_time=1.0)
+    assert traj.times[0] == 1.0
+    assert traj.times[-1] == pytest.approx(1.2, abs=1e-12)
+    assert traj.diagnostics.column("time")[0] == 1.0
+    with pytest.raises(ValueError, match="start_time"):
+        run(box_datum(grid), "physical", SolverConfig(), op, Exponents(1, 0.25),
+            start_time=-1.0)
+
+
+def test_rescaled_run_rejects_periodic_operator():
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
+    with pytest.raises(ValueError, match="freespace"):
+        run(box_datum(grid), "rescaled", SolverConfig(end_time=0.1), op,
+            Exponents(1, 0.25))

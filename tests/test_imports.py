@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private function or class is used by the package.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
-in the module (or listed in its ``__all__``).
+in the module (or listed in its ``__all__``), and a module-level ``_name``
+def or class must be referenced from some package module, so that no helper
+survives for the tests alone.
 """
 
 import ast
@@ -31,6 +34,26 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unreferenced_private_defs(sources: dict) -> list:
+    """(module, line, name) of each module-level private def or class that
+    no module in `sources` (name -> source text) refers to."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined.append((module, node.lineno, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    return sorted(d for d in defined if d[2] not in used)
+
+
 def test_guard_sees_a_dead_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
     assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
@@ -41,3 +64,16 @@ def test_package_modules_use_every_import():
     dead = {path.name: found for path in MODULES
             if (found := unused_imports(path.read_text()))}
     assert dead == {}
+
+
+def test_guard_sees_an_unreferenced_private_def():
+    sources = {"a.py": "def _used():\n    pass\n\ndef _dead():\n    pass\n\n"
+                       "class _Gone:\n    pass\n",
+               "b.py": "from a import _used\n"}
+    assert unreferenced_private_defs(sources) == [("a.py", 4, "_dead"),
+                                                  ("a.py", 7, "_Gone")]
+
+
+def test_package_uses_every_private_def():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert unreferenced_private_defs(sources) == []

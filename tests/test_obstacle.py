@@ -148,6 +148,32 @@ def test_match_mass_solves_each_level_once(monkeypatch):
     assert sol.problem.C in levels
 
 
+def test_cg_failure_raises_with_residual(monkeypatch):
+    monkeypatch.setattr(obstacle, "cg", lambda op, rhs, **kw: (np.zeros(rhs.size), 3))
+    with pytest.raises(RuntimeError, match=r"CG stopped with info 3 in active-set "
+                                           r"pass 1 \(residual \d\.\d{3}e[+-]\d+\)"):
+        solve_obstacle(make_problem(1.0, 1, 0.25, 64))
+
+
+def test_cycling_active_set_raises_with_residual(monkeypatch):
+    # a true first solve moves the free set; a zero second solve sends it
+    # back to {phi > 0}, which the loop has already visited
+    real_cg = obstacle.cg
+    calls = []
+
+    def alternating(op, rhs, **kwargs):
+        calls.append(rhs.size)
+        if len(calls) == 1:
+            return real_cg(op, rhs, **kwargs)
+        return np.zeros(rhs.size), 0
+
+    monkeypatch.setattr(obstacle, "cg", alternating)
+    with pytest.raises(RuntimeError, match=r"active set cycles at pass 2 "
+                                           r"\(residual \d\.\d{3}e[+-]\d+\)"):
+        solve_obstacle(make_problem(1.0, 1, 0.25, 64))
+    assert len(calls) == 2 and calls[1] != calls[0]
+
+
 @pytest.mark.parametrize("seed", [0, 7, 21])
 def test_lemke_against_enumeration(seed):
     rng = np.random.default_rng(seed)
