@@ -312,7 +312,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     values = _sweep_values(cfg)
     threads = os.environ.get("FRACPME_THREADS")
-    workers = max(1, int(threads)) if threads else min(4, len(values))
+    try:
+        workers = max(1, int(threads)) if threads else min(4, len(values))
+    except ValueError:
+        _machine_line("config", f"FRACPME_THREADS must be an integer, got {threads!r}")
+        return EXIT_CONFIG
     jobs = []
     for value in values:
         sub = replace(cfg, mode=cfg.sweep_mode,
@@ -327,9 +331,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     def one(job):
         value, sub = job
-        if sub.mode == "obstacle":
-            return cmd_obstacle(sub)
-        return cmd_evolve(sub, sub.mode), None
+        try:
+            if sub.mode == "obstacle":
+                return cmd_obstacle(sub)
+            return cmd_evolve(sub, sub.mode), None
+        except OSError:
+            raise  # main reports unwritable outputs
+        except Exception as exc:  # any other fault: a FRACPME-FAIL line, no traceback
+            kind, code = (("config", EXIT_CONFIG) if isinstance(exc, ValueError)
+                          else ("numerical", EXIT_NUMERICAL))
+            _machine_line(kind, f"{cfg.sweep_key}={value:g}: "
+                                f"{type(exc).__name__}: {exc}")
+            return code, None
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         codes, sols = zip(*pool.map(one, jobs))

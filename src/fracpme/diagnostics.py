@@ -4,8 +4,9 @@ One record per sampled time: mass, norms, second moment, the quadratic energy
 integral(v K v), the confined entropy E = (energy + beta * moment2)/2, the
 Boltzmann integral v log v, the dissipation integral(|grad(K v + beta/2 |y|^2)|^2 v),
 and the support radius.  All quadratures are the midpoint rule on the grid;
-the dissipation uses face-centered gradients with the upwind face density,
-matching the flux discretization of the stepper.  With that convention a
+the dissipation sums w^2 * up over the faces, where w is the face velocity and
+up the upwind face density of `faces.upwind_faces`, the same face pass whose
+w * up is the stepper's flux.  With that convention a
 stationary profile reports exactly zero dissipation: every face either has a
 vanishing potential gradient (on the contact set) or draws its density from
 the empty side of the free boundary.
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .faces import confining_drift, upwind_faces
 from .fracops import PERIODIC, FracOperator
 from .grid import Field
 
@@ -26,6 +28,7 @@ CSV_COLUMNS = (
 )
 
 BOLTZMANN_FLOOR = 1e-30
+L4_UNDERFLOW = 1e-100  # x ** 4 underflows to exactly 0 at and below this
 
 
 @dataclass
@@ -87,45 +90,17 @@ def _support_radius(vals: np.ndarray, peak: float, r2: np.ndarray,
     return float(np.sqrt(r2[mask].max()))
 
 
-def _face_grad_quadrature(pot: np.ndarray, weight: np.ndarray, grid,
-                          periodic: bool, drift_coeff: float | None) -> float:
-    """Sum over faces of (d pot / d axis + drift)^2 * upwind weight * h^n.
-
-    The face velocity is -(d pot + drift), so the upwind cell is the lower
-    one where the face gradient is negative."""
-    h = grid.spacing
-    total = 0.0
-    for ax in range(grid.dim):
-        if periodic:
-            g = (np.roll(pot, -1, axis=ax) - pot) / h
-            w = np.where(g < 0.0, weight, np.roll(weight, -1, axis=ax))
-        else:
-            g = np.diff(pot, axis=ax) / h
-            if drift_coeff is not None:
-                faces = grid.interior_faces()
-                shape = [1] * grid.dim
-                shape[ax] = faces.size
-                g = g + drift_coeff * faces.reshape(shape)
-            lo = [slice(None)] * grid.dim
-            hi = [slice(None)] * grid.dim
-            lo[ax] = slice(None, -1)
-            hi[ax] = slice(1, None)
-            w = np.where(g < 0.0, weight[tuple(lo)], weight[tuple(hi)])
-        total += float(np.sum(g * g * w)) * h ** grid.dim
-    return total
-
-
-def record(v: Field, time: float, exp, op: FracOperator,
-           confined: bool = True, pressure: Field | None = None) -> DiagnosticsRecord:
+def record(v: Field, time: float, exp, op: FracOperator, confined: bool = True,
+           pressure: Field | None = None, faces: list | None = None) -> DiagnosticsRecord:
     """All diagnostics of one state.  confined=True adds the drift potential
-    beta/2 |y|^2 to the dissipation integrand (rescaled flow); the entropy
-    formula always carries its beta moment term.  pressure, when given, must
-    be op.inverse(v); it is computed here otherwise."""
+    beta/2 |y|^2 to the dissipation integrand (rescaled flow, freespace only;
+    a periodic dissipation is drift-free); the entropy formula always carries
+    its beta moment term.  pressure, when given, must be op.inverse(v), and
+    faces upwind_faces(v.values, pressure.values, op, drift) with the drift
+    that `confined` implies; each is computed here otherwise."""
     grid = v.grid
-    h = grid.spacing
-    vol = h ** grid.dim
+    vol = grid.spacing ** grid.dim
     vals = v.values
-    periodic = op.mode == PERIODIC
 
     mass = vol * float(vals.sum())
     r2 = grid.radius2()
@@ -135,12 +110,22 @@ def record(v: Field, time: float, exp, op: FracOperator,
     entropy = 0.5 * (energy1 + exp.beta * moment2)
     pos = vals[vals > BOLTZMANN_FLOOR]
     boltzmann = vol * float((pos * np.log(pos)).sum())
-    dissipation = _face_grad_quadrature(
-        kv, vals, grid, periodic, exp.beta if confined else None
-    )
-    linf = v.linf()
+    if faces is None:
+        drift = confining_drift(op, exp.beta) if confined and op.mode != PERIODIC else None
+        faces = upwind_faces(vals, kv, op, drift)
+    dissipation = 0.0
+    for w, up in faces:
+        dissipation += float((w * w * up).sum()) * vol
+    a = np.abs(vals)
+    linf = float(a.max())
+    # pow(x, 4) is exactly 0 for x <= 1e-100 but slow there, so only larger
+    # entries (and nan) take the power; the summed array is unchanged
+    big = ~(a <= L4_UNDERFLOW)
+    a4 = np.zeros(a.shape)
+    a4[big] = a[big] ** 4
     return DiagnosticsRecord(
-        time=float(time), mass=mass, linf=linf, l2=v.lp(2), l4=v.lp(4),
+        time=float(time), mass=mass, linf=linf,
+        l2=float((vol * (a ** 2).sum()) ** 0.5), l4=float((vol * a4.sum()) ** 0.25),
         moment2=moment2, energy1=energy1, entropy=entropy, boltzmann=boltzmann,
         dissipation=dissipation,
         support_radius=_support_radius(vals, linf, r2, None),

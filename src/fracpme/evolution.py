@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries, record
+from .faces import confining_drift, upwind_faces
 from .fracops import PERIODIC, FracOperator
 from .grid import Field
 from .remap import resample
@@ -103,53 +104,30 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _confining_drift(op: FracOperator, beta: float) -> list:
-    """beta y at the interior faces of each axis, shaped to broadcast against
-    that axis's face velocities (rescaled form, freespace only)."""
-    if op.mode == PERIODIC:
-        raise ValueError("the confining drift beta*y is not periodic; use freespace mode")
-    grid = op.grid
-    faces = grid.interior_faces()
-    out = []
-    for ax in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[ax] = faces.size
-        out.append(beta * faces.reshape(shape))
-    return out
+def _upwind_step(vals: np.ndarray, faces: list, op: FracOperator,
+                 cfl_safety: float, dt_cap: float | None) -> tuple:
+    """One upwind step of the state `vals` whose faces are `faces` =
+    upwind_faces(vals, K vals, op, drift).
 
-
-def _upwind_step(vals: np.ndarray, pressure: np.ndarray, op: FracOperator,
-                 cfl_safety: float, drift: list | None, dt_cap: float | None) -> tuple:
-    """One upwind step of the state `vals` whose pressure is `pressure` = K vals.
-
-    Returns (new values, dt, face velocities per axis).  Face velocities are
-    minus the pressure difference over h, less the drift when given.
-    Freespace: N-1 interior faces per axis and zero flux through the box
-    boundary; periodic: N faces with wrap.  dt is cfl_safety times the
-    sharper of two bounds: h over the largest per-cell sum of outgoing face
-    speeds (advective positivity), and 2 / (max vals * operator stiffness)
-    (non-amplification of the linearized pressure diffusion; it scales like
-    h^(2-2s) and binds on fine grids when s < 1/2)."""
+    Returns (new values, dt, min of the new values).  dt is cfl_safety times
+    the sharper of two bounds: h over the largest per-cell sum of outgoing
+    face speeds (advective positivity), and 2 / (max vals * operator
+    stiffness) (non-amplification of the linearized pressure diffusion; it
+    scales like h^(2-2s) and binds on fine grids when s < 1/2)."""
     h = op.grid.spacing
     periodic = op.mode == PERIODIC
     cut = []  # (lower, upper) neighbour slices along each axis
-    face_w = []
     outflow = None
-    for ax in range(vals.ndim):
+    for ax, (w, _) in enumerate(faces):
         lo = (slice(None),) * ax + (slice(None, -1),)
         hi = (slice(None),) * ax + (slice(1, None),)
         cut.append((lo, hi))
         if periodic:
-            w = (np.roll(pressure, -1, axis=ax) - pressure) / -h  # face i+1/2
             contrib = np.maximum(w, 0.0) + np.maximum(-np.roll(w, 1, axis=ax), 0.0)
         else:
-            w = (pressure[hi] - pressure[lo]) / -h
-            if drift is not None:
-                w -= drift[ax]
-            contrib = np.zeros_like(vals)
+            contrib = np.zeros(vals.shape)
             contrib[lo] = np.maximum(w, 0.0)    # out through face i+1/2
             contrib[hi] += np.maximum(-w, 0.0)  # out through face i-1/2
-        face_w.append(w)
         outflow = contrib if outflow is None else outflow + contrib
     peak = float(outflow.max())
     if not np.isfinite(peak):
@@ -168,34 +146,36 @@ def _upwind_step(vals: np.ndarray, pressure: np.ndarray, op: FracOperator,
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    div = np.zeros_like(vals)
-    for ax, (w, (lo, hi)) in enumerate(zip(face_w, cut)):
+    div = None
+    for ax, ((w, up), (lo, hi)) in enumerate(zip(faces, cut)):
         if periodic:
-            flux = w * np.where(w > 0.0, vals, np.roll(vals, -1, axis=ax))
-            div += (flux - np.roll(flux, 1, axis=ax)) / h
+            flux = w * up
+            term = (flux - np.roll(flux, 1, axis=ax)) / h
         else:
             shape = list(vals.shape)
             shape[ax] += 1
             flux = np.zeros(shape)  # boundary faces carry zero flux
-            flux[(slice(None),) * ax + (slice(1, -1),)] = (
-                w * np.where(w > 0.0, vals[lo], vals[hi]))
-            div += (flux[hi] - flux[lo]) / h
+            flux[(slice(None),) * ax + (slice(1, -1),)] = w * up
+            term = (flux[hi] - flux[lo]) / h
+        div = term if div is None else div + term
     new_vals = vals - dt * div
     # The convex-combination positivity bound is exact in exact arithmetic,
     # but the flux-difference form can leave -O(eps * peak) dust when the
     # bound is tight.  Zero only that dust; deeper negatives are genuine.
-    if new_vals.min() < 0.0:
+    low = float(new_vals.min())
+    if low < 0.0:
         floor = -1e-12 * max(vmax, 1.0)
         new_vals[(new_vals < 0.0) & (new_vals >= floor)] = 0.0
-    return new_vals, dt, face_w
+        low = float(new_vals.min())
+    return new_vals, dt, low
 
 
 def _single_step(u: Field, op: FracOperator, cfg: SolverConfig, drift: list | None,
                  dt_cap: float | None) -> tuple:
     if u.values.min() < 0.0:
         raise NumericalAbort(f"negative density entering step (min {u.values.min():.3e})")
-    vals, dt, _ = _upwind_step(u.values, op.inverse(u).values, op, cfg.cfl_safety,
-                               drift, dt_cap)
+    faces = upwind_faces(u.values, op.inverse(u).values, op, drift)
+    vals, dt, _ = _upwind_step(u.values, faces, op, cfg.cfl_safety, dt_cap)
     return Field(u.grid, vals, "density"), dt
 
 
@@ -208,7 +188,7 @@ def step_physical(u: Field, op: FracOperator, cfg: SolverConfig,
 def step_rescaled(v: Field, op: FracOperator, exp: Exponents, cfg: SolverConfig,
                   dt_cap: float | None = None) -> tuple:
     """One upwind step of v_tau = div(v (grad K v + beta y)); returns (field, dtau)."""
-    return _single_step(v, op, cfg, _confining_drift(op, exp.beta), dt_cap)
+    return _single_step(v, op, cfg, confining_drift(op, exp.beta), dt_cap)
 
 
 def rescale_forward(u: Field, t: float, exp: Exponents) -> tuple:
@@ -239,10 +219,11 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     """Advance u0 from start_time to cfg.end_time, recording diagnostics every
     snapshot_stride accepted steps (plus the initial and final states).
 
-    Each state's pressure is computed once and serves both its record and
-    the next step.  Recorded states are kept in traj.snapshots, or, when
-    on_record is given, handed to on_record(k, time, state) for record k
-    and not kept; times, diagnostics and steps are filled either way.
+    Each state's pressure and face pass (upwind_faces) are computed once and
+    serve both its record and the next step.  Recorded states are kept in
+    traj.snapshots, or, when on_record is given, handed to
+    on_record(k, time, state) for record k and not kept; times, diagnostics
+    and steps are filled either way.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
     any negative value, and on non-finite velocities.
@@ -256,32 +237,33 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     if not (np.isfinite(start_time) and start_time >= 0.0):
         raise ValueError(f"start_time must be finite and nonnegative, got {start_time}")
     confined = mode == "rescaled"
-    drift = _confining_drift(op, exp.beta) if confined else None
+    drift = confining_drift(op, exp.beta) if confined else None
     grid = u0.grid
     vol = grid.spacing ** grid.dim
     stop = cfg.end_time - 1e-15 * max(cfg.end_time, 1.0)
     traj = Trajectory()
     u = Field(grid, u0.values.copy(), "density")
     p = op.inverse(u)
+    faces = upwind_faces(u.values, p.values, op, drift)
     t = float(start_time)
     mass0 = u.mass()
     threshold = QUIESCENT_SPEED * max(mass0, 1.0)
 
-    def note(state: Field, pressure: Field, time: float):
+    def note(state: Field, pressure: Field, faces: list, time: float):
         k = len(traj.times)
         traj.times.append(time)
-        traj.diagnostics.append(
-            record(state, time, exp, op, confined=confined, pressure=pressure))
+        traj.diagnostics.append(record(state, time, exp, op, confined=confined,
+                                       pressure=pressure, faces=faces))
         if on_record is None:
             traj.snapshots.append(state)
         else:
             on_record(k, time, state)
 
-    note(u, p, t)
+    note(u, p, faces, t)
     steps = 0
     while t < stop:
-        vals, dt, _ = _upwind_step(u.values, p.values, op, cfg.cfl_safety, drift,
-                                   cfg.end_time - t)
+        vals, dt, low = _upwind_step(u.values, faces, op, cfg.cfl_safety,
+                                     cfg.end_time - t)
         t += dt
         steps += 1
         if mass0 > threshold:
@@ -290,11 +272,13 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
                 raise NumericalAbort(
                     f"cumulative mass drift {drift_rel:.3e} exceeds 1e-9 at t = {t:.6g}"
                 )
-        if vals.min() < 0.0:
-            raise NumericalAbort(f"positivity lost at t = {t:.6g} (min {vals.min():.3e})")
-        u = Field(grid, vals, "density")
+        if low < 0.0:
+            raise NumericalAbort(f"positivity lost at t = {t:.6g} (min {low:.3e})")
+        u = Field(grid, vals)
+        u.kind = "density"  # low >= 0 was just checked; skip the constructor's min
         p = op.inverse(u)
+        faces = upwind_faces(vals, p.values, op, drift)
         if steps % cfg.snapshot_stride == 0 or t >= stop:
-            note(u, p, t)
+            note(u, p, faces, t)
     traj.steps = steps
     return traj

@@ -222,10 +222,9 @@ class FracOperator:
 
     def _conv_apply(self, values: np.ndarray) -> np.ndarray:
         n = self.grid.points_per_axis
-        pad = np.zeros(self._pad_shape)
-        pad[(slice(0, n),) * self.grid.dim] = values
-        axes = tuple(range(pad.ndim))
-        out = np.fft.irfftn(np.fft.rfftn(pad) * self._taps_hat, s=self._pad_shape, axes=axes)
+        axes = tuple(range(values.ndim))
+        spec = np.fft.rfftn(values, s=self._pad_shape, axes=axes)  # zero-pads
+        out = np.fft.irfftn(spec * self._taps_hat, s=self._pad_shape, axes=axes)
         return out[(slice(0, n),) * self.grid.dim]
 
     def kernel_submatrix(self, flat_index: np.ndarray) -> np.ndarray:

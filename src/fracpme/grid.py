@@ -63,11 +63,17 @@ class Grid:
         return -self.half_width + np.arange(1, n) * h
 
     def radius2(self) -> np.ndarray:
-        """Squared Euclidean distance of each cell center from the origin."""
-        c = self.coords()
-        r2 = c[0] ** 2
-        for x in c[1:]:
-            r2 = r2 + x ** 2
+        """Squared Euclidean distance of each cell center from the origin.
+
+        Built on first use and shared by every later call, so it is read-only."""
+        r2 = self.__dict__.get("_radius2")
+        if r2 is None:
+            c = self.coords()
+            r2 = c[0] ** 2
+            for x in c[1:]:
+                r2 = r2 + x ** 2
+            r2.flags.writeable = False
+            object.__setattr__(self, "_radius2", r2)  # a cache, not a field
         return r2
 
     def compatible(self, other: "Grid") -> bool:
@@ -103,10 +109,6 @@ class Field:
 
     def linf(self) -> float:
         return float(np.abs(self.values).max())
-
-    def lp(self, p: float) -> float:
-        h = self.grid.spacing
-        return float((h ** self.grid.dim * (np.abs(self.values) ** p).sum()) ** (1.0 / p))
 
     def with_values(self, values: np.ndarray, kind: str | None = None) -> "Field":
         return Field(self.grid, values, self.kind if kind is None else kind)

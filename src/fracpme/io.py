@@ -51,8 +51,8 @@ def write_snapshot(path, v: Field, s: float, time: float, mode: str) -> None:
 def read_snapshot(path) -> tuple:
     """Inverse of write_snapshot: (Field, header dict).
 
-    The header must carry exactly the documented keys; the value count must
-    match N^n."""
+    The header must carry exactly the documented keys, with finite s, L and
+    time; the value count must match N^n, and every value must be finite."""
     text = Path(path).read_text()
     try:
         head, body = text.split("\n\n", 1)
@@ -82,6 +82,9 @@ def read_snapshot(path) -> tuple:
         raise ValueError(
             f"{path}: expected {npts**dim} values, found {values.size}"
         )
+    if not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"{path}: value {bad} is {values[bad]}, not finite")
     parsed = {
         "format_version": SNAPSHOT_VERSION,
         "n": dim,
@@ -91,13 +94,16 @@ def read_snapshot(path) -> tuple:
         "time": float(header["time"]),
         "mode": header["mode"],
     }
+    for key in ("s", "L", "time"):
+        if not np.isfinite(parsed[key]):
+            raise ValueError(f"{path}: header {key} = {header[key]!r} is not finite")
     return Field(grid, values.reshape(grid.shape), kind="generic"), parsed
 
 
 def write_diagnostics(path, series: DiagnosticsSeries) -> None:
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS))  # the text of f"{x:.17g}"
     lines = [",".join(CSV_COLUMNS)]
-    for rec in series.records:
-        lines.append(",".join(f"{x:.17g}" for x in rec.row()))
+    lines.extend(row % rec.row() for rec in series.records)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

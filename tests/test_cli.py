@@ -280,6 +280,74 @@ def test_sweep_runs_and_partitions_output(tmp_path, monkeypatch):
     assert (out / "N=64" / "diagnostics.csv").exists()
 
 
+def _nan_snapshot(tmp_path):
+    assert main(["evolve", "--N", "32", "--L", "4", "--end-time", "0.05",
+                 "--out", str(tmp_path / "first")]) == EXIT_OK
+    snap = tmp_path / "first" / "snapshot_000000.txt"
+    head, body = snap.read_text().split("\n\n", 1)
+    values = body.split()
+    values[5] = "nan"
+    bad = tmp_path / "nan.txt"
+    bad.write_text(head + "\n\n" + " ".join(values) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+def test_non_finite_snapshot_is_config_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("FRACPME_THREADS", "1")
+    bad = _nan_snapshot(tmp_path)
+    capsys.readouterr()
+    argv = ["evolve"] if command == "evolve" else [
+        "sweep", "--sweep-key", "end_time", "--sweep-values", "0.1,0.2",
+        "--sweep-mode", "physical"]
+    code = main(argv + ["--N", "32", "--L", "4", "--end-time", "0.1",
+                        "--datum", f"from_file({bad})", "--out", str(tmp_path / "b")])
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines and all(line == f"FRACPME-FAIL config: {bad}: value 5 is nan, not finite"
+                         for line in lines)
+
+
+@pytest.mark.parametrize("threads", ["abc", "1.5", " "])
+def test_bad_thread_setting_is_config_error(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("FRACPME_THREADS", threads)
+    code = main(["sweep", "--sweep-key", "N", "--sweep-values", "16,32",
+                 "--sweep-mode", "physical", "--end-time", "0.01",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().out == (
+        f"FRACPME-FAIL config: FRACPME_THREADS must be an integer, got {threads!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode, error, expected", [
+    ("physical", ZeroDivisionError("float division by zero"), EXIT_NUMERICAL),
+    ("physical", ValueError("start_time must be finite"), EXIT_CONFIG),
+    ("obstacle", KeyError("residual"), EXIT_NUMERICAL),
+], ids=["evolve_zero_division", "evolve_value_error", "obstacle_key_error"])
+def test_sweep_worker_fault_maps_to_exit_code(tmp_path, monkeypatch, capsys,
+                                              mode, error, expected):
+    monkeypatch.setenv("FRACPME_THREADS", "2")
+
+    def explode(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run" if mode == "physical" else "solve_obstacle", explode)
+    key, values = ("end_time", "0.1,0.2") if mode == "physical" else ("C", "0.5,1")
+    code = main(["sweep", "--sweep-key", key, "--sweep-values", values,
+                 "--sweep-mode", mode, "--N", "32", "--L", "4",
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == expected
+    kind = "config" if expected == EXIT_CONFIG else "numerical"
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 2
+    for line, value in zip(lines, values.split(",")):
+        assert line == (f"FRACPME-FAIL {kind}: {key}={float(value):g}: "
+                        f"{type(error).__name__}: {error}")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_sweep_rejects_invalid_member(tmp_path, capsys):
     code = main(["sweep", "--sweep-key", "N", "--sweep-values", "32,63",
                  "--sweep-mode", "physical", "--out", str(tmp_path)])

@@ -14,7 +14,7 @@ from fracpme.diagnostics import (
     support_radius,
 )
 from fracpme.evolution import Exponents, SolverConfig, Trajectory, run
-from fracpme.fracops import FREESPACE, FracOperator, FracParams
+from fracpme.fracops import FREESPACE, PERIODIC, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 
 
@@ -44,7 +44,7 @@ def test_record_cross_checks():
     assert rec.mass == pytest.approx(h * v.values.sum(), rel=1e-15)
     assert rec.moment2 == pytest.approx(h * (grid.axis() ** 2 * v.values).sum(), rel=1e-14)
     assert rec.linf == v.linf()
-    assert rec.l2 == v.lp(2)
+    assert rec.l2 == (h * (np.abs(v.values) ** 2).sum()) ** 0.5
     # quadratic energy two ways: FFT convolution and the dense kernel matrix
     dense = op.kernel_submatrix(np.arange(grid.npoints))
     assert rec.energy1 == pytest.approx(h * v.values @ dense @ v.values, rel=1e-10)
@@ -54,6 +54,81 @@ def test_record_cross_checks():
     pos = v.values[v.values > 0]
     assert rec.boltzmann == pytest.approx(h * (pos * np.log(pos)).sum(), rel=1e-13)
     assert rec.dissipation > 0.0
+
+
+def test_norms_exact_on_underflowing_tail():
+    # tails from 1e-320 to 1e-60, where fourth powers are 0 or subnormal: on
+    # a bulk, alone, and alone in the range where subnormal powers dominate
+    grid = Grid(dim=1, half_width=8.0, points_per_axis=256)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    h = grid.spacing
+    bulk = gaussian_field(grid).values
+    bulk[:100] = np.logspace(-320, -60, 100)
+    bulk[-100:] = np.logspace(-60, -320, 100) * 0.7
+    bulk[100:110] = 0.0
+    tail = np.zeros(256)
+    tail[::2] = np.logspace(-320, -60, 128)
+    subnormal = np.zeros(256)
+    subnormal[1::2] = np.logspace(-100, -78, 128)
+    for vals in (bulk, tail, subnormal):
+        v = Field(grid, vals, "density")
+        rec = record(v, 0.0, Exponents(1, 0.25), op)
+        assert rec.l4 == (h * (np.abs(v.values) ** 4).sum()) ** 0.25
+        assert rec.l2 == (h * (np.abs(v.values) ** 2).sum()) ** 0.5
+        assert rec.linf == float(np.abs(v.values).max())
+    assert 0.0 < record(Field(grid, subnormal), 0.0, Exponents(1, 0.25), op).l4
+    bulk[5] = np.nan
+    assert np.isnan(record(Field(grid, bulk), 0.0, Exponents(1, 0.25), op).l4)
+    # a single spike has the closed forms
+    spike = np.zeros(256)
+    spike[40] = 3.0
+    rec = record(Field(grid, spike, "density"), 0.0, Exponents(1, 0.25), op)
+    assert rec.linf == 3.0
+    assert rec.l2 == pytest.approx(np.sqrt(h * 9.0), rel=1e-15)
+    assert rec.l4 == pytest.approx((h * 81.0) ** 0.25, rel=1e-15)
+
+
+def _face_gradient_dissipation(pot, weight, grid, periodic, drift_coeff):
+    """The dissipation as written before the shared face pass: face gradients
+    of the potential (plus drift) squared, times the upwind weight."""
+    h = grid.spacing
+    total = 0.0
+    for ax in range(grid.dim):
+        if periodic:
+            g = (np.roll(pot, -1, axis=ax) - pot) / h
+            w = np.where(g < 0.0, weight, np.roll(weight, -1, axis=ax))
+        else:
+            g = np.diff(pot, axis=ax) / h
+            if drift_coeff is not None:
+                shape = [1] * grid.dim
+                shape[ax] = grid.points_per_axis - 1
+                g = g + drift_coeff * grid.interior_faces().reshape(shape)
+            lo = [slice(None)] * grid.dim
+            hi = [slice(None)] * grid.dim
+            lo[ax] = slice(None, -1)
+            hi[ax] = slice(1, None)
+            w = np.where(g < 0.0, weight[tuple(lo)], weight[tuple(hi)])
+        total += float(np.sum(g * g * w)) * h ** grid.dim
+    return total
+
+
+@pytest.mark.parametrize("confined", [True, False], ids=["confined", "physical"])
+@pytest.mark.parametrize("mode", [FREESPACE, PERIODIC])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dissipation_matches_face_gradient_formula(dim, mode, confined):
+    grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 24)
+    s = 0.25 if dim == 1 else 0.5
+    op = FracOperator(grid, FracParams(s=s, dim=dim), mode)
+    exp = Exponents(dim, s)
+    c = grid.coords()
+    # off-centre and lopsided, so faces of both signs and zero cells occur
+    vals = np.clip(1.0 - (c[0] - 0.4) ** 2 - sum(0.5 * x ** 2 for x in c[1:]), 0.0, None)
+    v = Field(grid, vals * (1.0 + 0.3 * c[0]).clip(0.0), "density")
+    expected = _face_gradient_dissipation(
+        op.inverse(v).values, v.values, grid, mode == PERIODIC,
+        exp.beta if confined else None)
+    assert record(v, 0.0, exp, op, confined=confined).dissipation == expected
+    assert expected > 0.0
 
 
 def test_record_row_matches_columns():

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from fracpme import diagnostics, evolution
 from fracpme.evolution import (
     Exponents,
     NumericalAbort,
     SolverConfig,
-    _upwind_step,
     rescale_backward,
     rescale_forward,
     run,
     step_physical,
     step_rescaled,
 )
+from fracpme.faces import upwind_faces
 from fracpme.fracops import FREESPACE, PERIODIC, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 
@@ -80,7 +81,7 @@ def test_velocity_points_outward():
     op = freespace_op(grid)
     # transport velocity -grad K u at the faces, as the stepper uses it
     u = gaussian_datum(grid)
-    _, _, (w,) = _upwind_step(u.values, op.inverse(u).values, op, 0.4, None, None)
+    ((w, _),) = upwind_faces(u.values, op.inverse(u).values, op, None)
     x = grid.interior_faces()
     assert (w[(x > 0.5) & (x < 4.0)] > 0.0).all()
     assert (w[(x < -0.5) & (x > -4.0)] < 0.0).all()
@@ -243,23 +244,33 @@ def test_rescaled_entropy_monotone():
 @pytest.mark.parametrize("mode", ["physical", "rescaled"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_one_pressure_per_state(monkeypatch, dim, mode):
-    # each state's pressure serves its record and the next step
+    # each state's pressure and face pass serve its record and the next step
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 32)
     op = freespace_op(grid, s=0.25 if dim == 1 else 0.5)
     calls = []
+    face_calls = []
     inverse = FracOperator.inverse
 
     def counted(self, f):
         calls.append(f)
         return inverse(self, f)
 
+    def counted_faces(vals, pressure, op, drift):
+        face_calls.append(vals)
+        return upwind_faces(vals, pressure, op, drift)
+
     monkeypatch.setattr(FracOperator, "inverse", counted)
+    monkeypatch.setattr(evolution, "upwind_faces", counted_faces)
+    monkeypatch.setattr(diagnostics, "upwind_faces", counted_faces)
     u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0), "density")
     traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op,
                Exponents(dim, op.s))
     assert traj.steps >= 3
     assert len(traj.times) == traj.steps + 1
     assert len(calls) == traj.steps + 1
+    assert len(face_calls) == traj.steps + 1
+    for vals, snap in zip(face_calls, traj.snapshots, strict=True):
+        assert vals is snap.values
 
 
 def test_streamed_states_match_kept_snapshots():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracpme.diagnostics import CSV_COLUMNS
+from fracpme.diagnostics import CSV_COLUMNS, DiagnosticsRecord, DiagnosticsSeries
 from fracpme.evolution import Exponents, SolverConfig, run
 from fracpme.fracops import FREESPACE, FracOperator, FracParams
 from fracpme.grid import Field, Grid
@@ -96,6 +96,21 @@ def test_snapshot_value_count_check(tmp_path):
         read_snapshot(bad)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("\n\n1.0000000000000000e+00", "\n\nnan", "value 0 is nan, not finite"),
+    (" 1.0000000000000000e+00\n", " -inf\n", "value 7 is -inf, not finite"),
+    ("time: 0\n", "time: nan\n", "header time = 'nan' is not finite"),
+    ("s: 0.25\n", "s: inf\n", "header s = 'inf' is not finite"),
+], ids=["nan_value", "inf_value", "nan_time", "inf_s"])
+def test_snapshot_rejects_non_finite(tmp_path, old, new, message):
+    text = _write_valid(tmp_path)
+    assert old in text
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValueError, match=message):
+        read_snapshot(bad)
+
+
 def test_snapshot_malformed_header_line(tmp_path):
     text = _write_valid(tmp_path).replace("n: 1", "just words")
     bad = tmp_path / "bad.txt"
@@ -128,6 +143,23 @@ def test_diagnostics_repeat_is_byte_identical(tmp_path):
         return path.read_bytes()
 
     assert once(tmp_path / "a.csv") == once(tmp_path / "b.csv")
+
+
+def test_diagnostics_text_is_the_fstring_form(tmp_path):
+    # one "%.17g" row format must print every float as f"{x:.17g}" does
+    edge = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            2.225073858507201e-308, 1e-320, 1.7976931348623157e308, 0.1, 1 / 3, 1e16,
+            123456789012345678.0, 1e-5, 1e-4, 1e17, 9.999999999999999e16]
+    bits = np.random.default_rng(0).integers(0, 2**63, 3 * 11 * 300, dtype=np.uint64)
+    values = edge + [float(x) for x in bits.view(np.float64)] + edge[::-1]
+    values += [0.0] * (-len(values) % len(CSV_COLUMNS))
+    series = DiagnosticsSeries()
+    for k in range(0, len(values), len(CSV_COLUMNS)):
+        series.records.append(DiagnosticsRecord(*values[k:k + len(CSV_COLUMNS)]))
+    write_diagnostics(tmp_path / "d.csv", series)
+    expected = [",".join(CSV_COLUMNS)] + [
+        ",".join(f"{x:.17g}" for x in rec.row()) for rec in series.records]
+    assert (tmp_path / "d.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_diagnostics_bad_header(tmp_path):
