@@ -13,6 +13,7 @@ Exit codes, fixed for scripting: 0 success, 1 criterion failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -143,12 +144,12 @@ def validate_config(cfg: RunConfig) -> list:
         )
     if cfg.mode not in RUN_MODES:
         bad.append(f"mode must be one of {RUN_MODES}, got {cfg.mode!r}")
-    if cfg.L <= 0.0:
-        bad.append(f"L must be positive, got {cfg.L}")
+    if not 0.0 < cfg.L < math.inf:
+        bad.append(f"L must be positive and finite, got {cfg.L}")
     if cfg.N < 8 or cfg.N % 2:
         bad.append(f"N must be even and >= 8, got {cfg.N}")
-    if cfg.end_time <= 0.0:
-        bad.append(f"end_time must be positive, got {cfg.end_time}")
+    if not 0.0 < cfg.end_time < math.inf:
+        bad.append(f"end_time must be positive and finite, got {cfg.end_time}")
     try:
         parse_datum(cfg.datum)
     except ValueError as exc:
@@ -162,8 +163,10 @@ def validate_config(cfg: RunConfig) -> list:
     if cfg.mode == "obstacle":
         if (cfg.C is None) == (cfg.M is None):
             bad.append("obstacle mode needs exactly one of C, M")
-        if cfg.M is not None and cfg.M <= 0.0:
-            bad.append(f"M must be positive, got {cfg.M}")
+        if cfg.C is not None and not math.isfinite(cfg.C):
+            bad.append(f"C must be finite, got {cfg.C}")
+        if cfg.M is not None and not 0.0 < cfg.M < math.inf:
+            bad.append(f"M must be positive and finite, got {cfg.M}")
     if cfg.mode == "sweep":
         if cfg.sweep_key is None or cfg.sweep_values is None:
             bad.append("sweep mode needs sweep_key and sweep_values")
@@ -229,12 +232,12 @@ def cmd_evolve(cfg: RunConfig, mode: str) -> int:
             start = _restart_time(args[0], header, cfg, mode)
         else:
             u0, start = build_datum(name, args, grid), 0.0
+        params = FracParams(s=cfg.s, dim=cfg.n,
+                            allow_supercritical=cfg.allow_supercritical)
+        op = FracOperator(grid, params, FREESPACE)
     except (ValueError, OSError) as exc:
         _machine_line("config", str(exc))
         return EXIT_CONFIG
-    params = FracParams(s=cfg.s, dim=cfg.n,
-                        allow_supercritical=cfg.allow_supercritical)
-    op = FracOperator(grid, params, FREESPACE)
     exp = Exponents(cfg.n, cfg.s)
     solver = SolverConfig(
         cfl_safety=cfg.cfl_safety, end_time=cfg.end_time,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .faces import confining_drift, upwind_faces
-from .fracops import PERIODIC, FracOperator
+from .fracops import FracOperator
 from .grid import Field
 
 CSV_COLUMNS = (
@@ -69,35 +69,15 @@ class DiagnosticsSeries:
         return len(self.records)
 
 
-def support_radius(v: Field, threshold: float | None = None) -> float:
-    """Largest cell-center radius where v exceeds the threshold (default
-    1e-10 * max|v|); zero for an identically zero field."""
-    return _support_radius(v.values, v.linf(), v.grid.radius2(), threshold)
-
-
-def _support_radius(vals: np.ndarray, peak: float, r2: np.ndarray,
-                    threshold: float | None) -> float:
-    """support_radius on raw values with peak = max|vals| and r2 the squared
-    cell-center radii."""
-    if peak == 0.0:
-        return 0.0
-    thr = 1e-10 * peak if threshold is None else threshold
-    if thr <= 0.0:
-        raise ValueError(f"threshold must be positive, got {thr}")
-    mask = vals > thr
-    if not mask.any():
-        return 0.0
-    return float(np.sqrt(r2[mask].max()))
-
-
 def record(v: Field, time: float, exp, op: FracOperator, confined: bool = True,
            pressure: Field | None = None, faces: list | None = None) -> DiagnosticsRecord:
     """All diagnostics of one state.  confined=True adds the drift potential
-    beta/2 |y|^2 to the dissipation integrand (rescaled flow, freespace only;
-    a periodic dissipation is drift-free); the entropy formula always carries
-    its beta moment term.  pressure, when given, must be op.inverse(v), and
-    faces upwind_faces(v.values, pressure.values, op, drift) with the drift
-    that `confined` implies; each is computed here otherwise."""
+    beta/2 |y|^2 to the dissipation integrand (rescaled flow); the entropy
+    formula always carries its beta moment term.  pressure, when given, must
+    be op.inverse(v), and faces upwind_faces(v.values, pressure.values, op,
+    drift) with the drift that `confined` implies; each is computed here
+    otherwise.  The support radius is the largest cell-center radius where v
+    exceeds 1e-10 max|v|, zero for an identically zero state."""
     grid = v.grid
     vol = grid.spacing ** grid.dim
     vals = v.values
@@ -111,7 +91,7 @@ def record(v: Field, time: float, exp, op: FracOperator, confined: bool = True,
     pos = vals[vals > BOLTZMANN_FLOOR]
     boltzmann = vol * float((pos * np.log(pos)).sum())
     if faces is None:
-        drift = confining_drift(op, exp.beta) if confined and op.mode != PERIODIC else None
+        drift = confining_drift(op, exp.beta) if confined else None
         faces = upwind_faces(vals, kv, op, drift)
     dissipation = 0.0
     for w, up in faces:
@@ -123,12 +103,13 @@ def record(v: Field, time: float, exp, op: FracOperator, confined: bool = True,
     big = ~(a <= L4_UNDERFLOW)
     a4 = np.zeros(a.shape)
     a4[big] = a[big] ** 4
+    inside = vals > 1e-10 * linf
     return DiagnosticsRecord(
         time=float(time), mass=mass, linf=linf,
         l2=float((vol * (a ** 2).sum()) ** 0.5), l4=float((vol * a4.sum()) ** 0.25),
         moment2=moment2, energy1=energy1, entropy=entropy, boltzmann=boltzmann,
         dissipation=dissipation,
-        support_radius=_support_radius(vals, linf, r2, None),
+        support_radius=float(np.sqrt(r2[inside].max())) if inside.any() else 0.0,
     )
 
 
@@ -175,42 +156,3 @@ def fit_power_law(series: DiagnosticsSeries, quantity: str, window: tuple) -> tu
     lt, ly = np.log(t[sel]), np.log(y)
     (slope, _), cov = np.polyfit(lt, ly, 1, cov=True)
     return float(slope), float(np.sqrt(cov[0, 0]))
-
-
-@dataclass
-class ConvergenceReport:
-    times: np.ndarray
-    l1_distance: np.ndarray
-    linf_distance: np.ndarray
-    entropy_gap: np.ndarray
-    gap_ratio: np.ndarray  # entropy gap over dissipation, nan where I ~ 0
-
-
-def convergence_to_profile(traj, profile: Field, exp, op: FracOperator,
-                           mass_tol: float = 0.01) -> ConvergenceReport:
-    """Distances of every snapshot to the stationary profile.
-
-    The run's mass must match the profile's within mass_tol (the profile is
-    supposed to be selected by the mass rule)."""
-    run_mass = traj.snapshots[0].mass()
-    prof_mass = profile.mass()
-    if abs(run_mass - prof_mass) > mass_tol * prof_mass:
-        raise ValueError(
-            f"run mass {run_mass:.6g} does not match profile mass {prof_mass:.6g}"
-        )
-    vol = profile.grid.spacing ** profile.grid.dim
-    l1 = np.array([
-        vol * float(np.abs(s.values - profile.values).sum()) for s in traj.snapshots
-    ])
-    linf = np.array([
-        float(np.abs(s.values - profile.values).max()) for s in traj.snapshots
-    ])
-    e_profile = record(profile, 0.0, exp, op, confined=True).entropy
-    gap = traj.diagnostics.column("entropy") - e_profile
-    diss = traj.diagnostics.column("dissipation")
-    ratio = np.where(diss > 1e-14, gap / np.where(diss > 1e-14, diss, 1.0), np.nan)
-    return ConvergenceReport(
-        times=np.array(traj.times), l1_distance=l1, linf_distance=linf,
-        entropy_gap=gap, gap_ratio=ratio,
-    )
-

@@ -7,10 +7,11 @@ v_tau = div(v (grad K v + beta y)).
 Both are advanced by the same first-order upwind finite-volume step.  The flux
 through a face is the face velocity times the upwind cell value, where the
 face velocity is minus the difference of adjacent pressure cells over h (plus
-the exact confining drift -beta y_face in rescaled form).  Flux form makes the
-discrete mass exactly conserved (zero-flux box boundary in freespace mode,
-wrap-around in periodic mode), and the time step is chosen from the largest
-per-cell sum of outgoing face speeds, which is the sharp positivity bound:
+the exact confining drift -beta y_face in rescaled form).  The equation is
+posed on the whole space, so the pressure is the freespace kernel potential
+and the box boundary carries no flux.  Flux form makes the discrete mass
+exactly conserved, and the time step is chosen from the largest per-cell sum
+of outgoing face speeds, which is the sharp positivity bound:
 u_i(1 - dt/h * outflow_i) plus nonnegative inflow stays nonnegative whenever
 dt/h * outflow_i <= 1, in every dimension.
 
@@ -30,9 +31,8 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries, record
 from .faces import confining_drift, upwind_faces
-from .fracops import PERIODIC, FracOperator
+from .fracops import FracOperator
 from .grid import Field
-from .remap import resample
 
 QUIESCENT_SPEED = 1e-14
 DT_MAX = 1.0  # step taken when the velocity field is quiescent
@@ -100,34 +100,28 @@ class Trajectory:
     diagnostics: DiagnosticsSeries = field(default_factory=DiagnosticsSeries)
     steps: int = 0  # accepted steps; len(times) counts records, not steps
 
-    def final(self) -> Field:
-        return self.snapshots[-1]
-
 
 def _upwind_step(vals: np.ndarray, faces: list, op: FracOperator,
-                 cfl_safety: float, dt_cap: float | None) -> tuple:
+                 cfl_safety: float, dt_cap: float) -> tuple:
     """One upwind step of the state `vals` whose faces are `faces` =
     upwind_faces(vals, K vals, op, drift).
 
-    Returns (new values, dt, min of the new values).  dt is cfl_safety times
-    the sharper of two bounds: h over the largest per-cell sum of outgoing
-    face speeds (advective positivity), and 2 / (max vals * operator
-    stiffness) (non-amplification of the linearized pressure diffusion; it
-    scales like h^(2-2s) and binds on fine grids when s < 1/2)."""
+    Returns (new values, dt, min of the new values).  dt is at most dt_cap
+    and otherwise cfl_safety times the sharper of two bounds: h over the
+    largest per-cell sum of outgoing face speeds (advective positivity), and
+    2 / (max vals * operator stiffness) (non-amplification of the linearized
+    pressure diffusion; it scales like h^(2-2s) and binds on fine grids when
+    s < 1/2)."""
     h = op.grid.spacing
-    periodic = op.mode == PERIODIC
     cut = []  # (lower, upper) neighbour slices along each axis
     outflow = None
     for ax, (w, _) in enumerate(faces):
         lo = (slice(None),) * ax + (slice(None, -1),)
         hi = (slice(None),) * ax + (slice(1, None),)
         cut.append((lo, hi))
-        if periodic:
-            contrib = np.maximum(w, 0.0) + np.maximum(-np.roll(w, 1, axis=ax), 0.0)
-        else:
-            contrib = np.zeros(vals.shape)
-            contrib[lo] = np.maximum(w, 0.0)    # out through face i+1/2
-            contrib[hi] += np.maximum(-w, 0.0)  # out through face i-1/2
+        contrib = np.zeros(vals.shape)
+        contrib[lo] = np.maximum(w, 0.0)    # out through face i+1/2
+        contrib[hi] += np.maximum(-w, 0.0)  # out through face i-1/2
         outflow = contrib if outflow is None else outflow + contrib
     peak = float(outflow.max())
     if not np.isfinite(peak):
@@ -143,20 +137,15 @@ def _upwind_step(vals: np.ndarray, faces: list, op: FracOperator,
         if rate >= QUIESCENT_SPEED:
             dt = min(dt, cfl_safety * 2.0 / rate)
         dt = min(dt, DT_MAX)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
+    dt = min(dt, dt_cap)
 
     div = None
     for ax, ((w, up), (lo, hi)) in enumerate(zip(faces, cut)):
-        if periodic:
-            flux = w * up
-            term = (flux - np.roll(flux, 1, axis=ax)) / h
-        else:
-            shape = list(vals.shape)
-            shape[ax] += 1
-            flux = np.zeros(shape)  # boundary faces carry zero flux
-            flux[(slice(None),) * ax + (slice(1, -1),)] = w * up
-            term = (flux[hi] - flux[lo]) / h
+        shape = list(vals.shape)
+        shape[ax] += 1
+        flux = np.zeros(shape)  # boundary faces carry zero flux
+        flux[(slice(None),) * ax + (slice(1, -1),)] = w * up
+        term = (flux[hi] - flux[lo]) / h
         div = term if div is None else div + term
     new_vals = vals - dt * div
     # The convex-combination positivity bound is exact in exact arithmetic,
@@ -170,48 +159,13 @@ def _upwind_step(vals: np.ndarray, faces: list, op: FracOperator,
     return new_vals, dt, low
 
 
-def _single_step(u: Field, op: FracOperator, cfg: SolverConfig, drift: list | None,
-                 dt_cap: float | None) -> tuple:
+def step_physical(u: Field, op: FracOperator, cfg: SolverConfig) -> tuple:
+    """One upwind step of u_t = div(u grad K u); returns (new field, dt)."""
     if u.values.min() < 0.0:
         raise NumericalAbort(f"negative density entering step (min {u.values.min():.3e})")
-    faces = upwind_faces(u.values, op.inverse(u).values, op, drift)
-    vals, dt, _ = _upwind_step(u.values, faces, op, cfg.cfl_safety, dt_cap)
+    faces = upwind_faces(u.values, op.inverse(u).values, op, None)
+    vals, dt, _ = _upwind_step(u.values, faces, op, cfg.cfl_safety, np.inf)
     return Field(u.grid, vals, "density"), dt
-
-
-def step_physical(u: Field, op: FracOperator, cfg: SolverConfig,
-                  dt_cap: float | None = None) -> tuple:
-    """One upwind step of u_t = div(u grad K u); returns (new field, dt)."""
-    return _single_step(u, op, cfg, None, dt_cap)
-
-
-def step_rescaled(v: Field, op: FracOperator, exp: Exponents, cfg: SolverConfig,
-                  dt_cap: float | None = None) -> tuple:
-    """One upwind step of v_tau = div(v (grad K v + beta y)); returns (field, dtau)."""
-    return _single_step(v, op, cfg, confining_drift(op, exp.beta), dt_cap)
-
-
-def rescale_forward(u: Field, t: float, exp: Exponents) -> tuple:
-    """(v, tau) with v(y) = (1+t)^alpha u(y (1+t)^beta), tau = log(1+t).
-
-    Conservative remap onto the same grid; mass is preserved exactly because
-    alpha = n beta.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    lam = (1.0 + t) ** exp.beta
-    v = resample(u, u.grid, lam=lam)
-    return v.with_values((1.0 + t) ** exp.alpha * v.values), float(np.log1p(t))
-
-
-def rescale_backward(v: Field, tau: float, exp: Exponents) -> tuple:
-    """Inverse of rescale_forward: (u, t) with t = e^tau - 1."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    t = float(np.expm1(tau))
-    lam = (1.0 + t) ** (-exp.beta)
-    u = resample(v, v.grid, lam=lam)
-    return u.with_values((1.0 + t) ** (-exp.alpha) * u.values), t
 
 
 def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
@@ -226,7 +180,8 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     and steps are filled either way.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
-    any negative value, and on non-finite velocities.
+    any negative value, and on non-finite velocities.  A periodic operator is
+    rejected with ValueError by the face pass.
     """
     if mode not in ("physical", "rescaled"):
         raise ValueError(f"unknown run mode {mode!r}")

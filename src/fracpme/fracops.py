@@ -26,12 +26,6 @@ from .grid import Field, Grid
 
 PERIODIC = "periodic_spectral"
 FREESPACE = "freespace_kernel"
-_MODE_ALIASES = {
-    PERIODIC: PERIODIC,
-    FREESPACE: FREESPACE,
-    "periodic": PERIODIC,
-    "freespace": FREESPACE,
-}
 
 
 def riesz_constant(n: int, s: float) -> float:
@@ -173,10 +167,8 @@ class FracOperator:
     def __init__(self, grid: Grid, params: FracParams, mode: str):
         if params.dim != grid.dim:
             raise ValueError(f"params.dim = {params.dim} does not match grid.dim = {grid.dim}")
-        try:
-            mode = _MODE_ALIASES[mode]
-        except KeyError:
-            raise ValueError(f"unknown operator mode {mode!r}") from None
+        if mode not in (PERIODIC, FREESPACE):
+            raise ValueError(f"unknown operator mode {mode!r}")
         self.grid = grid
         self.params = params
         self.s = params.s
@@ -227,22 +219,6 @@ class FracOperator:
         out = np.fft.irfftn(spec * self._taps_hat, s=self._pad_shape, axes=axes)
         return out[(slice(0, n),) * self.grid.dim]
 
-    def kernel_submatrix(self, flat_index: np.ndarray) -> np.ndarray:
-        """Inverse-potential matrix restricted to the given flat cell indices.
-
-        Dense, so it serves only the pivoting oracles and the tests; the
-        obstacle solver applies the kernel through `inverse`."""
-        if self.mode != FREESPACE:
-            raise ValueError("kernel submatrix exists only for the freespace realization")
-        if self.grid.dim == 1:
-            d = np.abs(flat_index[:, None] - flat_index[None, :])
-            return self.taps[d]
-        n = self.grid.points_per_axis
-        ix, iy = np.divmod(flat_index, n)
-        dx = np.abs(ix[:, None] - ix[None, :])
-        dy = np.abs(iy[:, None] - iy[None, :])
-        return self.taps[dx, dy]
-
     def _check_field(self, f: Field):
         if f.grid is not self.grid and not f.grid.compatible(self.grid):
             raise ValueError("field grid does not match operator grid")
@@ -255,15 +231,14 @@ class FracOperator:
         Euler step is non-amplifying when dt * u_max * bound <= 2.  Because
         the kernel symbol behaves like |k|^(-2s), the bound scales like
         h^(2s-2): the diffusion constraint dt ~ h^(2-2s) beats the advective
-        CFL dt ~ h on fine grids whenever s < 1/2."""
+        CFL dt ~ h on fine grids whenever s < 1/2.  Freespace realization
+        only, like the flow it bounds."""
         if self._stiffness is None:
-            if self.mode == PERIODIC:
-                m, kernel = self.grid.points_per_axis, self._mult_inv
-            else:
-                # circulant symbol of the embedded kernel; taps are symmetric
-                # so it is real up to roundoff
-                m, kernel = self._pad_shape[0], np.maximum(self._taps_hat.real, 0.0)
-            lap = _second_difference_symbol(m, self.grid.spacing, self.grid.dim)
+            # circulant symbol of the embedded kernel; taps are symmetric so
+            # it is real up to roundoff
+            kernel = np.maximum(self._taps_hat.real, 0.0)
+            lap = _second_difference_symbol(self._pad_shape[0], self.grid.spacing,
+                                             self.grid.dim)
             self._stiffness = float((lap * kernel).max())
         return self._stiffness
 

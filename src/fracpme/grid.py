@@ -112,6 +112,3 @@ class Field:
 
     def with_values(self, values: np.ndarray, kind: str | None = None) -> "Field":
         return Field(self.grid, values, self.kind if kind is None else kind)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.kind)

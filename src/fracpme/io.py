@@ -107,18 +107,6 @@ def write_diagnostics(path, series: DiagnosticsSeries) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_diagnostics(path) -> dict:
-    """Columns of a diagnostics CSV as float arrays, keyed by column name."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError(f"{path}: bad or missing diagnostics header")
-    rows = [np.array(line.split(","), dtype=float) for line in lines[1:]]
-    if any(r.size != len(CSV_COLUMNS) for r in rows):
-        raise ValueError(f"{path}: ragged diagnostics row")
-    table = np.array(rows) if rows else np.empty((0, len(CSV_COLUMNS)))
-    return {name: table[:, j] for j, name in enumerate(CSV_COLUMNS)}
-
-
 def datum_box(grid: Grid, center: float, width: float, height: float) -> Field:
     """Axis-aligned box of the given amplitude, exact cell averages."""
     if width <= 0.0 or height <= 0.0:
@@ -154,8 +142,9 @@ def parse_datum(text: str) -> tuple:
     """Parse a datum spec like box(0,2,1) into (name, args).
 
     Shapes: box(center,width,height), parabola_cap(a,b),
-    gaussian_truncated(sigma), from_file(path).  Numeric arity is checked
-    here; value constraints surface when the datum is built."""
+    gaussian_truncated(sigma), from_file(path).  Numeric arity and
+    finiteness are checked here; value constraints surface when the datum is
+    built."""
     text = text.strip()
     if "(" not in text or not text.endswith(")"):
         raise ValueError(f"datum spec {text!r} is not name(args)")
@@ -175,6 +164,8 @@ def parse_datum(text: str) -> tuple:
         args = tuple(float(p) for p in parts)
     except ValueError:
         raise ValueError(f"datum {name}: non-numeric argument in {parts}") from None
+    if not np.isfinite(args).all():
+        raise ValueError(f"datum {name}: non-finite argument in {parts}")
     return name, args
 
 

@@ -36,7 +36,8 @@ from .grid import Field, Grid
 from .remap import resample
 
 MARGIN_FACTOR = 1.5
-DEFAULT_BOX_FACTOR = 3.0
+BOX_FACTOR = 3.0  # make_problem's box half-width over the parabola radius
+SOLVE_TOL = 1e-9  # relative contact and pressure-deficit tolerance
 ACTIVE_SET_MAX_PASSES = 100
 
 
@@ -84,14 +85,13 @@ class ObstacleProblem:
         return self.C - self.a * self.grid.radius2()
 
 
-def make_problem(C: float, n: int, s: float, points_per_axis: int,
-                 box_factor: float = DEFAULT_BOX_FACTOR) -> ObstacleProblem:
-    """Problem on the default box: half-width box_factor * sqrt(C/a),
+def make_problem(C: float, n: int, s: float, points_per_axis: int) -> ObstacleProblem:
+    """Problem on the default box: half-width BOX_FACTOR * sqrt(C/a),
     with a = beta/2 fixed by (n, s)."""
     a = Exponents(n, s).a
     if C <= 0.0:
         raise ValueError(f"default sizing needs C > 0, got {C}")
-    half = box_factor * float(np.sqrt(C / a))
+    half = BOX_FACTOR * float(np.sqrt(C / a))
     return ObstacleProblem(C=C, a=a, s=s, grid=Grid(n, half, points_per_axis))
 
 
@@ -111,19 +111,6 @@ class ObstacleSolution:
     @property
     def mass(self) -> float:
         return self.density.mass()
-
-
-@dataclass
-class BarenblattSolution:
-    """Stationary profile packaged with its exponents; the self-similar
-    solution through it is U_C(x, t) = (1+t)^(-alpha) V_C(x (1+t)^(-beta))."""
-
-    profile: ObstacleSolution
-    exponents: Exponents
-
-    @property
-    def mass(self) -> float:
-        return self.profile.mass
 
 
 def _active_set_solve(op: FracOperator, phi: np.ndarray, cells: np.ndarray) -> tuple:
@@ -170,16 +157,14 @@ def _active_set_solve(op: FracOperator, phi: np.ndarray, cells: np.ndarray) -> t
                        f"passes (residual {res:.3e})")
 
 
-def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9) -> ObstacleSolution:
+def solve_obstacle(prob: ObstacleProblem) -> ObstacleSolution:
     """Stationary profile pair for the parabolic obstacle.
 
-    tol is relative: the contact set and the pressure-deficit abort are
-    measured against max(C, max V).  Raises RuntimeError (with the residual
-    in the message) if the active-set loop fails to settle; C <= 0
-    short-circuits to the trivial solution.
+    The contact set and the pressure-deficit abort are measured against
+    SOLVE_TOL * max(C, max V).  Raises RuntimeError (with the residual in the
+    message) if the active-set loop fails to settle; C <= 0 short-circuits
+    to the trivial solution.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     grid = prob.grid
     op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim), FREESPACE)
     phi_full = prob.obstacle_values()
@@ -207,7 +192,7 @@ def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9) -> ObstacleSolution
 
     gap = pressure.values - phi_full
     scale = max(prob.C, float(v_loc.max()))
-    contact = gap <= 10.0 * tol * scale
+    contact = gap <= 10.0 * SOLVE_TOL * scale
     contact_radius = float(np.sqrt(r2[contact].max())) if contact.any() else 0.0
     residuals = {
         "pressure_deficit": float(np.clip(-gap, 0.0, None).max()),
@@ -216,7 +201,7 @@ def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9) -> ObstacleSolution
         "lcp_residual": float(np.abs(np.minimum(v_full.reshape(grid.shape),
                                                 gap)).max()),
     }
-    if residuals["pressure_deficit"] > tol * scale * 10.0:
+    if residuals["pressure_deficit"] > SOLVE_TOL * scale * 10.0:
         raise RuntimeError(
             f"pressure dips below the obstacle by {residuals['pressure_deficit']:.3e} "
             "outside the solved region; enlarge the grid box"
@@ -228,23 +213,19 @@ def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9) -> ObstacleSolution
     )
 
 
-def as_barenblatt(sol: ObstacleSolution, n: int | None = None) -> BarenblattSolution:
-    exp = Exponents(n or sol.problem.grid.dim, sol.problem.s)
-    return BarenblattSolution(profile=sol, exponents=exp)
-
-
-def barenblatt_at(bsol: BarenblattSolution, t: float,
+def barenblatt_at(sol: ObstacleSolution, t: float,
                   target: Grid | None = None) -> Field:
-    """The self-similar state at time t > -1 on the target grid (default: the
-    profile's own).  The conservative remap carries the (1+t)^(-alpha)
-    amplitude factor automatically, so the mass is t-independent."""
+    """The self-similar solution through the profile,
+    U_C(x, t) = (1+t)^(-alpha) V_C(x (1+t)^(-beta)), at time t > -1 on the
+    target grid (default: the profile's own).  The conservative remap
+    carries the amplitude factor exactly, so the mass is t-independent."""
     if t <= -1.0:
         raise ValueError(f"self-similar time must exceed -1, got {t}")
-    exp = bsol.exponents
-    grid = target or bsol.profile.density.grid
+    exp = Exponents(sol.problem.grid.dim, sol.problem.s)
+    grid = target or sol.density.grid
     # resample yields V(lam x) with mass / lam^n; lam = (1+t)^-beta plus the
     # (1+t)^-alpha amplitude leaves the mass exactly t-independent
-    out = resample(bsol.profile.density, grid, lam=(1.0 + t) ** -exp.beta)
+    out = resample(sol.density, grid, lam=(1.0 + t) ** -exp.beta)
     return out.with_values((1.0 + t) ** -exp.alpha * out.values)
 
 
@@ -293,18 +274,17 @@ def mass_law(solutions: list) -> tuple:
     return float(slope), float(np.exp(intercept))
 
 
-def match_mass(mass: float, s: float, grid: Grid,
-               tol: float = 1e-9) -> ObstacleSolution:
+def match_mass(mass: float, s: float, grid: Grid) -> ObstacleSolution:
     """Profile on `grid` whose discrete mass equals `mass` exactly.
 
     The power law only predicts the continuum mass; quadrature shifts it by
     O(h^2), which would leave a spurious floor in any density comparison at
     matched mass.  So root-find on the level C instead (mass is strictly
     increasing in C), bracketing from the power-law seed by geometric
-    expansion.  Every probe is a full solve at tolerance `tol`, at a level no
-    higher than the largest one the grid box admits, and each level is solved
-    once per call; if even the largest level holds less than `mass`, the box
-    is too small and ValueError is raised.
+    expansion.  Every probe is a full solve, at a level no higher than the
+    largest one the grid box admits, and each level is solved once per call;
+    if even the largest level holds less than `mass`, the box is too small
+    and ValueError is raised.
     """
     if mass <= 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
@@ -315,7 +295,7 @@ def match_mass(mass: float, s: float, grid: Grid,
     def solved(level: float) -> ObstacleSolution:
         if level not in by_level:
             prob = ObstacleProblem(C=level, a=a, s=s, grid=grid)
-            by_level[level] = solve_obstacle(prob, tol=tol)
+            by_level[level] = solve_obstacle(prob)
         return by_level[level]
 
     def gap(level: float) -> float:
@@ -351,45 +331,3 @@ def match_mass(mass: float, s: float, grid: Grid,
         raise RuntimeError("no upper bracket for the mass match")
     level = brentq(gap, lo, hi, xtol=1e-13, rtol=4e-15)
     return solved(float(level))
-
-
-def convexity_check(sol: ObstacleSolution) -> dict:
-    """Second-difference tests of P + a|y|^2 (convex by theory).
-
-    Reports the minimum raw centered second difference over interior cells
-    and axes (tolerance 10 h^2 max|P|), the minimum second-difference
-    quotient of P alone outside the contact set (theory: > -2a), and whether
-    the pressure peak sits at the innermost cells.
-    """
-    grid = sol.problem.grid
-    h = grid.spacing
-    q = sol.pressure.values + sol.problem.a * grid.radius2()
-    min_second = np.inf
-    min_dee_out = np.inf
-    outside = sol.contact_mask.values == 0.0  # Field stores the mask as 0/1
-    p = sol.pressure.values
-    for ax in range(grid.dim):
-        mid = [slice(None)] * grid.dim
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        mid[ax] = slice(1, -1)
-        lo[ax] = slice(None, -2)
-        hi[ax] = slice(2, None)
-        d2q = q[tuple(hi)] - 2.0 * q[tuple(mid)] + q[tuple(lo)]
-        min_second = min(min_second, float(d2q.min()))
-        d2p = (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / h**2
-        out_mid = outside[tuple(mid)]
-        if out_mid.any():
-            min_dee_out = min(min_dee_out, float(d2p[out_mid].min()))
-    peak = float(p.max())
-    r2 = grid.radius2()
-    inner = r2 <= r2.min() + 1e-12
-    peak_at_origin = bool(np.isclose(p[inner].max(), peak, rtol=0.0, atol=1e-12 * peak)
-                          and (p[~inner] < peak).all())
-    return {
-        "min_second_difference": min_second,
-        "tolerance": 10.0 * h**2 * float(np.abs(p).max()),
-        "min_dee_outside_contact": min_dee_out,
-        "dee_bound": -2.0 * sol.problem.a,
-        "peak_at_origin": peak_at_origin,
-    }

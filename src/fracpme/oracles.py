@@ -2,8 +2,10 @@
 
 Everything here recomputes a quantity through a route that shares no code with the
 implementation it checks: adaptive quadrature instead of closed-form antiderivatives
-for the kernel taps, and direct singular-integral evaluation instead of Fourier
-multipliers for the fractional Laplacian of a Gaussian.
+for the kernel taps, direct singular-integral evaluation instead of Fourier
+multipliers for the fractional Laplacian of a Gaussian, dense kernel matrices
+instead of FFT convolution, and complementary pivoting or enumeration instead of
+the active-set obstacle solver.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma
 
-from .fracops import riesz_constant
+from .fracops import FracOperator, riesz_constant
 from .grid import Grid
 
 
@@ -146,22 +148,27 @@ def frac_laplacian_gaussian_fourier_1d(x: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def riesz_gaussian_1d(x: np.ndarray, s: float) -> np.ndarray:
-    """Inverse potential of exp(-x^2/2) in 1-D through the Fourier side (s < 1/2)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    for i, xi in enumerate(x):
-        f = lambda k: k ** (-2.0 * s) * np.sqrt(2.0 * np.pi) * np.exp(-k * k / 2.0) * np.cos(k * xi)
-        val, _ = quad(f, 0.0, np.inf, epsabs=1e-13, limit=400)
-        out[i] = val / np.pi
-    return out
+def kernel_matrix(op: FracOperator, flat_index: np.ndarray) -> np.ndarray:
+    """Dense inverse-potential matrix of a freespace operator restricted to
+    the given flat (row-major) cell indices, gathered from `op.taps`.
+
+    The matrix product is the direct-summation route to `op.inverse`, whose
+    FFT convolution it checks, and the matrix is what the pivoting oracles
+    take; the obstacle solver never forms it."""
+    if op.grid.dim == 1:
+        d = np.abs(flat_index[:, None] - flat_index[None, :])
+        return op.taps[d]
+    ix, iy = np.divmod(flat_index, op.grid.points_per_axis)
+    dx = np.abs(ix[:, None] - ix[None, :])
+    dy = np.abs(iy[:, None] - iy[None, :])
+    return op.taps[dx, dy]
 
 
 def lemke_lcp(m_mat: np.ndarray, q: np.ndarray, max_pivots: int = 20000) -> np.ndarray:
     """Complementary pivoting for the LCP w = M v + q, v, w >= 0, v'w = 0.
 
     Textbook Lemke with the all-ones covering vector; terminates for positive
-    definite M.  Independent of the sweep-based solver, so their agreement is
+    definite M.  Independent of the active-set solver, so their agreement is
     evidence, not tautology.  Returns v.
     """
     q = np.asarray(q, dtype=float)

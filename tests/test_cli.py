@@ -8,7 +8,7 @@ from fracpme import cli, obstacle
 from fracpme.cli import (EXIT_CONFIG, EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK,
                          RunConfig, main, parse_config, validate_config)
 from fracpme.evolution import NumericalAbort
-from fracpme.io import read_diagnostics, read_snapshot
+from fracpme.io import read_snapshot
 from fracpme.obstacle import solve_obstacle
 
 
@@ -117,7 +117,7 @@ def test_sweep_validation():
     assert any("sweep_mode must be" in v for v in validate_config(bad_mode))
 
 
-def test_evolve_exit_ok_and_outputs(tmp_path):
+def test_evolve_exit_ok_and_outputs(tmp_path, read_diagnostics):
     out = tmp_path / "run"
     code = main(["evolve", "--N", "64", "--L", "6", "--end-time", "0.1",
                  "--out", str(out)])
@@ -154,6 +154,43 @@ def test_config_error_exit_and_machine_line(tmp_path, capsys):
     code = main(["evolve", "--N", "63", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "FRACPME-FAIL config: N must be even" in capsys.readouterr().out
+
+
+SMALL_RUN = ["--N", "32", "--L", "4", "--end-time", "0.01"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--n", "1", "--s", "0.5", "--allow-supercritical", *SMALL_RUN],
+     "Riesz kernel normalization diverges"),
+    (["rescaled", "--n", "1", "--s", "0.5", "--allow-supercritical", *SMALL_RUN],
+     "Riesz kernel normalization diverges"),
+    (["evolve", *SMALL_RUN, "--L", "inf"], "L must be positive and finite, got inf"),
+    (["evolve", *SMALL_RUN, "--L", "nan"], "L must be positive and finite, got nan"),
+    (["evolve", *SMALL_RUN, "--datum", "box(0,1,inf)"], "datum box: non-finite argument"),
+    (["evolve", *SMALL_RUN, "--end-time", "inf"], "end_time must be positive and finite"),
+    (["evolve", *SMALL_RUN, "--end-time", "nan"], "end_time must be positive and finite"),
+    (["obstacle", "--N", "32", "--L", "4", "--C", "nan"], "C must be finite, got nan"),
+], ids=["evolve_kernel_diverges", "rescaled_kernel_diverges", "L_inf", "L_nan",
+        "datum_inf", "end_time_inf", "end_time_nan", "obstacle_C_nan"])
+@pytest.mark.filterwarnings("ignore:dim = 1 with s = 0.5:UserWarning")
+def test_degenerate_config_is_config_error(tmp_path, capsys, argv, message):
+    code = main(argv + ["--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"FRACPME-FAIL config: {message}")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "run" / "diagnostics.csv").exists()
+
+
+def test_degenerate_sweep_value_is_config_error(tmp_path, capsys):
+    code = main(["sweep", "--sweep-key", "L", "--sweep-values", "4,inf",
+                 "--sweep-mode", "physical", "--N", "32", "--end-time", "0.01",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().out == (
+        "FRACPME-FAIL config: L=inf: L must be positive and finite, got inf\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_from_file_grid_mismatch_is_config_error(tmp_path, capsys):
@@ -406,7 +443,7 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, command):
     assert "Traceback" not in captured.out + captured.err
 
 
-def test_evolve_keeps_only_the_snapshots_it_writes(tmp_path, monkeypatch):
+def test_evolve_keeps_only_the_snapshots_it_writes(tmp_path, monkeypatch, read_diagnostics):
     # stride 1: every step is a record, one in five is written
     every = 5
     seen, stray = [], []
@@ -446,7 +483,7 @@ def _first_run(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["evolve", "rescaled"])
-def test_restart_continues_the_clock(tmp_path, command):
+def test_restart_continues_the_clock(tmp_path, command, read_diagnostics):
     snap, t_snap = _first_run(tmp_path, command)
     assert t_snap == pytest.approx(0.1, abs=1e-12)
     out = tmp_path / "second"
@@ -481,7 +518,7 @@ def test_restart_mismatch_is_config_error(tmp_path, capsys, first, argv, message
     assert not (out / "diagnostics.csv").exists()
 
 
-def test_obstacle_snapshot_is_time_zero_data(tmp_path):
+def test_obstacle_snapshot_is_time_zero_data(tmp_path, read_diagnostics):
     prof = tmp_path / "profile"
     assert main(["obstacle", "--C", "1", "--N", "64", "--L", "6",
                  "--out", str(prof)]) == EXIT_OK

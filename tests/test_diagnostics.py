@@ -7,15 +7,14 @@ from fracpme.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
     DiagnosticsSeries,
-    convergence_to_profile,
     entropy_dissipation_identity_check,
     fit_power_law,
     record,
-    support_radius,
 )
-from fracpme.evolution import Exponents, SolverConfig, Trajectory, run
-from fracpme.fracops import FREESPACE, PERIODIC, FracOperator, FracParams
+from fracpme.evolution import Exponents, SolverConfig, run
+from fracpme.fracops import FREESPACE, FracOperator, FracParams
 from fracpme.grid import Field, Grid
+from fracpme.oracles import kernel_matrix
 
 
 def make_record(time, **overrides):
@@ -46,7 +45,7 @@ def test_record_cross_checks():
     assert rec.linf == v.linf()
     assert rec.l2 == (h * (np.abs(v.values) ** 2).sum()) ** 0.5
     # quadratic energy two ways: FFT convolution and the dense kernel matrix
-    dense = op.kernel_submatrix(np.arange(grid.npoints))
+    dense = kernel_matrix(op, np.arange(grid.npoints))
     assert rec.energy1 == pytest.approx(h * v.values @ dense @ v.values, rel=1e-10)
     assert rec.entropy == pytest.approx(
         0.5 * (rec.energy1 + exp.beta * rec.moment2), rel=1e-14
@@ -88,32 +87,28 @@ def test_norms_exact_on_underflowing_tail():
     assert rec.l4 == pytest.approx((h * 81.0) ** 0.25, rel=1e-15)
 
 
-def _face_gradient_dissipation(pot, weight, grid, periodic, drift_coeff):
+def _face_gradient_dissipation(pot, weight, grid, drift_coeff):
     """The dissipation as written before the shared face pass: face gradients
     of the potential (plus drift) squared, times the upwind weight."""
     h = grid.spacing
     total = 0.0
     for ax in range(grid.dim):
-        if periodic:
-            g = (np.roll(pot, -1, axis=ax) - pot) / h
-            w = np.where(g < 0.0, weight, np.roll(weight, -1, axis=ax))
-        else:
-            g = np.diff(pot, axis=ax) / h
-            if drift_coeff is not None:
-                shape = [1] * grid.dim
-                shape[ax] = grid.points_per_axis - 1
-                g = g + drift_coeff * grid.interior_faces().reshape(shape)
-            lo = [slice(None)] * grid.dim
-            hi = [slice(None)] * grid.dim
-            lo[ax] = slice(None, -1)
-            hi[ax] = slice(1, None)
-            w = np.where(g < 0.0, weight[tuple(lo)], weight[tuple(hi)])
+        g = np.diff(pot, axis=ax) / h
+        if drift_coeff is not None:
+            shape = [1] * grid.dim
+            shape[ax] = grid.points_per_axis - 1
+            g = g + drift_coeff * grid.interior_faces().reshape(shape)
+        lo = [slice(None)] * grid.dim
+        hi = [slice(None)] * grid.dim
+        lo[ax] = slice(None, -1)
+        hi[ax] = slice(1, None)
+        w = np.where(g < 0.0, weight[tuple(lo)], weight[tuple(hi)])
         total += float(np.sum(g * g * w)) * h ** grid.dim
     return total
 
 
 @pytest.mark.parametrize("confined", [True, False], ids=["confined", "physical"])
-@pytest.mark.parametrize("mode", [FREESPACE, PERIODIC])
+@pytest.mark.parametrize("mode", [FREESPACE])  # the flow is freespace only
 @pytest.mark.parametrize("dim", [1, 2])
 def test_dissipation_matches_face_gradient_formula(dim, mode, confined):
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 24)
@@ -125,8 +120,7 @@ def test_dissipation_matches_face_gradient_formula(dim, mode, confined):
     vals = np.clip(1.0 - (c[0] - 0.4) ** 2 - sum(0.5 * x ** 2 for x in c[1:]), 0.0, None)
     v = Field(grid, vals * (1.0 + 0.3 * c[0]).clip(0.0), "density")
     expected = _face_gradient_dissipation(
-        op.inverse(v).values, v.values, grid, mode == PERIODIC,
-        exp.beta if confined else None)
+        op.inverse(v).values, v.values, grid, exp.beta if confined else None)
     assert record(v, 0.0, exp, op, confined=confined).dissipation == expected
     assert expected > 0.0
 
@@ -150,12 +144,19 @@ def test_record_handles_zeros_in_boltzmann():
 
 def test_support_radius():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=256)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    exp = Exponents(1, 0.25)
     box = Field(grid, np.where(np.abs(grid.axis()) < 1.0, 2.0, 0.0), "density")
-    assert support_radius(box) == pytest.approx(1.0, abs=grid.spacing)
-    assert support_radius(Field(grid, np.zeros(256))) == 0.0
-    assert support_radius(box, threshold=3.0) == 0.0
-    with pytest.raises(ValueError):
-        support_radius(box, threshold=0.0)
+    assert record(box, 0.0, exp, op).support_radius == pytest.approx(1.0, abs=grid.spacing)
+    # a cell at 1e-10 of the peak or below is outside the support
+    faint = box.values.copy()
+    faint[np.abs(grid.axis()) > 3.0] = 2e-10
+    assert record(Field(grid, faint), 0.0, exp, op).support_radius == pytest.approx(
+        1.0, abs=grid.spacing)
+    faint[np.abs(grid.axis()) > 3.0] = 3e-10
+    assert record(Field(grid, faint), 0.0, exp, op).support_radius == pytest.approx(
+        4.0, abs=grid.spacing)
+    assert record(Field(grid, np.zeros(256)), 0.0, exp, op).support_radius == 0.0
 
 
 def test_series_append_requires_increasing_time():
@@ -227,34 +228,3 @@ def test_fit_power_law_input_errors():
         series2.append(make_record(t, linf=0.0))
     with pytest.raises(ValueError, match="nonpositive"):
         fit_power_law(series2, "linf", (1.0, 2.0))
-
-
-def test_convergence_report_against_final_state():
-    exp = Exponents(1, 0.25)
-    grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
-    vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
-    traj = run(Field(grid, vals, "density"), "rescaled",
-               SolverConfig(end_time=1.0, snapshot_stride=10), op, exp)
-    report = convergence_to_profile(traj, traj.final(), exp, op)
-    assert report.l1_distance[-1] == 0.0
-    assert report.linf_distance[0] > report.linf_distance[-1]
-    assert (np.isnan(report.gap_ratio) | np.isfinite(report.gap_ratio)).all()
-    scaled = traj.final().with_values(1.05 * traj.final().values)
-    with pytest.raises(ValueError, match="mass"):
-        convergence_to_profile(traj, scaled, exp, op)
-
-
-def test_gap_ratio_guards_stationary_records():
-    # (E - E_profile) / I is reported only where the dissipation is resolved
-    exp = Exponents(1, 0.25)
-    grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
-    profile = gaussian_field(grid)
-    traj = Trajectory(times=[0.0, 1.0], snapshots=[profile, profile])
-    traj.diagnostics.append(make_record(0.0, dissipation=0.5, entropy=2.0))
-    traj.diagnostics.append(make_record(1.0, dissipation=1e-16, entropy=1.0))
-    report = convergence_to_profile(traj, profile, exp, op)
-    e_profile = record(profile, 0.0, exp, op).entropy
-    assert report.gap_ratio[0] == pytest.approx((2.0 - e_profile) / 0.5, rel=1e-15)
-    assert np.isnan(report.gap_ratio[1])

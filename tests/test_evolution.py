@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 
 from fracpme import diagnostics, evolution
-from fracpme.evolution import (
-    Exponents,
-    NumericalAbort,
-    SolverConfig,
-    rescale_backward,
-    rescale_forward,
-    run,
-    step_physical,
-    step_rescaled,
-)
+from fracpme.evolution import (DT_MAX, Exponents, NumericalAbort, SolverConfig, run,
+                               step_physical)
 from fracpme.faces import upwind_faces
 from fracpme.fracops import FREESPACE, PERIODIC, FracOperator, FracParams
 from fracpme.grid import Field, Grid
+from fracpme.remap import resample
 
 
 def freespace_op(grid, s=0.25):
@@ -95,13 +88,6 @@ def test_step_rejects_negative_state():
         step_physical(bad, op, SolverConfig())
 
 
-def test_rescaled_step_rejects_periodic_operator():
-    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
-    with pytest.raises(ValueError, match="freespace"):
-        step_rescaled(box_datum(grid), op, Exponents(1, 0.25), SolverConfig())
-
-
 def test_run_input_validation():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = freespace_op(grid)
@@ -149,13 +135,13 @@ def test_positivity_exact_at_sharp_cfl():
     assert abs(state.mass() - mass0) <= 1e-12 * mass0
 
 
-def test_constant_periodic_state_is_stationary():
+def test_zero_state_advances_in_dt_max_hops():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
-    c = Field(grid, np.full(64, 0.7), "density")
-    traj = run(c, "physical", SolverConfig(end_time=3.0), op, Exponents(1, 0.25))
-    assert len(traj.times) == 4  # quiescent field advances in DT_MAX hops
-    assert np.abs(traj.final().values - 0.7).max() == 0.0
+    zero = Field(grid, np.zeros(64), "density")
+    traj = run(zero, "physical", SolverConfig(end_time=3.0 * DT_MAX), freespace_op(grid),
+               Exponents(1, 0.25))
+    assert traj.times == [0.0, DT_MAX, 2.0 * DT_MAX, 3.0 * DT_MAX]
+    assert all(np.array_equal(snap.values, zero.values) for snap in traj.snapshots)
 
 
 def test_symmetry_preserved_by_step():
@@ -166,29 +152,25 @@ def test_symmetry_preserved_by_step():
 
 
 def test_dt_cap_honored():
+    # the first step is cut to the end time, well below its own bound
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = freespace_op(grid)
-    _, dt = step_physical(box_datum(grid), op, SolverConfig(), dt_cap=1e-4)
-    assert dt == 1e-4
+    traj = run(box_datum(grid), "physical", SolverConfig(end_time=1e-4),
+               freespace_op(grid), Exponents(1, 0.25))
+    assert traj.steps == 1
+    assert traj.times == [0.0, 1e-4]
 
 
-def test_rescale_round_trip():
-    grid = Grid(dim=1, half_width=8.0, points_per_axis=512)
-    exp = Exponents(1, 0.25)
-    u = gaussian_datum(grid)
-    v, tau = rescale_forward(u, 1.5, exp)
-    assert tau == pytest.approx(np.log1p(1.5), abs=1e-15)
-    assert v.mass() == pytest.approx(u.mass(), rel=1e-12)
-    back, t = rescale_backward(v, tau, exp)
-    assert t == pytest.approx(1.5, rel=1e-12)
-    assert np.abs(back.values - u.values).max() < 2e-6
+def rescale(u, t, exp):
+    """v(y) = (1+t)^alpha u(y (1+t)^beta): the rescaled state of u at time t."""
+    v = resample(u, u.grid, lam=(1.0 + t) ** exp.beta)
+    return v.with_values((1.0 + t) ** exp.alpha * v.values)
 
 
 def test_rescale_matches_analytic_dilation():
     grid = Grid(dim=1, half_width=8.0, points_per_axis=512)
     exp = Exponents(1, 0.25)
     width = 0.8
-    v, _ = rescale_forward(gaussian_datum(grid, width), 1.5, exp)
+    v = rescale(gaussian_datum(grid, width), 1.5, exp)
     lam = 2.5**exp.beta
     expected = 2.5**exp.alpha * np.exp(-((grid.axis() * lam) ** 2) / (2 * width**2))
     assert np.abs(v.values - expected).max() < 2e-4
@@ -201,22 +183,13 @@ def test_pressure_scaling_under_rescale():
     exp = Exponents(1, 0.25)
     u = gaussian_datum(grid)
     t = 1.5
-    v, _ = rescale_forward(u, t, exp)
+    v = rescale(u, t, exp)
     pu = op.inverse(u).values
     pv = op.inverse(v).values
     x = grid.axis()
     pv_pulled = np.interp(x / (1 + t) ** exp.beta, x, pv)
     err = np.abs(pu - (1 + t) ** (-exp.sigma) * pv_pulled).max()
     assert err < 1e-3 * np.abs(pu).max()
-
-
-def test_rescale_rejects_negative_time():
-    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    exp = Exponents(1, 0.25)
-    with pytest.raises(ValueError):
-        rescale_forward(box_datum(grid), -0.5, exp)
-    with pytest.raises(ValueError):
-        rescale_backward(box_datum(grid), -0.5, exp)
 
 
 def test_records_cover_run():
@@ -303,9 +276,17 @@ def test_run_continues_from_start_time():
             start_time=-1.0)
 
 
-def test_rescaled_run_rejects_periodic_operator():
+def test_flow_rejects_periodic_operator():
+    # the flow is posed on the whole space: every route through the face
+    # pass refuses the periodic realization
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
+    u, exp = box_datum(grid), Exponents(1, 0.25)
+    for mode in ("physical", "rescaled"):
+        with pytest.raises(ValueError, match="freespace"):
+            run(u, mode, SolverConfig(end_time=0.1), op, exp)
     with pytest.raises(ValueError, match="freespace"):
-        run(box_datum(grid), "rescaled", SolverConfig(end_time=0.1), op,
-            Exponents(1, 0.25))
+        step_physical(u, op, SolverConfig())
+    for confined in (True, False):
+        with pytest.raises(ValueError, match="freespace"):
+            diagnostics.record(u, 0.0, exp, op, confined=confined)

@@ -12,6 +12,7 @@ from fracpme.grid import Field, Grid
 from fracpme.oracles import (
     frac_laplacian_gaussian_1d,
     frac_laplacian_gaussian_fourier_1d,
+    kernel_matrix,
     periodized_frac_laplacian_gaussian_1d,
     quadrature_tap_2d,
     quadrature_taps_1d,
@@ -46,8 +47,9 @@ def test_params_validation():
 
 def test_unknown_mode_rejected():
     g = grid1(N=16)
-    with pytest.raises(ValueError):
-        FracOperator(g, FracParams(s=0.25, dim=1), "chebyshev")
+    for mode in ("chebyshev", "periodic", "freespace"):  # no short aliases
+        with pytest.raises(ValueError, match="unknown operator mode"):
+            FracOperator(g, FracParams(s=0.25, dim=1), mode)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.4])
@@ -153,14 +155,14 @@ def test_dense_matrix_agrees_with_convolution():
     g = grid1(L=4.0, N=512)
     op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
     f = rng.random(g.shape)
-    via_dense = op.kernel_submatrix(np.arange(g.npoints)) @ f
+    via_dense = kernel_matrix(op, np.arange(g.npoints)) @ f
     via_conv = op.inverse(Field(g, f)).values
     assert np.max(np.abs(via_dense - via_conv)) / np.max(np.abs(via_dense)) < 1e-8
 
     g2 = Grid(dim=2, half_width=2.0, points_per_axis=24)
     op2 = FracOperator(g2, FracParams(s=0.5, dim=2), FREESPACE)
     f2 = rng.random(g2.shape)
-    via_dense2 = (op2.kernel_submatrix(np.arange(g2.npoints)) @ f2.ravel()).reshape(g2.shape)
+    via_dense2 = (kernel_matrix(op2, np.arange(g2.npoints)) @ f2.ravel()).reshape(g2.shape)
     via_conv2 = op2.inverse(Field(g2, f2)).values
     assert np.max(np.abs(via_dense2 - via_conv2)) / np.max(np.abs(via_dense2)) < 1e-8
 
@@ -168,13 +170,13 @@ def test_dense_matrix_agrees_with_convolution():
 def test_kernel_submatrix_consistent_with_dense():
     g = Grid(dim=2, half_width=2.0, points_per_axis=12)
     op = FracOperator(g, FracParams(s=0.5, dim=2), FREESPACE)
-    dense = op.kernel_submatrix(np.arange(g.npoints))
+    dense = kernel_matrix(op, np.arange(g.npoints))
     # row-major block gather of the tap table, independent of the flat indexing
     d = np.abs(np.arange(12)[:, None] - np.arange(12)[None, :])
     blocks = op.taps[d[:, None, :, None], d[None, :, None, :]].reshape(g.npoints, g.npoints)
     assert np.array_equal(dense, blocks)
     idx = np.array([0, 5, 17, 100, 143])
-    sub = op.kernel_submatrix(idx)
+    sub = kernel_matrix(op, idx)
     assert np.allclose(sub, dense[np.ix_(idx, idx)], rtol=0.0, atol=1e-15)
 
 
@@ -218,7 +220,7 @@ def test_energy_identity(mode):
         fhat = np.fft.fft(f.values)
         norm_sq = h * float(np.sum(symbol * np.abs(fhat) ** 2)) / g.points_per_axis
     else:
-        vals, vecs = np.linalg.eigh(op.kernel_submatrix(np.arange(g.npoints)))
+        vals, vecs = np.linalg.eigh(kernel_matrix(op, np.arange(g.npoints)))
         assert vals.min() > 0.0
         half = (vecs * np.sqrt(vals)) @ vecs.T @ f.values
         norm_sq = h * np.dot(half, half)

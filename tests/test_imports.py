@@ -1,11 +1,14 @@
 """Every name a package module imports is used in that module, and every
-module-level private function or class is used by the package.
+module-level function or class is used by the package.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
-in the module (or listed in its ``__all__``), and a module-level ``_name``
-def or class must be referenced from some package module, so that no helper
-survives for the tests alone.
+in the module (or listed in its ``__all__``), and a module-level def or
+class must be referenced from some package module other than at its
+definition, so that no helper and no public name survives for the tests
+alone.  A public name may instead be listed in an ``__all__``; `oracles.py`
+holds the reference implementations the tests compare against, so its
+public names are exempt.
 """
 
 import ast
@@ -14,6 +17,17 @@ from pathlib import Path
 import fracpme
 
 MODULES = sorted(Path(fracpme.__file__).parent.glob("*.py"))
+PUBLIC_EXEMPT = {"oracles.py"}
+
+
+def all_names(tree: ast.Module) -> set:
+    """The names listed in the module's ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(source: str) -> list:
@@ -27,22 +41,23 @@ def unused_imports(source: str) -> list:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used |= all_names(tree)
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def unreferenced_private_defs(sources: dict) -> list:
-    """(module, line, name) of each module-level private def or class that
-    no module in `sources` (name -> source text) refers to."""
+def unreferenced_defs(sources: dict, private: bool) -> list:
+    """(module, line, name) of each module-level def or class, private
+    (``_name``) or public by `private`, that no module in `sources` (name ->
+    source text) refers to.  Public names in an ``__all__`` count as
+    referenced, and public names of PUBLIC_EXEMPT modules are not checked."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.endswith("__")):
+                    and node.name.startswith("_") == private
+                    and not node.name.endswith("__")
+                    and (private or module not in PUBLIC_EXEMPT)):
                 defined.append((module, node.lineno, node.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -51,6 +66,7 @@ def unreferenced_private_defs(sources: dict) -> list:
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.asname or node.name)
+        used |= all_names(tree)
     return sorted(d for d in defined if d[2] not in used)
 
 
@@ -70,10 +86,24 @@ def test_guard_sees_an_unreferenced_private_def():
     sources = {"a.py": "def _used():\n    pass\n\ndef _dead():\n    pass\n\n"
                        "class _Gone:\n    pass\n",
                "b.py": "from a import _used\n"}
-    assert unreferenced_private_defs(sources) == [("a.py", 4, "_dead"),
-                                                  ("a.py", 7, "_Gone")]
+    assert unreferenced_defs(sources, private=True) == [("a.py", 4, "_dead"),
+                                                        ("a.py", 7, "_Gone")]
 
 
 def test_package_uses_every_private_def():
     sources = {path.name: path.read_text() for path in MODULES}
-    assert unreferenced_private_defs(sources) == []
+    assert unreferenced_defs(sources, private=True) == []
+
+
+def test_guard_sees_an_unreferenced_public_def():
+    sources = {"a.py": "def used():\n    pass\n\ndef dead():\n    pass\n\n"
+                       "class Listed:\n    pass\n\n__all__ = ['Listed']\n",
+               "b.py": "from a import used\n\nclass Gone:\n    pass\n",
+               "oracles.py": "def reference():\n    pass\n"}
+    assert unreferenced_defs(sources, private=False) == [("a.py", 4, "dead"),
+                                                         ("b.py", 3, "Gone")]
+
+
+def test_package_uses_every_public_def():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert unreferenced_defs(sources, private=False) == []

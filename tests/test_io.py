@@ -7,8 +7,7 @@ from fracpme.fracops import FREESPACE, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.io import (SNAPSHOT_VERSION, build_datum, datum_box,
                         datum_gaussian, datum_parabola_cap, parse_datum,
-                        read_diagnostics, read_snapshot, write_diagnostics,
-                        write_snapshot)
+                        read_snapshot, write_diagnostics, write_snapshot)
 
 
 def test_snapshot_round_trip_exact_1d(tmp_path):
@@ -119,7 +118,7 @@ def test_snapshot_malformed_header_line(tmp_path):
         read_snapshot(bad)
 
 
-def test_diagnostics_round_trip(tmp_path):
+def test_diagnostics_round_trip(tmp_path, read_diagnostics):
     g = Grid(1, 6.0, 64)
     op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
     traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
@@ -162,14 +161,14 @@ def test_diagnostics_text_is_the_fstring_form(tmp_path):
     assert (tmp_path / "d.csv").read_text() == "\n".join(expected) + "\n"
 
 
-def test_diagnostics_bad_header(tmp_path):
+def test_diagnostics_bad_header(tmp_path, read_diagnostics):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,mass\n0.0,1.0\n")
     with pytest.raises(ValueError, match="diagnostics header"):
         read_diagnostics(bad)
 
 
-def test_diagnostics_ragged_row(tmp_path):
+def test_diagnostics_ragged_row(tmp_path, read_diagnostics):
     bad = tmp_path / "bad.csv"
     bad.write_text(",".join(CSV_COLUMNS) + "\n1.0,2.0\n")
     with pytest.raises(ValueError, match="ragged"):
@@ -238,6 +237,8 @@ def test_parse_datum_shapes():
     ("blob(1)", "unknown datum shape"),
     ("box(1,2)", "takes 3 argument"),
     ("box(a,b,c)", "non-numeric"),
+    ("box(0,1,inf)", "non-finite"),
+    ("gaussian_truncated(nan)", "non-finite"),
 ])
 def test_parse_datum_rejects(text, msg):
     with pytest.raises(ValueError, match=msg):
