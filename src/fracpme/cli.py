@@ -336,19 +336,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
         value, sub = job
         try:
             if sub.mode == "obstacle":
-                return cmd_obstacle(sub)
-            return cmd_evolve(sub, sub.mode), None
+                return (*cmd_obstacle(sub), None)
+            return cmd_evolve(sub, sub.mode), None, None
         except OSError:
             raise  # main reports unwritable outputs
         except Exception as exc:  # any other fault: a FRACPME-FAIL line, no traceback
             kind, code = (("config", EXIT_CONFIG) if isinstance(exc, ValueError)
                           else ("numerical", EXIT_NUMERICAL))
-            _machine_line(kind, f"{cfg.sweep_key}={value:g}: "
-                                f"{type(exc).__name__}: {exc}")
-            return code, None
+            return code, None, (kind, f"{cfg.sweep_key}={value:g}: "
+                                      f"{type(exc).__name__}: {exc}")
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        codes, sols = zip(*pool.map(one, jobs))
+        codes, sols, faults = zip(*pool.map(one, jobs))
+    # reported after the pool, in value order: members finish in any order
+    for fault in faults:
+        if fault is not None:
+            _machine_line(*fault)
     worst = max(codes)
     if (cfg.sweep_mode == "obstacle" and cfg.sweep_key == "C"
             and worst == EXIT_OK and len(values) >= 4):
