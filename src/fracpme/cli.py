@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .evolution import Exponents, NumericalAbort, SolverConfig, run
+from .evolution import Exponents, NumericalAbort, SolverConfig, check_time_span, run
 from .fracops import FREESPACE, FracOperator, FracParams
 from .grid import Grid
 from .io import (
@@ -148,6 +148,11 @@ def validate_config(cfg: RunConfig) -> list:
         bad.append(f"L must be positive and finite, got {cfg.L}")
     if cfg.N < 8 or cfg.N % 2:
         bad.append(f"N must be even and >= 8, got {cfg.N}")
+    elif cfg.n in (1, 2) and 0.0 < cfg.L < math.inf:
+        try:
+            Grid(cfg.n, cfg.L, cfg.N)
+        except ValueError as exc:  # a spacing or cell volume that over- or underflows
+            bad.append(str(exc))
     if not 0.0 < cfg.end_time < math.inf:
         bad.append(f"end_time must be positive and finite, got {cfg.end_time}")
     try:
@@ -232,6 +237,7 @@ def cmd_evolve(cfg: RunConfig, mode: str) -> int:
             start = _restart_time(args[0], header, cfg, mode)
         else:
             u0, start = build_datum(name, args, grid), 0.0
+        check_time_span(start, cfg.end_time)
         params = FracParams(s=cfg.s, dim=cfg.n,
                             allow_supercritical=cfg.allow_supercritical)
         op = FracOperator(grid, params, FREESPACE)

@@ -70,46 +70,54 @@ class DiagnosticsSeries:
 
 
 def record(v: Field, time: float, exp, op: FracOperator, confined: bool = True,
-           pressure: Field | None = None, faces: list | None = None) -> DiagnosticsRecord:
+           pressure: Field | None = None, faces: list | None = None,
+           mass: float | None = None, peak: float | None = None) -> DiagnosticsRecord:
     """All diagnostics of one state.  confined=True adds the drift potential
     beta/2 |y|^2 to the dissipation integrand (rescaled flow); the entropy
     formula always carries its beta moment term.  pressure, when given, must
     be op.inverse(v), and faces upwind_faces(v.values, pressure.values, op,
-    drift) with the drift that `confined` implies; each is computed here
-    otherwise.  The support radius is the largest cell-center radius where v
-    exceeds 1e-10 max|v|, zero for an identically zero state."""
+    drift) with the drift that `confined` implies; mass, when given, must be
+    h^n * v.values.sum(), and peak v.values.max() of a nonnegative v.  Each
+    is computed here otherwise.  The support radius is the largest
+    cell-center radius where v exceeds 1e-10 max|v|, zero for an identically
+    zero state."""
     grid = v.grid
     vol = grid.spacing ** grid.dim
     vals = v.values
 
-    mass = vol * float(vals.sum())
+    if mass is None:
+        mass = vol * float(vals.sum())
     r2 = grid.radius2()
     moment2 = vol * float((r2 * vals).sum())
     kv = (op.inverse(v) if pressure is None else pressure).values
     energy1 = vol * float((vals * kv).sum())
     entropy = 0.5 * (energy1 + exp.beta * moment2)
     pos = vals[vals > BOLTZMANN_FLOOR]
-    boltzmann = vol * float((pos * np.log(pos)).sum())
+    plogp = np.log(pos)
+    plogp *= pos
+    boltzmann = vol * float(plogp.sum())
     if faces is None:
         drift = confining_drift(op, exp.beta) if confined else None
         faces = upwind_faces(vals, kv, op, drift)
     dissipation = 0.0
     for w, up in faces:
-        dissipation += float((w * w * up).sum()) * vol
+        integrand = w * w
+        integrand *= up
+        dissipation += float(integrand.sum()) * vol
     a = np.abs(vals)
-    linf = float(a.max())
+    linf = float(a.max()) if peak is None else abs(peak)
     # pow(x, 4) is exactly 0 for x <= 1e-100 but slow there, so only larger
     # entries (and nan) take the power; the summed array is unchanged
-    big = ~(a <= L4_UNDERFLOW)
-    a4 = np.zeros(a.shape)
-    a4[big] = a[big] ** 4
+    a4 = np.power(a, 4, out=np.zeros(a.shape), where=~(a <= L4_UNDERFLOW))
+    l4 = float((vol * a4.sum()) ** 0.25)
     inside = vals > 1e-10 * linf
+    np.square(a, out=a)
     return DiagnosticsRecord(
         time=float(time), mass=mass, linf=linf,
-        l2=float((vol * (a ** 2).sum()) ** 0.5), l4=float((vol * a4.sum()) ** 0.25),
+        l2=float((vol * a.sum()) ** 0.5), l4=l4,
         moment2=moment2, energy1=energy1, entropy=entropy, boltzmann=boltzmann,
         dissipation=dissipation,
-        support_radius=float(np.sqrt(r2[inside].max())) if inside.any() else 0.0,
+        support_radius=float(np.sqrt(r2.max(where=inside, initial=0.0))),
     )
 
 

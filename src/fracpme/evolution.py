@@ -25,6 +25,7 @@ growing checkerboard.  The step controller takes the sharper of the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ from .grid import Field
 
 QUIESCENT_SPEED = 1e-14
 DT_MAX = 1.0  # step taken when the velocity field is quiescent
+MAX_STEPS = 10 ** 7  # runs that need more steps than this are refused up front
 
 
 class NumericalAbort(RuntimeError):
@@ -102,31 +104,28 @@ class Trajectory:
 
 
 def _upwind_step(vals: np.ndarray, faces: list, op: FracOperator,
-                 cfl_safety: float, dt_cap: float) -> tuple:
+                 cfl_safety: float, dt_cap: float, vmax: float) -> tuple:
     """One upwind step of the state `vals` whose faces are `faces` =
-    upwind_faces(vals, K vals, op, drift).
+    upwind_faces(vals, K vals, op, drift) and whose maximum is `vmax`.
 
-    Returns (new values, dt, min of the new values).  dt is at most dt_cap
-    and otherwise cfl_safety times the sharper of two bounds: h over the
-    largest per-cell sum of outgoing face speeds (advective positivity), and
-    2 / (max vals * operator stiffness) (non-amplification of the linearized
-    pressure diffusion; it scales like h^(2-2s) and binds on fine grids when
-    s < 1/2)."""
+    Returns (new values, dt, min of the new values); the new values are a
+    fresh array.  dt is at most dt_cap and otherwise cfl_safety times the
+    sharper of two bounds: h over the largest per-cell sum of outgoing face
+    speeds (advective positivity), and 2 / (vmax * operator stiffness)
+    (non-amplification of the linearized pressure diffusion; it scales like
+    h^(2-2s) and binds on fine grids when s < 1/2)."""
     h = op.grid.spacing
-    cut = []  # (lower, upper) neighbour slices along each axis
     outflow = None
     for ax, (w, _) in enumerate(faces):
-        lo = (slice(None),) * ax + (slice(None, -1),)
-        hi = (slice(None),) * ax + (slice(1, None),)
-        cut.append((lo, hi))
-        contrib = np.zeros(vals.shape)
-        contrib[lo] = np.maximum(w, 0.0)    # out through face i+1/2
-        contrib[hi] += np.maximum(-w, 0.0)  # out through face i-1/2
-        outflow = contrib if outflow is None else outflow + contrib
+        lead = (slice(None),) * ax
+        part = np.empty(vals.shape)
+        np.maximum(w, 0.0, out=part[lead + (slice(None, -1),)])  # out through i+1/2
+        part[lead + (-1,)] = 0.0
+        part[lead + (slice(1, None),)] -= np.minimum(w, 0.0)    # out through i-1/2
+        outflow = part if outflow is None else np.add(outflow, part, out=outflow)
     peak = float(outflow.max())
-    if not np.isfinite(peak):
+    if not math.isfinite(peak):
         raise NumericalAbort("non-finite velocity (operator blowup)")
-    vmax = float(vals.max())
     if peak < QUIESCENT_SPEED:
         # zero flux everywhere: the state is an exact fixed point of the
         # update and the diffusion bound has nothing to amplify
@@ -140,14 +139,19 @@ def _upwind_step(vals: np.ndarray, faces: list, op: FracOperator,
     dt = min(dt, dt_cap)
 
     div = None
-    for ax, ((w, up), (lo, hi)) in enumerate(zip(faces, cut)):
+    for ax, (w, up) in enumerate(faces):
+        lead = (slice(None),) * ax
         shape = list(vals.shape)
         shape[ax] += 1
-        flux = np.zeros(shape)  # boundary faces carry zero flux
-        flux[(slice(None),) * ax + (slice(1, -1),)] = w * up
-        term = (flux[hi] - flux[lo]) / h
-        div = term if div is None else div + term
-    new_vals = vals - dt * div
+        flux = np.empty(shape)
+        flux[lead + (0,)] = 0.0  # the box boundary carries no flux
+        flux[lead + (-1,)] = 0.0
+        np.multiply(w, up, out=flux[lead + (slice(1, -1),)])
+        term = np.subtract(flux[lead + (slice(1, None),)], flux[lead + (slice(None, -1),)])
+        term /= h
+        div = term if div is None else np.add(div, term, out=div)
+    div *= dt
+    new_vals = np.subtract(vals, div, out=div)
     # The convex-combination positivity bound is exact in exact arithmetic,
     # but the flux-difference form can leave -O(eps * peak) dust when the
     # bound is tight.  Zero only that dust; deeper negatives are genuine.
@@ -164,8 +168,21 @@ def step_physical(u: Field, op: FracOperator, cfg: SolverConfig) -> tuple:
     if u.values.min() < 0.0:
         raise NumericalAbort(f"negative density entering step (min {u.values.min():.3e})")
     faces = upwind_faces(u.values, op.inverse(u).values, op, None)
-    vals, dt, _ = _upwind_step(u.values, faces, op, cfg.cfl_safety, np.inf)
+    vals, dt, _ = _upwind_step(u.values, faces, op, cfg.cfl_safety, np.inf,
+                               float(u.values.max()))
     return Field(u.grid, vals, "density"), dt
+
+
+def check_time_span(start_time: float, end_time: float) -> None:
+    """Raise ValueError unless a run can go from start_time to end_time: the
+    start must be finite and nonnegative, and since every step is at most
+    DT_MAX, (end_time - start_time) / DT_MAX steps at least must fit in
+    MAX_STEPS."""
+    if not (math.isfinite(start_time) and start_time >= 0.0):
+        raise ValueError(f"start_time must be finite and nonnegative, got {start_time}")
+    if (end_time - start_time) / DT_MAX > MAX_STEPS:
+        raise ValueError(f"end_time {end_time:g} from t = {start_time:g} needs more "
+                         f"than {MAX_STEPS} steps of at most DT_MAX = {DT_MAX:g}")
 
 
 def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
@@ -173,15 +190,16 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     """Advance u0 from start_time to cfg.end_time, recording diagnostics every
     snapshot_stride accepted steps (plus the initial and final states).
 
-    Each state's pressure and face pass (upwind_faces) are computed once and
-    serve both its record and the next step.  Recorded states are kept in
-    traj.snapshots, or, when on_record is given, handed to
+    Each state's pressure, face pass (upwind_faces), sum and maximum are
+    computed once and serve both its record and the next step.  Recorded
+    states are kept in traj.snapshots, or, when on_record is given, handed to
     on_record(k, time, state) for record k and not kept; times, diagnostics
     and steps are filled either way.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
-    any negative value, and on non-finite velocities.  A periodic operator is
-    rejected with ValueError by the face pass.
+    any negative value, and on non-finite velocities.  A time span that
+    check_time_span refuses, a negative or non-finite datum and a periodic
+    operator (by the face pass) raise ValueError before the first step.
     """
     if mode not in ("physical", "rescaled"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -189,8 +207,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
         raise ValueError("initial datum has non-finite entries")
     if u0.values.min() < 0.0:
         raise ValueError("initial datum must be nonnegative")
-    if not (np.isfinite(start_time) and start_time >= 0.0):
-        raise ValueError(f"start_time must be finite and nonnegative, got {start_time}")
+    check_time_span(start_time, cfg.end_time)
     confined = mode == "rescaled"
     drift = confining_drift(op, exp.beta) if confined else None
     grid = u0.grid
@@ -201,28 +218,33 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     p = op.inverse(u)
     faces = upwind_faces(u.values, p.values, op, drift)
     t = float(start_time)
-    mass0 = u.mass()
+    mass0 = mass = vol * float(u.values.sum())
+    peak = float(u.values.max())
     threshold = QUIESCENT_SPEED * max(mass0, 1.0)
 
-    def note(state: Field, pressure: Field, faces: list, time: float):
+    def note(state: Field, pressure: Field, faces: list, time: float,
+             mass: float, peak: float):
         k = len(traj.times)
         traj.times.append(time)
         traj.diagnostics.append(record(state, time, exp, op, confined=confined,
-                                       pressure=pressure, faces=faces))
+                                       pressure=pressure, faces=faces,
+                                       mass=mass, peak=peak))
         if on_record is None:
             traj.snapshots.append(state)
         else:
             on_record(k, time, state)
 
-    note(u, p, faces, t)
+    note(u, p, faces, t, mass, peak)
     steps = 0
     while t < stop:
         vals, dt, low = _upwind_step(u.values, faces, op, cfg.cfl_safety,
-                                     cfg.end_time - t)
+                                     cfg.end_time - t, peak)
         t += dt
         steps += 1
+        mass = vol * float(vals.sum())
+        peak = float(vals.max())
         if mass0 > threshold:
-            drift_rel = abs(vol * float(vals.sum()) - mass0) / mass0
+            drift_rel = abs(mass - mass0) / mass0
             if drift_rel > 1e-9:
                 raise NumericalAbort(
                     f"cumulative mass drift {drift_rel:.3e} exceeds 1e-9 at t = {t:.6g}"
@@ -234,6 +256,6 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
         p = op.inverse(u)
         faces = upwind_faces(vals, p.values, op, drift)
         if steps % cfg.snapshot_stride == 0 or t >= stop:
-            note(u, p, faces, t)
+            note(u, p, faces, t, mass, peak)
     traj.steps = steps
     return traj

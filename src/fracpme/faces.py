@@ -46,7 +46,8 @@ def upwind_faces(vals: np.ndarray, pressure: np.ndarray, op: FracOperator,
     for ax in range(vals.ndim):
         lo = (slice(None),) * ax + (slice(None, -1),)
         hi = (slice(None),) * ax + (slice(1, None),)
-        w = (pressure[hi] - pressure[lo]) / -h
+        w = np.subtract(pressure[hi], pressure[lo])
+        w /= -h
         if drift is not None:
             w -= drift[ax]
         up = np.where(w > 0.0, vals[lo], vals[hi])

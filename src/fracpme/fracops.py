@@ -11,6 +11,13 @@ Two realizations of the operator family are provided:
   2-D).  The operator is translation invariant, so a single tap table drives both a
   zero-padded circular convolution (any grid) and the dense kernel submatrices that
   the pivoting oracles take.  Only the inverse exists in this mode.
+
+The convolution runs on the 2N-point embedding one axis at a time, pruned: the
+forward transforms zero-pad the N data rows themselves, and only the N rows that
+are kept pass through the last-axis inverse.  Every 1-D transform is the one
+``rfftn``/``irfftn`` of the padded box would run, so the result has their bits.
+The 2-D tap table is built in blocks of rows, which bounds the Gauss-Legendre node
+arrays to about TAP_BLOCK_CELLS cells at any N.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .grid import Field, Grid
 
 PERIODIC = "periodic_spectral"
 FREESPACE = "freespace_kernel"
+TAP_BLOCK_CELLS = 2048  # cells per row block of the 2-D tap build
 
 
 def riesz_constant(n: int, s: float) -> float:
@@ -119,28 +127,33 @@ def _taps_2d(grid: Grid, s: float) -> np.ndarray:
     """Cell integrals of c(2,s)|x|^(2s-2) at displacements (i h, j h), i,j in [0, N).
 
     Off-center cells are regular, so fixed Gauss-Legendre rules suffice; the rule is
-    refined near the singularity where the integrand still varies strongly.
+    refined near the singularity where the integrand still varies strongly.  The
+    table is built in blocks of rows, so the node arrays stay near TAP_BLOCK_CELLS
+    cells whatever N is; every cell's sum is the same however the rows are cut.
     """
     n, h = grid.points_per_axis, grid.spacing
     c = riesz_constant(2, s)
     expo = s - 1.0  # (|d - z|^2)^(s-1)
     taps = np.zeros((n, n))
     taps[0, 0] = _singular_cell_2d(h, s)
-
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    dinf = np.maximum(ii, jj)
     # (subdivisions, order) per distance band; the band edges were chosen so that
     # doubling either parameter moves no tap by more than ~1e-12 relative.
-    for lo, hi, q, g in ((1, 2, 8, 12), (3, 6, 2, 10), (7, None, 1, 8)):
-        sel = (dinf >= lo) if hi is None else ((dinf >= lo) & (dinf <= hi))
-        sel &= ~((ii == 0) & (jj == 0))
-        if not sel.any():
-            continue
-        nodes, wts = _gl_rule(h, q, g)
-        dx = ii[sel, None, None] * h - nodes[None, :, None]
-        dy = jj[sel, None, None] * h - nodes[None, None, :]
-        vals = (dx ** 2 + dy ** 2) ** expo
-        taps[sel] = np.einsum("kab,a,b->k", vals, wts, wts)
+    bands = [(lo, hi, *_gl_rule(h, q, g))
+             for lo, hi, q, g in ((1, 2, 8, 12), (3, 6, 2, 10), (7, None, 1, 8))]
+    rows = max(1, TAP_BLOCK_CELLS // n)
+    for r0 in range(0, n, rows):
+        ii, jj = np.meshgrid(np.arange(r0, min(r0 + rows, n)), np.arange(n), indexing="ij")
+        dinf = np.maximum(ii, jj)
+        block = taps[r0:r0 + rows]
+        for lo, hi, nodes, wts in bands:
+            sel = (dinf >= lo) if hi is None else ((dinf >= lo) & (dinf <= hi))
+            sel &= ~((ii == 0) & (jj == 0))
+            if not sel.any():
+                continue
+            dx = ii[sel, None, None] * h - nodes[None, :, None]
+            dy = jj[sel, None, None] * h - nodes[None, None, :]
+            vals = (dx ** 2 + dy ** 2) ** expo
+            block[sel] = np.einsum("kab,a,b->k", vals, wts, wts)
     return c * taps
 
 
@@ -213,11 +226,15 @@ class FracOperator:
         return np.fft.irfftn(fh * mult, s=values.shape, axes=axes)
 
     def _conv_apply(self, values: np.ndarray) -> np.ndarray:
+        # the pruned rfftn/irfftn pair of the module docstring
         n = self.grid.points_per_axis
-        axes = tuple(range(values.ndim))
-        spec = np.fft.rfftn(values, s=self._pad_shape, axes=axes)  # zero-pads
-        out = np.fft.irfftn(spec * self._taps_hat, s=self._pad_shape, axes=axes)
-        return out[(slice(0, n),) * self.grid.dim]
+        spec = np.fft.rfft(values, 2 * n, axis=-1)
+        if values.ndim == 2:
+            spec = np.fft.fft(spec, 2 * n, axis=0)
+        spec *= self._taps_hat
+        if values.ndim == 2:
+            spec = np.fft.ifft(spec, axis=0)[:n]
+        return np.fft.irfft(spec, 2 * n, axis=-1)[..., :n]
 
     def _check_field(self, f: Field):
         if f.grid is not self.grid and not f.grid.compatible(self.grid):

@@ -8,6 +8,7 @@ radially symmetric data exactly symmetric on the lattice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ class Grid:
         n = self.points_per_axis
         if n < 8 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 8, got {n}")
+        h = self.spacing
+        vol = math.prod([h] * self.dim)  # h ** dim, but inf rather than OverflowError
+        if not (0.0 < h < math.inf and 0.0 < vol < math.inf):
+            raise ValueError(f"grid spacing {h:g} and cell volume {vol:g} must be "
+                             f"positive and finite (L = {self.half_width:g}, N = {n})")
 
     @property
     def spacing(self) -> float:

@@ -170,8 +170,16 @@ SMALL_RUN = ["--N", "32", "--L", "4", "--end-time", "0.01"]
     (["evolve", *SMALL_RUN, "--end-time", "inf"], "end_time must be positive and finite"),
     (["evolve", *SMALL_RUN, "--end-time", "nan"], "end_time must be positive and finite"),
     (["obstacle", "--N", "32", "--L", "4", "--C", "nan"], "C must be finite, got nan"),
+    (["evolve", *SMALL_RUN, "--L", "1e308"],
+     "grid spacing inf and cell volume inf must be positive and finite"),
+    (["obstacle", "--n", "2", "--N", "32", "--L", "1e200", "--C", "1"],
+     "grid spacing 6.25e+198 and cell volume inf must be positive and finite"),
+    (["evolve", *SMALL_RUN, "--end-time", "1e300", "--datum", "box(0,1e-300,1)"],
+     "end_time 1e+300 from t = 0 needs more than 10000000 steps"),
 ], ids=["evolve_kernel_diverges", "rescaled_kernel_diverges", "L_inf", "L_nan",
-        "datum_inf", "end_time_inf", "end_time_nan", "obstacle_C_nan"])
+        "datum_inf", "end_time_inf", "end_time_nan", "obstacle_C_nan",
+        "L_spacing_overflows", "obstacle_cell_volume_overflows",
+        "end_time_beyond_step_budget"])
 @pytest.mark.filterwarnings("ignore:dim = 1 with s = 0.5:UserWarning")
 def test_degenerate_config_is_config_error(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "run")])

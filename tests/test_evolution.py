@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fracpme import diagnostics, evolution
-from fracpme.evolution import (DT_MAX, Exponents, NumericalAbort, SolverConfig, run,
-                               step_physical)
+from fracpme.evolution import (DT_MAX, MAX_STEPS, Exponents, NumericalAbort, SolverConfig,
+                               run, step_physical)
 from fracpme.faces import upwind_faces
 from fracpme.fracops import FREESPACE, PERIODIC, FracOperator, FracParams
 from fracpme.grid import Field, Grid
@@ -261,6 +261,46 @@ def test_streamed_states_match_kept_snapshots():
     assert [t for _, t, _ in seen] == kept.times
     for (_, _, state), snap in zip(seen, kept.snapshots):
         assert np.array_equal(state.values, snap.values)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kept_snapshots_are_distinct_arrays(dim):
+    # every step returns a fresh array, so no kept state aliases another
+    grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 24)
+    op = freespace_op(grid, s=0.25 if dim == 1 else 0.5)
+    u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0), "density")
+    cfg = SolverConfig(end_time=0.2, snapshot_stride=1)
+    kept = run(u0, "physical", cfg, op, Exponents(dim, op.s))
+    assert kept.steps >= 3
+    arrays = [snap.values for snap in kept.snapshots]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    seen = []
+    run(u0, "physical", cfg, op, Exponents(dim, op.s),
+        on_record=lambda k, t, state: seen.append(state.values.copy()))
+    assert len(seen) == len(arrays)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, seen))
+
+
+def test_run_refuses_a_span_beyond_the_step_budget(monkeypatch):
+    # every step is at most DT_MAX, so such a run could never finish; it is
+    # refused before any work, and the span counts from the start time
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
+    op = freespace_op(grid)
+    tiny = Field(grid, np.where(np.abs(grid.axis()) < 0.5, 1e-300, 0.0), "density")
+    calls = []
+    monkeypatch.setattr(FracOperator, "inverse", lambda self, f: calls.append(f))
+    for start, end in ((0.0, 1e300), (0.0, 2.0 * MAX_STEPS * DT_MAX),
+                       (5.0, 5.0 + 2.0 * MAX_STEPS * DT_MAX)):
+        with pytest.raises(ValueError, match=f"needs more than {MAX_STEPS} steps"):
+            run(tiny, "physical", SolverConfig(end_time=end), op, Exponents(1, 0.25),
+                start_time=start)
+    assert calls == []
+    monkeypatch.undo()
+    late = MAX_STEPS * DT_MAX
+    traj = run(box_datum(grid), "physical", SolverConfig(end_time=late), op,
+               Exponents(1, 0.25), start_time=late - 1e-3)
+    assert traj.times[-1] == late
 
 
 def test_run_continues_from_start_time():

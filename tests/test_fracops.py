@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fracpme import fracops
 from fracpme.fracops import (
     FREESPACE,
     PERIODIC,
@@ -285,3 +288,55 @@ def test_grid_mismatch_rejected():
     op = FracOperator(g, FracParams(s=0.25, dim=1), PERIODIC)
     with pytest.raises(ValueError):
         op.frac_laplacian(Field(other, np.zeros(other.shape)))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 512), (2, 8), (2, 48)])
+def test_conv_apply_matches_padded_rfftn(dim, n):
+    # the pruned per-axis transforms give the bits of the full padded pair
+    g = Grid(dim=dim, half_width=6.0, points_per_axis=n)
+    op = FracOperator(g, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim), FREESPACE)
+    values = np.random.default_rng(n).random(g.shape)
+    axes = tuple(range(dim))
+    spec = np.fft.rfftn(values, s=(2 * n,) * dim, axes=axes)
+    reference = np.fft.irfftn(spec * op._taps_hat, s=(2 * n,) * dim, axes=axes)
+    got = op._conv_apply(values)
+    assert got.shape == g.shape
+    assert got.tobytes() == reference[(slice(0, n),) * dim].tobytes()
+
+
+def unblocked_taps_2d(grid, s):
+    """The 2-D tap table with every cell's node array built at once."""
+    n, h = grid.points_per_axis, grid.spacing
+    taps = np.zeros((n, n))
+    taps[0, 0] = fracops._singular_cell_2d(h, s)
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    dinf = np.maximum(ii, jj)
+    for lo, hi, q, g in ((1, 2, 8, 12), (3, 6, 2, 10), (7, None, 1, 8)):
+        sel = (dinf >= lo) if hi is None else ((dinf >= lo) & (dinf <= hi))
+        sel &= ~((ii == 0) & (jj == 0))
+        nodes, wts = fracops._gl_rule(h, q, g)
+        dx = ii[sel, None, None] * h - nodes[None, :, None]
+        dy = jj[sel, None, None] * h - nodes[None, None, :]
+        vals = (dx ** 2 + dy ** 2) ** (s - 1.0)
+        taps[sel] = np.einsum("kab,a,b->k", vals, wts, wts)
+    return riesz_constant(2, s) * taps
+
+
+@pytest.mark.parametrize("block_cells", [32, 3 * 32, 5 * 32, 2048])
+def test_blocked_taps_match_unblocked_build(monkeypatch, block_cells):
+    # 1-, 3- and 5-row blocks (the last one short) and a single block
+    g = Grid(dim=2, half_width=6.0, points_per_axis=32)
+    monkeypatch.setattr(fracops, "TAP_BLOCK_CELLS", block_cells)
+    assert fracops._taps_2d(g, 0.5).tobytes() == unblocked_taps_2d(g, 0.5).tobytes()
+
+
+def test_tap_build_memory_is_bounded():
+    # the unblocked N = 128 build peaks near 18.6 MiB of node arrays
+    g = Grid(dim=2, half_width=6.0, points_per_axis=128)
+    tracemalloc.start()
+    try:
+        fracops._taps_2d(g, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20

@@ -50,6 +50,14 @@ def test_mass_is_midpoint_rule():
     assert f.mass() == pytest.approx(4.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("dim, half_width", [(1, 1e308), (1, float("inf")), (2, 1e200),
+                                             (2, 1e-170)])
+def test_grid_rejects_overflowing_cells(dim, half_width):
+    # the spacing 2L/N or the cell volume h^n overflows to inf or underflows to 0
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        Grid(dim=dim, half_width=half_width, points_per_axis=32)
+
+
 def test_density_rejects_negative_values():
     g = Grid(dim=1, half_width=1.0, points_per_axis=8)
     vals = np.zeros(8)
