@@ -3,8 +3,9 @@
 Subcommands: evolve (physical flow), rescaled (confined flow), obstacle
 (stationary profile), verify (acceptance suite), sweep (parameter study).
 Configuration comes from an optional ``key = value`` file plus flags; flags
-override the file, the subcommand pins the mode, and every violation is
-collected before reporting so a bad config fails once with the full list.
+override the file, and every violation is collected before reporting so a bad
+config fails once with the full list.  Only the subcommand sets the mode: no
+flag or file key does.
 
 Exit codes, fixed for scripting: 0 success, 1 criterion failure,
 2 configuration error, 3 numerical abort.
@@ -20,8 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .evolution import Exponents, NumericalAbort, SolverConfig, check_time_span, run
-from .fracops import FREESPACE, FracOperator, FracParams
+from .evolution import NumericalAbort, SolverConfig, check_time_span, run
+from .fracops import FREESPACE, Exponents, FracOperator, FracParams
 from .grid import Grid
 from .io import (
     build_datum,
@@ -67,6 +68,7 @@ _BOOL_KEYS = {"quick", "allow_supercritical"}
 _INT_KEYS = {"n", "N", "snapshot_stride", "snapshot_every"}
 _FLOAT_KEYS = {"s", "L", "end_time", "C", "M", "cfl_safety"}
 _KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+_FILE_KEYS = _KNOWN_KEYS - {"mode"}  # the subcommand sets the mode
 
 
 def _coerce(key: str, raw: str):
@@ -106,7 +108,7 @@ def parse_config(path: str | None, overrides: dict) -> tuple:
             if not sep:
                 violations.append(f"{path}:{lineno}: expected key = value, got {line!r}")
                 continue
-            if key not in _KNOWN_KEYS:
+            if key not in _FILE_KEYS:
                 violations.append(f"{path}:{lineno}: unknown key {key!r}")
                 continue
             try:
@@ -244,7 +246,6 @@ def cmd_evolve(cfg: RunConfig, mode: str) -> int:
     except (ValueError, OSError) as exc:
         _machine_line("config", str(exc))
         return EXIT_CONFIG
-    exp = Exponents(cfg.n, cfg.s)
     solver = SolverConfig(
         cfl_safety=cfg.cfl_safety, end_time=cfg.end_time,
         snapshot_stride=cfg.snapshot_stride,
@@ -259,7 +260,7 @@ def cmd_evolve(cfg: RunConfig, mode: str) -> int:
         kept.append((k, t, state))
 
     try:
-        traj = run(u0, mode, solver, op, exp, start_time=start, on_record=keep)
+        traj = run(u0, mode, solver, op, start_time=start, on_record=keep)
     except NumericalAbort as exc:
         _machine_line("numerical", str(exc))
         return EXIT_NUMERICAL
@@ -391,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value file; flags override it")
         p.add_argument("--n", type=int, help="space dimension (1 or 2)")
         p.add_argument("--s", type=float, help="fractional order in (0, 1)")
-        p.add_argument("--mode", help="override run mode (rarely needed)")
         p.add_argument("--L", type=float, help="half-width of the box")
         p.add_argument("--N", type=int, help="cells per axis (even, >= 8)")
         p.add_argument("--end-time", type=float, dest="end_time")
@@ -422,14 +422,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config") and v is not None}
-    command_mode = _COMMAND_MODE[args.command]
-    explicit = overrides.pop("mode", None)
-    overrides["mode"] = command_mode  # the subcommand pins the mode
+    overrides["mode"] = _COMMAND_MODE[args.command]
     cfg, violations = parse_config(args.config, overrides)
-    if explicit is not None and explicit != command_mode:
-        violations.append(
-            f"--mode {explicit} conflicts with subcommand {args.command}"
-        )
     if violations:
         for v in violations:
             _machine_line("config", v)

@@ -1,15 +1,15 @@
 """Recorded quantities along a run and the checks built on them.
 
 One record per sampled time: mass, norms, second moment, the quadratic energy
-integral(v K v), the confined entropy E = (energy + beta * moment2)/2, the
-Boltzmann integral v log v, the dissipation integral(|grad(K v + beta/2 |y|^2)|^2 v),
-and the support radius.  All quadratures are the midpoint rule on the grid;
-the dissipation sums w^2 * up over the faces, where w is the face velocity and
-up the upwind face density of `faces.upwind_faces`, the same face pass whose
-w * up is the stepper's flux.  With that convention a
-stationary profile reports exactly zero dissipation: every face either has a
-vanishing potential gradient (on the contact set) or draws its density from
-the empty side of the free boundary.
+integral(v K v), the confined entropy E = (energy + beta * moment2)/2 with beta
+of the operator's (n, s), the Boltzmann integral v log v, the dissipation
+integral(|grad(K v + beta/2 |y|^2)|^2 v), and the support radius.  All
+quadratures are the midpoint rule on the grid; the dissipation sums w^2 * up
+over the faces, where w is the face velocity and up the upwind face density
+of `faces.upwind_faces`, the same face pass whose w * up is the stepper's
+flux.  With that convention a stationary profile reports exactly zero
+dissipation: every face either has a vanishing potential gradient (on the
+contact set) or draws its density from the empty side of the free boundary.
 """
 
 from __future__ import annotations
@@ -19,13 +19,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .faces import confining_drift, upwind_faces
-from .fracops import FracOperator
+from .fracops import Exponents, FracOperator
 from .grid import Field
-
-CSV_COLUMNS = (
-    "time", "mass", "linf", "l2", "l4", "moment2", "energy1",
-    "entropy", "boltzmann", "dissipation", "support_radius",
-)
 
 BOLTZMANN_FLOOR = 1e-30
 L4_UNDERFLOW = 1e-100  # x ** 4 underflows to exactly 0 at and below this
@@ -49,6 +44,9 @@ class DiagnosticsRecord:
         return tuple(getattr(self, name) for name in CSV_COLUMNS)
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))  # the CSV header
+
+
 @dataclass
 class DiagnosticsSeries:
     records: list = field(default_factory=list)
@@ -61,7 +59,7 @@ class DiagnosticsSeries:
         self.records.append(rec)
 
     def column(self, name: str) -> np.ndarray:
-        if name not in {f.name for f in fields(DiagnosticsRecord)}:
+        if name not in CSV_COLUMNS:
             raise KeyError(f"unknown diagnostics column {name!r}")
         return np.array([getattr(r, name) for r in self.records], dtype=float)
 
@@ -69,7 +67,7 @@ class DiagnosticsSeries:
         return len(self.records)
 
 
-def record(v: Field, time: float, exp, op: FracOperator, confined: bool = True,
+def record(v: Field, time: float, op: FracOperator, confined: bool = True,
            pressure: Field | None = None, faces: list | None = None,
            mass: float | None = None, peak: float | None = None) -> DiagnosticsRecord:
     """All diagnostics of one state.  confined=True adds the drift potential
@@ -91,13 +89,14 @@ def record(v: Field, time: float, exp, op: FracOperator, confined: bool = True,
     moment2 = vol * float((r2 * vals).sum())
     kv = (op.inverse(v) if pressure is None else pressure).values
     energy1 = vol * float((vals * kv).sum())
-    entropy = 0.5 * (energy1 + exp.beta * moment2)
+    beta = Exponents(grid.dim, op.s).beta
+    entropy = 0.5 * (energy1 + beta * moment2)
     pos = vals[vals > BOLTZMANN_FLOOR]
     plogp = np.log(pos)
     plogp *= pos
     boltzmann = vol * float(plogp.sum())
     if faces is None:
-        drift = confining_drift(op, exp.beta) if confined else None
+        drift = confining_drift(op, beta) if confined else None
         faces = upwind_faces(vals, kv, op, drift)
     dissipation = 0.0
     for w, up in faces:

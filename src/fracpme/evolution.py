@@ -13,7 +13,8 @@ and the box boundary carries no flux.  Flux form makes the discrete mass
 exactly conserved, and the time step is chosen from the largest per-cell sum
 of outgoing face speeds, which is the sharp positivity bound:
 u_i(1 - dt/h * outflow_i) plus nonnegative inflow stays nonnegative whenever
-dt/h * outflow_i <= 1, in every dimension.
+dt/h * outflow_i <= 1, in every dimension; a state negative beyond roundoff
+dust aborts.  beta comes from the operator's (n, s), never from the caller.
 
 Positivity alone does not give stability here: the pressure coupling makes the
 equation a degenerate diffusion of order 2-2s, so an explicit step must also
@@ -32,52 +33,16 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSeries, record
 from .faces import confining_drift, upwind_faces
-from .fracops import FracOperator
+from .fracops import Exponents, FracOperator
 from .grid import Field
 
 QUIESCENT_SPEED = 1e-14
 DT_MAX = 1.0  # step taken when the velocity field is quiescent
-MAX_STEPS = 10 ** 7  # runs that need more steps than this are refused up front
+MAX_STEPS = 10 ** 7  # step budget of a run: checked up front and while stepping
 
 
 class NumericalAbort(RuntimeError):
     """A run monitor tripped (mass drift, lost positivity, non-finite velocity)."""
-
-
-@dataclass(frozen=True)
-class Exponents:
-    """Similarity exponents for dimension n and order s.
-
-    beta = 1/(n+2-2s) scales space, alpha = n beta scales amplitude (so that
-    mass is conserved), sigma = 1-2 beta scales the pressure, and a = beta/2
-    is the obstacle-parabola coefficient.  alpha + (2-2s) beta = 1 by
-    construction.
-    """
-
-    n: int
-    s: float
-
-    def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.n}")
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s must lie in (0, 1), got {self.s}")
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / (self.n + 2.0 - 2.0 * self.s)
-
-    @property
-    def alpha(self) -> float:
-        return self.n * self.beta
-
-    @property
-    def sigma(self) -> float:
-        return 1.0 - 2.0 * self.beta
-
-    @property
-    def a(self) -> float:
-        return self.beta / 2.0
 
 
 @dataclass
@@ -164,13 +129,16 @@ def _upwind_step(vals: np.ndarray, faces: list, op: FracOperator,
 
 
 def step_physical(u: Field, op: FracOperator, cfg: SolverConfig) -> tuple:
-    """One upwind step of u_t = div(u grad K u); returns (new field, dt)."""
+    """One upwind step of u_t = div(u grad K u); returns (new field, dt).
+    A negative entering or resulting density raises NumericalAbort."""
     if u.values.min() < 0.0:
         raise NumericalAbort(f"negative density entering step (min {u.values.min():.3e})")
     faces = upwind_faces(u.values, op.inverse(u).values, op, None)
-    vals, dt, _ = _upwind_step(u.values, faces, op, cfg.cfl_safety, np.inf,
-                               float(u.values.max()))
-    return Field(u.grid, vals, "density"), dt
+    vals, dt, low = _upwind_step(u.values, faces, op, cfg.cfl_safety, np.inf,
+                                 float(u.values.max()))
+    if low < 0.0:
+        raise NumericalAbort(f"positivity lost in step (min {low:.3e})")
+    return Field(u.grid, vals), dt
 
 
 def check_time_span(start_time: float, end_time: float) -> None:
@@ -186,7 +154,7 @@ def check_time_span(start_time: float, end_time: float) -> None:
 
 
 def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
-        exp: Exponents, start_time: float = 0.0, on_record=None) -> Trajectory:
+        start_time: float = 0.0, on_record=None) -> Trajectory:
     """Advance u0 from start_time to cfg.end_time, recording diagnostics every
     snapshot_stride accepted steps (plus the initial and final states).
 
@@ -197,7 +165,8 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     and steps are filled either way.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
-    any negative value, and on non-finite velocities.  A time span that
+    any negative value, on non-finite velocities, and once MAX_STEPS steps
+    have not reached the end time.  A time span that
     check_time_span refuses, a negative or non-finite datum and a periodic
     operator (by the face pass) raise ValueError before the first step.
     """
@@ -209,12 +178,13 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
         raise ValueError("initial datum must be nonnegative")
     check_time_span(start_time, cfg.end_time)
     confined = mode == "rescaled"
-    drift = confining_drift(op, exp.beta) if confined else None
+    beta = Exponents(op.grid.dim, op.s).beta
+    drift = confining_drift(op, beta) if confined else None
     grid = u0.grid
     vol = grid.spacing ** grid.dim
     stop = cfg.end_time - 1e-15 * max(cfg.end_time, 1.0)
     traj = Trajectory()
-    u = Field(grid, u0.values.copy(), "density")
+    u = Field(grid, u0.values.copy())
     p = op.inverse(u)
     faces = upwind_faces(u.values, p.values, op, drift)
     t = float(start_time)
@@ -226,7 +196,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
              mass: float, peak: float):
         k = len(traj.times)
         traj.times.append(time)
-        traj.diagnostics.append(record(state, time, exp, op, confined=confined,
+        traj.diagnostics.append(record(state, time, op, confined=confined,
                                        pressure=pressure, faces=faces,
                                        mass=mass, peak=peak))
         if on_record is None:
@@ -237,6 +207,8 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     note(u, p, faces, t, mass, peak)
     steps = 0
     while t < stop:
+        if steps == MAX_STEPS:
+            raise NumericalAbort(f"{MAX_STEPS} steps did not reach end_time (t = {t:.6g})")
         vals, dt, low = _upwind_step(u.values, faces, op, cfg.cfl_safety,
                                      cfg.end_time - t, peak)
         t += dt
@@ -252,7 +224,6 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
         if low < 0.0:
             raise NumericalAbort(f"positivity lost at t = {t:.6g} (min {low:.3e})")
         u = Field(grid, vals)
-        u.kind = "density"  # low >= 0 was just checked; skip the constructor's min
         p = op.inverse(u)
         faces = upwind_faces(vals, p.values, op, drift)
         if steps % cfg.snapshot_stride == 0 or t >= stop:

@@ -77,6 +77,38 @@ class FracParams:
             )
 
 
+@dataclass(frozen=True)
+class Exponents:
+    """Similarity exponents for dimension n and order s.
+
+    beta = 1/(n+2-2s) scales space, alpha = n beta scales amplitude (so that
+    mass is conserved), and a = beta/2 is the obstacle-parabola coefficient.
+    alpha + (2-2s) beta = 1 by construction.  They depend on (n, s) alone, so
+    the flow and its diagnostics build them from the operator.
+    """
+
+    n: int
+    s: float
+
+    def __post_init__(self):
+        if self.n not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {self.n}")
+        if not 0.0 < self.s < 1.0:
+            raise ValueError(f"s must lie in (0, 1), got {self.s}")
+
+    @property
+    def beta(self) -> float:
+        return 1.0 / (self.n + 2.0 - 2.0 * self.s)
+
+    @property
+    def alpha(self) -> float:
+        return self.n * self.beta
+
+    @property
+    def a(self) -> float:
+        return self.beta / 2.0
+
+
 # ---------------------------------------------------------------------------
 # Kernel tap tables (cell-averaged Riesz kernel, freespace realization)
 # ---------------------------------------------------------------------------
@@ -183,7 +215,6 @@ class FracOperator:
         if mode not in (PERIODIC, FREESPACE):
             raise ValueError(f"unknown operator mode {mode!r}")
         self.grid = grid
-        self.params = params
         self.s = params.s
         self.mode = mode
         self._stiffness = None
@@ -265,7 +296,7 @@ class FracOperator:
         if self.mode != PERIODIC:
             raise ValueError("fractional Laplacian exists only for the periodic realization")
         self._check_field(f)
-        return Field(self.grid, self._spectral_apply(f.values, self._mult_lap), "generic")
+        return Field(self.grid, self._spectral_apply(f.values, self._mult_lap))
 
     def inverse(self, f: Field) -> Field:
         self._check_field(f)
@@ -273,4 +304,4 @@ class FracOperator:
             out = self._spectral_apply(f.values, self._mult_inv)
         else:
             out = self._conv_apply(f.values)
-        return Field(self.grid, out, "pressure")
+        return Field(self.grid, out)

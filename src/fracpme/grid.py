@@ -3,7 +3,9 @@
 Cells are squares of side h = 2L/N with centers at -L + (i + 1/2) h, so the box
 is tiled exactly and midpoint quadrature is h^n * sum(values).  There is no grid
 point at the origin; for even N the centers straddle it symmetrically, which keeps
-radially symmetric data exactly symmetric on the lattice.
+radially symmetric data exactly symmetric on the lattice.  The spacing, the cell
+volume and 4/h^2 must be positive finite floats.  A Field is a grid and its
+values, with no sign constraint of its own.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-FIELD_KINDS = ("density", "pressure", "generic")
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -37,6 +36,9 @@ class Grid:
         if not (0.0 < h < math.inf and 0.0 < vol < math.inf):
             raise ValueError(f"grid spacing {h:g} and cell volume {vol:g} must be "
                              f"positive and finite (L = {self.half_width:g}, N = {n})")
+        if not (h * h > 0.0 and math.isfinite(4.0 / (h * h))):
+            raise ValueError(f"grid spacing {h:g} is too fine: 4/h^2 is not finite "
+                             f"(L = {self.half_width:g}, N = {n})")
 
     @property
     def spacing(self) -> float:
@@ -92,11 +94,10 @@ class Grid:
 
 @dataclass
 class Field:
-    """Scalar grid function.  kind='density' enforces nonnegativity on construction."""
+    """Scalar grid function: values shaped like the grid."""
 
     grid: Grid
     values: np.ndarray
-    kind: str = "generic"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -104,10 +105,6 @@ class Field:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid shape {self.grid.shape}"
             )
-        if self.kind not in FIELD_KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "density" and self.values.size and self.values.min() < 0.0:
-            raise ValueError(f"density field has negative entries (min {self.values.min():.3e})")
 
     def mass(self) -> float:
         """Midpoint-rule integral over the box."""
@@ -116,5 +113,5 @@ class Field:
     def linf(self) -> float:
         return float(np.abs(self.values).max())
 
-    def with_values(self, values: np.ndarray, kind: str | None = None) -> "Field":
-        return Field(self.grid, values, self.kind if kind is None else kind)
+    def with_values(self, values: np.ndarray) -> "Field":
+        return Field(self.grid, values)

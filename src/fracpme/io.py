@@ -7,10 +7,11 @@ for bit.  Diagnostics go to CSV with the fixed column set from the
 diagnostics module, formatted deterministically: identical runs produce
 byte-identical files.
 
-Datum constructors build nonnegative Fields on a caller-supplied grid.  The
-box uses exact cell-average overlap fractions, which makes its mass exactly
-width^n * height regardless of the grid; the parabola cap and the truncated
-gaussian sample cell centers.
+Datum constructors build Fields on a caller-supplied grid, nonnegative by
+construction.  The box uses exact cell-average overlap fractions, which makes
+its mass exactly width^n * height regardless of the grid; the parabola cap and
+the truncated gaussian sample cell centers.  A snapshot loaded as initial data
+is checked for negative values.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def read_snapshot(path) -> tuple:
     for key in ("s", "L", "time"):
         if not np.isfinite(parsed[key]):
             raise ValueError(f"{path}: header {key} = {header[key]!r} is not finite")
-    return Field(grid, values.reshape(grid.shape), kind="generic"), parsed
+    return Field(grid, values.reshape(grid.shape)), parsed
 
 
 def write_diagnostics(path, series: DiagnosticsSeries) -> None:
@@ -117,7 +118,7 @@ def datum_box(grid: Grid, center: float, width: float, height: float) -> Field:
     frac = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo),
                    0.0, None) / grid.spacing
     vals = frac if grid.dim == 1 else np.multiply.outer(frac, frac)
-    return Field(grid, height * vals, kind="density")
+    return Field(grid, height * vals)
 
 
 def datum_parabola_cap(grid: Grid, a: float, b: float) -> Field:
@@ -125,7 +126,7 @@ def datum_parabola_cap(grid: Grid, a: float, b: float) -> Field:
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"parabola cap needs positive a and b, got {a}, {b}")
     r = np.sqrt(grid.radius2())
-    return Field(grid, a * np.clip(b - r, 0.0, None) ** 2, kind="density")
+    return Field(grid, a * np.clip(b - r, 0.0, None) ** 2)
 
 
 def datum_gaussian(grid: Grid, sigma: float) -> Field:
@@ -135,7 +136,7 @@ def datum_gaussian(grid: Grid, sigma: float) -> Field:
         raise ValueError(f"gaussian needs positive sigma, got {sigma}")
     vals = np.exp(-grid.radius2() / (2.0 * sigma * sigma))
     vals[vals < GAUSSIAN_CUTOFF] = 0.0
-    return Field(grid, vals, kind="density")
+    return Field(grid, vals)
 
 
 def parse_datum(text: str) -> tuple:
@@ -170,21 +171,19 @@ def parse_datum(text: str) -> tuple:
 
 
 def build_datum(name: str, args: tuple, grid: Grid) -> Field:
-    """Construct the named datum on the grid; from_file must match the grid."""
+    """Construct the named analytic datum on the grid (from_file: snapshot_datum)."""
     if name == "box":
         return datum_box(grid, *args)
     if name == "parabola_cap":
         return datum_parabola_cap(grid, *args)
     if name == "gaussian_truncated":
         return datum_gaussian(grid, *args)
-    if name == "from_file":
-        return snapshot_datum(args[0], grid)[0]
     raise ValueError(f"unknown datum shape {name!r}")
 
 
 def snapshot_datum(path, grid: Grid) -> tuple:
     """(density Field, header dict) of a snapshot used as initial data; the
-    snapshot's grid must match `grid`."""
+    snapshot's grid must match `grid` and its values must be nonnegative."""
     loaded, header = read_snapshot(path)
     if not loaded.grid.compatible(grid):
         raise ValueError(
@@ -192,4 +191,7 @@ def snapshot_datum(path, grid: Grid) -> tuple:
             f"L={loaded.grid.half_width}, N={loaded.grid.points_per_axis}) "
             f"does not match the configured grid"
         )
-    return Field(grid, loaded.values, kind="density"), header
+    low = loaded.values.min()
+    if low < 0.0:
+        raise ValueError(f"density field has negative entries (min {low:.3e})")
+    return Field(grid, loaded.values), header

@@ -30,8 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .evolution import Exponents
-from .fracops import FREESPACE, FracOperator, FracParams
+from .fracops import FREESPACE, Exponents, FracOperator, FracParams
 from .grid import Field, Grid
 from .remap import resample
 
@@ -213,19 +212,17 @@ def solve_obstacle(prob: ObstacleProblem) -> ObstacleSolution:
     )
 
 
-def barenblatt_at(sol: ObstacleSolution, t: float,
-                  target: Grid | None = None) -> Field:
+def barenblatt_at(sol: ObstacleSolution, t: float) -> Field:
     """The self-similar solution through the profile,
     U_C(x, t) = (1+t)^(-alpha) V_C(x (1+t)^(-beta)), at time t > -1 on the
-    target grid (default: the profile's own).  The conservative remap
-    carries the amplitude factor exactly, so the mass is t-independent."""
+    profile's grid.  The conservative remap carries the amplitude factor
+    exactly, so the mass is t-independent."""
     if t <= -1.0:
         raise ValueError(f"self-similar time must exceed -1, got {t}")
     exp = Exponents(sol.problem.grid.dim, sol.problem.s)
-    grid = target or sol.density.grid
     # resample yields V(lam x) with mass / lam^n; lam = (1+t)^-beta plus the
     # (1+t)^-alpha amplitude leaves the mass exactly t-independent
-    out = resample(sol.density, grid, lam=(1.0 + t) ** -exp.beta)
+    out = resample(sol.density, sol.density.grid, lam=(1.0 + t) ** -exp.beta)
     return out.with_values((1.0 + t) ** -exp.alpha * out.values)
 
 

@@ -92,7 +92,7 @@ def resample(f: Field, target: Grid, lam: float = 1.0,
     tgt_edges = _edges(target.half_width, target.points_per_axis)
     for ax in range(f.grid.dim):
         values = _resample_axis(values, f.grid.half_width, tgt_edges, lam, ax)
-    out = Field(target, values, f.kind if f.kind == "density" else "generic")
+    out = Field(target, values)
     if require_mass:
         expected = f.mass() / lam ** f.grid.dim
         if expected != 0.0 and abs(out.mass() - expected) > 1e-12 * abs(expected):

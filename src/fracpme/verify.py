@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import entropy_dissipation_identity_check, fit_power_law
-from .evolution import Exponents, SolverConfig, run, step_physical
-from .fracops import FREESPACE, PERIODIC, FracOperator, FracParams
+from .evolution import SolverConfig, run, step_physical
+from .fracops import FREESPACE, PERIODIC, Exponents, FracOperator, FracParams
 from .grid import Field, Grid
 from .io import datum_box, datum_gaussian, datum_parabola_cap, write_diagnostics
 from .obstacle import (ObstacleProblem, barenblatt_at, make_problem, mass_law,
@@ -66,7 +66,7 @@ def _evolve(grid: Grid, u0: Field, mode: str, s: float, end_time: float,
     op = FracOperator(grid, FracParams(s=s, dim=grid.dim), FREESPACE)
     cfg = SolverConfig(end_time=end_time, snapshot_stride=stride,
                        cfl_safety=cfl)
-    return run(u0, mode, cfg, op, Exponents(grid.dim, s))
+    return run(u0, mode, cfg, op)
 
 
 def _l1(a: Field, b: Field) -> float:

@@ -4,11 +4,12 @@ import weakref
 import numpy as np
 import pytest
 
-from fracpme import cli, obstacle
+from fracpme import cli, evolution, obstacle
 from fracpme.cli import (EXIT_CONFIG, EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK,
                          RunConfig, main, parse_config, validate_config)
 from fracpme.evolution import NumericalAbort
-from fracpme.io import read_snapshot
+from fracpme.grid import Field, Grid
+from fracpme.io import read_snapshot, write_snapshot
 from fracpme.obstacle import solve_obstacle
 
 
@@ -138,16 +139,24 @@ def test_rescaled_subcommand_pins_mode(tmp_path):
     assert header["mode"] == "rescaled"
 
 
-def test_mode_flag_conflicts_with_subcommand(tmp_path, capsys):
-    code = main(["evolve", "--mode", "rescaled", "--out", str(tmp_path)])
+# only the subcommand sets the mode: neither a flag nor a file key can
+@pytest.mark.parametrize("value", ["physical", "rescaled"])
+def test_mode_flag_is_rejected(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--mode", value, "--out", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["physical", "rescaled"])
+def test_mode_file_key_is_config_error(tmp_path, capsys, value):
+    f = tmp_path / "cfg.txt"
+    f.write_text(f"N = 32\nmode = {value}\n")
+    code = main(["evolve", "--config", str(f), "--out", str(tmp_path / "run")])
     assert code == EXIT_CONFIG
-    assert "conflicts with subcommand evolve" in capsys.readouterr().out
-
-
-def test_mode_flag_consistent_with_subcommand(tmp_path):
-    out = tmp_path / "run"
-    assert main(["evolve", "--mode", "physical", "--N", "32", "--L", "4",
-                 "--end-time", "0.05", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"FRACPME-FAIL config: {f}:2: unknown key 'mode'\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_error_exit_and_machine_line(tmp_path, capsys):
@@ -176,10 +185,13 @@ SMALL_RUN = ["--N", "32", "--L", "4", "--end-time", "0.01"]
      "grid spacing 6.25e+198 and cell volume inf must be positive and finite"),
     (["evolve", *SMALL_RUN, "--end-time", "1e300", "--datum", "box(0,1e-300,1)"],
      "end_time 1e+300 from t = 0 needs more than 10000000 steps"),
+    (["evolve", *SMALL_RUN, "--L", "1e-320"], "grid spacing 6.22523e-322 is too fine"),
+    (["evolve", *SMALL_RUN, "--L", "1e-160"], "grid spacing 6.25e-162 is too fine"),
 ], ids=["evolve_kernel_diverges", "rescaled_kernel_diverges", "L_inf", "L_nan",
         "datum_inf", "end_time_inf", "end_time_nan", "obstacle_C_nan",
         "L_spacing_overflows", "obstacle_cell_volume_overflows",
-        "end_time_beyond_step_budget"])
+        "end_time_beyond_step_budget", "spacing_squared_underflows",
+        "stiffness_scale_overflows"])
 @pytest.mark.filterwarnings("ignore:dim = 1 with s = 0.5:UserWarning")
 def test_degenerate_config_is_config_error(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "run")])
@@ -210,6 +222,32 @@ def test_from_file_grid_mismatch_is_config_error(tmp_path, capsys):
                  "--datum", f"from_file({snap})", "--out", str(tmp_path / "b")])
     assert code == EXIT_CONFIG
     assert "does not match the configured grid" in capsys.readouterr().out
+
+
+def test_negative_snapshot_is_config_error(tmp_path, capsys):
+    vals = np.ones(32)
+    vals[5] = -1e-3
+    snap = tmp_path / "negative.txt"
+    write_snapshot(snap, Field(Grid(1, 4.0, 32), vals), s=0.25, time=0.0, mode="physical")
+    code = main(["evolve", *SMALL_RUN, "--datum", f"from_file({snap})",
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().out == (
+        "FRACPME-FAIL config: density field has negative entries (min -1.000e-03)\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_step_budget_ends_a_fine_grid_run(tmp_path, monkeypatch, capsys):
+    # the stiffness bound makes every step on this grid tiny; the run stops
+    # at MAX_STEPS instead of stepping for days
+    monkeypatch.setattr(evolution, "MAX_STEPS", 100)
+    code = main(["evolve", *SMALL_RUN, "--L", "1e-100", "--out", str(tmp_path / "run")])
+    assert code == EXIT_NUMERICAL
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"FRACPME-FAIL numerical: 100 steps did not reach end_time "
+                        r"\(t = \S+\)", lines[0])
+    assert not (tmp_path / "run" / "diagnostics.csv").exists()
 
 
 def test_numerical_abort_maps_to_exit_3(tmp_path, monkeypatch, capsys):

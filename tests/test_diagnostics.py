@@ -11,8 +11,8 @@ from fracpme.diagnostics import (
     fit_power_law,
     record,
 )
-from fracpme.evolution import Exponents, SolverConfig, run
-from fracpme.fracops import FREESPACE, FracOperator, FracParams
+from fracpme.evolution import SolverConfig, run
+from fracpme.fracops import FREESPACE, Exponents, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.oracles import kernel_matrix
 
@@ -29,7 +29,7 @@ def make_record(time, **overrides):
 def gaussian_field(grid, width=0.8):
     vals = np.exp(-grid.axis() ** 2 / (2 * width**2))
     vals[vals < 1e-14] = 0.0
-    return Field(grid, vals, "density")
+    return Field(grid, vals)
 
 
 def test_record_cross_checks():
@@ -37,7 +37,7 @@ def test_record_cross_checks():
     op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
     exp = Exponents(1, 0.25)
     v = gaussian_field(grid)
-    rec = record(v, 0.3, exp, op)
+    rec = record(v, 0.3, op)
     h = grid.spacing
     assert rec.time == 0.3
     assert rec.mass == pytest.approx(h * v.values.sum(), rel=1e-15)
@@ -70,18 +70,18 @@ def test_norms_exact_on_underflowing_tail():
     subnormal = np.zeros(256)
     subnormal[1::2] = np.logspace(-100, -78, 128)
     for vals in (bulk, tail, subnormal):
-        v = Field(grid, vals, "density")
-        rec = record(v, 0.0, Exponents(1, 0.25), op)
+        v = Field(grid, vals)
+        rec = record(v, 0.0, op)
         assert rec.l4 == (h * (np.abs(v.values) ** 4).sum()) ** 0.25
         assert rec.l2 == (h * (np.abs(v.values) ** 2).sum()) ** 0.5
         assert rec.linf == float(np.abs(v.values).max())
-    assert 0.0 < record(Field(grid, subnormal), 0.0, Exponents(1, 0.25), op).l4
+    assert 0.0 < record(Field(grid, subnormal), 0.0, op).l4
     bulk[5] = np.nan
-    assert np.isnan(record(Field(grid, bulk), 0.0, Exponents(1, 0.25), op).l4)
+    assert np.isnan(record(Field(grid, bulk), 0.0, op).l4)
     # a single spike has the closed forms
     spike = np.zeros(256)
     spike[40] = 3.0
-    rec = record(Field(grid, spike, "density"), 0.0, Exponents(1, 0.25), op)
+    rec = record(Field(grid, spike), 0.0, op)
     assert rec.linf == 3.0
     assert rec.l2 == pytest.approx(np.sqrt(h * 9.0), rel=1e-15)
     assert rec.l4 == pytest.approx((h * 81.0) ** 0.25, rel=1e-15)
@@ -118,10 +118,10 @@ def test_dissipation_matches_face_gradient_formula(dim, mode, confined):
     c = grid.coords()
     # off-centre and lopsided, so faces of both signs and zero cells occur
     vals = np.clip(1.0 - (c[0] - 0.4) ** 2 - sum(0.5 * x ** 2 for x in c[1:]), 0.0, None)
-    v = Field(grid, vals * (1.0 + 0.3 * c[0]).clip(0.0), "density")
+    v = Field(grid, vals * (1.0 + 0.3 * c[0]).clip(0.0))
     expected = _face_gradient_dissipation(
         op.inverse(v).values, v.values, grid, exp.beta if confined else None)
-    assert record(v, 0.0, exp, op, confined=confined).dissipation == expected
+    assert record(v, 0.0, op, confined=confined).dissipation == expected
     assert expected > 0.0
 
 
@@ -136,8 +136,8 @@ def test_record_row_matches_columns():
 def test_record_handles_zeros_in_boltzmann():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
-    box = Field(grid, np.where(np.abs(grid.axis()) < 1, 0.5, 0.0), "density")
-    rec = record(box, 0.0, Exponents(1, 0.25), op)
+    box = Field(grid, np.where(np.abs(grid.axis()) < 1, 0.5, 0.0))
+    rec = record(box, 0.0, op)
     assert np.isfinite(rec.boltzmann)
     assert rec.boltzmann < 0.0  # 0.5 log 0.5 cells only
 
@@ -145,18 +145,17 @@ def test_record_handles_zeros_in_boltzmann():
 def test_support_radius():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=256)
     op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
-    exp = Exponents(1, 0.25)
-    box = Field(grid, np.where(np.abs(grid.axis()) < 1.0, 2.0, 0.0), "density")
-    assert record(box, 0.0, exp, op).support_radius == pytest.approx(1.0, abs=grid.spacing)
+    box = Field(grid, np.where(np.abs(grid.axis()) < 1.0, 2.0, 0.0))
+    assert record(box, 0.0, op).support_radius == pytest.approx(1.0, abs=grid.spacing)
     # a cell at 1e-10 of the peak or below is outside the support
     faint = box.values.copy()
     faint[np.abs(grid.axis()) > 3.0] = 2e-10
-    assert record(Field(grid, faint), 0.0, exp, op).support_radius == pytest.approx(
+    assert record(Field(grid, faint), 0.0, op).support_radius == pytest.approx(
         1.0, abs=grid.spacing)
     faint[np.abs(grid.axis()) > 3.0] = 3e-10
-    assert record(Field(grid, faint), 0.0, exp, op).support_radius == pytest.approx(
+    assert record(Field(grid, faint), 0.0, op).support_radius == pytest.approx(
         4.0, abs=grid.spacing)
-    assert record(Field(grid, np.zeros(256)), 0.0, exp, op).support_radius == 0.0
+    assert record(Field(grid, np.zeros(256)), 0.0, op).support_radius == 0.0
 
 
 def test_series_append_requires_increasing_time():
@@ -197,13 +196,12 @@ def test_entropy_identity_input_errors():
 
 def test_entropy_identity_on_run():
     # companion to the refinement study in the acceptance suite
-    exp = Exponents(1, 0.25)
     grid = Grid(dim=1, half_width=6.0, points_per_axis=256)
     op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
-    traj = run(Field(grid, vals, "density"), "rescaled",
+    traj = run(Field(grid, vals), "rescaled",
                SolverConfig(end_time=2.0, snapshot_stride=20, cfl_safety=0.3),
-               op, exp)
+               op)
     out = entropy_dissipation_identity_check(traj.diagnostics, window=(0.5, 1.5))
     assert out["max_rel_mismatch"] < 0.03  # measured 0.017 at 256 cells
 

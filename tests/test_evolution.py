@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fracpme import diagnostics, evolution
-from fracpme.evolution import (DT_MAX, MAX_STEPS, Exponents, NumericalAbort, SolverConfig,
-                               run, step_physical)
+from fracpme.evolution import DT_MAX, MAX_STEPS, NumericalAbort, SolverConfig, run, step_physical
 from fracpme.faces import upwind_faces
-from fracpme.fracops import FREESPACE, PERIODIC, FracOperator, FracParams
+from fracpme.fracops import FREESPACE, PERIODIC, Exponents, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.remap import resample
 
@@ -17,13 +16,13 @@ def freespace_op(grid, s=0.25):
 
 
 def box_datum(grid, width=1.0, height=1.0):
-    return Field(grid, np.where(np.abs(grid.axis()) < width, height, 0.0), "density")
+    return Field(grid, np.where(np.abs(grid.axis()) < width, height, 0.0))
 
 
 def gaussian_datum(grid, width=0.8):
     vals = np.exp(-grid.axis() ** 2 / (2 * width**2))
     vals[vals < 1e-14] = 0.0
-    return Field(grid, vals, "density")
+    return Field(grid, vals)
 
 
 @pytest.mark.parametrize(
@@ -37,7 +36,7 @@ def test_exponent_values(n, s, beta, alpha, sigma, a):
     e = Exponents(n, s)
     assert e.beta == pytest.approx(beta, abs=1e-15)
     assert e.alpha == pytest.approx(alpha, abs=1e-15)
-    assert e.sigma == pytest.approx(sigma, abs=1e-15)
+    assert 1.0 - 2.0 * e.beta == pytest.approx(sigma, abs=1e-15)
     assert e.a == pytest.approx(a, abs=1e-15)
 
 
@@ -88,17 +87,25 @@ def test_step_rejects_negative_state():
         step_physical(bad, op, SolverConfig())
 
 
+def test_step_rejects_negative_result(monkeypatch):
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
+    op = freespace_op(grid)
+    overshoot = lambda vals, *args: (vals - 2.0, 0.1, float((vals - 2.0).min()))
+    monkeypatch.setattr(evolution, "_upwind_step", overshoot)
+    with pytest.raises(NumericalAbort, match="positivity lost"):
+        step_physical(box_datum(grid), op, SolverConfig())
+
+
 def test_run_input_validation():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = freespace_op(grid)
-    exp = Exponents(1, 0.25)
     u = box_datum(grid)
     with pytest.raises(ValueError, match="mode"):
-        run(u, "backwards", SolverConfig(), op, exp)
+        run(u, "backwards", SolverConfig(), op)
     nan_vals = u.values.copy()
     nan_vals[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        run(Field(grid, nan_vals), "physical", SolverConfig(), op, exp)
+        run(Field(grid, nan_vals), "physical", SolverConfig(), op)
 
 
 def test_mass_conserved_and_positive():
@@ -106,7 +113,7 @@ def test_mass_conserved_and_positive():
     op = freespace_op(grid)
     u0 = box_datum(grid)
     traj = run(u0, "physical", SolverConfig(end_time=0.5, snapshot_stride=10),
-               op, Exponents(1, 0.25))
+               op)
     mass = traj.diagnostics.column("mass")
     assert np.abs(mass - mass[0]).max() <= 1e-12 * mass[0]
     for snap in traj.snapshots:
@@ -116,8 +123,7 @@ def test_mass_conserved_and_positive():
 def test_norms_non_increasing():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
-    traj = run(box_datum(grid), "physical", SolverConfig(end_time=0.5), op,
-               Exponents(1, 0.25))
+    traj = run(box_datum(grid), "physical", SolverConfig(end_time=0.5), op)
     for name in ("linf", "l2", "l4"):
         col = traj.diagnostics.column(name)
         assert (np.diff(col) <= 1e-8 * col[:-1]).all(), name
@@ -137,9 +143,8 @@ def test_positivity_exact_at_sharp_cfl():
 
 def test_zero_state_advances_in_dt_max_hops():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    zero = Field(grid, np.zeros(64), "density")
-    traj = run(zero, "physical", SolverConfig(end_time=3.0 * DT_MAX), freespace_op(grid),
-               Exponents(1, 0.25))
+    zero = Field(grid, np.zeros(64))
+    traj = run(zero, "physical", SolverConfig(end_time=3.0 * DT_MAX), freespace_op(grid))
     assert traj.times == [0.0, DT_MAX, 2.0 * DT_MAX, 3.0 * DT_MAX]
     assert all(np.array_equal(snap.values, zero.values) for snap in traj.snapshots)
 
@@ -155,7 +160,7 @@ def test_dt_cap_honored():
     # the first step is cut to the end time, well below its own bound
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=1e-4),
-               freespace_op(grid), Exponents(1, 0.25))
+               freespace_op(grid))
     assert traj.steps == 1
     assert traj.times == [0.0, 1e-4]
 
@@ -188,7 +193,8 @@ def test_pressure_scaling_under_rescale():
     pv = op.inverse(v).values
     x = grid.axis()
     pv_pulled = np.interp(x / (1 + t) ** exp.beta, x, pv)
-    err = np.abs(pu - (1 + t) ** (-exp.sigma) * pv_pulled).max()
+    sigma = 1.0 - 2.0 * exp.beta
+    err = np.abs(pu - (1 + t) ** (-sigma) * pv_pulled).max()
     assert err < 1e-3 * np.abs(pu).max()
 
 
@@ -196,7 +202,7 @@ def test_records_cover_run():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     traj = run(box_datum(grid), "rescaled", SolverConfig(end_time=0.4, snapshot_stride=7),
-               op, Exponents(1, 0.25))
+               op)
     times = np.array(traj.times)
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(0.4, abs=1e-12)
@@ -208,8 +214,8 @@ def test_rescaled_entropy_monotone():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
-    traj = run(Field(grid, vals, "density"), "rescaled",
-               SolverConfig(end_time=1.5, snapshot_stride=5), op, Exponents(1, 0.25))
+    traj = run(Field(grid, vals), "rescaled",
+               SolverConfig(end_time=1.5, snapshot_stride=5), op)
     e = traj.diagnostics.column("entropy")
     assert (np.diff(e) <= 1e-8 * abs(e[0])).all()
 
@@ -235,9 +241,8 @@ def test_one_pressure_per_state(monkeypatch, dim, mode):
     monkeypatch.setattr(FracOperator, "inverse", counted)
     monkeypatch.setattr(evolution, "upwind_faces", counted_faces)
     monkeypatch.setattr(diagnostics, "upwind_faces", counted_faces)
-    u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0), "density")
-    traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op,
-               Exponents(dim, op.s))
+    u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
+    traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op)
     assert traj.steps >= 3
     assert len(traj.times) == traj.steps + 1
     assert len(calls) == traj.steps + 1
@@ -250,9 +255,9 @@ def test_streamed_states_match_kept_snapshots():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     cfg = SolverConfig(end_time=0.3, snapshot_stride=4)
-    kept = run(box_datum(grid), "rescaled", cfg, op, Exponents(1, 0.25))
+    kept = run(box_datum(grid), "rescaled", cfg, op)
     seen = []
-    streamed = run(box_datum(grid), "rescaled", cfg, op, Exponents(1, 0.25),
+    streamed = run(box_datum(grid), "rescaled", cfg, op,
                    on_record=lambda k, t, state: seen.append((k, t, state)))
     assert streamed.snapshots == []
     assert streamed.steps == kept.steps and streamed.times == kept.times
@@ -268,15 +273,15 @@ def test_kept_snapshots_are_distinct_arrays(dim):
     # every step returns a fresh array, so no kept state aliases another
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 24)
     op = freespace_op(grid, s=0.25 if dim == 1 else 0.5)
-    u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0), "density")
+    u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
     cfg = SolverConfig(end_time=0.2, snapshot_stride=1)
-    kept = run(u0, "physical", cfg, op, Exponents(dim, op.s))
+    kept = run(u0, "physical", cfg, op)
     assert kept.steps >= 3
     arrays = [snap.values for snap in kept.snapshots]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
     seen = []
-    run(u0, "physical", cfg, op, Exponents(dim, op.s),
+    run(u0, "physical", cfg, op,
         on_record=lambda k, t, state: seen.append(state.values.copy()))
     assert len(seen) == len(arrays)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, seen))
@@ -287,19 +292,19 @@ def test_run_refuses_a_span_beyond_the_step_budget(monkeypatch):
     # refused before any work, and the span counts from the start time
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = freespace_op(grid)
-    tiny = Field(grid, np.where(np.abs(grid.axis()) < 0.5, 1e-300, 0.0), "density")
+    tiny = Field(grid, np.where(np.abs(grid.axis()) < 0.5, 1e-300, 0.0))
     calls = []
     monkeypatch.setattr(FracOperator, "inverse", lambda self, f: calls.append(f))
     for start, end in ((0.0, 1e300), (0.0, 2.0 * MAX_STEPS * DT_MAX),
                        (5.0, 5.0 + 2.0 * MAX_STEPS * DT_MAX)):
         with pytest.raises(ValueError, match=f"needs more than {MAX_STEPS} steps"):
-            run(tiny, "physical", SolverConfig(end_time=end), op, Exponents(1, 0.25),
+            run(tiny, "physical", SolverConfig(end_time=end), op,
                 start_time=start)
     assert calls == []
     monkeypatch.undo()
     late = MAX_STEPS * DT_MAX
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=late), op,
-               Exponents(1, 0.25), start_time=late - 1e-3)
+               start_time=late - 1e-3)
     assert traj.times[-1] == late
 
 
@@ -307,12 +312,12 @@ def test_run_continues_from_start_time():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=1.2, snapshot_stride=5),
-               op, Exponents(1, 0.25), start_time=1.0)
+               op, start_time=1.0)
     assert traj.times[0] == 1.0
     assert traj.times[-1] == pytest.approx(1.2, abs=1e-12)
     assert traj.diagnostics.column("time")[0] == 1.0
     with pytest.raises(ValueError, match="start_time"):
-        run(box_datum(grid), "physical", SolverConfig(), op, Exponents(1, 0.25),
+        run(box_datum(grid), "physical", SolverConfig(), op,
             start_time=-1.0)
 
 
@@ -320,8 +325,7 @@ def test_rescaled_run_rejects_periodic_operator():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
     with pytest.raises(ValueError, match="freespace"):
-        run(box_datum(grid), "rescaled", SolverConfig(end_time=0.1), op,
-            Exponents(1, 0.25))
+        run(box_datum(grid), "rescaled", SolverConfig(end_time=0.1), op)
 
 
 def test_flow_rejects_periodic_operator():
@@ -329,11 +333,11 @@ def test_flow_rejects_periodic_operator():
     # face pass refuses the periodic realization too
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
-    u, exp = box_datum(grid), Exponents(1, 0.25)
+    u = box_datum(grid)
     with pytest.raises(ValueError, match="freespace"):
-        run(u, "physical", SolverConfig(end_time=0.1), op, exp)
+        run(u, "physical", SolverConfig(end_time=0.1), op)
     with pytest.raises(ValueError, match="freespace"):
         step_physical(u, op, SolverConfig())
     for confined in (True, False):
         with pytest.raises(ValueError, match="freespace"):
-            diagnostics.record(u, 0.0, exp, op, confined=confined)
+            diagnostics.record(u, 0.0, op, confined=confined)

@@ -27,7 +27,7 @@ def grid1(L=8.0, N=256):
 
 
 def gaussian_field(g, width=1.0):
-    return Field(g, np.exp(-g.radius2() / (2.0 * width ** 2)), "density")
+    return Field(g, np.exp(-g.radius2() / (2.0 * width ** 2)))
 
 
 def test_riesz_constant_closed_forms():
@@ -134,7 +134,7 @@ def test_freespace_far_field_of_box():
     g = grid1(L=L, N=N)
     x = g.axis()
     vals = np.where(np.abs(x) <= 0.5, 1.0, 0.0)
-    f = Field(g, vals / (vals.sum() * g.spacing), "density")
+    f = Field(g, vals / (vals.sum() * g.spacing))
     op = FracOperator(g, FracParams(s=s, dim=1), FREESPACE)
     p = op.inverse(f)
     i10 = int(np.argmin(np.abs(x - 10.0)))
@@ -149,7 +149,7 @@ def test_freespace_inverse_positivity():
     rng = np.random.default_rng(11)
     g = grid1(L=3.0, N=128)
     op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
-    f = Field(g, rng.random(g.shape), "density")
+    f = Field(g, rng.random(g.shape))
     assert op.inverse(f).values.min() >= 0.0
 
 
@@ -213,7 +213,7 @@ def test_energy_identity(mode):
     rng = np.random.default_rng(17)
     g = grid1(L=3.0, N=256)
     op = FracOperator(g, FracParams(s=0.25, dim=1), mode)
-    f = Field(g, rng.random(g.shape), "density")
+    f = Field(g, rng.random(g.shape))
     h = g.spacing
     quad_form = h * np.dot(f.values, op.inverse(f).values)
     if mode == PERIODIC:
@@ -272,7 +272,7 @@ def test_mode_consistency_improves_with_box_size():
     for L, N in ((6.0, 192), (12.0, 384)):
         g = grid1(L=L, N=N)
         x = g.axis()
-        f = Field(g, np.where(np.abs(x) <= 1.0, (1.0 - x ** 2) ** 2, 0.0), "density")
+        f = Field(g, np.where(np.abs(x) <= 1.0, (1.0 - x ** 2) ** 2, 0.0))
         params = FracParams(s=s, dim=1)
         # face differences of the pressure, as the stepper forms them
         wp = np.diff(FracOperator(g, params, PERIODIC).inverse(f).values) / g.spacing

@@ -1,14 +1,16 @@
 """Every name a package module imports is used in that module, and every
-module-level function or class is used by the package.
+module-level function or class, public method and property is used by the
+package.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
-in the module (or listed in its ``__all__``), and a module-level def or
-class must be referenced from some package module other than at its
-definition, so that no helper and no public name survives for the tests
-alone.  A public name may instead be listed in an ``__all__``; `oracles.py`
-holds the reference implementations the tests compare against, so its
-public names are exempt.
+in the module (or listed in its ``__all__``), a module-level def or class
+must be referenced from some package module other than at its definition,
+and a public method or property of a package class must be read as an
+attribute by some package module, so that no helper and no public name
+survives for the tests alone.  A public name may instead be listed in an
+``__all__``; `oracles.py` holds the reference implementations the tests
+compare against, so its public names are exempt.
 """
 
 import ast
@@ -70,6 +72,25 @@ def unreferenced_defs(sources: dict, private: bool) -> list:
     return sorted(d for d in defined if d[2] not in used)
 
 
+def unreferenced_members(sources: dict) -> list:
+    """(module, line, "Class.name") of each public method or property of a
+    module-level class that no module in `sources` reads as an attribute.
+    Dataclass fields are not defs and dunders are not public, so neither is
+    checked; nor are the classes of PUBLIC_EXEMPT modules."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and module not in PUBLIC_EXEMPT:
+                defined.extend((module, node.lineno, f"{cls.name}.{node.name}")
+                               for node in cls.body
+                               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                               and not node.name.startswith("_"))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return sorted(d for d in defined if d[2].split(".", 1)[1] not in read)
+
+
 def test_guard_sees_a_dead_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
     assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
@@ -107,3 +128,17 @@ def test_guard_sees_an_unreferenced_public_def():
 def test_package_uses_every_public_def():
     sources = {path.name: path.read_text() for path in MODULES}
     assert unreferenced_defs(sources, private=False) == []
+
+
+def test_guard_sees_an_unreferenced_member():
+    sources = {"a.py": "class A:\n    x: int\n\n    def used(self):\n        pass\n\n"
+                       "    @property\n    def dead(self):\n        pass\n\n"
+                       "    def __len__(self):\n        return 0\n",
+               "b.py": "from a import A\n\nA().used()\nA().dead = 1\n",
+               "oracles.py": "class R:\n    def reference(self):\n        pass\n"}
+    assert unreferenced_members(sources) == [("a.py", 8, "A.dead")]
+
+
+def test_package_reads_every_public_member():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert unreferenced_members(sources) == []

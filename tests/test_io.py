@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from fracpme.diagnostics import CSV_COLUMNS, DiagnosticsRecord, DiagnosticsSeries
-from fracpme.evolution import Exponents, SolverConfig, run
+from fracpme.evolution import SolverConfig, run
 from fracpme.fracops import FREESPACE, FracOperator, FracParams
 from fracpme.grid import Field, Grid
-from fracpme.io import (SNAPSHOT_VERSION, build_datum, datum_box,
-                        datum_gaussian, datum_parabola_cap, parse_datum,
-                        read_snapshot, write_diagnostics, write_snapshot)
+from fracpme.io import (SNAPSHOT_VERSION, datum_box, datum_gaussian,
+                        datum_parabola_cap, parse_datum, read_snapshot,
+                        snapshot_datum, write_diagnostics, write_snapshot)
 
 
 def test_snapshot_round_trip_exact_1d(tmp_path):
@@ -38,7 +38,7 @@ def test_snapshot_round_trip_exact_2d(tmp_path):
 def test_snapshot_irrational_spacing_survives(tmp_path):
     # 17 significant digits must reproduce ugly floats exactly
     g = Grid(1, np.pi, 32)
-    v = Field(g, np.sin(g.axis()) ** 2, kind="density")
+    v = Field(g, np.sin(g.axis()) ** 2)
     write_snapshot(tmp_path / "s.txt", v, s=1 / 3, time=np.e, mode="physical")
     loaded, header = read_snapshot(tmp_path / "s.txt")
     assert header["s"] == 1 / 3
@@ -49,7 +49,7 @@ def test_snapshot_irrational_spacing_survives(tmp_path):
 
 def _write_valid(tmp_path):
     g = Grid(1, 2.0, 8)
-    write_snapshot(tmp_path / "ok.txt", Field(g, np.ones(8), kind="density"),
+    write_snapshot(tmp_path / "ok.txt", Field(g, np.ones(8)),
                    s=0.25, time=0.0, mode="physical")
     return (tmp_path / "ok.txt").read_text()
 
@@ -122,8 +122,7 @@ def test_diagnostics_round_trip(tmp_path, read_diagnostics):
     g = Grid(1, 6.0, 64)
     op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
     traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
-               SolverConfig(end_time=0.2, snapshot_stride=2), op,
-               Exponents(1, 0.25))
+               SolverConfig(end_time=0.2, snapshot_stride=2), op)
     path = tmp_path / "d.csv"
     write_diagnostics(path, traj.diagnostics)
     table = read_diagnostics(path)
@@ -137,7 +136,7 @@ def test_diagnostics_repeat_is_byte_identical(tmp_path):
         g = Grid(1, 6.0, 48)
         op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
         traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
-                   SolverConfig(end_time=0.3), op, Exponents(1, 0.25))
+                   SolverConfig(end_time=0.3), op)
         write_diagnostics(path, traj.diagnostics)
         return path.read_bytes()
 
@@ -245,19 +244,18 @@ def test_parse_datum_rejects(text, msg):
         parse_datum(text)
 
 
-def test_build_datum_from_file_round_trip(tmp_path):
+def test_snapshot_datum_round_trip(tmp_path):
     g = Grid(1, 6.0, 64)
     v = datum_gaussian(g, 1.0)
     write_snapshot(tmp_path / "v.txt", v, s=0.25, time=2.0, mode="physical")
-    name, args = parse_datum(f"from_file({tmp_path / 'v.txt'})")
-    rebuilt = build_datum(name, args, g)
+    rebuilt, header = snapshot_datum(tmp_path / "v.txt", g)
     assert np.array_equal(rebuilt.values, v.values)
+    assert header["time"] == 2.0
 
 
-def test_build_datum_from_file_grid_mismatch(tmp_path):
+def test_snapshot_datum_grid_mismatch(tmp_path):
     g = Grid(1, 6.0, 64)
     write_snapshot(tmp_path / "v.txt", datum_gaussian(g, 1.0),
                    s=0.25, time=0.0, mode="physical")
-    name, args = parse_datum(f"from_file({tmp_path / 'v.txt'})")
     with pytest.raises(ValueError, match="does not match the configured grid"):
-        build_datum(name, args, Grid(1, 6.0, 128))
+        snapshot_datum(tmp_path / "v.txt", Grid(1, 6.0, 128))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracpme import obstacle, oracles
-from fracpme.evolution import Exponents, SolverConfig, run
+from fracpme.evolution import SolverConfig, run
 from fracpme.fracops import FREESPACE, FracOperator, FracParams
 from fracpme.grid import Grid
 from fracpme.obstacle import (
@@ -237,8 +237,7 @@ def test_self_similar_sampling(sol_c1):
 def test_profile_is_stationary_under_rescaled_step(sol_c1):
     g = sol_c1.density.grid
     op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
-    traj = run(sol_c1.density, "rescaled", SolverConfig(end_time=0.05), op,
-               Exponents(1, 0.25))
+    traj = run(sol_c1.density, "rescaled", SolverConfig(end_time=0.05), op)
     assert traj.steps >= 1
     for state in traj.snapshots:
         assert np.abs(state.values - sol_c1.density.values).max() <= 1e-12

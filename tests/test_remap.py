@@ -13,7 +13,7 @@ def smooth_random_density(g, seed=0, modes=6):
     for m in range(1, modes + 1):
         u = u + rng.normal(scale=1.0 / m ** 2) * np.cos(np.pi * m * x)
     u = np.clip(u, 0.0, None) * np.where(np.abs(x) < 0.75, np.cos(np.pi * x / 1.5) ** 2, 0.0)
-    return Field(g, u, "density")
+    return Field(g, u)
 
 
 def test_identity_resample_is_exact():
@@ -37,7 +37,7 @@ def test_positivity_preserved():
     vals = np.clip(rng.normal(size=g.shape), 0.0, None)
     vals[:10] = 0.0
     vals[-10:] = 0.0
-    f = Field(g, vals, "density")
+    f = Field(g, vals)
     out = resample(f, g, lam=1.1)
     assert out.values.min() >= 0.0
 
@@ -77,7 +77,7 @@ def test_resample_to_different_grid():
 def test_2d_separable_mass_and_positivity():
     g = Grid(dim=2, half_width=3.0, points_per_axis=48)
     r2 = g.radius2()
-    f = Field(g, np.clip(1.0 - r2, 0.0, None), "density")
+    f = Field(g, np.clip(1.0 - r2, 0.0, None))
     out = resample(f, g, lam=1.25)
     assert out.values.min() >= 0.0
     assert out.mass() == pytest.approx(f.mass() / 1.25 ** 2, rel=1e-13)
@@ -86,7 +86,7 @@ def test_2d_separable_mass_and_positivity():
 def test_support_overflow_raises():
     g = Grid(dim=1, half_width=2.0, points_per_axis=64)
     x = g.axis()
-    f = Field(g, np.clip(1.0 - np.abs(x), 0.0, None), "density")
+    f = Field(g, np.clip(1.0 - np.abs(x), 0.0, None))
     # shrinking the argument (lam < 1) dilates the support beyond the box
     with pytest.raises(ValueError):
         resample(f, g, lam=0.2)
