@@ -38,7 +38,6 @@ EXIT_CRITERION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-RUN_MODES = ("physical", "rescaled", "obstacle", "verify", "sweep")
 SWEEPABLE = ("N", "L", "s", "end_time", "C", "cfl_safety")
 
 
@@ -144,8 +143,6 @@ def validate_config(cfg: RunConfig) -> list:
             f"s = {cfg.s} violates the s < 1/2 restriction in one dimension "
             "(kernel positivity); pass --allow-supercritical to bypass"
         )
-    if cfg.mode not in RUN_MODES:
-        bad.append(f"mode must be one of {RUN_MODES}, got {cfg.mode!r}")
     if not 0.0 < cfg.L < math.inf:
         bad.append(f"L must be positive and finite, got {cfg.L}")
     if cfg.N < 8 or cfg.N % 2:
@@ -212,15 +209,15 @@ def _machine_line(kind: str, detail: str) -> None:
     print(f"FRACPME-FAIL {kind}: {detail}")
 
 
-def _restart_time(path: str, header: dict, cfg: RunConfig, mode: str) -> float:
+def _restart_time(path: str, header: dict, cfg: RunConfig) -> float:
     """Time a run from snapshot `path` starts at: the snapshot's own time for
     a physical or rescaled snapshot of the same s and mode, 0 for obstacle
     data.  Raises ValueError on a mismatch or an end time already reached."""
     if header["mode"] == "obstacle":
         return 0.0
-    if header["mode"] != mode:
+    if header["mode"] != cfg.mode:
         raise ValueError(f"{path}: snapshot mode {header['mode']!r} does not "
-                         f"match the {mode} run")
+                         f"match the {cfg.mode} run")
     if header["s"] != cfg.s:
         raise ValueError(f"{path}: snapshot s = {header['s']:g} does not match "
                          f"s = {cfg.s:g}")
@@ -230,13 +227,13 @@ def _restart_time(path: str, header: dict, cfg: RunConfig, mode: str) -> float:
     return header["time"]
 
 
-def cmd_evolve(cfg: RunConfig, mode: str) -> int:
+def cmd_evolve(cfg: RunConfig) -> int:
     grid = Grid(cfg.n, cfg.L, cfg.N)
     name, args = parse_datum(cfg.datum)
     try:
         if name == "from_file":
             u0, header = snapshot_datum(args[0], grid)
-            start = _restart_time(args[0], header, cfg, mode)
+            start = _restart_time(args[0], header, cfg)
         else:
             u0, start = build_datum(name, args, grid), 0.0
         check_time_span(start, cfg.end_time)
@@ -260,15 +257,15 @@ def cmd_evolve(cfg: RunConfig, mode: str) -> int:
         kept.append((k, t, state))
 
     try:
-        traj = run(u0, mode, solver, op, start_time=start, on_record=keep)
+        traj = run(u0, cfg.mode, solver, op, start_time=start, on_record=keep)
     except NumericalAbort as exc:
         _machine_line("numerical", str(exc))
         return EXIT_NUMERICAL
     write_diagnostics(out / "diagnostics.csv", traj.diagnostics)
     for k, t, snap in kept:
         write_snapshot(out / f"snapshot_{k:06d}.txt", snap,
-                       s=cfg.s, time=t, mode=mode)
-    print(f"{mode} run: {traj.steps} steps, {len(traj.times)} records -> {out}")
+                       s=cfg.s, time=t, mode=cfg.mode)
+    print(f"{cfg.mode} run: {traj.steps} steps, {len(traj.times)} records -> {out}")
     return EXIT_OK
 
 
@@ -344,7 +341,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         try:
             if sub.mode == "obstacle":
                 return (*cmd_obstacle(sub), None)
-            return cmd_evolve(sub, sub.mode), None, None
+            return cmd_evolve(sub), None, None
         except OSError:
             raise  # main reports unwritable outputs
         except Exception as exc:  # any other fault: a FRACPME-FAIL line, no traceback
@@ -430,7 +427,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         if cfg.mode in ("physical", "rescaled"):
-            return cmd_evolve(cfg, cfg.mode)
+            return cmd_evolve(cfg)
         if cfg.mode == "obstacle":
             return cmd_obstacle(cfg)[0]
         if cfg.mode == "verify":

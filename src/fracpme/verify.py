@@ -8,6 +8,13 @@ rescaled flow to it.  `run_suite` prints one line per check and writes
 verify_results.csv; the command layer turns the boolean into an exit
 status.
 
+The long runs and solves that checks read (artifacts) are built before
+the checks, longest first, on one forked worker per available core (the
+CPU affinity of the process); the checks then run in order in this
+process.  The scoreboard and verify_results.csv are byte-for-byte those
+of building each artifact when its first check reads it, which is what
+happens on one core.  There is no setting for the worker count.
+
 Quick mode coarsens grids and doubles tolerances; step-count floors
 and order bounds stay put.  Setting FRACPME_TAMPER=<number> poisons
 that check's headline tolerance, which must surface as a FAIL row and
@@ -16,9 +23,14 @@ a nonzero exit (self-test of the failure path).
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
+import sys
 import tempfile
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,13 +72,28 @@ class Suite:
     def pick(self, full, quick):
         return quick if self.quick else full
 
+    def artifact(self, key: tuple):
+        """The artifact `key` names, built on first use unless run_suite
+        prefetched it.  A build that raised in a worker raises the same
+        exception here, so it surfaces at the check that reads it."""
+        if key not in self.cache:
+            self.cache[key] = _build(key)
+        value = self.cache[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
 
 def _evolve(grid: Grid, u0: Field, mode: str, s: float, end_time: float,
-            stride: int, cfl: float):
+            stride: int, cfl: float, on_record=None):
     op = FracOperator(grid, FracParams(s=s, dim=grid.dim), FREESPACE)
     cfg = SolverConfig(end_time=end_time, snapshot_stride=stride,
                        cfl_safety=cfl)
-    return run(u0, mode, cfg, op)
+    return run(u0, mode, cfg, op, on_record=on_record)
+
+
+def _discard(k, t, state):
+    """on_record for runs read only through their diagnostics."""
 
 
 def _l1(a: Field, b: Field) -> float:
@@ -74,45 +101,109 @@ def _l1(a: Field, b: Field) -> float:
     return float(np.abs(a.values - b.values).sum() * vol)
 
 
-# shared expensive artifacts, built once per suite run
+# shared expensive artifacts, built once per suite run; a key is
+# (kind, *arguments of the kind's builder)
 
-def _smoothing_1d(ctx: Suite):
-    """Long physical run from a box; feeds the decay and rate checks."""
-    if "smoothing_1d" not in ctx.cache:
-        g = Grid(1, 12.0, ctx.pick(384, 256))
-        ctx.cache["smoothing_1d"] = _evolve(
-            g, datum_box(g, 0.0, 2.0, 1.0), "physical", 0.25, 100.0, 5, 0.4)
-    return ctx.cache["smoothing_1d"]
-
-
-def _relax_pair(ctx: Suite):
-    """The same rescaled relaxation at two resolutions (entropy checks)."""
-    if "relax_pair" not in ctx.cache:
-        runs = []
-        for n_pts in (ctx.pick(256, 128), ctx.pick(512, 256)):
-            g = Grid(1, 6.0, n_pts)
-            runs.append(_evolve(g, datum_gaussian(g, 0.8), "rescaled",
-                                0.25, 2.0, 1, 0.3))
-        ctx.cache["relax_pair"] = tuple(runs)
-    return ctx.cache["relax_pair"]
+def _decay_2d(n_pts: int):
+    """Diagnostics of a long 2-D physical run from a box (decay check)."""
+    g = Grid(2, 8.0, n_pts)
+    return _evolve(g, datum_box(g, 0.0, 2.0, 1.0), "physical", 0.5, 100.0,
+                   10, 0.4, _discard).diagnostics
 
 
-def _settled(ctx: Suite, n_pts: int, width: float, height: float) -> Field:
+def _mass_run(mode: str, n_pts: int, cfl: float, end_time: float) -> tuple:
+    """(relative mass drift, steps, minimum over the recorded states) of a
+    long run from a box recording only its first and last states."""
+    g = Grid(1, 12.0, n_pts)
+    low = []
+    traj = _evolve(g, datum_box(g, 0.0, 2.0, 1.0), mode, 0.25, end_time,
+                   10 ** 9, cfl, lambda k, t, state: low.append(state.values.min()))
+    m = traj.diagnostics.column("mass")
+    return abs(m[-1] - m[0]) / m[0], traj.steps, min(low)
+
+
+def _smoothing_1d(n_pts: int):
+    """Diagnostics of a long physical run from a box (decay and rate checks)."""
+    g = Grid(1, 12.0, n_pts)
+    return _evolve(g, datum_box(g, 0.0, 2.0, 1.0), "physical", 0.25, 100.0,
+                   5, 0.4, _discard).diagnostics
+
+
+def _relaxation(n_pts: int):
+    """Diagnostics of a rescaled relaxation from a Gaussian (entropy checks)."""
+    g = Grid(1, 6.0, n_pts)
+    return _evolve(g, datum_gaussian(g, 0.8), "rescaled", 0.25, 2.0, 1, 0.3,
+                   _discard).diagnostics
+
+
+def _settled(n_pts: int, width: float, height: float) -> Field:
     """Terminal state of a mass-2 box datum after a long rescaled run."""
-    key = ("settled", n_pts, width, height)
-    if key not in ctx.cache:
-        g = Grid(1, 12.0, n_pts)
-        traj = _evolve(g, datum_box(g, 0.0, width, height), "rescaled",
-                       0.25, 8.0, 10 ** 9, 0.4)
-        ctx.cache[key] = traj.snapshots[-1]
-    return ctx.cache[key]
+    g = Grid(1, 12.0, n_pts)
+    traj = _evolve(g, datum_box(g, 0.0, width, height), "rescaled",
+                   0.25, 8.0, 10 ** 9, 0.4)
+    return traj.snapshots[-1]
 
 
-def _profile_at(ctx: Suite, n_pts: int):
-    key = ("profile", n_pts)
-    if key not in ctx.cache:
-        ctx.cache[key] = match_mass(2.0, 0.25, Grid(1, 12.0, n_pts))
-    return ctx.cache[key]
+def _mass_profile(n_pts: int):
+    """The profile of mass 2 (the limit of the settled runs)."""
+    return match_mass(2.0, 0.25, Grid(1, 12.0, n_pts))
+
+
+def _level_profile(C: float, dim: int, s: float, n_pts: int):
+    """The profile at level C on the default grid of make_problem."""
+    return solve_obstacle(make_problem(C, dim, s, n_pts))
+
+
+# builder of each kind, longest first: the prefetch order (in quick mode
+# the three runs take about 0.3, 0.8 and 0.7 s, in full mode 3.6, 1.8 and
+# 1.1 s; every other artifact takes at most about 0.2 s)
+_BUILDERS = {
+    "decay_2d": _decay_2d,
+    "mass_run": _mass_run,
+    "smoothing_1d": _smoothing_1d,
+    "relaxation": _relaxation,
+    "settled": _settled,
+    "mass_profile": _mass_profile,
+    "level_profile": _level_profile,
+}
+
+
+def _build(key: tuple):
+    return _BUILDERS[key[0]](*key[1:])
+
+
+def _reads(keys):
+    """Decorate check(ctx, *artifacts): it is handed the artifacts named by
+    keys(ctx), in order.  keys stays on the check as `reads`, so that
+    run_suite can prefetch what the checks in CHECKS read."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(ctx: Suite) -> CheckResult:
+            return body(ctx, *(ctx.artifact(key) for key in keys(ctx)))
+        check.reads = keys
+        return check
+    return decorate
+
+
+def _smoothing(ctx: Suite) -> tuple:
+    return ("smoothing_1d", ctx.pick(384, 256))
+
+
+def _unit_level(n_pts: int) -> tuple:
+    return ("level_profile", 1.0, 1, 0.25, n_pts)
+
+
+def _conservation_runs(ctx: Suite) -> list:
+    # cfl tuned so both runs clear 1e4 steps at either resolution
+    n_pts, cfl_p, cfl_r = ctx.pick((1024, 0.4, 0.4), (512, 0.2, 0.15))
+    return [("mass_run", "physical", n_pts, cfl_p, 100.0),
+            ("mass_run", "rescaled", n_pts, cfl_r, 16.0)]
+
+
+def _limit_pair(ctx: Suite) -> list:
+    """A settled run and the profile of its mass, on the same grid."""
+    n_pts = ctx.pick(512, 256)
+    return [("settled", n_pts, 2.0, 1.0), ("mass_profile", n_pts)]
 
 
 # the fourteen checks
@@ -147,19 +238,9 @@ def _check_operators(ctx: Suite) -> CheckResult:
         wave_dev <= tol_wave and kernel_dev <= tol_kernel)
 
 
-def _check_conservation(ctx: Suite) -> CheckResult:
-    # cfl tuned so both runs clear 1e4 steps at either resolution
-    n_pts, cfl_p, cfl_r = ctx.pick((1024, 0.4, 0.4), (512, 0.2, 0.15))
-    g = Grid(1, 12.0, n_pts)
-    u0 = datum_box(g, 0.0, 2.0, 1.0)
-    drift, steps, low = [], [], []
-    for mode, cfl, end in (("physical", cfl_p, 100.0),
-                           ("rescaled", cfl_r, 16.0)):
-        traj = _evolve(g, u0, mode, 0.25, end, 10 ** 9, cfl)
-        m = traj.diagnostics.column("mass")
-        drift.append(abs(m[-1] - m[0]) / m[0])
-        steps.append(traj.steps)
-        low.append(min(s.values.min() for s in traj.snapshots))
+@_reads(_conservation_runs)
+def _check_conservation(ctx: Suite, *runs) -> CheckResult:
+    drift, steps, low = zip(*runs)
     tol = ctx.tol(2, 1e-9)
     ok = (max(drift) <= tol and min(steps) >= 10 ** 4 and min(low) >= 0.0)
     return CheckResult(
@@ -185,13 +266,10 @@ def _check_monotone_norms(ctx: Suite) -> CheckResult:
         worst <= tol)
 
 
-def _check_peak_decay(ctx: Suite) -> CheckResult:
-    slope1, _ = fit_power_law(_smoothing_1d(ctx).diagnostics, "linf",
-                              (10.0, 100.0))
-    g2 = Grid(2, 8.0, ctx.pick(256, 128))
-    traj2 = _evolve(g2, datum_box(g2, 0.0, 2.0, 1.0), "physical",
-                    0.5, 100.0, 10, 0.4)
-    slope2, _ = fit_power_law(traj2.diagnostics, "linf", (10.0, 100.0))
+@_reads(lambda ctx: [_smoothing(ctx), ("decay_2d", ctx.pick(256, 128))])
+def _check_peak_decay(ctx: Suite, diag1, diag2) -> CheckResult:
+    slope1, _ = fit_power_law(diag1, "linf", (10.0, 100.0))
+    slope2, _ = fit_power_law(diag2, "linf", (10.0, 100.0))
     tol1 = ctx.tol(4, 0.04)    # 10% of 0.4
     tol2 = ctx.tol(4, 0.10)    # 15% of 2/3
     ok = abs(slope1 + 0.4) <= tol1 and abs(slope2 + 2.0 / 3.0) <= tol2
@@ -228,12 +306,14 @@ def _check_propagation(ctx: Suite) -> CheckResult:
         ok)
 
 
-def _check_entropy_identity(ctx: Suite) -> CheckResult:
-    coarse, fine = _relax_pair(ctx)
+# the same relaxation at two resolutions
+@_reads(lambda ctx: [("relaxation", ctx.pick(256, 128)),
+                     ("relaxation", ctx.pick(512, 256))])
+def _check_entropy_identity(ctx: Suite, coarse, fine) -> CheckResult:
     m_c = entropy_dissipation_identity_check(
-        coarse.diagnostics, (0.5, 1.5))["max_rel_mismatch"]
+        coarse, (0.5, 1.5))["max_rel_mismatch"]
     m_f = entropy_dissipation_identity_check(
-        fine.diagnostics, (0.5, 1.5))["max_rel_mismatch"]
+        fine, (0.5, 1.5))["max_rel_mismatch"]
     order = float(np.log2(m_c / m_f))
     tol = ctx.tol(6, 0.05)
     ok = m_f <= tol and order >= 1.0
@@ -244,11 +324,11 @@ def _check_entropy_identity(ctx: Suite) -> CheckResult:
         ok)
 
 
-def _check_entropy_budget(ctx: Suite) -> CheckResult:
-    _, fine = _relax_pair(ctx)
-    t = fine.diagnostics.column("time")
-    e = fine.diagnostics.column("entropy")
-    i = fine.diagnostics.column("dissipation")
+@_reads(lambda ctx: [("relaxation", ctx.pick(512, 256))])
+def _check_entropy_budget(ctx: Suite, fine) -> CheckResult:
+    t = fine.column("time")
+    e = fine.column("entropy")
+    i = fine.column("dissipation")
     max_rise = float(np.diff(e).max())
     integral = float(np.trapezoid(i, t))
     slack = ctx.tol(7, 1e-6) * e[0]
@@ -261,8 +341,8 @@ def _check_entropy_budget(ctx: Suite) -> CheckResult:
         ok)
 
 
-def _check_obstacle(ctx: Suite) -> CheckResult:
-    sol = solve_obstacle(make_problem(1.0, 1, 0.25, ctx.pick(512, 256)))
+@_reads(lambda ctx: [_unit_level(ctx.pick(512, 256)), _unit_level(128)])
+def _check_obstacle(ctx: Suite, sol, ref_sol) -> CheckResult:
     scale = max(1.0, sol.density.linf())
     comp = sol.residuals["complementarity"]
     radius_ok = sol.contact_radius < sol.problem.parabola_radius
@@ -274,8 +354,7 @@ def _check_obstacle(ctx: Suite) -> CheckResult:
     contiguous = bool(np.all(np.diff(idx) == 1))
     symmetric = abs(axis[idx[0]] + axis[idx[-1]]) <= h + 1e-12
     # dense pivoting oracle on the restricted system at 128 cells
-    prob = make_problem(1.0, 1, 0.25, 128)
-    ref_sol = solve_obstacle(prob)
+    prob = ref_sol.problem
     r2 = prob.grid.radius2().ravel()
     keep = np.nonzero(r2 <= (prob.parabola_radius + 2 * prob.grid.spacing) ** 2)[0]
     op = FracOperator(prob.grid, FracParams(s=0.25, dim=1), FREESPACE)
@@ -294,12 +373,11 @@ def _check_obstacle(ctx: Suite) -> CheckResult:
         ok)
 
 
-def _check_scaling(ctx: Suite) -> CheckResult:
-    n_pts = ctx.pick(1024, 512)
-    # default sizing makes the level-4 box exactly twice the level-1 box,
-    # so the rescaled grids align cell by cell
-    sol1 = solve_obstacle(make_problem(1.0, 1, 0.25, n_pts))
-    sol4 = solve_obstacle(make_problem(4.0, 1, 0.25, n_pts))
+# default sizing makes the level-4 box exactly twice the level-1 box,
+# so the rescaled grids align cell by cell
+@_reads(lambda ctx: [("level_profile", c, 1, 0.25, ctx.pick(1024, 512))
+                     for c in (1.0, 4.0)])
+def _check_scaling(ctx: Suite, sol1, sol4) -> CheckResult:
     dev = scaling_check(sol1, sol4)["density_deviation"]
     g1 = Grid(1, 7.0, ctx.pick(512, 256))
     sols1 = [solve_obstacle(ObstacleProblem(C=c, a=0.2, s=0.25, grid=g1))
@@ -322,11 +400,12 @@ def _check_scaling(ctx: Suite) -> CheckResult:
         ok)
 
 
-def _check_one_step(ctx: Suite) -> CheckResult:
+@_reads(lambda ctx: [_unit_level(n) for n in ctx.pick((256, 512, 1024),
+                                                      (128, 256, 512))])
+def _check_one_step(ctx: Suite, *sols) -> CheckResult:
     resids, ratios = [], []
-    for n_pts in ctx.pick((256, 512, 1024), (128, 256, 512)):
-        prob = make_problem(1.0, 1, 0.25, n_pts)
-        sol = solve_obstacle(prob)
+    for sol in sols:
+        prob = sol.problem
         u1 = barenblatt_at(sol, 1.0)
         op = FracOperator(prob.grid, FracParams(s=0.25, dim=1), FREESPACE)
         stepped, dt = step_physical(u1, op, SolverConfig(cfl_safety=0.4))
@@ -345,13 +424,10 @@ def _check_one_step(ctx: Suite) -> CheckResult:
         ok)
 
 
-def _check_convergence(ctx: Suite) -> CheckResult:
-    n_pts = ctx.pick(512, 256)
-    terminal = _settled(ctx, n_pts, 2.0, 1.0)
-    prof = _profile_at(ctx, n_pts)
+@_reads(lambda ctx: _limit_pair(ctx) + [("settled", ctx.pick(512, 256), 1.0, 2.0)])
+def _check_convergence(ctx: Suite, terminal, prof, twin) -> CheckResult:
     d1 = _l1(terminal, prof.density)
     dinf = float(np.abs(terminal.values - prof.density.values).max())
-    twin = _settled(ctx, n_pts, 1.0, 2.0)
     d1_twin = _l1(twin, prof.density)
     ratio = max(d1, d1_twin) / min(d1, d1_twin)
     tol_1 = ctx.tol(11, 0.01) * 2.0              # mass of the datum
@@ -365,15 +441,12 @@ def _check_convergence(ctx: Suite) -> CheckResult:
         ok)
 
 
-def _check_terminal_match(ctx: Suite) -> CheckResult:
-    n_pts = ctx.pick(512, 256)
-    terminal = _settled(ctx, n_pts, 2.0, 1.0)
-    prof = _profile_at(ctx, n_pts)
+# each scheme's floor: distance between its answers at N and N/2
+@_reads(lambda ctx: _limit_pair(ctx) + [("settled", ctx.pick(256, 128), 2.0, 1.0),
+                                        ("mass_profile", ctx.pick(256, 128))])
+def _check_terminal_match(ctx: Suite, terminal, prof, term_half,
+                          prof_half) -> CheckResult:
     dist = _l1(terminal, prof.density)
-    # each scheme's floor: distance between its answers at N and N/2
-    half = n_pts // 2
-    term_half = _settled(ctx, half, 2.0, 1.0)
-    prof_half = _profile_at(ctx, half)
 
     def pair_avg(values):
         return 0.5 * (values[0::2] + values[1::2])
@@ -391,8 +464,8 @@ def _check_terminal_match(ctx: Suite) -> CheckResult:
         dist <= allowance)
 
 
-def _check_rate_fits(ctx: Suite) -> CheckResult:
-    diag = _smoothing_1d(ctx).diagnostics
+@_reads(lambda ctx: [_smoothing(ctx)])
+def _check_rate_fits(ctx: Suite, diag) -> CheckResult:
     m2, _ = fit_power_law(diag, "moment2", (10.0, 100.0))
     e1, _ = fit_power_law(diag, "energy1", (10.0, 100.0))
     tol_m2 = 0.8 + ctx.tol(13, 0.1)    # 2*beta plus the allowed excess
@@ -437,6 +510,44 @@ CHECKS = (
 )
 
 
+def _prefetch(ctx: Suite) -> None:
+    """Build every artifact the checks in CHECKS read into ctx.cache, longest
+    first, on min(available cores, artifacts) forked workers.  An exception
+    a build raises is stored under its key instead.  With one worker, or
+    when this process runs threads (which fork does not copy, so a lock one
+    holds stays locked in the child), nothing is started and each check
+    builds what it reads as it runs.
+
+    Workers are forked, not spawned: a spawned worker would import numpy and
+    scipy again, and a forked one sees the builders as this process has
+    them."""
+    keys = []
+    for check in CHECKS:
+        for key in getattr(check, "reads", lambda ctx: ())(ctx):
+            if key not in keys:
+                keys.append(key)
+    kinds = list(_BUILDERS)
+    keys.sort(key=lambda key: kinds.index(key[0]))
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: stay serial
+        cores = 1
+    workers = min(cores, len(keys))
+    if workers < 2 or threading.active_count() > 1:
+        return
+    # a worker flushes its copy of the stdio buffers when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [(key, pool.submit(_build, key)) for key in keys]
+        for key, future in futures:
+            try:
+                ctx.cache[key] = future.result()
+            except Exception as exc:  # raised again by ctx.artifact(key)
+                ctx.cache[key] = exc
+
+
 def run_suite(quick: bool = False, out_dir=None) -> bool:
     tamper_env = os.environ.get("FRACPME_TAMPER")
     tamper = None
@@ -447,6 +558,7 @@ def run_suite(quick: bool = False, out_dir=None) -> bool:
             tamper = 1   # any set value must poison something
     ctx = Suite(quick=quick, tamper=tamper, started=time.perf_counter())
     print(f"self-check suite, {'quick' if quick else 'full'} mode")
+    _prefetch(ctx)
     results = []
     for check in CHECKS:
         r = check(ctx)

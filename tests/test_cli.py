@@ -83,7 +83,6 @@ def test_supercritical_needs_explicit_bypass():
 @pytest.mark.parametrize("field,value,msg", [
     ("n", 3, "n must be 1 or 2"),
     ("s", 1.5, "s must lie in"),
-    ("mode", "sideways", "mode must be one of"),
     ("L", -2.0, "L must be positive"),
     ("N", 6, "N must be even and >= 8"),
     ("cfl_safety", 0.0, "cfl_safety must lie in"),

@@ -14,6 +14,9 @@ compare against, so its public names are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracpme
@@ -142,3 +145,14 @@ def test_guard_sees_an_unreferenced_member():
 def test_package_reads_every_public_member():
     sources = {path.name: path.read_text() for path in MODULES}
     assert unreferenced_members(sources) == []
+
+
+def test_cli_import_loads_no_process_machinery():
+    # verify imports the process pool; the command line must not pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(fracpme.__file__).parents[1]))
+    probe = ("import sys, fracpme.cli; print(sorted(m for m in ('multiprocessing', "
+             "'concurrent.futures.process') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,6 +1,11 @@
+import os
+import threading
 import time
 
+import pytest
+
 import fracpme.verify as verify
+from fracpme.evolution import NumericalAbort
 from fracpme.verify import CheckResult, Suite
 
 
@@ -75,3 +80,84 @@ def test_harness_check_runs_and_times(tmp_path):
     # the tamper hook must defeat even a fast, correct probe
     poisoned = Suite(quick=False, tamper=14, started=time.perf_counter())
     assert not verify._check_harness(poisoned).passed
+
+
+def _cores(monkeypatch, count):
+    """Make the module see `count` available cores, and count forks."""
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(count)))
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _scoreboard(monkeypatch, capsys, tmp_path, cores):
+    """(stdout without the elapsed-time line, CSV bytes, forks) of a quick
+    suite of checks 6, 7 and 11, which read five artifacts."""
+    monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_identity,
+                                           verify._check_entropy_budget,
+                                           verify._check_convergence))
+    forks = _cores(monkeypatch, cores)
+    out = tmp_path / f"cores{cores}"
+    assert verify.run_suite(quick=True, out_dir=out)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("3/3 passed in ")
+    return lines[:-1], (out / "verify_results.csv").read_bytes(), len(forks)
+
+
+def test_two_workers_write_the_serial_scoreboard(tmp_path, monkeypatch, capsys):
+    serial = _scoreboard(monkeypatch, capsys, tmp_path, 1)
+    pooled = _scoreboard(monkeypatch, capsys, tmp_path, 2)
+    assert serial[2] == 0 and pooled[2] == 2
+    assert pooled[:2] == serial[:2]
+    assert [line[5:9] for line in serial[0][1:]] == ["PASS"] * 3
+
+
+@pytest.mark.parametrize("error", [NumericalAbort, RuntimeError])
+def test_worker_fault_surfaces_at_the_reading_check(error, monkeypatch, capsys):
+    def fail(n_pts, width, height):
+        raise error(f"settled run at N = {n_pts} failed")
+
+    monkeypatch.setitem(verify._BUILDERS, "settled", fail)
+    monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_budget,
+                                           verify._check_convergence))
+    seen = []
+    for cores in (1, 2):
+        forks = _cores(monkeypatch, cores)
+        with pytest.raises(Exception) as info:
+            verify.run_suite(quick=True)
+        seen.append((type(info.value), str(info.value), capsys.readouterr().out,
+                     len(forks)))
+    (kind, message, out, forks), pooled = seen
+    assert kind is error and message == "settled run at N = 256 failed"
+    assert "[ 7] PASS" in out and "[11]" not in out
+    assert forks == 0 and pooled == (kind, message, out, 2)
+
+
+def test_checks_that_read_no_artifact_start_no_process(monkeypatch, capsys):
+    forks = _cores(monkeypatch, 2)
+    monkeypatch.setattr(verify, "CHECKS", _fake_checks())
+    verify.run_suite(quick=True)
+    capsys.readouterr()
+    assert forks == []
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch, capsys):
+    forks = _cores(monkeypatch, 2)
+    monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_identity,))
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30.0,))
+    waiter.start()
+    try:
+        assert verify.run_suite(quick=True)
+    finally:
+        release.set()
+        waiter.join(timeout=30.0)
+    capsys.readouterr()
+    assert not waiter.is_alive()
+    assert forks == []
