@@ -9,15 +9,18 @@ flag or file key does.
 
 Exit codes, fixed for scripting: 0 success, 1 criterion failure,
 2 configuration error, 3 numerical abort.
+
+Sweep members run on the available cores (`fanout.fan_out`); their stdout
+is written in value order, then their fault lines, as a serial run would.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -316,43 +319,50 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all_pass else EXIT_CRITERION
 
 
+def _sweep_member(job: tuple) -> tuple:
+    """(exit code, solution or None, fault or None, stdout text) of a sweep
+    member (label, config); an OSError propagates for main to report."""
+    label, sub = job
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        try:
+            code, sol = (cmd_obstacle(sub) if sub.mode == "obstacle"
+                         else (cmd_evolve(sub), None))
+        except OSError:
+            raise
+        except Exception as exc:  # any other fault: a FRACPME-FAIL line, no traceback
+            return (*_sweep_fault(label, exc), text.getvalue())
+    return code, sol, None, text.getvalue()
+
+
+def _sweep_fault(label: str, exc: Exception) -> tuple:
+    kind, code = (("config", EXIT_CONFIG) if isinstance(exc, ValueError)
+                  else ("numerical", EXIT_NUMERICAL))
+    return code, None, (kind, f"{label}: {type(exc).__name__}: {exc}")
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
+    from .fanout import fan_out  # deferred: pulls in the process pool
+
     values = _sweep_values(cfg)
-    threads = os.environ.get("FRACPME_THREADS")
-    try:
-        workers = max(1, int(threads)) if threads else min(4, len(values))
-    except ValueError:
-        _machine_line("config", f"FRACPME_THREADS must be an integer, got {threads!r}")
-        return EXIT_CONFIG
     jobs = []
     for value in values:
-        sub = replace(cfg, mode=cfg.sweep_mode,
-                      out=str(Path(cfg.out) / f"{cfg.sweep_key}={value:g}"),
+        label = f"{cfg.sweep_key}={value:g}"
+        sub = replace(cfg, mode=cfg.sweep_mode, out=str(Path(cfg.out) / label),
                       sweep_key=None, sweep_values=None, sweep_mode=None)
         setattr(sub, cfg.sweep_key, value)
         problems = validate_config(sub)
         if problems:
-            _machine_line("config", f"{cfg.sweep_key}={value:g}: " + "; ".join(problems))
+            _machine_line("config", f"{label}: " + "; ".join(problems))
             return EXIT_CONFIG
-        jobs.append((value, sub))
-
-    def one(job):
-        value, sub = job
-        try:
-            if sub.mode == "obstacle":
-                return (*cmd_obstacle(sub), None)
-            return cmd_evolve(sub), None, None
-        except OSError:
-            raise  # main reports unwritable outputs
-        except Exception as exc:  # any other fault: a FRACPME-FAIL line, no traceback
-            kind, code = (("config", EXIT_CONFIG) if isinstance(exc, ValueError)
-                          else ("numerical", EXIT_NUMERICAL))
-            return code, None, (kind, f"{cfg.sweep_key}={value:g}: "
-                                      f"{type(exc).__name__}: {exc}")
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        codes, sols, faults = zip(*pool.map(one, jobs))
-    # reported after the pool, in value order: members finish in any order
+        jobs.append((label, sub))
+    results = fan_out(_sweep_member, jobs)
+    sys.stdout.write("".join(r[3] for r in results if isinstance(r, tuple)))
+    for r in results:
+        if isinstance(r, OSError):
+            raise r  # main reports unwritable outputs
+    # any other exception comes from a worker that died (BrokenProcessPool)
+    codes, sols, faults, _ = zip(*(r if isinstance(r, tuple) else (*_sweep_fault(label, r), "")
+                                   for (label, _), r in zip(jobs, results)))
     for fault in faults:
         if fault is not None:
             _machine_line(*fault)

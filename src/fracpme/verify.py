@@ -8,12 +8,10 @@ rescaled flow to it.  `run_suite` prints one line per check and writes
 verify_results.csv; the command layer turns the boolean into an exit
 status.
 
-The long runs and solves that checks read (artifacts) are built before
-the checks, longest first, on one forked worker per available core (the
-CPU affinity of the process); the checks then run in order in this
-process.  The scoreboard and verify_results.csv are byte-for-byte those
-of building each artifact when its first check reads it, which is what
-happens on one core.  There is no setting for the worker count.
+The long runs and solves that checks read (artifacts) are built first,
+longest first, by `fanout.fan_out`; the checks then run in order in this
+process, so the scoreboard and verify_results.csv do not depend on the
+number of cores.
 
 Quick mode coarsens grids and doubles tolerances; step-count floors
 and order bounds stay put.  Setting FRACPME_TAMPER=<number> poisons
@@ -24,13 +22,9 @@ a nonzero exit (self-test of the failure path).
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
-import sys
 import tempfile
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +32,7 @@ import numpy as np
 
 from .diagnostics import entropy_dissipation_identity_check, fit_power_law
 from .evolution import SolverConfig, run, step_physical
+from .fanout import fan_out
 from .fracops import FREESPACE, PERIODIC, Exponents, FracOperator, FracParams
 from .grid import Field, Grid
 from .io import datum_box, datum_gaussian, datum_parabola_cap, write_diagnostics
@@ -53,6 +48,9 @@ class CheckResult:
     measured: str   # no commas: goes into a CSV cell verbatim
     target: str
     passed: bool
+
+    def __post_init__(self):
+        self.passed = bool(self.passed)  # a numpy comparison gives numpy.bool_
 
 
 @dataclass
@@ -73,9 +71,8 @@ class Suite:
         return quick if self.quick else full
 
     def artifact(self, key: tuple):
-        """The artifact `key` names, built on first use unless run_suite
-        prefetched it.  A build that raised in a worker raises the same
-        exception here, so it surfaces at the check that reads it."""
+        """The artifact `key` names as run_suite prefetched it, raised if its
+        build raised; built now for a check called on its own."""
         if key not in self.cache:
             self.cache[key] = _build(key)
         value = self.cache[key]
@@ -253,7 +250,7 @@ def _check_conservation(ctx: Suite, *runs) -> CheckResult:
 def _check_monotone_norms(ctx: Suite) -> CheckResult:
     g = Grid(1, 6.0, ctx.pick(256, 128))
     traj = _evolve(g, datum_box(g, 0.0, 2.0, 1.0), "physical",
-                   0.25, 2.0, 1, 0.4)
+                   0.25, 2.0, 1, 0.4, _discard)
     worst = -np.inf
     for col in ("linf", "l2", "l4"):
         y = traj.diagnostics.column(col)
@@ -483,7 +480,7 @@ def _check_harness(ctx: Suite) -> CheckResult:
     def probe(path):
         g = Grid(1, 6.0, 128)
         traj = _evolve(g, datum_box(g, 0.0, 2.0, 1.0), "physical",
-                       0.25, 0.5, 1, 0.4)
+                       0.25, 0.5, 1, 0.4, _discard)
         write_diagnostics(path, traj.diagnostics)
         return Path(path).read_bytes()
 
@@ -512,40 +509,11 @@ CHECKS = (
 
 def _prefetch(ctx: Suite) -> None:
     """Build every artifact the checks in CHECKS read into ctx.cache, longest
-    first, on min(available cores, artifacts) forked workers.  An exception
-    a build raises is stored under its key instead.  With one worker, or
-    when this process runs threads (which fork does not copy, so a lock one
-    holds stays locked in the child), nothing is started and each check
-    builds what it reads as it runs.
-
-    Workers are forked, not spawned: a spawned worker would import numpy and
-    scipy again, and a forked one sees the builders as this process has
-    them."""
-    keys = []
-    for check in CHECKS:
-        for key in getattr(check, "reads", lambda ctx: ())(ctx):
-            if key not in keys:
-                keys.append(key)
+    first; a build that raises leaves its exception under its key."""
+    reads = (key for check in CHECKS for key in getattr(check, "reads", lambda ctx: ())(ctx))
     kinds = list(_BUILDERS)
-    keys.sort(key=lambda key: kinds.index(key[0]))
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform: stay serial
-        cores = 1
-    workers = min(cores, len(keys))
-    if workers < 2 or threading.active_count() > 1:
-        return
-    # a worker flushes its copy of the stdio buffers when it exits
-    sys.stdout.flush()
-    sys.stderr.flush()
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [(key, pool.submit(_build, key)) for key in keys]
-        for key, future in futures:
-            try:
-                ctx.cache[key] = future.result()
-            except Exception as exc:  # raised again by ctx.artifact(key)
-                ctx.cache[key] = exc
+    keys = sorted(dict.fromkeys(reads), key=lambda key: kinds.index(key[0]))
+    ctx.cache.update(zip(keys, fan_out(_build, keys)))
 
 
 def run_suite(quick: bool = False, out_dir=None) -> bool:

@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,3 +25,22 @@ def _read_diagnostics(path) -> dict:
 def read_diagnostics():
     """The reader of the diagnostics.csv files the CLI writes."""
     return _read_diagnostics
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """A function of `count` that makes the process see `count` available
+    cores and returns a list that gains one entry per fork from then on."""
+    def set_cores(count: int) -> list:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+    return set_cores

@@ -1,3 +1,4 @@
+import os
 import re
 import weakref
 
@@ -351,8 +352,7 @@ def test_snapshot_every_thins_output(tmp_path):
     assert all(i % 3 == 0 for i in indices[:-1])  # last is always kept
 
 
-def test_sweep_runs_and_partitions_output(tmp_path, monkeypatch):
-    monkeypatch.setenv("FRACPME_THREADS", "1")
+def test_sweep_runs_and_partitions_output(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", "--sweep-key", "N", "--sweep-values", "32,64",
                  "--sweep-mode", "physical", "--L", "5", "--end-time", "0.05",
@@ -375,8 +375,7 @@ def _nan_snapshot(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["evolve", "sweep"])
-def test_non_finite_snapshot_is_config_error(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setenv("FRACPME_THREADS", "1")
+def test_non_finite_snapshot_is_config_error(tmp_path, capsys, command):
     bad = _nan_snapshot(tmp_path)
     capsys.readouterr()
     argv = ["evolve"] if command == "evolve" else [
@@ -390,18 +389,6 @@ def test_non_finite_snapshot_is_config_error(tmp_path, monkeypatch, capsys, comm
                          for line in lines)
 
 
-@pytest.mark.parametrize("threads", ["abc", "1.5", " "])
-def test_bad_thread_setting_is_config_error(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.setenv("FRACPME_THREADS", threads)
-    code = main(["sweep", "--sweep-key", "N", "--sweep-values", "16,32",
-                 "--sweep-mode", "physical", "--end-time", "0.01",
-                 "--out", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().out == (
-        f"FRACPME-FAIL config: FRACPME_THREADS must be an integer, got {threads!r}\n")
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("mode, error, expected", [
     ("physical", ZeroDivisionError("float division by zero"), EXIT_NUMERICAL),
     ("physical", ValueError("start_time must be finite"), EXIT_CONFIG),
@@ -409,8 +396,6 @@ def test_bad_thread_setting_is_config_error(tmp_path, monkeypatch, capsys, threa
 ], ids=["evolve_zero_division", "evolve_value_error", "obstacle_key_error"])
 def test_sweep_worker_fault_maps_to_exit_code(tmp_path, monkeypatch, capsys,
                                               mode, error, expected):
-    monkeypatch.setenv("FRACPME_THREADS", "2")
-
     def explode(*args, **kwargs):
         raise error
 
@@ -427,6 +412,58 @@ def test_sweep_worker_fault_maps_to_exit_code(tmp_path, monkeypatch, capsys,
     for line, value in zip(lines, values.split(",")):
         assert line == (f"FRACPME-FAIL {kind}: {key}={float(value):g}: "
                         f"{type(error).__name__}: {error}")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _files(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sweep-key", "L", "--sweep-values", "4,5", "--sweep-mode", "physical",
+     "--N", "32", "--end-time", "0.2", "--snapshot-every", "4"],
+    ["--sweep-key", "C", "--sweep-values", "0.5,1,2,4", "--sweep-mode", "obstacle",
+     "--N", "48", "--L", "7"],
+], ids=["physical", "obstacle"])
+def test_sweep_output_does_not_depend_on_the_cores(tmp_path, monkeypatch, capsys,
+                                                   cores, argv):
+    seen = []
+    for count in (1, 2):
+        forks = cores(count)
+        run_dir = tmp_path / f"cores{count}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)  # the same relative --out in both runs
+        assert main(["sweep", *argv, "--out", "sweep"]) == EXIT_OK
+        seen.append((capsys.readouterr().out, _files(run_dir), len(forks)))
+    (serial_out, serial_files, serial_forks), (out, files, forks) = seen
+    assert (serial_forks, forks) == (0, 2)
+    assert out == serial_out and files == serial_files
+    key, values = argv[1], argv[3].split(",")
+    assert [line.rsplit("-> ", 1)[1] for line in out.splitlines() if "-> " in line] == [
+        f"sweep/{key}={float(v):g}" for v in values]
+    assert ("sweep/mass_law.txt" in files) == (key == "C")
+
+
+def test_dead_sweep_worker_is_numerical_abort(tmp_path, monkeypatch, capsys, cores):
+    parent = os.getpid()
+
+    def die(*args, **kwargs):
+        if os.getpid() == parent:  # never end the test process itself
+            raise AssertionError("the member ran in the test process")
+        os._exit(1)
+
+    monkeypatch.setattr(cli, "run", die)
+    forks = cores(2)
+    code = main(["sweep", "--sweep-key", "end_time", "--sweep-values", "0.1,0.2",
+                 "--sweep-mode", "physical", "--N", "32", "--L", "4",
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL and forks
+    lines = captured.out.splitlines()
+    assert [line.split(":")[:3] for line in lines] == [
+        ["FRACPME-FAIL numerical", " end_time=0.1", " BrokenProcessPool"],
+        ["FRACPME-FAIL numerical", " end_time=0.2", " BrokenProcessPool"]]
     assert "Traceback" not in captured.out + captured.err
 
 
@@ -448,7 +485,8 @@ def test_obstacle_sweep_writes_mass_law(tmp_path):
     assert abs(exponent - 1.25) <= 0.025  # 2% of the predicted slope
 
 
-def test_obstacle_sweep_solves_each_level_once(tmp_path, monkeypatch):
+def test_obstacle_sweep_solves_each_level_once(tmp_path, monkeypatch, cores):
+    cores(1)  # the counter lives in this process
     levels = []
 
     def counted(prob, *args, **kwargs):
@@ -477,7 +515,9 @@ def test_verify_failure_maps_to_exit_1(tmp_path, monkeypatch):
     ["evolve", "--N", "32", "--L", "4", "--end-time", "0.05"],
     ["obstacle", "--C", "1", "--N", "32", "--L", "4"],
     ["verify", "--quick"],
-], ids=["evolve", "obstacle", "verify"])
+    ["sweep", "--sweep-key", "L", "--sweep-values", "4,5", "--sweep-mode", "physical",
+     "--N", "32", "--end-time", "0.05"],
+], ids=["evolve", "obstacle", "verify", "sweep"])
 def test_unwritable_out_is_config_error(tmp_path, capsys, command):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")

@@ -148,10 +148,11 @@ def test_package_reads_every_public_member():
 
 
 def test_cli_import_loads_no_process_machinery():
-    # verify imports the process pool; the command line must not pay for it
+    # fanout imports the process pool; the command line must not pay for it
     env = dict(os.environ, PYTHONPATH=str(Path(fracpme.__file__).parents[1]))
     probe = ("import sys, fracpme.cli; print(sorted(m for m in ('multiprocessing', "
-             "'concurrent.futures.process') if m in sys.modules))")
+             "'concurrent.futures.process', 'concurrent.futures.thread') "
+             "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr

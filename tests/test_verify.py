@@ -1,4 +1,3 @@
-import os
 import threading
 import time
 
@@ -72,6 +71,14 @@ def test_tamper_env_reaches_the_context(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_tampered_check_makes_the_suite_return_false(monkeypatch, capsys):
+    # the checks' comparisons are numpy booleans; the suite must not pass them on
+    monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_budget,))
+    monkeypatch.setenv("FRACPME_TAMPER", "7")
+    assert verify.run_suite(quick=True) is False
+    assert "[ 7] FAIL" in capsys.readouterr().out
+
+
 def test_harness_check_runs_and_times(tmp_path):
     ctx = Suite(quick=False, tamper=None, started=time.perf_counter())
     r = verify._check_harness(ctx)
@@ -82,44 +89,31 @@ def test_harness_check_runs_and_times(tmp_path):
     assert not verify._check_harness(poisoned).passed
 
 
-def _cores(monkeypatch, count):
-    """Make the module see `count` available cores, and count forks."""
-    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(count)))
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
-def _scoreboard(monkeypatch, capsys, tmp_path, cores):
+def _scoreboard(monkeypatch, capsys, tmp_path, cores, count):
     """(stdout without the elapsed-time line, CSV bytes, forks) of a quick
-    suite of checks 6, 7 and 11, which read five artifacts."""
+    suite of checks 6, 7 and 11, which read five artifacts, on `count`
+    cores."""
     monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_identity,
                                            verify._check_entropy_budget,
                                            verify._check_convergence))
-    forks = _cores(monkeypatch, cores)
-    out = tmp_path / f"cores{cores}"
-    assert verify.run_suite(quick=True, out_dir=out)
+    forks = cores(count)
+    out = tmp_path / f"cores{count}"
+    assert verify.run_suite(quick=True, out_dir=out) is True
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("3/3 passed in ")
     return lines[:-1], (out / "verify_results.csv").read_bytes(), len(forks)
 
 
-def test_two_workers_write_the_serial_scoreboard(tmp_path, monkeypatch, capsys):
-    serial = _scoreboard(monkeypatch, capsys, tmp_path, 1)
-    pooled = _scoreboard(monkeypatch, capsys, tmp_path, 2)
+def test_two_workers_write_the_serial_scoreboard(tmp_path, monkeypatch, capsys, cores):
+    serial = _scoreboard(monkeypatch, capsys, tmp_path, cores, 1)
+    pooled = _scoreboard(monkeypatch, capsys, tmp_path, cores, 2)
     assert serial[2] == 0 and pooled[2] == 2
     assert pooled[:2] == serial[:2]
     assert [line[5:9] for line in serial[0][1:]] == ["PASS"] * 3
 
 
 @pytest.mark.parametrize("error", [NumericalAbort, RuntimeError])
-def test_worker_fault_surfaces_at_the_reading_check(error, monkeypatch, capsys):
+def test_worker_fault_surfaces_at_the_reading_check(error, monkeypatch, capsys, cores):
     def fail(n_pts, width, height):
         raise error(f"settled run at N = {n_pts} failed")
 
@@ -127,8 +121,8 @@ def test_worker_fault_surfaces_at_the_reading_check(error, monkeypatch, capsys):
     monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_budget,
                                            verify._check_convergence))
     seen = []
-    for cores in (1, 2):
-        forks = _cores(monkeypatch, cores)
+    for count in (1, 2):
+        forks = cores(count)
         with pytest.raises(Exception) as info:
             verify.run_suite(quick=True)
         seen.append((type(info.value), str(info.value), capsys.readouterr().out,
@@ -139,16 +133,16 @@ def test_worker_fault_surfaces_at_the_reading_check(error, monkeypatch, capsys):
     assert forks == 0 and pooled == (kind, message, out, 2)
 
 
-def test_checks_that_read_no_artifact_start_no_process(monkeypatch, capsys):
-    forks = _cores(monkeypatch, 2)
+def test_checks_that_read_no_artifact_start_no_process(monkeypatch, capsys, cores):
+    forks = cores(2)
     monkeypatch.setattr(verify, "CHECKS", _fake_checks())
     verify.run_suite(quick=True)
     capsys.readouterr()
     assert forks == []
 
 
-def test_no_fork_while_another_thread_runs(monkeypatch, capsys):
-    forks = _cores(monkeypatch, 2)
+def test_no_fork_while_another_thread_runs(monkeypatch, capsys, cores):
+    forks = cores(2)
     monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_identity,))
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(30.0,))
