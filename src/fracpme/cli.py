@@ -8,7 +8,8 @@ config fails once with the full list.  Only the subcommand sets the mode: no
 flag or file key does.
 
 Exit codes, fixed for scripting: 0 success, 1 criterion failure,
-2 configuration error, 3 numerical abort.
+2 configuration error (an allocation the machine refuses included), 3 numerical
+abort.
 
 Sweep members run on the available cores (`fanout.fan_out`); their stdout
 is written in value order, then their fault lines, as a serial run would.
@@ -335,7 +336,7 @@ def _sweep_member(job: tuple) -> tuple:
 
 
 def _sweep_fault(label: str, exc: Exception) -> tuple:
-    kind, code = (("config", EXIT_CONFIG) if isinstance(exc, ValueError)
+    kind, code = (("config", EXIT_CONFIG) if isinstance(exc, (ValueError, MemoryError))
                   else ("numerical", EXIT_NUMERICAL))
     return code, None, (kind, f"{label}: {type(exc).__name__}: {exc}")
 
@@ -445,6 +446,9 @@ def main(argv=None) -> int:
         return cmd_sweep(cfg)
     except OSError as exc:  # the output directory or a file in it
         _machine_line("config", f"cannot write outputs: {exc}")
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid too large for this machine
+        _machine_line("config", f"out of memory: {exc}")
         return EXIT_CONFIG
 
 

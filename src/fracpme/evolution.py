@@ -22,6 +22,10 @@ satisfy dt * u_max * stiffness <= 2, where stiffness is the operator's
 second-difference/kernel symbol bound (h^(2s-2) scaling).  With s < 1/2 that
 bound is the binding one on fine grids; without it the interior develops a
 growing checkerboard.  The step controller takes the sharper of the two.
+
+The step itself is `flow.FlowKernel.step`.  `run` builds one kernel per run
+and carries value arrays through it; `step_physical` is the same kernel for
+one step of a Field.
 """
 
 from __future__ import annotations
@@ -31,18 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSeries, record
-from .faces import confining_drift, upwind_faces
-from .fracops import Exponents, FracOperator
+from .diagnostics import RECORD_BLOCK_CELLS, DiagnosticsSeries, record
+from .flow import DT_MAX, QUIESCENT_SPEED, FlowKernel, NumericalAbort
+from .fracops import FracOperator
 from .grid import Field
 
-QUIESCENT_SPEED = 1e-14
-DT_MAX = 1.0  # step taken when the velocity field is quiescent
 MAX_STEPS = 10 ** 7  # step budget of a run: checked up front and while stepping
-
-
-class NumericalAbort(RuntimeError):
-    """A run monitor tripped (mass drift, lost positivity, non-finite velocity)."""
 
 
 @dataclass
@@ -62,70 +60,14 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)  # empty when run streams states
     diagnostics: DiagnosticsSeries = field(default_factory=DiagnosticsSeries)
     steps: int = 0  # accepted steps; len(times) counts records, not steps
 
-
-def _upwind_step(vals: np.ndarray, faces: list, op: FracOperator,
-                 cfl_safety: float, dt_cap: float, vmax: float) -> tuple:
-    """One upwind step of the state `vals` whose faces are `faces` =
-    upwind_faces(vals, K vals, op, drift) and whose maximum is `vmax`.
-
-    Returns (new values, dt, min of the new values); the new values are a
-    fresh array.  dt is at most dt_cap and otherwise cfl_safety times the
-    sharper of two bounds: h over the largest per-cell sum of outgoing face
-    speeds (advective positivity), and 2 / (vmax * operator stiffness)
-    (non-amplification of the linearized pressure diffusion; it scales like
-    h^(2-2s) and binds on fine grids when s < 1/2)."""
-    h = op.grid.spacing
-    outflow = None
-    for ax, (w, _) in enumerate(faces):
-        lead = (slice(None),) * ax
-        part = np.empty(vals.shape)
-        np.maximum(w, 0.0, out=part[lead + (slice(None, -1),)])  # out through i+1/2
-        part[lead + (-1,)] = 0.0
-        part[lead + (slice(1, None),)] -= np.minimum(w, 0.0)    # out through i-1/2
-        outflow = part if outflow is None else np.add(outflow, part, out=outflow)
-    peak = float(outflow.max())
-    if not math.isfinite(peak):
-        raise NumericalAbort("non-finite velocity (operator blowup)")
-    if peak < QUIESCENT_SPEED:
-        # zero flux everywhere: the state is an exact fixed point of the
-        # update and the diffusion bound has nothing to amplify
-        dt = DT_MAX
-    else:
-        dt = cfl_safety * h / peak
-        rate = vmax * op.stiffness_bound()
-        if rate >= QUIESCENT_SPEED:
-            dt = min(dt, cfl_safety * 2.0 / rate)
-        dt = min(dt, DT_MAX)
-    dt = min(dt, dt_cap)
-
-    div = None
-    for ax, (w, up) in enumerate(faces):
-        lead = (slice(None),) * ax
-        shape = list(vals.shape)
-        shape[ax] += 1
-        flux = np.empty(shape)
-        flux[lead + (0,)] = 0.0  # the box boundary carries no flux
-        flux[lead + (-1,)] = 0.0
-        np.multiply(w, up, out=flux[lead + (slice(1, -1),)])
-        term = np.subtract(flux[lead + (slice(1, None),)], flux[lead + (slice(None, -1),)])
-        term /= h
-        div = term if div is None else np.add(div, term, out=div)
-    div *= dt
-    new_vals = np.subtract(vals, div, out=div)
-    # The convex-combination positivity bound is exact in exact arithmetic,
-    # but the flux-difference form can leave -O(eps * peak) dust when the
-    # bound is tight.  Zero only that dust; deeper negatives are genuine.
-    low = float(new_vals.min())
-    if low < 0.0:
-        floor = -1e-12 * max(vmax, 1.0)
-        new_vals[(new_vals < 0.0) & (new_vals >= floor)] = 0.0
-        low = float(new_vals.min())
-    return new_vals, dt, low
+    @property
+    def times(self) -> np.ndarray:
+        """Record times: the diagnostics' time column (a view)."""
+        return self.diagnostics.column("time")
 
 
 def step_physical(u: Field, op: FracOperator, cfg: SolverConfig) -> tuple:
@@ -133,9 +75,9 @@ def step_physical(u: Field, op: FracOperator, cfg: SolverConfig) -> tuple:
     A negative entering or resulting density raises NumericalAbort."""
     if u.values.min() < 0.0:
         raise NumericalAbort(f"negative density entering step (min {u.values.min():.3e})")
-    faces = upwind_faces(u.values, op.inverse(u).values, op, None)
-    vals, dt, low = _upwind_step(u.values, faces, op, cfg.cfl_safety, np.inf,
-                                 float(u.values.max()))
+    kernel = FlowKernel(op, False, cfg.cfl_safety)
+    faces = kernel.faces(u.values, op.inverse(u).values)
+    vals, dt, low = kernel.step(u.values, faces, float(u.values.max()), np.inf)
     if low < 0.0:
         raise NumericalAbort(f"positivity lost in step (min {low:.3e})")
     return Field(u.grid, vals), dt
@@ -158,17 +100,21 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     """Advance u0 from start_time to cfg.end_time, recording diagnostics every
     snapshot_stride accepted steps (plus the initial and final states).
 
-    Each state's pressure, face pass (upwind_faces), sum and maximum are
-    computed once and serve both its record and the next step.  Recorded
-    states are kept in traj.snapshots, or, when on_record is given, handed to
-    on_record(k, time, state) for record k and not kept; times, diagnostics
-    and steps are filled either way.
+    The loop carries value arrays through one FlowKernel: each state's
+    pressure, face pass, sum and maximum are computed once and serve both its
+    record and the next step, and every step returns a fresh array.  A Field
+    is built only for a recorded state.  Recorded states are kept in
+    traj.snapshots, or, when on_record is given, handed to on_record(k, time,
+    state) for record k and not kept (on_record must not modify the state);
+    times, diagnostics and steps are filled either way.  Diagnostics are
+    recorded in blocks of about RECORD_BLOCK_CELLS cells, and the series is
+    trimmed when the run ends.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
     any negative value, on non-finite velocities, and once MAX_STEPS steps
-    have not reached the end time.  A time span that
-    check_time_span refuses, a negative or non-finite datum and a periodic
-    operator (by the face pass) raise ValueError before the first step.
+    have not reached the end time.  A time span that check_time_span
+    refuses, a negative or non-finite datum, a datum on another grid and a
+    periodic operator raise ValueError before the first step.
     """
     if mode not in ("physical", "rescaled"):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -176,41 +122,48 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
         raise ValueError("initial datum has non-finite entries")
     if u0.values.min() < 0.0:
         raise ValueError("initial datum must be nonnegative")
+    if u0.grid is not op.grid and not u0.grid.compatible(op.grid):
+        raise ValueError("initial datum grid does not match operator grid")
     check_time_span(start_time, cfg.end_time)
     confined = mode == "rescaled"
-    beta = Exponents(op.grid.dim, op.s).beta
-    drift = confining_drift(op, beta) if confined else None
+    kernel = FlowKernel(op, confined, cfg.cfl_safety)
     grid = u0.grid
-    vol = grid.spacing ** grid.dim
+    vol = kernel.vol
     stop = cfg.end_time - 1e-15 * max(cfg.end_time, 1.0)
     traj = Trajectory()
-    u = Field(grid, u0.values.copy())
-    p = op.inverse(u)
-    faces = upwind_faces(u.values, p.values, op, drift)
+    vals = u0.values.copy()
+    p = kernel.convolve(vals)
+    faces = kernel.faces(vals, p)
     t = float(start_time)
-    mass0 = mass = vol * float(u.values.sum())
-    peak = float(u.values.max())
+    mass0 = mass = vol * float(vals.sum())
+    peak = float(vals.max())
     threshold = QUIESCENT_SPEED * max(mass0, 1.0)
+    per_block = max(1, RECORD_BLOCK_CELLS // grid.npoints)
+    block = []  # (state, pressure, faces, time, mass, peak) awaiting their rows
 
-    def note(state: Field, pressure: Field, faces: list, time: float,
-             mass: float, peak: float):
-        k = len(traj.times)
-        traj.times.append(time)
-        traj.diagnostics.append(record(state, time, op, confined=confined,
-                                       pressure=pressure, faces=faces,
-                                       mass=mass, peak=peak))
+    def flush():
+        states, ps, face_sets, times, masses, peaks = zip(*block)
+        record(traj.diagnostics, states, times, op, confined=confined,
+               pressures=ps, faces=face_sets, masses=masses, peaks=peaks)
+        block.clear()
+
+    def note(vals, p, faces, time, mass, peak):
+        k = len(traj.diagnostics) + len(block)
+        block.append((vals, p, faces, time, mass, peak))
+        state = Field(grid, vals)
         if on_record is None:
             traj.snapshots.append(state)
         else:
             on_record(k, time, state)
+        if len(block) == per_block:
+            flush()
 
-    note(u, p, faces, t, mass, peak)
+    note(vals, p, faces, t, mass, peak)
     steps = 0
     while t < stop:
         if steps == MAX_STEPS:
             raise NumericalAbort(f"{MAX_STEPS} steps did not reach end_time (t = {t:.6g})")
-        vals, dt, low = _upwind_step(u.values, faces, op, cfg.cfl_safety,
-                                     cfg.end_time - t, peak)
+        vals, dt, low = kernel.step(vals, faces, peak, cfg.end_time - t)
         t += dt
         steps += 1
         mass = vol * float(vals.sum())
@@ -223,10 +176,12 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
                 )
         if low < 0.0:
             raise NumericalAbort(f"positivity lost at t = {t:.6g} (min {low:.3e})")
-        u = Field(grid, vals)
-        p = op.inverse(u)
-        faces = upwind_faces(vals, p.values, op, drift)
+        p = kernel.convolve(vals)
+        faces = kernel.faces(vals, p)
         if steps % cfg.snapshot_stride == 0 or t >= stop:
-            note(u, p, faces, t, mass, peak)
+            note(vals, p, faces, t, mass, peak)
+    if block:
+        flush()
+    traj.diagnostics.trim()
     traj.steps = steps
     return traj

@@ -256,17 +256,6 @@ class FracOperator:
         fh = np.fft.rfftn(values)
         return np.fft.irfftn(fh * mult, s=values.shape, axes=axes)
 
-    def _conv_apply(self, values: np.ndarray) -> np.ndarray:
-        # the pruned rfftn/irfftn pair of the module docstring
-        n = self.grid.points_per_axis
-        spec = np.fft.rfft(values, 2 * n, axis=-1)
-        if values.ndim == 2:
-            spec = np.fft.fft(spec, 2 * n, axis=0)
-        spec *= self._taps_hat
-        if values.ndim == 2:
-            spec = np.fft.ifft(spec, axis=0)[:n]
-        return np.fft.irfft(spec, 2 * n, axis=-1)[..., :n]
-
     def _check_field(self, f: Field):
         if f.grid is not self.grid and not f.grid.compatible(self.grid):
             raise ValueError("field grid does not match operator grid")
@@ -298,10 +287,23 @@ class FracOperator:
         self._check_field(f)
         return Field(self.grid, self._spectral_apply(f.values, self._mult_lap))
 
+    def convolve(self, values: np.ndarray) -> np.ndarray:
+        """The freespace inverse of a value array on this grid, unchecked: the
+        pruned rfftn/irfftn pair of the module docstring.  The flow kernel
+        calls it once per state; `inverse` is it behind the Field checks."""
+        n = self.grid.points_per_axis
+        spec = np.fft.rfft(values, 2 * n, axis=-1)
+        if values.ndim == 2:
+            spec = np.fft.fft(spec, 2 * n, axis=0)
+        spec *= self._taps_hat
+        if values.ndim == 2:
+            spec = np.fft.ifft(spec, axis=0)[:n]
+        return np.fft.irfft(spec, 2 * n, axis=-1)[..., :n]
+
     def inverse(self, f: Field) -> Field:
         self._check_field(f)
         if self.mode == PERIODIC:
             out = self._spectral_apply(f.values, self._mult_inv)
         else:
-            out = self._conv_apply(f.values)
+            out = self.convolve(f.values)
         return Field(self.grid, out)

@@ -84,6 +84,11 @@ class Grid:
             object.__setattr__(self, "_radius2", r2)  # a cache, not a field
         return r2
 
+    def __getstate__(self) -> dict:
+        # the radius2 cache stays behind: an unpickled array would come back
+        # writeable, and the copy that gets it rebuilds it read-only on use
+        return {k: v for k, v in self.__dict__.items() if k != "_radius2"}
+
     def compatible(self, other: "Grid") -> bool:
         return (
             self.dim == other.dim

@@ -27,6 +27,7 @@ SNAPSHOT_VERSION = 1
 HEADER_KEYS = ("format_version", "n", "s", "L", "N", "time", "mode")
 GAUSSIAN_CUTOFF = 1e-14  # relative truncation of the sampled tail
 _VALUES_PER_LINE = 8
+CSV_CHUNK_ROWS = 1024  # diagnostics rows formatted per write
 
 
 def write_snapshot(path, v: Field, s: float, time: float, mode: str) -> None:
@@ -102,10 +103,15 @@ def read_snapshot(path) -> tuple:
 
 
 def write_diagnostics(path, series: DiagnosticsSeries) -> None:
-    row = ",".join(["%.17g"] * len(CSV_COLUMNS))  # the text of f"{x:.17g}"
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(row % rec.row() for rec in series.records)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The series as CSV: the CSV_COLUMNS header, then one "%.17g" row per
+    record, formatted and written CSV_CHUNK_ROWS rows at a time."""
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"  # the text of f"{x:.17g}"
+    table = series.table
+    with open(path, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            chunk = table[start:start + CSV_CHUNK_ROWS].tolist()
+            fh.write("".join(row % tuple(r) for r in chunk))
 
 
 def datum_box(grid: Grid, center: float, width: float, height: float) -> Field:

@@ -299,9 +299,11 @@ def match_mass(mass: float, s: float, grid: Grid) -> ObstacleSolution:
         return solved(level).mass - mass
 
     # seed with coefficient 1; the true prefactor is O(1) so a few
-    # halvings or doublings reach a sign change
+    # halvings or doublings reach a sign change.  No cell center lies nearer
+    # the origin than h/2, so no level up to a (h/2)^2 holds any mass: a tiny
+    # mass starts its upward search there, not hundreds of doublings below.
     seed = mass ** (2.0 / (grid.dim + 2.0 - 2.0 * s))
-    lo = hi = min(seed, c_max)
+    lo = hi = min(max(seed, a * (grid.spacing / 2.0) ** 2), c_max)
     g_lo, g_hi = gap(lo), None
     for _ in range(60):
         if g_lo <= 0.0:

@@ -151,6 +151,12 @@ def _level_profile(C: float, dim: int, s: float, n_pts: int):
     return solve_obstacle(make_problem(C, dim, s, n_pts))
 
 
+def _box_profile(C: float, a: float, s: float, dim: int, L: float, n_pts: int):
+    """The profile at level C with parabola coefficient a on a fixed box
+    (mass-law families)."""
+    return solve_obstacle(ObstacleProblem(C=C, a=a, s=s, grid=Grid(dim, L, n_pts)))
+
+
 # builder of each kind, longest first: the prefetch order (in quick mode
 # the three runs take about 0.3, 0.8 and 0.7 s, in full mode 3.6, 1.8 and
 # 1.1 s; every other artifact takes at most about 0.2 s)
@@ -162,6 +168,7 @@ _BUILDERS = {
     "settled": _settled,
     "mass_profile": _mass_profile,
     "level_profile": _level_profile,
+    "box_profile": _box_profile,
 }
 
 
@@ -370,21 +377,22 @@ def _check_obstacle(ctx: Suite, sol, ref_sol) -> CheckResult:
         ok)
 
 
+def _mass_law_families(ctx: Suite) -> list:
+    """Four levels in 1-D (a = 0.2, L = 7) and four in 2-D (a of s = 1/2)."""
+    levels = (0.5, 1.0, 2.0, 4.0)
+    a2 = Exponents(2, 0.5).a
+    return ([("box_profile", c, 0.2, 0.25, 1, 7.0, ctx.pick(512, 256)) for c in levels]
+            + [("box_profile", c, a2, 0.5, 2, 8.0, ctx.pick(96, 64)) for c in levels])
+
+
 # default sizing makes the level-4 box exactly twice the level-1 box,
 # so the rescaled grids align cell by cell
 @_reads(lambda ctx: [("level_profile", c, 1, 0.25, ctx.pick(1024, 512))
-                     for c in (1.0, 4.0)])
-def _check_scaling(ctx: Suite, sol1, sol4) -> CheckResult:
+                     for c in (1.0, 4.0)] + _mass_law_families(ctx))
+def _check_scaling(ctx: Suite, sol1, sol4, *families) -> CheckResult:
     dev = scaling_check(sol1, sol4)["density_deviation"]
-    g1 = Grid(1, 7.0, ctx.pick(512, 256))
-    sols1 = [solve_obstacle(ObstacleProblem(C=c, a=0.2, s=0.25, grid=g1))
-             for c in (0.5, 1.0, 2.0, 4.0)]
-    p1, _ = mass_law(sols1)
-    a2 = Exponents(2, 0.5).a
-    g2 = Grid(2, 8.0, ctx.pick(96, 64))
-    sols2 = [solve_obstacle(ObstacleProblem(C=c, a=a2, s=0.5, grid=g2))
-             for c in (0.5, 1.0, 2.0, 4.0)]
-    p2, _ = mass_law(sols2)
+    p1, _ = mass_law(families[:4])
+    p2, _ = mass_law(families[4:])
     tol_dev = ctx.tol(9, 0.02)
     tol_p1 = ctx.tol(9, 0.025)   # 2% of 1.25
     tol_p2 = ctx.tol(9, 0.03)    # 2% of 1.5

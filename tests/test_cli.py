@@ -1,6 +1,10 @@
 import os
 import re
+import resource
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from fracpme.cli import (EXIT_CONFIG, EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK,
 from fracpme.evolution import NumericalAbort
 from fracpme.grid import Field, Grid
 from fracpme.io import read_snapshot, write_snapshot
-from fracpme.obstacle import solve_obstacle
+from fracpme.fracops import Exponents
+from fracpme.obstacle import ObstacleProblem, solve_obstacle
 
 
 def test_flag_overrides_file(tmp_path):
@@ -324,6 +329,46 @@ def test_obstacle_mass_is_exact(tmp_path, argv, mass):
     out = tmp_path / "run"
     assert main(["obstacle", *argv, "--out", str(out)]) == EXIT_OK
     assert abs(_report_mass(out) - mass) <= 1e-12 * mass
+
+
+@pytest.mark.parametrize("mass", [1e-300, 1e-30])
+def test_obstacle_tiny_mass_matches_the_nearest_level(tmp_path, capsys, mass):
+    # the power-law seed lies hundreds of doublings below a (h/2)^2, where
+    # the first cell switches on; the search starts there instead, and no
+    # float level holds a mass nearer to M than the one returned
+    out = tmp_path / "run"
+    assert main(["obstacle", "--M", str(mass), "--N", "64", "--L", "4",
+                 "--out", str(out)]) == EXIT_OK
+    assert "FRACPME-FAIL" not in capsys.readouterr().out
+    grid = Grid(1, 4.0, 64)
+    a = Exponents(1, 0.25).a
+    level = float((out / "report.txt").read_text().splitlines()[0].split(":")[1])
+    assert level == a * (grid.spacing / 2.0) ** 2
+    above = solve_obstacle(ObstacleProblem(C=np.nextafter(level, np.inf), a=a, s=0.25,
+                                           grid=grid)).mass
+    assert 0.0 <= _report_mass(out) <= mass < above
+    assert mass - _report_mass(out) < above - mass
+
+
+def test_out_of_memory_is_config_error(tmp_path):
+    # a grid whose arrays the process may not allocate: one FRACPME-FAIL line
+    # and exit 2, no traceback; the child runs under a 2 GiB address-space cap
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = tmp_path / "run"
+    done = subprocess.run(
+        [sys.executable, "-m", "fracpme.cli", "evolve", "--n", "2", "--N", "100000",
+         "--end-time", "0.01", "--out", str(out)],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    (line,) = done.stdout.splitlines()
+    assert line.startswith("FRACPME-FAIL config: out of memory: Unable to allocate")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def test_obstacle_mass_beyond_the_box_is_config_error(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Recorded quantities, identity checks, and power-law fits."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fracpme.diagnostics import (
     CSV_COLUMNS,
-    DiagnosticsRecord,
+    RECORD_BLOCK_CELLS,
     DiagnosticsSeries,
     entropy_dissipation_identity_check,
     fit_power_law,
@@ -23,7 +25,14 @@ def make_record(time, **overrides):
         entropy=1.0, boltzmann=0.0, dissipation=1.0, support_radius=1.0,
     )
     base.update(overrides)
-    return DiagnosticsRecord(**base)
+    return [base[name] for name in CSV_COLUMNS]
+
+
+def record_one(v, op, confined=True, time=0.0):
+    """The diagnostics of the single state v, by column name."""
+    series = DiagnosticsSeries()
+    record(series, [v.values], [time], op, confined=confined)
+    return SimpleNamespace(**dict(zip(CSV_COLUMNS, series.table[0].tolist())))
 
 
 def gaussian_field(grid, width=0.8):
@@ -37,7 +46,7 @@ def test_record_cross_checks():
     op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
     exp = Exponents(1, 0.25)
     v = gaussian_field(grid)
-    rec = record(v, 0.3, op)
+    rec = record_one(v, op, time=0.3)
     h = grid.spacing
     assert rec.time == 0.3
     assert rec.mass == pytest.approx(h * v.values.sum(), rel=1e-15)
@@ -71,17 +80,17 @@ def test_norms_exact_on_underflowing_tail():
     subnormal[1::2] = np.logspace(-100, -78, 128)
     for vals in (bulk, tail, subnormal):
         v = Field(grid, vals)
-        rec = record(v, 0.0, op)
+        rec = record_one(v, op)
         assert rec.l4 == (h * (np.abs(v.values) ** 4).sum()) ** 0.25
         assert rec.l2 == (h * (np.abs(v.values) ** 2).sum()) ** 0.5
         assert rec.linf == float(np.abs(v.values).max())
-    assert 0.0 < record(Field(grid, subnormal), 0.0, op).l4
+    assert 0.0 < record_one(Field(grid, subnormal), op).l4
     bulk[5] = np.nan
-    assert np.isnan(record(Field(grid, bulk), 0.0, op).l4)
+    assert np.isnan(record_one(Field(grid, bulk), op).l4)
     # a single spike has the closed forms
     spike = np.zeros(256)
     spike[40] = 3.0
-    rec = record(Field(grid, spike), 0.0, op)
+    rec = record_one(Field(grid, spike), op)
     assert rec.linf == 3.0
     assert rec.l2 == pytest.approx(np.sqrt(h * 9.0), rel=1e-15)
     assert rec.l4 == pytest.approx((h * 81.0) ** 0.25, rel=1e-15)
@@ -121,23 +130,128 @@ def test_dissipation_matches_face_gradient_formula(dim, mode, confined):
     v = Field(grid, vals * (1.0 + 0.3 * c[0]).clip(0.0))
     expected = _face_gradient_dissipation(
         op.inverse(v).values, v.values, grid, exp.beta if confined else None)
-    assert record(v, 0.0, op, confined=confined).dissipation == expected
+    assert record_one(v, op, confined=confined).dissipation == expected
     assert expected > 0.0
 
 
 def test_record_row_matches_columns():
-    rec = make_record(0.0)
-    row = rec.row()
-    assert len(row) == len(CSV_COLUMNS)
-    for name, value in zip(CSV_COLUMNS, row):
-        assert getattr(rec, name) == value
+    # one float64 table: a row per record, each column a view of it
+    series = DiagnosticsSeries()
+    rows = [make_record(0.1 * k, mass=float(k), support_radius=-float(k))
+            for k in range(100)]  # past the first doubling
+    series.append(rows[:1])
+    series.append(rows[1:])
+    assert len(series) == 100
+    assert series.table.shape == (100, len(CSV_COLUMNS))
+    assert series.table.tolist() == rows
+    for j, name in enumerate(CSV_COLUMNS):
+        col = series.column(name)
+        assert np.shares_memory(col, series.table)
+        assert col.tolist() == [row[j] for row in rows]
+    series.trim()
+    assert series.table.base is None or series.table.base.shape[0] == 100
+    assert series.table.tolist() == rows
+
+
+def reference_row(vals, op, confined):
+    """The diagnostics of one state as a lone array: every reduction is the
+    full-array one, with no block in sight."""
+    grid = op.grid
+    vol = grid.spacing ** grid.dim
+    beta = Exponents(grid.dim, op.s).beta
+    r2 = grid.radius2()
+    kv = op.inverse(Field(grid, vals)).values
+    moment2 = vol * float((r2 * vals).sum())
+    energy1 = vol * float((vals * kv).sum())
+    pos = vals[vals > 1e-30]
+    boltzmann = vol * float((np.log(pos) * pos).sum())
+    dissipation = 0.0
+    for ax in range(grid.dim):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        w = (kv[hi] - kv[lo]) / -grid.spacing
+        if confined:
+            shape = [1] * grid.dim
+            shape[ax] = grid.points_per_axis - 1
+            w = w - beta * grid.interior_faces().reshape(shape)
+        up = np.where(w > 0.0, vals[lo], vals[hi])
+        dissipation += float((w * w * up).sum()) * vol
+    a = np.abs(vals)
+    linf = float(a.max())
+    a4 = np.power(a, 4, out=np.zeros(a.shape), where=~(a <= 1e-100))
+    return [0.0, vol * float(vals.sum()), linf, float((vol * (a * a).sum()) ** 0.5),
+            float((vol * a4.sum()) ** 0.25), moment2, energy1,
+            0.5 * (energy1 + beta * moment2), boltzmann, dissipation,
+            float(np.sqrt(r2.max(where=vals > 1e-10 * linf, initial=0.0)))]
+
+
+def _bits(rows):
+    # a nan's sign bit is not data (the CSV prints nan either way)
+    a = np.array(rows, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+@pytest.mark.parametrize("confined", [True, False], ids=["confined", "physical"])
+@pytest.mark.parametrize("dim, n", [(1, 256), (1, 1024), (2, 24), (2, 96)])
+def test_block_rows_equal_lone_state_rows(dim, n, confined):
+    # a block's row sums must carry each state's own bits: tails from 1e-320
+    # up (subnormal fourth powers), a nan, a zero state, a lone spike, and
+    # blocks of every length up to a partial one
+    grid = Grid(dim=dim, half_width=5.0, points_per_axis=n)
+    op = FracOperator(grid, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim), FREESPACE)
+    rng = np.random.default_rng(n)
+    bump = np.clip(1.0 - grid.radius2() / 4.0, 0.0, None)
+    states = []
+    for k in range(7):
+        vals = bump * rng.uniform(0.5, 2.0) + rng.random(grid.shape) * (bump > 0)
+        flat = vals.reshape(-1)
+        tail = flat == 0.0
+        flat[tail] = np.logspace(-320, -60, int(tail.sum())) * (k % 3)
+        states.append(vals)
+    states.append(np.zeros(grid.shape))
+    spike = np.zeros(grid.shape)
+    spike.reshape(-1)[grid.npoints // 3] = 3.0
+    states.append(spike)
+    nan = states[1].copy()
+    nan.reshape(-1)[5] = np.nan
+    states.append(nan)
+    expected = [reference_row(v, op, confined) for v in states]
+    for size in (1, 3, len(states)):
+        series = DiagnosticsSeries()
+        for start in range(0, len(states), size):
+            part = states[start:start + size]
+            record(series, part, [start + j + 1.0 for j in range(len(part))], op,
+                   confined=confined)
+        got = series.table.copy()
+        got[:, 0] = 0.0
+        assert _bits(got) == _bits(expected), size
+
+
+@pytest.mark.parametrize("mode", ["physical", "rescaled"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_run_rows_equal_lone_state_rows(dim, mode):
+    # the run's blocks end on a partial one; every row has the lone bits
+    n = 512 if dim == 1 else 48
+    grid = Grid(dim=dim, half_width=4.0, points_per_axis=n)
+    op = FracOperator(grid, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim), FREESPACE)
+    per_block = RECORD_BLOCK_CELLS // grid.npoints
+    traj = run(Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0)), mode,
+               SolverConfig(end_time=0.3, snapshot_stride=1), op)
+    assert len(traj.times) % per_block != 0 and len(traj.times) > per_block
+    expected = [reference_row(snap.values, op, mode == "rescaled")
+                for snap in traj.snapshots]
+    got = traj.diagnostics.table.copy()
+    assert np.array_equal(got[:, 0], traj.times)
+    got[:, 0] = 0.0
+    assert _bits(got) == _bits(expected)
 
 
 def test_record_handles_zeros_in_boltzmann():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
     box = Field(grid, np.where(np.abs(grid.axis()) < 1, 0.5, 0.0))
-    rec = record(box, 0.0, op)
+    rec = record_one(box, op)
     assert np.isfinite(rec.boltzmann)
     assert rec.boltzmann < 0.0  # 0.5 log 0.5 cells only
 
@@ -146,16 +260,16 @@ def test_support_radius():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=256)
     op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
     box = Field(grid, np.where(np.abs(grid.axis()) < 1.0, 2.0, 0.0))
-    assert record(box, 0.0, op).support_radius == pytest.approx(1.0, abs=grid.spacing)
+    assert record_one(box, op).support_radius == pytest.approx(1.0, abs=grid.spacing)
     # a cell at 1e-10 of the peak or below is outside the support
     faint = box.values.copy()
     faint[np.abs(grid.axis()) > 3.0] = 2e-10
-    assert record(Field(grid, faint), 0.0, op).support_radius == pytest.approx(
+    assert record_one(Field(grid, faint), op).support_radius == pytest.approx(
         1.0, abs=grid.spacing)
     faint[np.abs(grid.axis()) > 3.0] = 3e-10
-    assert record(Field(grid, faint), 0.0, op).support_radius == pytest.approx(
+    assert record_one(Field(grid, faint), op).support_radius == pytest.approx(
         4.0, abs=grid.spacing)
-    assert record(Field(grid, np.zeros(256)), 0.0, op).support_radius == 0.0
+    assert record_one(Field(grid, np.zeros(256)), op).support_radius == 0.0
 
 
 def test_series_append_requires_increasing_time():
@@ -164,6 +278,8 @@ def test_series_append_requires_increasing_time():
     series.append(make_record(0.5))
     with pytest.raises(ValueError, match="increase"):
         series.append(make_record(0.5))
+    with pytest.raises(ValueError, match="increase"):
+        series.append([make_record(0.7), make_record(0.6)])
     assert len(series) == 2
     np.testing.assert_allclose(series.column("time"), [0.0, 0.5])
     with pytest.raises(KeyError):

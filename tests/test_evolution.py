@@ -1,11 +1,13 @@
 """Stepper, similarity exponents, and the physical/rescaled change of frame."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fracpme import diagnostics, evolution
+from fracpme import diagnostics
 from fracpme.evolution import DT_MAX, MAX_STEPS, NumericalAbort, SolverConfig, run, step_physical
-from fracpme.faces import upwind_faces
+from fracpme.flow import FlowKernel
 from fracpme.fracops import FREESPACE, PERIODIC, Exponents, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.remap import resample
@@ -73,7 +75,7 @@ def test_velocity_points_outward():
     op = freespace_op(grid)
     # transport velocity -grad K u at the faces, as the stepper uses it
     u = gaussian_datum(grid)
-    ((w, _),) = upwind_faces(u.values, op.inverse(u).values, op, None)
+    ((w, _),) = FlowKernel(op, False).faces(u.values, op.inverse(u).values)
     x = grid.interior_faces()
     assert (w[(x > 0.5) & (x < 4.0)] > 0.0).all()
     assert (w[(x < -0.5) & (x > -4.0)] < 0.0).all()
@@ -90,8 +92,8 @@ def test_step_rejects_negative_state():
 def test_step_rejects_negative_result(monkeypatch):
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = freespace_op(grid)
-    overshoot = lambda vals, *args: (vals - 2.0, 0.1, float((vals - 2.0).min()))
-    monkeypatch.setattr(evolution, "_upwind_step", overshoot)
+    overshoot = lambda self, vals, *args: (vals - 2.0, 0.1, float((vals - 2.0).min()))
+    monkeypatch.setattr(FlowKernel, "step", overshoot)
     with pytest.raises(NumericalAbort, match="positivity lost"):
         step_physical(box_datum(grid), op, SolverConfig())
 
@@ -106,6 +108,9 @@ def test_run_input_validation():
     nan_vals[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         run(Field(grid, nan_vals), "physical", SolverConfig(), op)
+    other = Grid(dim=1, half_width=5.0, points_per_axis=64)
+    with pytest.raises(ValueError, match="grid"):
+        run(box_datum(other), "physical", SolverConfig(), op)
 
 
 def test_mass_conserved_and_positive():
@@ -145,7 +150,7 @@ def test_zero_state_advances_in_dt_max_hops():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     zero = Field(grid, np.zeros(64))
     traj = run(zero, "physical", SolverConfig(end_time=3.0 * DT_MAX), freespace_op(grid))
-    assert traj.times == [0.0, DT_MAX, 2.0 * DT_MAX, 3.0 * DT_MAX]
+    assert traj.times.tolist() == [0.0, DT_MAX, 2.0 * DT_MAX, 3.0 * DT_MAX]
     assert all(np.array_equal(snap.values, zero.values) for snap in traj.snapshots)
 
 
@@ -162,7 +167,7 @@ def test_dt_cap_honored():
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=1e-4),
                freespace_op(grid))
     assert traj.steps == 1
-    assert traj.times == [0.0, 1e-4]
+    assert traj.times.tolist() == [0.0, 1e-4]
 
 
 def rescale(u, t, exp):
@@ -223,32 +228,32 @@ def test_rescaled_entropy_monotone():
 @pytest.mark.parametrize("mode", ["physical", "rescaled"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_one_pressure_per_state(monkeypatch, dim, mode):
-    # each state's pressure and face pass serve its record and the next step
+    # each state's convolution and face pass serve its record and the next step
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 32)
     op = freespace_op(grid, s=0.25 if dim == 1 else 0.5)
     calls = []
     face_calls = []
-    inverse = FracOperator.inverse
+    convolve, faces = FracOperator.convolve, FlowKernel.faces
 
-    def counted(self, f):
-        calls.append(f)
-        return inverse(self, f)
+    def counted(self, values):
+        calls.append(values)
+        return convolve(self, values)
 
-    def counted_faces(vals, pressure, op, drift):
+    def counted_faces(self, vals, pressure):
         face_calls.append(vals)
-        return upwind_faces(vals, pressure, op, drift)
+        return faces(self, vals, pressure)
 
-    monkeypatch.setattr(FracOperator, "inverse", counted)
-    monkeypatch.setattr(evolution, "upwind_faces", counted_faces)
-    monkeypatch.setattr(diagnostics, "upwind_faces", counted_faces)
+    monkeypatch.setattr(FracOperator, "convolve", counted)
+    monkeypatch.setattr(FlowKernel, "faces", counted_faces)
     u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
     traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op)
     assert traj.steps >= 3
     assert len(traj.times) == traj.steps + 1
     assert len(calls) == traj.steps + 1
     assert len(face_calls) == traj.steps + 1
-    for vals, snap in zip(face_calls, traj.snapshots, strict=True):
+    for vals, called, snap in zip(face_calls, calls, traj.snapshots, strict=True):
         assert vals is snap.values
+        assert called is vals
 
 
 def test_streamed_states_match_kept_snapshots():
@@ -260,12 +265,34 @@ def test_streamed_states_match_kept_snapshots():
     streamed = run(box_datum(grid), "rescaled", cfg, op,
                    on_record=lambda k, t, state: seen.append((k, t, state)))
     assert streamed.snapshots == []
-    assert streamed.steps == kept.steps and streamed.times == kept.times
-    assert streamed.diagnostics.records == kept.diagnostics.records
+    assert streamed.steps == kept.steps
+    assert streamed.times.tobytes() == kept.times.tobytes()
+    assert streamed.diagnostics.table.tobytes() == kept.diagnostics.table.tobytes()
     assert [k for k, _, _ in seen] == list(range(len(kept.times)))
-    assert [t for _, t, _ in seen] == kept.times
+    assert [t for _, t, _ in seen] == kept.times.tolist()
     for (_, _, state), snap in zip(seen, kept.snapshots):
         assert np.array_equal(state.values, snap.values)
+
+
+def test_records_cost_one_table_row_each():
+    # a streamed stride-1 run keeps one 88-B row per record and nothing else;
+    # a first identical run fills the caches and the interpreter's free lists
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
+    op = freespace_op(grid)
+    cfg = SolverConfig(end_time=20.0, snapshot_stride=1)
+    discard = lambda k, t, state: None
+    run(box_datum(grid), "physical", cfg, op, on_record=discard)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = run(box_datum(grid), "physical", cfg, op, on_record=discard)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    records = len(traj.times)
+    assert records > 600
+    assert traj.diagnostics.table.nbytes == 88 * records
+    assert grown <= 128 * records
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -294,7 +321,7 @@ def test_run_refuses_a_span_beyond_the_step_budget(monkeypatch):
     op = freespace_op(grid)
     tiny = Field(grid, np.where(np.abs(grid.axis()) < 0.5, 1e-300, 0.0))
     calls = []
-    monkeypatch.setattr(FracOperator, "inverse", lambda self, f: calls.append(f))
+    monkeypatch.setattr(FracOperator, "convolve", lambda self, values: calls.append(values))
     for start, end in ((0.0, 1e300), (0.0, 2.0 * MAX_STEPS * DT_MAX),
                        (5.0, 5.0 + 2.0 * MAX_STEPS * DT_MAX)):
         with pytest.raises(ValueError, match=f"needs more than {MAX_STEPS} steps"):
@@ -340,4 +367,5 @@ def test_flow_rejects_periodic_operator():
         step_physical(u, op, SolverConfig())
     for confined in (True, False):
         with pytest.raises(ValueError, match="freespace"):
-            diagnostics.record(u, 0.0, op, confined=confined)
+            diagnostics.record(diagnostics.DiagnosticsSeries(), [u.values], [0.0], op,
+                                   confined=confined)

@@ -1,6 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from fracpme.fanout import fan_out
 from fracpme.grid import Field, Grid
 
 
@@ -79,3 +82,31 @@ def test_compatible():
     c = Grid(dim=1, half_width=2.0, points_per_axis=8)
     assert a.compatible(b)
     assert not a.compatible(c)
+
+
+def _grid_with_cache(n: int) -> Grid:
+    g = Grid(dim=2, half_width=3.0, points_per_axis=n)
+    g.radius2()
+    return g
+
+
+def test_pickled_grid_rebuilds_a_read_only_cache():
+    g = _grid_with_cache(8)
+    copy = pickle.loads(pickle.dumps(g))
+    assert "_radius2" not in copy.__dict__
+    assert copy == g and hash(copy) == hash(g)
+    r2 = copy.radius2()
+    assert not r2.flags.writeable
+    assert copy.radius2() is r2
+    assert np.array_equal(r2, g.radius2())
+
+
+def test_fanned_out_grid_has_a_read_only_cache(cores):
+    # a grid that comes back from a forked worker travels pickled
+    forks = cores(2)
+    grids = fan_out(_grid_with_cache, [8, 16])
+    assert len(forks) == 2
+    for g in grids:
+        assert not g.radius2().flags.writeable
+        with pytest.raises(ValueError):
+            g.radius2()[0, 0] = 1.0

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fracpme.diagnostics import CSV_COLUMNS, DiagnosticsRecord, DiagnosticsSeries
+from fracpme.diagnostics import CSV_COLUMNS, DiagnosticsSeries
 from fracpme.evolution import SolverConfig, run
 from fracpme.fracops import FREESPACE, FracOperator, FracParams
 from fracpme.grid import Field, Grid
-from fracpme.io import (SNAPSHOT_VERSION, datum_box, datum_gaussian,
+from fracpme.io import (CSV_CHUNK_ROWS, SNAPSHOT_VERSION, datum_box, datum_gaussian,
                         datum_parabola_cap, parse_datum, read_snapshot,
                         snapshot_datum, write_diagnostics, write_snapshot)
 
@@ -148,15 +148,21 @@ def test_diagnostics_text_is_the_fstring_form(tmp_path):
     edge = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
             2.225073858507201e-308, 1e-320, 1.7976931348623157e308, 0.1, 1 / 3, 1e16,
             123456789012345678.0, 1e-5, 1e-4, 1e17, 9.999999999999999e16]
-    bits = np.random.default_rng(0).integers(0, 2**63, 3 * 11 * 300, dtype=np.uint64)
+    bits = np.random.default_rng(0).integers(0, 2**63, 3 * 11 * 800, dtype=np.uint64)
     values = edge + [float(x) for x in bits.view(np.float64)] + edge[::-1]
-    values += [0.0] * (-len(values) % len(CSV_COLUMNS))
+    width = len(CSV_COLUMNS) - 1  # the time column must increase
+    values += [0.0] * (-len(values) % width)
+    rows = [[float(k)] + values[j:j + width]
+            for k, j in enumerate(range(0, len(values), width))]
+    rows[0][0] = -np.inf
+    rows[-1][0] = np.inf
+    rows[1][0], rows[2][0] = -5e-324, 0.0
     series = DiagnosticsSeries()
-    for k in range(0, len(values), len(CSV_COLUMNS)):
-        series.records.append(DiagnosticsRecord(*values[k:k + len(CSV_COLUMNS)]))
+    for start in range(0, len(rows), 700):  # past the first doubling and a chunk
+        series.append(rows[start:start + 700])
     write_diagnostics(tmp_path / "d.csv", series)
-    expected = [",".join(CSV_COLUMNS)] + [
-        ",".join(f"{x:.17g}" for x in rec.row()) for rec in series.records]
+    expected = [",".join(CSV_COLUMNS)] + [",".join(f"{x:.17g}" for x in row) for row in rows]
+    assert len(rows) > 2 * CSV_CHUNK_ROWS
     assert (tmp_path / "d.csv").read_text() == "\n".join(expected) + "\n"
 
 

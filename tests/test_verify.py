@@ -155,3 +155,16 @@ def test_no_fork_while_another_thread_runs(monkeypatch, capsys, cores):
     capsys.readouterr()
     assert not waiter.is_alive()
     assert forks == []
+
+
+def test_scaling_check_solves_nothing_itself(monkeypatch):
+    # check 9's two scaling levels and its eight mass-law solves are all
+    # prefetched artifacts, so they run on the worker pool
+    ctx = Suite(quick=True, tamper=None, started=0.0)
+    keys = verify._check_scaling.reads(ctx)
+    assert [k[0] for k in keys] == ["level_profile"] * 2 + ["box_profile"] * 8
+    ctx.cache.update((key, verify._build(key)) for key in keys)
+    calls = []
+    monkeypatch.setattr(verify, "solve_obstacle", lambda prob: calls.append(prob))
+    assert verify._check_scaling(ctx).passed
+    assert calls == []
