@@ -1,10 +1,11 @@
 """Numerical laboratory for porous medium flow driven by a fractional pressure.
 
-Core pieces: spectral and kernel realizations of the fractional operator family
-(`fracops`), a conservative upwind finite-volume solver for the physical and
-self-similar flows (`evolution`), a complementarity solver for the stationary
-profile (`obstacle`), entropy and decay diagnostics (`diagnostics`), and a file
-oriented CLI (`cli`).
+Core pieces: the pressure operator, the Riesz potential (-Lap)^(-s) realized
+by exact kernel quadrature on free space (`fracops`), a conservative upwind
+finite-volume solver for the physical and self-similar flows (`evolution`), a
+complementarity solver for the stationary profile (`obstacle`), entropy and
+decay diagnostics (`diagnostics`), independent oracles that recompute answers a
+second way (`oracles`), and a file oriented CLI (`cli`).
 """
 
 from .grid import Field, Grid

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .evolution import NumericalAbort, SolverConfig, check_time_span, run
-from .fracops import FREESPACE, Exponents, FracOperator, FracParams
+from .fracops import Exponents, FracOperator, FracParams
 from .grid import Grid
 from .io import (
     build_datum,
@@ -243,7 +243,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         check_time_span(start, cfg.end_time)
         params = FracParams(s=cfg.s, dim=cfg.n,
                             allow_supercritical=cfg.allow_supercritical)
-        op = FracOperator(grid, params, FREESPACE)
+        op = FracOperator(grid, params)
     except (ValueError, OSError) as exc:
         _machine_line("config", str(exc))
         return EXIT_CONFIG
@@ -398,19 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="key = value file; flags override it")
-        p.add_argument("--n", type=int, help="space dimension (1 or 2)")
-        p.add_argument("--s", type=float, help="fractional order in (0, 1)")
-        p.add_argument("--L", type=float, help="half-width of the box")
-        p.add_argument("--N", type=int, help="cells per axis (even, >= 8)")
-        p.add_argument("--end-time", type=float, dest="end_time")
+        p.add_argument("--n", help="space dimension (1 or 2)")
+        p.add_argument("--s", help="fractional order in (0, 1)")
+        p.add_argument("--L", help="half-width of the box")
+        p.add_argument("--N", help="cells per axis (even, >= 8)")
+        p.add_argument("--end-time", dest="end_time")
         p.add_argument("--datum", help="box(c,w,h) | parabola_cap(a,b) | "
                                        "gaussian_truncated(sigma) | from_file(path)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--C", type=float, help="obstacle level")
-        p.add_argument("--M", type=float, help="target mass (obstacle mode)")
-        p.add_argument("--cfl", type=float, dest="cfl_safety")
-        p.add_argument("--snapshot-stride", type=int, dest="snapshot_stride")
-        p.add_argument("--snapshot-every", type=int, dest="snapshot_every")
+        p.add_argument("--C", help="obstacle level")
+        p.add_argument("--M", help="target mass (obstacle mode)")
+        p.add_argument("--cfl", dest="cfl_safety")
+        p.add_argument("--snapshot-stride", dest="snapshot_stride")
+        p.add_argument("--snapshot-every", dest="snapshot_every")
         p.add_argument("--quick", action="store_const", const=True)
         p.add_argument("--allow-supercritical", action="store_const", const=True,
                        dest="allow_supercritical")

@@ -8,7 +8,7 @@ Both are advanced by the same first-order upwind finite-volume step.  The flux
 through a face is the face velocity times the upwind cell value, where the
 face velocity is minus the difference of adjacent pressure cells over h (plus
 the exact confining drift -beta y_face in rescaled form).  The equation is
-posed on the whole space, so the pressure is the freespace kernel potential
+posed on the whole space, so the pressure is the Riesz kernel potential
 and the box boundary carries no flux.  Flux form makes the discrete mass
 exactly conserved, and the time step is chosen from the largest per-cell sum
 of outgoing face speeds, which is the sharp positivity bound:
@@ -113,8 +113,8 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
     any negative value, on non-finite velocities, and once MAX_STEPS steps
     have not reached the end time.  A time span that check_time_span
-    refuses, a negative or non-finite datum, a datum on another grid and a
-    periodic operator raise ValueError before the first step.
+    refuses, a negative or non-finite datum and a datum on another grid
+    raise ValueError before the first step.
     """
     if mode not in ("physical", "rescaled"):
         raise ValueError(f"unknown run mode {mode!r}")

@@ -11,9 +11,6 @@ volume, the operator's stiffness bound and its array-level convolution, the
 CFL safety factor, the drift, the per-axis slices and the flux buffers, whose
 zero ends (the box boundary carries no flux) are set at construction.  Its
 arrays are plain value arrays on the operator's grid.
-
-The flow is posed on the whole space, so only the freespace operator is
-admitted; its box boundary carries no flux.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fracops import FREESPACE, Exponents, FracOperator
+from .fracops import Exponents, FracOperator
 
 QUIESCENT_SPEED = 1e-14
 DT_MAX = 1.0  # step taken when the velocity field is quiescent
@@ -50,13 +47,9 @@ class _Axis(NamedTuple):
 
 class FlowKernel:
     """Face pass and upwind step of the flow through `op`; confined adds the
-    drift of the rescaled form.  Raises ValueError for any operator but the
-    freespace one."""
+    drift of the rescaled form."""
 
     def __init__(self, op: FracOperator, confined: bool, cfl_safety: float = 1.0):
-        if op.mode != FREESPACE:
-            raise ValueError(f"the flow is posed on the whole space and needs the "
-                             f"freespace operator, got {op.mode!r}")
         grid = op.grid
         self.h = grid.spacing
         self.vol = self.h ** grid.dim

@@ -1,16 +1,12 @@
-"""Fractional Laplacian and its inverse potential on a grid.
+"""Inverse fractional Laplacian (Riesz potential) on a grid.
 
-Two realizations of the operator family are provided:
-
-* ``periodic_spectral``: Fourier multipliers on the periodized box, |k|^(2s) for the
-  fractional Laplacian and |k|^(-2s) for the inverse, with the zero mode of the
-  inverse mapped to 0.  Exact on plane waves.
-* ``freespace_kernel``: the inverse is realized as convolution with the Riesz kernel
-  c(n,s) |x|^(2s-n), discretized by exact cell averages of the kernel over each source
-  cell (the singular cell via closed form in 1-D and a polar-coordinate reduction in
-  2-D).  The operator is translation invariant, so a single tap table drives both a
-  zero-padded circular convolution (any grid) and the dense kernel submatrices that
-  the pivoting oracles take.  Only the inverse exists in this mode.
+The equation is posed on the whole space, so the inverse (-Lap)^(-s) is
+realized as convolution with the Riesz kernel c(n,s) |x|^(2s-n), discretized by
+exact cell averages of the kernel over each source cell (the singular cell via
+closed form in 1-D and a polar-coordinate reduction in 2-D).  The operator is
+translation invariant, so a single tap table drives both a zero-padded circular
+convolution (any grid) and the dense kernel submatrices that the pivoting
+oracles take.
 
 The convolution runs on the 2N-point embedding one axis at a time, pruned: the
 forward transforms zero-pad the N data rows themselves, and only the N rows that
@@ -31,7 +27,6 @@ from scipy.special import gamma, roots_legendre
 
 from .grid import Field, Grid
 
-PERIODIC = "periodic_spectral"
 FREESPACE = "freespace_kernel"
 TAP_BLOCK_CELLS = 2048  # cells per row block of the 2-D tap build
 
@@ -41,8 +36,16 @@ def riesz_constant(n: int, s: float) -> float:
 
     With this constant, convolution against c(n,s)|x|^(2s-n) has Fourier symbol
     |k|^(-2s), i.e. it inverts the fractional Laplacian.  Positive for 2s < n.
+    Raises ValueError where it diverges (2s = n) and where it falls to 0 because
+    Gamma(s) overflows (s below about 1e-308).
     """
-    return float(gamma((n - 2.0 * s) / 2.0) / (4.0 ** s * np.pi ** (n / 2.0) * gamma(s)))
+    with np.errstate(over="ignore"):
+        c = float(gamma((n - 2.0 * s) / 2.0) / (4.0 ** s * np.pi ** (n / 2.0) * gamma(s)))
+    if not np.isfinite(c):
+        raise ValueError(f"Riesz kernel normalization diverges at 2s = n (s = {s}, n = {n})")
+    if c == 0.0:
+        raise ValueError(f"Riesz kernel normalization underflows at s = {s:g} (n = {n})")
+    return c
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class FracParams:
 
     In one dimension the inverse potential requires s < 1/2; larger s is admitted
     only with allow_supercritical=True and comes with a warning (the kernel constant
-    changes sign there, so the freespace realization loses positivity).
+    changes sign there, so the potential loses positivity).
     """
 
     s: float
@@ -110,7 +113,7 @@ class Exponents:
 
 
 # ---------------------------------------------------------------------------
-# Kernel tap tables (cell-averaged Riesz kernel, freespace realization)
+# Kernel tap tables (cell-averaged Riesz kernel)
 # ---------------------------------------------------------------------------
 
 
@@ -122,8 +125,6 @@ def _taps_1d(grid: Grid, s: float) -> np.ndarray:
     """
     n, h = grid.points_per_axis, grid.spacing
     c = riesz_constant(1, s)
-    if not np.isfinite(c):
-        raise ValueError(f"Riesz kernel normalization diverges at 2s = n (s = {s}, n = 1)")
     m = np.arange(n, dtype=float)
     taps = np.empty(n)
     taps[0] = 2.0 * (h / 2.0) ** (2 * s) / (2 * s)
@@ -207,54 +208,36 @@ def _second_difference_symbol(m: int, h: float, dim: int) -> np.ndarray:
 
 
 class FracOperator:
-    """One (grid, s, mode) realization with cached multipliers / kernel tables."""
+    """The Riesz potential on one (grid, s) with its cached kernel tables.
 
-    def __init__(self, grid: Grid, params: FracParams, mode: str):
+    `mode` may name FREESPACE, the only realization; any other value raises
+    ValueError."""
+
+    def __init__(self, grid: Grid, params: FracParams, mode: str = FREESPACE):
         if params.dim != grid.dim:
             raise ValueError(f"params.dim = {params.dim} does not match grid.dim = {grid.dim}")
-        if mode not in (PERIODIC, FREESPACE):
+        if mode != FREESPACE:
             raise ValueError(f"unknown operator mode {mode!r}")
         self.grid = grid
         self.s = params.s
-        self.mode = mode
         self._stiffness = None
-
-        if mode == PERIODIC:
-            k1 = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-            kr = k1[: grid.points_per_axis // 2 + 1].copy()
-            kr[-1] = abs(k1[grid.points_per_axis // 2])  # Nyquist enters positive
-            if grid.dim == 1:
-                kabs = np.abs(kr)
-            else:
-                kabs = np.sqrt(k1[:, None] ** 2 + kr[None, :] ** 2)
-            self._mult_lap = kabs ** (2.0 * self.s)
-            with np.errstate(divide="ignore"):
-                inv = kabs ** (-2.0 * self.s)
-            inv[~np.isfinite(inv)] = 0.0
-            self._mult_inv = inv
+        taps = _taps_1d(grid, self.s) if grid.dim == 1 else _taps_2d(grid, self.s)
+        self.taps = taps
+        n = grid.points_per_axis
+        if grid.dim == 1:
+            emb = np.zeros(2 * n)
+            emb[:n] = taps
+            emb[n + 1:] = taps[1:][::-1]
         else:
-            taps = _taps_1d(grid, self.s) if grid.dim == 1 else _taps_2d(grid, self.s)
-            self.taps = taps
-            n = grid.points_per_axis
-            if grid.dim == 1:
-                emb = np.zeros(2 * n)
-                emb[:n] = taps
-                emb[n + 1:] = taps[1:][::-1]
-            else:
-                emb = np.zeros((2 * n, 2 * n))
-                emb[:n, :n] = taps
-                emb[n + 1:, :n] = taps[1:, :][::-1, :]
-                emb[:n, n + 1:] = taps[:, 1:][:, ::-1]
-                emb[n + 1:, n + 1:] = taps[1:, 1:][::-1, ::-1]
-            self._taps_hat = np.fft.rfftn(emb)
-            self._pad_shape = emb.shape
+            emb = np.zeros((2 * n, 2 * n))
+            emb[:n, :n] = taps
+            emb[n + 1:, :n] = taps[1:, :][::-1, :]
+            emb[:n, n + 1:] = taps[:, 1:][:, ::-1]
+            emb[n + 1:, n + 1:] = taps[1:, 1:][::-1, ::-1]
+        self._taps_hat = np.fft.rfftn(emb)
+        self._pad_shape = emb.shape
 
     # -- internals ---------------------------------------------------------
-
-    def _spectral_apply(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        axes = tuple(range(values.ndim))
-        fh = np.fft.rfftn(values)
-        return np.fft.irfftn(fh * mult, s=values.shape, axes=axes)
 
     def _check_field(self, f: Field):
         if f.grid is not self.grid and not f.grid.compatible(self.grid):
@@ -268,8 +251,7 @@ class FracOperator:
         Euler step is non-amplifying when dt * u_max * bound <= 2.  Because
         the kernel symbol behaves like |k|^(-2s), the bound scales like
         h^(2s-2): the diffusion constraint dt ~ h^(2-2s) beats the advective
-        CFL dt ~ h on fine grids whenever s < 1/2.  Freespace realization
-        only, like the flow it bounds."""
+        CFL dt ~ h on fine grids whenever s < 1/2."""
         if self._stiffness is None:
             # circulant symbol of the embedded kernel; taps are symmetric so
             # it is real up to roundoff
@@ -281,14 +263,8 @@ class FracOperator:
 
     # -- public applications -------------------------------------------------
 
-    def frac_laplacian(self, f: Field) -> Field:
-        if self.mode != PERIODIC:
-            raise ValueError("fractional Laplacian exists only for the periodic realization")
-        self._check_field(f)
-        return Field(self.grid, self._spectral_apply(f.values, self._mult_lap))
-
     def convolve(self, values: np.ndarray) -> np.ndarray:
-        """The freespace inverse of a value array on this grid, unchecked: the
+        """The potential of a value array on this grid, unchecked: the
         pruned rfftn/irfftn pair of the module docstring.  The flow kernel
         calls it once per state; `inverse` is it behind the Field checks."""
         n = self.grid.points_per_axis
@@ -302,8 +278,4 @@ class FracOperator:
 
     def inverse(self, f: Field) -> Field:
         self._check_field(f)
-        if self.mode == PERIODIC:
-            out = self._spectral_apply(f.values, self._mult_inv)
-        else:
-            out = self.convolve(f.values)
-        return Field(self.grid, out)
+        return Field(self.grid, self.convolve(f.values))

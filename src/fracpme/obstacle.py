@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .fracops import FREESPACE, Exponents, FracOperator, FracParams
+from .fracops import Exponents, FracOperator, FracParams
 from .grid import Field, Grid
 from .remap import resample
 
@@ -165,7 +165,7 @@ def solve_obstacle(prob: ObstacleProblem) -> ObstacleSolution:
     to the trivial solution.
     """
     grid = prob.grid
-    op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim), FREESPACE)
+    op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim))
     phi_full = prob.obstacle_values()
 
     if prob.C <= 0.0:
@@ -272,7 +272,8 @@ def mass_law(solutions: list) -> tuple:
 
 
 def match_mass(mass: float, s: float, grid: Grid) -> ObstacleSolution:
-    """Profile on `grid` whose discrete mass equals `mass` exactly.
+    """Profile on `grid` whose discrete mass equals `mass` to 1e-12 relative,
+    or as nearly as any float level allows.
 
     The power law only predicts the continuum mass; quadrature shifts it by
     O(h^2), which would leave a spurious floor in any density comparison at
@@ -328,5 +329,22 @@ def match_mass(mass: float, s: float, grid: Grid) -> ObstacleSolution:
         g_hi = gap(hi)
     else:
         raise RuntimeError("no upper bracket for the mass match")
-    level = brentq(gap, lo, hi, xtol=1e-13, rtol=4e-15)
-    return solved(float(level))
+    level = float(brentq(gap, lo, hi, xtol=1e-13, rtol=4e-15))
+    # brentq's absolute xtol is far coarser than a level ulp near the first
+    # cell's switch-on level, where a tiny mass lives: close the bracket on
+    # the mass itself by regula falsi (Illinois: an end kept twice has its
+    # gap halved; every probe is at least one float inside the bracket),
+    # down to adjacent floats, and keep the nearer end
+    kept = 0
+    while abs(g := gap(level)) > 1e-12 * mass:
+        if g < 0.0:
+            lo, g_lo = level, g
+            g_hi, kept = (g_hi / 2.0 if kept > 0 else g_hi), 1
+        else:
+            hi, g_hi = level, g
+            g_lo, kept = (g_lo / 2.0 if kept < 0 else g_lo), -1
+        level = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        level = min(max(level, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+        if not lo < level < hi:
+            return solved(min(lo, hi, key=lambda c: abs(gap(c))))
+    return solved(level)

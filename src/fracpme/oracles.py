@@ -1,30 +1,21 @@
-"""Independent quadrature oracles used to cross-check the operator realizations.
+"""Independent oracles used to cross-check the operator and the obstacle solver.
 
 Everything here recomputes a quantity through a route that shares no code with the
 implementation it checks: adaptive quadrature instead of closed-form antiderivatives
-for the kernel taps, direct singular-integral evaluation instead of Fourier
-multipliers for the fractional Laplacian of a Gaussian, dense kernel matrices
-instead of FFT convolution, and complementary pivoting or enumeration instead of
-the active-set obstacle solver.
+for the kernel taps, the closed-form Riesz potential of a Gaussian instead of the
+tap table and FFT convolution, dense kernel matrices instead of FFT convolution,
+and complementary pivoting or enumeration instead of the active-set obstacle
+solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, hyp1f1
 
 from .fracops import FracOperator, riesz_constant
 from .grid import Grid
-
-
-def hypersingular_constant(n: int, s: float) -> float:
-    """Normalization of the singular-integral form of the fractional Laplacian:
-
-    (-Lap)^s f(x) = C(n,s) pv-int (f(x) - f(y)) |x-y|^(-n-2s) dy,
-    C(n,s) = 4^s Gamma(n/2 + s) / (pi^(n/2) |Gamma(-s)|).
-    """
-    return float(4.0 ** s * gamma(n / 2.0 + s) / (np.pi ** (n / 2.0) * abs(gamma(-s))))
 
 
 def quadrature_taps_1d(grid: Grid, s: float) -> np.ndarray:
@@ -68,84 +59,18 @@ def quadrature_tap_2d(grid: Grid, s: float, mx: int, my: int) -> float:
     return float(c * val)
 
 
-def _gaussian_even_derivative(x: np.ndarray, order: int) -> np.ndarray:
-    """d^order/dx^order exp(-x^2/2) via probabilists' Hermite polynomials."""
-    coeffs = np.zeros(order + 1)
-    coeffs[order] = 1.0
-    he = np.polynomial.hermite_e.hermeval(x, coeffs)
-    return (-1.0) ** order * he * np.exp(-x * x / 2.0)
+def riesz_potential_gaussian(r2: np.ndarray, n: int, s: float) -> np.ndarray:
+    """(-Lap)^(-s) of exp(-|x|^2/2) in n dimensions, at squared radii r2:
 
+    2^(-s) Gamma(n/2 - s) / Gamma(n/2) * 1F1(n/2 - s; n/2; -|x|^2/2).
 
-def frac_laplacian_gaussian_1d(x: np.ndarray, s: float, delta: float = 0.5,
-                               series_terms: int = 14) -> np.ndarray:
-    """(-Lap)^s of exp(-x^2/2) in 1-D through the singular integral.
-
-    Uses the symmetrized form C(1,s) int_0^inf (2f(x) - f(x+r) - f(x-r)) r^(-1-2s) dr,
-    with the near part r < delta summed as a Taylor series and the far part handled
-    by adaptive quadrature.  Accuracy ~1e-10 for s in (0, 1).
+    The Gaussian's transform is radial, so the potential is a Hankel transform
+    of |k|^(-2s) exp(-|k|^2/2), which Kummer's function closes.  At x = 0 it is
+    the Gamma ratio alone.  Requires 2s < n.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    cns = hypersingular_constant(1, s)
-    g = lambda t: np.exp(-t * t / 2.0)
-
-    near = np.zeros_like(x)
-    fact = 1.0
-    for k in range(1, series_terms + 1):
-        fact *= (2.0 * k - 1.0) * (2.0 * k)
-        term = -2.0 * _gaussian_even_derivative(x, 2 * k) / fact
-        near += term * delta ** (2.0 * k - 2.0 * s) / (2.0 * k - 2.0 * s)
-
-    far = np.empty_like(x)
-    for i, xi in enumerate(x):
-        integrand = lambda r: (2.0 * g(xi) - g(xi + r) - g(xi - r)) * r ** (-1.0 - 2.0 * s)
-        # the integrand has a bump near r = |x| (where x -+ r crosses the Gaussian);
-        # adaptive quadrature on [delta, inf) misses it for large |x| unless the
-        # interval is split there explicitly.
-        breaks = [delta]
-        if abs(xi) > delta + 9.0:
-            breaks += [abs(xi) - 8.0, abs(xi) + 8.0]
-        val = 0.0
-        for a, b in zip(breaks, breaks[1:] + [np.inf]):
-            piece, _ = quad(integrand, a, b, epsabs=1e-14, limit=400)
-            val += piece
-        far[i] = val
-    return cns * (near + far)
-
-
-def periodized_frac_laplacian_gaussian_1d(x: np.ndarray, s: float, period: float,
-                                          images: int = 5) -> np.ndarray:
-    """Singular-integral value of the fractional Laplacian of a periodized Gaussian.
-
-    The periodic realization acts on the periodization of its operand, so this is
-    the quantity it should reproduce on a sampled Gaussian.  Image terms out to
-    `images` periods are evaluated by quadrature; the remaining algebraic tail
-    sum(|x + period m|^(-1-2s)) is closed with the Hurwitz zeta function and the
-    leading far-field coefficient -C(1,s) * integral(f).
-    """
-    from scipy.special import zeta
-
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = frac_laplacian_gaussian_1d(x, s)
-    for m in range(1, images + 1):
-        out = out + frac_laplacian_gaussian_1d(x + period * m, s)
-        out = out + frac_laplacian_gaussian_1d(x - period * m, s)
-    lead = -hypersingular_constant(1, s) * np.sqrt(2.0 * np.pi)
-    tail = lead * period ** (-1.0 - 2.0 * s) * (
-        zeta(1.0 + 2.0 * s, images + 1 + x / period)
-        + zeta(1.0 + 2.0 * s, images + 1 - x / period)
-    )
-    return out + tail
-
-
-def frac_laplacian_gaussian_fourier_1d(x: np.ndarray, s: float) -> np.ndarray:
-    """Same quantity through the Fourier side: (1/pi) int k^(2s) ghat(k) cos(kx) dk."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    for i, xi in enumerate(x):
-        f = lambda k: k ** (2.0 * s) * np.sqrt(2.0 * np.pi) * np.exp(-k * k / 2.0) * np.cos(k * xi)
-        val, _ = quad(f, 0.0, np.inf, epsabs=1e-13, limit=400)
-        out[i] = val / np.pi
-    return out
+    r2 = np.asarray(r2, dtype=float)
+    a, b = n / 2.0 - s, n / 2.0
+    return 2.0 ** (-s) * gamma(a) / gamma(b) * hyp1f1(a, b, -r2 / 2.0)
 
 
 def kernel_matrix(op: FracOperator, flat_index: np.ndarray) -> np.ndarray:

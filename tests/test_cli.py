@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import resource
@@ -331,11 +332,12 @@ def test_obstacle_mass_is_exact(tmp_path, argv, mass):
     assert abs(_report_mass(out) - mass) <= 1e-12 * mass
 
 
-@pytest.mark.parametrize("mass", [1e-300, 1e-30])
+@pytest.mark.parametrize("mass", [1e-300, 1e-30, 1e-16, 1e-14, 1e-12])
 def test_obstacle_tiny_mass_matches_the_nearest_level(tmp_path, capsys, mass):
-    # the power-law seed lies hundreds of doublings below a (h/2)^2, where
-    # the first cell switches on; the search starts there instead, and no
-    # float level holds a mass nearer to M than the one returned
+    # the power-law seed lies far below a (h/2)^2, where the first cell
+    # switches on; the search starts there instead.  One level ulp there moves
+    # the mass by about 5e-20, and no float level holds a mass nearer to M
+    # than the one returned
     out = tmp_path / "run"
     assert main(["obstacle", "--M", str(mass), "--N", "64", "--L", "4",
                  "--out", str(out)]) == EXIT_OK
@@ -343,11 +345,11 @@ def test_obstacle_tiny_mass_matches_the_nearest_level(tmp_path, capsys, mass):
     grid = Grid(1, 4.0, 64)
     a = Exponents(1, 0.25).a
     level = float((out / "report.txt").read_text().splitlines()[0].split(":")[1])
-    assert level == a * (grid.spacing / 2.0) ** 2
-    above = solve_obstacle(ObstacleProblem(C=np.nextafter(level, np.inf), a=a, s=0.25,
-                                           grid=grid)).mass
-    assert 0.0 <= _report_mass(out) <= mass < above
-    assert mass - _report_mass(out) < above - mass
+    assert level >= a * (grid.spacing / 2.0) ** 2
+    miss = abs(_report_mass(out) - mass)
+    for neighbour in (np.nextafter(level, -np.inf), np.nextafter(level, np.inf)):
+        other = solve_obstacle(ObstacleProblem(C=neighbour, a=a, s=0.25, grid=grid)).mass
+        assert miss <= abs(other - mass)
 
 
 def test_out_of_memory_is_config_error(tmp_path):
@@ -369,6 +371,77 @@ def test_out_of_memory_is_config_error(tmp_path):
     assert line.startswith("FRACPME-FAIL config: out of memory: Unable to allocate")
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+# Runs each case in a process forked from one capped interpreter, so the
+# package is imported once: the case's exit code, or minus the signal that
+# ended it (the alarm is the per-case timeout).  Every run stops after 2000
+# steps, so a case that asks for tiny steps ends in exit 3 within the alarm.
+EDGE_DRIVER = """
+import json, os, signal, sys, traceback
+from fracpme import cli, evolution
+evolution.MAX_STEPS = 2000
+codes = []
+for k, argv in enumerate(json.load(sys.stdin)):
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(60)
+        with open(f"{k}.out", "w") as out, open(f"{k}.err", "w") as err:
+            os.dup2(out.fileno(), 1)
+            os.dup2(err.fileno(), 2)
+            try:
+                code = cli.main(argv + ["--out", f"run{k}"])
+            except SystemExit as exc:
+                code = exc.code
+            except BaseException:
+                traceback.print_exc()
+                code = 1
+            sys.stdout.flush()
+            sys.stderr.flush()
+        os._exit(code)
+    codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+print(json.dumps(codes))
+"""
+EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-320", "1e308", str(2 ** 64), "")
+EDGE_FLAGS = {
+    "evolve": (["--N=32", "--L=4", "--end-time=0.05"],
+               ("n", "s", "L", "N", "end-time", "cfl", "snapshot-stride", "snapshot-every")),
+    "obstacle": (["--N=32", "--L=4"], ("n", "s", "L", "N", "C", "M")),
+}
+
+
+def test_flag_edge_values_fail_cleanly(tmp_path):
+    # every number flag of evolve and obstacle at each edge value, under a
+    # 2 GiB address-space cap: exit 0-3, stdout only FRACPME-FAIL lines when
+    # the exit is not 0, and nothing on stderr (no traceback, no warning)
+    cases = []
+    for command, (base, flags) in EDGE_FLAGS.items():
+        for flag in flags:
+            # an obstacle run needs one of C and M: the mass, unless the flag is one
+            level = ["--M=1"] if command == "obstacle" and flag not in ("C", "M") else []
+            cases.extend([command, *base, f"--{flag}={value}", *level]
+                         for value in EDGE_VALUES)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-c", EDGE_DRIVER], input=json.dumps(cases),
+                          cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout)
+    assert len(codes) == len(cases) == 112
+    bad = []
+    for k, (argv, code) in enumerate(zip(cases, codes)):
+        out = (tmp_path / f"{k}.out").read_text().splitlines()
+        err = (tmp_path / f"{k}.err").read_text()
+        failing = [line for line in out if line.startswith("FRACPME-FAIL ")]
+        clean = bool(out) and failing == out if code else not failing
+        if code not in (0, 1, 2, 3) or not clean or err:
+            bad.append((" ".join(argv), code, out, err[-500:]))
+    assert bad == []
 
 
 def test_obstacle_mass_beyond_the_box_is_config_error(tmp_path, capsys):

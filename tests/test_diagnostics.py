@@ -14,7 +14,7 @@ from fracpme.diagnostics import (
     record,
 )
 from fracpme.evolution import SolverConfig, run
-from fracpme.fracops import FREESPACE, Exponents, FracOperator, FracParams
+from fracpme.fracops import Exponents, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.oracles import kernel_matrix
 
@@ -43,7 +43,7 @@ def gaussian_field(grid, width=0.8):
 
 def test_record_cross_checks():
     grid = Grid(dim=1, half_width=8.0, points_per_axis=256)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1))
     exp = Exponents(1, 0.25)
     v = gaussian_field(grid)
     rec = record_one(v, op, time=0.3)
@@ -68,7 +68,7 @@ def test_norms_exact_on_underflowing_tail():
     # tails from 1e-320 to 1e-60, where fourth powers are 0 or subnormal: on
     # a bulk, alone, and alone in the range where subnormal powers dominate
     grid = Grid(dim=1, half_width=8.0, points_per_axis=256)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1))
     h = grid.spacing
     bulk = gaussian_field(grid).values
     bulk[:100] = np.logspace(-320, -60, 100)
@@ -117,12 +117,11 @@ def _face_gradient_dissipation(pot, weight, grid, drift_coeff):
 
 
 @pytest.mark.parametrize("confined", [True, False], ids=["confined", "physical"])
-@pytest.mark.parametrize("mode", [FREESPACE])  # the flow is freespace only
-@pytest.mark.parametrize("dim", [1, 2])
-def test_dissipation_matches_face_gradient_formula(dim, mode, confined):
+@pytest.mark.parametrize("dim", [1, 2], ids=["1-freespace_kernel", "2-freespace_kernel"])
+def test_dissipation_matches_face_gradient_formula(dim, confined):
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 24)
     s = 0.25 if dim == 1 else 0.5
-    op = FracOperator(grid, FracParams(s=s, dim=dim), mode)
+    op = FracOperator(grid, FracParams(s=s, dim=dim))
     exp = Exponents(dim, s)
     c = grid.coords()
     # off-centre and lopsided, so faces of both signs and zero cells occur
@@ -199,7 +198,7 @@ def test_block_rows_equal_lone_state_rows(dim, n, confined):
     # up (subnormal fourth powers), a nan, a zero state, a lone spike, and
     # blocks of every length up to a partial one
     grid = Grid(dim=dim, half_width=5.0, points_per_axis=n)
-    op = FracOperator(grid, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim))
     rng = np.random.default_rng(n)
     bump = np.clip(1.0 - grid.radius2() / 4.0, 0.0, None)
     states = []
@@ -234,7 +233,7 @@ def test_run_rows_equal_lone_state_rows(dim, mode):
     # the run's blocks end on a partial one; every row has the lone bits
     n = 512 if dim == 1 else 48
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=n)
-    op = FracOperator(grid, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim))
     per_block = RECORD_BLOCK_CELLS // grid.npoints
     traj = run(Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0)), mode,
                SolverConfig(end_time=0.3, snapshot_stride=1), op)
@@ -249,7 +248,7 @@ def test_run_rows_equal_lone_state_rows(dim, mode):
 
 def test_record_handles_zeros_in_boltzmann():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1))
     box = Field(grid, np.where(np.abs(grid.axis()) < 1, 0.5, 0.0))
     rec = record_one(box, op)
     assert np.isfinite(rec.boltzmann)
@@ -258,7 +257,7 @@ def test_record_handles_zeros_in_boltzmann():
 
 def test_support_radius():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=256)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1))
     box = Field(grid, np.where(np.abs(grid.axis()) < 1.0, 2.0, 0.0))
     assert record_one(box, op).support_radius == pytest.approx(1.0, abs=grid.spacing)
     # a cell at 1e-10 of the peak or below is outside the support
@@ -313,7 +312,7 @@ def test_entropy_identity_input_errors():
 def test_entropy_identity_on_run():
     # companion to the refinement study in the acceptance suite
     grid = Grid(dim=1, half_width=6.0, points_per_axis=256)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1))
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
     traj = run(Field(grid, vals), "rescaled",
                SolverConfig(end_time=2.0, snapshot_stride=20, cfl_safety=0.3),

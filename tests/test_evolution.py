@@ -5,16 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracpme import diagnostics
 from fracpme.evolution import DT_MAX, MAX_STEPS, NumericalAbort, SolverConfig, run, step_physical
 from fracpme.flow import FlowKernel
-from fracpme.fracops import FREESPACE, PERIODIC, Exponents, FracOperator, FracParams
+from fracpme.fracops import Exponents, FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.remap import resample
 
 
 def freespace_op(grid, s=0.25):
-    return FracOperator(grid, FracParams(s=s, dim=grid.dim), FREESPACE)
+    return FracOperator(grid, FracParams(s=s, dim=grid.dim))
 
 
 def box_datum(grid, width=1.0, height=1.0):
@@ -346,26 +345,3 @@ def test_run_continues_from_start_time():
     with pytest.raises(ValueError, match="start_time"):
         run(box_datum(grid), "physical", SolverConfig(), op,
             start_time=-1.0)
-
-
-def test_rescaled_run_rejects_periodic_operator():
-    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
-    with pytest.raises(ValueError, match="freespace"):
-        run(box_datum(grid), "rescaled", SolverConfig(end_time=0.1), op)
-
-
-def test_flow_rejects_periodic_operator():
-    # the flow is posed on the whole space: every other route through the
-    # face pass refuses the periodic realization too
-    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1), PERIODIC)
-    u = box_datum(grid)
-    with pytest.raises(ValueError, match="freespace"):
-        run(u, "physical", SolverConfig(end_time=0.1), op)
-    with pytest.raises(ValueError, match="freespace"):
-        step_physical(u, op, SolverConfig())
-    for confined in (True, False):
-        with pytest.raises(ValueError, match="freespace"):
-            diagnostics.record(diagnostics.DiagnosticsSeries(), [u.values], [0.0], op,
-                                   confined=confined)

@@ -4,21 +4,13 @@ import numpy as np
 import pytest
 
 from fracpme import fracops
-from fracpme.fracops import (
-    FREESPACE,
-    PERIODIC,
-    FracOperator,
-    FracParams,
-    riesz_constant,
-)
+from fracpme.fracops import FracOperator, FracParams, riesz_constant
 from fracpme.grid import Field, Grid
 from fracpme.oracles import (
-    frac_laplacian_gaussian_1d,
-    frac_laplacian_gaussian_fourier_1d,
     kernel_matrix,
-    periodized_frac_laplacian_gaussian_1d,
     quadrature_tap_2d,
     quadrature_taps_1d,
+    riesz_potential_gaussian,
 )
 
 
@@ -49,59 +41,21 @@ def test_params_validation():
 
 
 def test_unknown_mode_rejected():
+    # the freespace kernel is the only realization: naming it builds the same
+    # operator, and any other name is refused
     g = grid1(N=16)
-    for mode in ("chebyshev", "periodic", "freespace"):  # no short aliases
+    params = FracParams(s=0.25, dim=1)
+    named = FracOperator(g, params, fracops.FREESPACE)
+    assert named.taps.tobytes() == FracOperator(g, params).taps.tobytes()
+    for mode in ("periodic_spectral", "chebyshev", "periodic", "freespace"):
         with pytest.raises(ValueError, match="unknown operator mode"):
-            FracOperator(g, FracParams(s=0.25, dim=1), mode)
-
-
-@pytest.mark.parametrize("s", [0.25, 0.4])
-@pytest.mark.parametrize("k_mode", [1, 2, 7])
-def test_plane_wave_eigenrelation_1d(s, k_mode):
-    g = grid1(L=5.0, N=64)
-    op = FracOperator(g, FracParams(s=s, dim=1), PERIODIC)
-    k = 2.0 * np.pi * k_mode / (2.0 * g.half_width)
-    f = Field(g, np.cos(k * g.axis()))
-    out = op.frac_laplacian(f)
-    err = np.max(np.abs(out.values - k ** (2.0 * s) * f.values)) / k ** (2.0 * s)
-    assert err < 1e-12
-
-
-def test_plane_wave_eigenrelation_2d():
-    g = Grid(dim=2, half_width=3.0, points_per_axis=32)
-    s = 0.5
-    op = FracOperator(g, FracParams(s=s, dim=2), PERIODIC)
-    kx = 2.0 * np.pi * 3 / (2.0 * g.half_width)
-    ky = 2.0 * np.pi * 1 / (2.0 * g.half_width)
-    x0, x1 = g.coords()
-    f = Field(g, np.cos(kx * x0) * np.cos(ky * x1))
-    lam = (kx ** 2 + ky ** 2) ** s
-    out = op.frac_laplacian(f)
-    assert np.max(np.abs(out.values - lam * f.values)) / lam < 1e-12
-
-
-def test_constant_maps_to_zero():
-    g = grid1(N=32)
-    op = FracOperator(g, FracParams(s=0.3, dim=1), PERIODIC)
-    f = Field(g, np.full(g.shape, 2.5))
-    assert op.frac_laplacian(f).linf() < 1e-13
-    assert op.inverse(f).linf() < 1e-13  # zero mode dropped
-
-
-def test_periodic_round_trip():
-    rng = np.random.default_rng(7)
-    g = grid1(N=128)
-    op = FracOperator(g, FracParams(s=0.25, dim=1), PERIODIC)
-    f = Field(g, rng.random(g.shape))
-    back = op.inverse(op.frac_laplacian(f))
-    target = f.values - f.values.mean()
-    assert np.linalg.norm(back.values - target) / np.linalg.norm(target) < 1e-10
+            FracOperator(g, params, mode)
 
 
 def test_freespace_taps_match_quadrature_1d():
     g = grid1(L=6.0, N=512)
     s = 0.25
-    op = FracOperator(g, FracParams(s=s, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=s, dim=1))
     oracle = quadrature_taps_1d(g, s)
     assert np.max(np.abs(op.taps - oracle) / oracle) < 1e-12
 
@@ -111,7 +65,7 @@ def test_freespace_inverse_matches_quadrature_oracle_on_gaussian():
     # recomputed by adaptive quadrature, N = 512
     g = grid1(L=6.0, N=512)
     s = 0.25
-    op = FracOperator(g, FracParams(s=s, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=s, dim=1))
     f = gaussian_field(g)
     got = op.inverse(f).values
     taps = quadrature_taps_1d(g, s)
@@ -124,7 +78,7 @@ def test_freespace_inverse_matches_quadrature_oracle_on_gaussian():
 def test_freespace_taps_match_quadrature_2d(mx, my):
     g = Grid(dim=2, half_width=2.0, points_per_axis=16)
     s = 0.5
-    op = FracOperator(g, FracParams(s=s, dim=2), FREESPACE)
+    op = FracOperator(g, FracParams(s=s, dim=2))
     assert op.taps[mx, my] == pytest.approx(quadrature_tap_2d(g, s, mx, my), rel=1e-12)
 
 
@@ -135,7 +89,7 @@ def test_freespace_far_field_of_box():
     x = g.axis()
     vals = np.where(np.abs(x) <= 0.5, 1.0, 0.0)
     f = Field(g, vals / (vals.sum() * g.spacing))
-    op = FracOperator(g, FracParams(s=s, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=s, dim=1))
     p = op.inverse(f)
     i10 = int(np.argmin(np.abs(x - 10.0)))
     tail = riesz_constant(1, s) * np.abs(x[i10]) ** (2.0 * s - 1.0)
@@ -148,7 +102,7 @@ def test_freespace_far_field_of_box():
 def test_freespace_inverse_positivity():
     rng = np.random.default_rng(11)
     g = grid1(L=3.0, N=128)
-    op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25, dim=1))
     f = Field(g, rng.random(g.shape))
     assert op.inverse(f).values.min() >= 0.0
 
@@ -156,14 +110,14 @@ def test_freespace_inverse_positivity():
 def test_dense_matrix_agrees_with_convolution():
     rng = np.random.default_rng(5)
     g = grid1(L=4.0, N=512)
-    op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25, dim=1))
     f = rng.random(g.shape)
     via_dense = kernel_matrix(op, np.arange(g.npoints)) @ f
     via_conv = op.inverse(Field(g, f)).values
     assert np.max(np.abs(via_dense - via_conv)) / np.max(np.abs(via_dense)) < 1e-8
 
     g2 = Grid(dim=2, half_width=2.0, points_per_axis=24)
-    op2 = FracOperator(g2, FracParams(s=0.5, dim=2), FREESPACE)
+    op2 = FracOperator(g2, FracParams(s=0.5, dim=2))
     f2 = rng.random(g2.shape)
     via_dense2 = (kernel_matrix(op2, np.arange(g2.npoints)) @ f2.ravel()).reshape(g2.shape)
     via_conv2 = op2.inverse(Field(g2, f2)).values
@@ -172,7 +126,7 @@ def test_dense_matrix_agrees_with_convolution():
 
 def test_kernel_submatrix_consistent_with_dense():
     g = Grid(dim=2, half_width=2.0, points_per_axis=12)
-    op = FracOperator(g, FracParams(s=0.5, dim=2), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.5, dim=2))
     dense = kernel_matrix(op, np.arange(g.npoints))
     # row-major block gather of the tap table, independent of the flat indexing
     d = np.abs(np.arange(12)[:, None] - np.arange(12)[None, :])
@@ -183,118 +137,89 @@ def test_kernel_submatrix_consistent_with_dense():
     assert np.allclose(sub, dense[np.ix_(idx, idx)], rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("mode", [PERIODIC, FREESPACE])
-def test_self_adjointness(mode):
+def test_self_adjointness():
     rng = np.random.default_rng(13)
     g = grid1(L=3.0, N=128)
-    op = FracOperator(g, FracParams(s=0.3, dim=1), mode)
+    op = FracOperator(g, FracParams(s=0.3, dim=1))
     f = Field(g, rng.random(g.shape))
     v = Field(g, rng.random(g.shape))
-    if mode == PERIODIC:
-        lf, lv = op.frac_laplacian(f), op.frac_laplacian(v)
-        a = np.dot(lf.values, v.values)
-        b = np.dot(f.values, lv.values)
-        assert abs(a - b) / abs(a) < 1e-12
-    else:
-        # the freespace realization has the inverse only
-        with pytest.raises(ValueError, match="periodic"):
-            op.frac_laplacian(f)
     kf, kv = op.inverse(f), op.inverse(v)
     a = np.dot(kf.values, v.values)
     b = np.dot(f.values, kv.values)
     assert abs(a - b) / abs(a) < 1e-12
 
 
-@pytest.mark.parametrize("mode", [PERIODIC, FREESPACE])
-def test_energy_identity(mode):
+def test_energy_identity():
     # h <f, K f> is the squared norm of the half operator K^(1/2) f, computed
-    # here independently: Parseval on the full FFT (periodic) or the
-    # eigendecomposition of the kernel matrix (freespace)
+    # here independently from the eigendecomposition of the kernel matrix
     rng = np.random.default_rng(17)
     g = grid1(L=3.0, N=256)
-    op = FracOperator(g, FracParams(s=0.25, dim=1), mode)
+    op = FracOperator(g, FracParams(s=0.25, dim=1))
     f = Field(g, rng.random(g.shape))
     h = g.spacing
     quad_form = h * np.dot(f.values, op.inverse(f).values)
-    if mode == PERIODIC:
-        k = 2.0 * np.pi * np.fft.fftfreq(g.points_per_axis, d=h)
-        with np.errstate(divide="ignore"):
-            symbol = np.where(k == 0.0, 0.0, np.abs(k) ** (-2.0 * 0.25))
-        fhat = np.fft.fft(f.values)
-        norm_sq = h * float(np.sum(symbol * np.abs(fhat) ** 2)) / g.points_per_axis
-    else:
-        vals, vecs = np.linalg.eigh(kernel_matrix(op, np.arange(g.npoints)))
-        assert vals.min() > 0.0
-        half = (vecs * np.sqrt(vals)) @ vecs.T @ f.values
-        norm_sq = h * np.dot(half, half)
+    vals, vecs = np.linalg.eigh(kernel_matrix(op, np.arange(g.npoints)))
+    assert vals.min() > 0.0
+    half = (vecs * np.sqrt(vals)) @ vecs.T @ f.values
+    norm_sq = h * np.dot(half, half)
     assert abs(quad_form - norm_sq) / quad_form < 1e-10
 
 
 def test_zero_field_fixed_points():
     g = grid1(N=32)
-    op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25, dim=1))
     z = Field(g, np.zeros(g.shape))
     assert op.inverse(z).linf() == 0.0
-
-
-def test_periodic_gaussian_against_singular_integral_oracle():
-    # the spectral operator acts on the periodization of the sampled Gaussian,
-    # so the oracle integrates the periodized function
-    for s, supercrit in ((0.25, False), (0.5, True)):
-        g = grid1(L=10.0, N=512)
-        if supercrit:
-            with pytest.warns(UserWarning):
-                params = FracParams(s=s, dim=1, allow_supercritical=True)
-        else:
-            params = FracParams(s=s, dim=1)
-        op = FracOperator(g, params, PERIODIC)
-        f = gaussian_field(g)
-        got = op.frac_laplacian(f).values
-        idx = np.linspace(0, g.points_per_axis - 1, 25).astype(int)
-        ref = periodized_frac_laplacian_gaussian_1d(g.axis()[idx], s, 2.0 * g.half_width)
-        assert np.max(np.abs(got[idx] - ref)) / np.max(np.abs(ref)) < 1e-6
-
-
-def test_singular_integral_oracle_against_fourier_oracle():
-    # two independent oracle routes for the same quantity
-    x = np.array([0.0, 0.7, 2.3])
-    for s in (0.25, 0.5):
-        a = frac_laplacian_gaussian_1d(x, s)
-        b = frac_laplacian_gaussian_fourier_1d(x, s)
-        assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-12
-
-
-def test_mode_consistency_improves_with_box_size():
-    # periodic and freespace grad K f agree on the support as the box grows;
-    # the gap shrinks like a kernel-tail effect, measured here, not pinned
-    s = 0.25
-    gaps = []
-    for L, N in ((6.0, 192), (12.0, 384)):
-        g = grid1(L=L, N=N)
-        x = g.axis()
-        f = Field(g, np.where(np.abs(x) <= 1.0, (1.0 - x ** 2) ** 2, 0.0))
-        params = FracParams(s=s, dim=1)
-        # face differences of the pressure, as the stepper forms them
-        wp = np.diff(FracOperator(g, params, PERIODIC).inverse(f).values) / g.spacing
-        wf = np.diff(FracOperator(g, params, FREESPACE).inverse(f).values) / g.spacing
-        on_supp = np.abs(g.interior_faces()) <= 1.0
-        gaps.append(np.max(np.abs(wp - wf)[on_supp]))
-    assert gaps[1] < gaps[0] / 2.0
 
 
 def test_grid_mismatch_rejected():
     g = grid1(N=32)
     other = grid1(L=2.0, N=32)
-    op = FracOperator(g, FracParams(s=0.25, dim=1), PERIODIC)
-    with pytest.raises(ValueError):
-        op.frac_laplacian(Field(other, np.zeros(other.shape)))
+    op = FracOperator(g, FracParams(s=0.25, dim=1))
+    with pytest.raises(ValueError, match="does not match"):
+        op.inverse(Field(other, np.zeros(other.shape)))
+
+
+@pytest.mark.parametrize("dim, s, half_width, sizes, bound", [
+    (1, 0.45, 12.0, (192, 384), 3e-5),
+    (2, 0.9, 10.0, (48, 96), 1e-3),
+    (2, 0.25, 10.0, (96, 192), 1e-3),
+], ids=["1d-s0.45", "2d-s0.9", "2d-s0.25"])
+def test_gaussian_potential_matches_closed_form(dim, s, half_width, sizes, bound):
+    # the whole operator (taps, 2N embedding, pruned FFT) against the Riesz
+    # potential of a Gaussian in closed form, at grids verify check 1 skips;
+    # the error at the finer grid and the observed order between the two
+    errors = []
+    for n in sizes:
+        g = Grid(dim=dim, half_width=half_width, points_per_axis=n)
+        r2 = g.radius2()
+        got = FracOperator(g, FracParams(s=s, dim=dim)).inverse(Field(g, np.exp(-r2 / 2.0)))
+        ref = riesz_potential_gaussian(r2, dim, s)
+        errors.append(np.abs(got.values - ref).max() / np.abs(ref).max())
+    assert errors[1] < bound
+    assert np.log2(errors[0] / errors[1]) >= 1.5
+
+
+def test_closed_form_matches_fourier_quadrature():
+    # the closed form against its defining Fourier integral, 1-D and 2-D
+    from scipy.integrate import quad
+    from scipy.special import j0
+
+    for x in (0.0, 1.3, 5.0):
+        one, _ = quad(lambda k: k ** -0.5 * np.exp(-k * k / 2.0) * np.cos(k * x),
+                      0.0, np.inf, limit=400, epsabs=1e-14)
+        two, _ = quad(lambda k: np.exp(-k * k / 2.0) * j0(k * x), 0.0, np.inf,
+                      limit=400, epsabs=1e-14)
+        assert riesz_potential_gaussian(x * x, 1, 0.25) == pytest.approx(
+            one * np.sqrt(2.0 / np.pi), rel=1e-10)
+        assert riesz_potential_gaussian(x * x, 2, 0.5) == pytest.approx(two, rel=1e-10)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 8), (1, 512), (2, 8), (2, 48)])
 def test_conv_apply_matches_padded_rfftn(dim, n):
     # the pruned per-axis transforms give the bits of the full padded pair
     g = Grid(dim=dim, half_width=6.0, points_per_axis=n)
-    op = FracOperator(g, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim))
     values = np.random.default_rng(n).random(g.shape)
     axes = tuple(range(dim))
     spec = np.fft.rfftn(values, s=(2 * n,) * dim, axes=axes)

@@ -1,13 +1,14 @@
 """Every name a package module imports is used in that module, and every
-module-level function or class, public method and property is used by the
-package.
+module-level function, class and constant, public method and property is
+used by the package.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
 in the module (or listed in its ``__all__``), a module-level def or class
 must be referenced from some package module other than at its definition,
-and a public method or property of a package class must be read as an
-attribute by some package module, so that no helper and no public name
+a public module-level UPPERCASE constant must be read by some package
+module, and a public method or property of a package class must be read as
+an attribute by some package module, so that no helper and no public name
 survives for the tests alone.  A public name may instead be listed in an
 ``__all__``; `oracles.py` holds the reference implementations the tests
 compare against, so its public names are exempt.
@@ -94,6 +95,29 @@ def unreferenced_members(sources: dict) -> list:
     return sorted(d for d in defined if d[2].split(".", 1)[1] not in read)
 
 
+def unread_constants(sources: dict) -> list:
+    """(module, line, name) of each public module-level UPPERCASE constant
+    that no module in `sources` reads, by name or as an attribute.  Being
+    assigned is not being read; a constant in an ``__all__`` counts as read,
+    and the constants of PUBLIC_EXEMPT modules are not checked."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body if module not in PUBLIC_EXEMPT else []:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined.extend((module, node.lineno, target.id) for target in targets
+                           if isinstance(target, ast.Name) and target.id.isupper()
+                           and not target.id.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        read |= all_names(tree)
+    return sorted(d for d in defined if d[2] not in read)
+
+
 def test_guard_sees_a_dead_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
     assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
@@ -145,6 +169,19 @@ def test_guard_sees_an_unreferenced_member():
 def test_package_reads_every_public_member():
     sources = {path.name: path.read_text() for path in MODULES}
     assert unreferenced_members(sources) == []
+
+
+def test_guard_sees_an_unread_constant():
+    sources = {"a.py": "USED = 1\nDEAD = 2\nLISTED = 3\n_PRIVATE = 4\n"
+                       "__all__ = ['LISTED']\n",
+               "b.py": "import a\n\nGONE: int = a.USED\na.DEAD = 5\n",
+               "oracles.py": "REFERENCE = 1\n"}
+    assert unread_constants(sources) == [("a.py", 2, "DEAD"), ("b.py", 3, "GONE")]
+
+
+def test_package_reads_every_public_constant():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert unread_constants(sources) == []
 
 
 def test_cli_import_loads_no_process_machinery():

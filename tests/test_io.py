@@ -3,7 +3,7 @@ import pytest
 
 from fracpme.diagnostics import CSV_COLUMNS, DiagnosticsSeries
 from fracpme.evolution import SolverConfig, run
-from fracpme.fracops import FREESPACE, FracOperator, FracParams
+from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.io import (CSV_CHUNK_ROWS, SNAPSHOT_VERSION, datum_box, datum_gaussian,
                         datum_parabola_cap, parse_datum, read_snapshot,
@@ -120,7 +120,7 @@ def test_snapshot_malformed_header_line(tmp_path):
 
 def test_diagnostics_round_trip(tmp_path, read_diagnostics):
     g = Grid(1, 6.0, 64)
-    op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25, dim=1))
     traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
                SolverConfig(end_time=0.2, snapshot_stride=2), op)
     path = tmp_path / "d.csv"
@@ -134,7 +134,7 @@ def test_diagnostics_round_trip(tmp_path, read_diagnostics):
 def test_diagnostics_repeat_is_byte_identical(tmp_path):
     def once(path):
         g = Grid(1, 6.0, 48)
-        op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
+        op = FracOperator(g, FracParams(s=0.25, dim=1))
         traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
                    SolverConfig(end_time=0.3), op)
         write_diagnostics(path, traj.diagnostics)

@@ -5,7 +5,7 @@ import pytest
 
 from fracpme import obstacle, oracles
 from fracpme.evolution import SolverConfig, run
-from fracpme.fracops import FREESPACE, FracOperator, FracParams
+from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Grid
 from fracpme.obstacle import (
     ObstacleProblem,
@@ -105,7 +105,7 @@ def test_solver_matches_lemke_pivoting(args):
     prob = make_problem(*args)
     sol = solve_obstacle(prob)
     grid = prob.grid
-    op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim), FREESPACE)
+    op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim))
     r2 = grid.radius2().ravel()
     idx = np.nonzero(r2 <= (prob.parabola_radius + 2 * grid.spacing) ** 2)[0]
     w_mat = kernel_matrix(op, idx)
@@ -179,7 +179,7 @@ def test_center_value_against_extrapolated_pivoting_oracle():
     def lemke_center(pts):
         prob = make_problem(1.0, 1, 0.25, pts)
         g = prob.grid
-        op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
+        op = FracOperator(g, FracParams(s=0.25, dim=1))
         r2 = g.radius2().ravel()
         idx = np.nonzero(r2 <= (prob.parabola_radius + 2 * g.spacing) ** 2)[0]
         v = lemke_lcp(kernel_matrix(op, idx), -prob.obstacle_values().ravel()[idx])
@@ -236,7 +236,7 @@ def test_self_similar_sampling(sol_c1):
 
 def test_profile_is_stationary_under_rescaled_step(sol_c1):
     g = sol_c1.density.grid
-    op = FracOperator(g, FracParams(s=0.25, dim=1), FREESPACE)
+    op = FracOperator(g, FracParams(s=0.25, dim=1))
     traj = run(sol_c1.density, "rescaled", SolverConfig(end_time=0.05), op)
     assert traj.steps >= 1
     for state in traj.snapshots:
