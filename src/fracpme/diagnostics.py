@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow import FlowKernel
 from .fracops import Exponents, FracOperator
 
 BOLTZMANN_FLOOR = 1e-30
@@ -83,30 +82,20 @@ class DiagnosticsSeries:
 
 
 def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperator,
-           confined: bool = True, pressures: list | None = None,
-           faces: list | None = None, masses: list | None = None,
-           peaks: list | None = None) -> None:
+           pressures: list, faces: list, masses: list, peaks: list) -> None:
     """Append one row per state of `states` (value arrays on op.grid) at the
-    matching `times` to `series`.
+    matching `times` to `series`, from what the run computed for each state:
+    its pressure op.convolve(state), its `FlowKernel.faces`, its mass
+    h^n * sum and its maximum (states are nonnegative).
 
-    confined=True adds the drift potential beta/2 |y|^2 to the dissipation
-    integrand (rescaled flow); the entropy formula always carries its beta
-    moment term.  pressures, when given, must hold op.convolve of each
-    state, and faces the FlowKernel faces of each state and pressure with
-    the drift that `confined` implies; masses, when given, must hold
-    h^n * sum of each state, and peaks the maximum of each nonnegative
-    state.  Each is computed here otherwise.  The support radius is the
-    largest cell-center radius where the state exceeds 1e-10 of its maximum
-    modulus, zero for an identically zero state."""
+    The dissipation sums w^2 * up over the given faces, so it carries the
+    confining drift exactly when the faces do; the entropy formula always
+    carries its beta moment term.  The support radius is the largest
+    cell-center radius where the state exceeds 1e-10 of its maximum modulus,
+    zero for an identically zero state."""
     grid = op.grid
     vol = grid.spacing ** grid.dim
     k = len(states)
-    if pressures is None or faces is None:
-        kernel = FlowKernel(op, confined)
-        if pressures is None:
-            pressures = [kernel.convolve(v) for v in states]
-        if faces is None:
-            faces = [kernel.faces(v, p) for v, p in zip(states, pressures)]
 
     def rows_of(arrays) -> np.ndarray:
         # the arrays end to end, one C-contiguous row each
@@ -131,7 +120,7 @@ def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperato
         integrand *= rows_of([f[ax][1] for f in faces])
         dissipation = dissipation + integrand.sum(axis=1) * vol
     a = np.abs(block)
-    linf = a.max(axis=1) if peaks is None else np.abs(peaks)
+    linf = np.abs(peaks)
     # pow(x, 4) is exactly 0 for x <= 1e-100 but slow there, so only larger
     # entries (and nan) take the power; the summed array is unchanged
     a4 = np.power(a, 4, out=np.zeros(a.shape), where=~(a <= L4_UNDERFLOW))
@@ -139,7 +128,7 @@ def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperato
     np.square(a, out=a)
     columns = {
         "time": times,
-        "mass": vol * block.sum(axis=1) if masses is None else masses,
+        "mass": masses,
         "linf": linf,
         # the roots stay Python float powers, as for a state recorded alone
         "l2": [(vol * x) ** 0.5 for x in a.sum(axis=1).tolist()],
@@ -158,12 +147,9 @@ def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperato
     series.append(rows)
 
 
-def entropy_dissipation_identity_check(series: DiagnosticsSeries,
-                                       window: tuple | None = None) -> dict:
-    """Centered dE/dtau against -I at interior records.
-
-    Returns the mismatch series and its maximum relative size
-    |dE/dtau + I| / max(|dE/dtau|, I) over the window."""
+def entropy_dissipation_identity_check(series: DiagnosticsSeries, window: tuple) -> float:
+    """Centered dE/dtau against -I at the interior records in the window;
+    returns the maximum relative mismatch |dE/dtau + I| / max(|dE/dtau|, I)."""
     if len(series) < 3:
         raise ValueError("need at least 3 records for the centered difference")
     t = series.column("time")
@@ -171,25 +157,16 @@ def entropy_dissipation_identity_check(series: DiagnosticsSeries,
     i = series.column("dissipation")
     de = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
     mid_t, mid_i = t[1:-1], i[1:-1]
-    if window is not None:
-        sel = (mid_t >= window[0]) & (mid_t <= window[1])
-        if not sel.any():
-            raise ValueError(f"no interior records in window {window}")
-        de, mid_t, mid_i = de[sel], mid_t[sel], mid_i[sel]
+    sel = (mid_t >= window[0]) & (mid_t <= window[1])
+    if not sel.any():
+        raise ValueError(f"no interior records in window {window}")
+    de, mid_i = de[sel], mid_i[sel]
     scale = np.maximum(np.maximum(np.abs(de), mid_i), 1e-300)
-    mismatch = np.abs(de + mid_i) / scale
-    return {
-        "times": mid_t,
-        "mismatch": mismatch,
-        "max_rel_mismatch": float(mismatch.max()),
-        "de_dtau": de,
-        "dissipation": mid_i,
-    }
+    return float((np.abs(de + mid_i) / scale).max())
 
 
-def fit_power_law(series: DiagnosticsSeries, quantity: str, window: tuple) -> tuple:
-    """Least-squares slope of log(quantity) against log(time) in the window;
-    returns (slope, stderr)."""
+def fit_power_law(series: DiagnosticsSeries, quantity: str, window: tuple) -> float:
+    """Least-squares slope of log(quantity) against log(time) in the window."""
     t = series.column("time")
     y = series.column(quantity)
     sel = (t >= window[0]) & (t <= window[1]) & (t > 0.0)
@@ -198,6 +175,5 @@ def fit_power_law(series: DiagnosticsSeries, quantity: str, window: tuple) -> tu
     y = y[sel]
     if (y <= 0.0).any():
         raise ValueError(f"nonpositive {quantity} values in the fit window")
-    lt, ly = np.log(t[sel]), np.log(y)
-    (slope, _), cov = np.polyfit(lt, ly, 1, cov=True)
-    return float(slope), float(np.sqrt(cov[0, 0]))
+    slope, _ = np.polyfit(np.log(t[sel]), np.log(y), 1)
+    return float(slope)

@@ -76,7 +76,7 @@ def step_physical(u: Field, op: FracOperator, cfg: SolverConfig) -> tuple:
     if u.values.min() < 0.0:
         raise NumericalAbort(f"negative density entering step (min {u.values.min():.3e})")
     kernel = FlowKernel(op, False, cfg.cfl_safety)
-    faces = kernel.faces(u.values, op.inverse(u).values)
+    faces = kernel.faces(u.values, kernel.convolve(u.values))
     vals, dt, low = kernel.step(u.values, faces, float(u.values.max()), np.inf)
     if low < 0.0:
         raise NumericalAbort(f"positivity lost in step (min {low:.3e})")
@@ -96,7 +96,7 @@ def check_time_span(start_time: float, end_time: float) -> None:
 
 
 def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
-        start_time: float = 0.0, on_record=None) -> Trajectory:
+        start_time: float = 0.0, *, on_record) -> Trajectory:
     """Advance u0 from start_time to cfg.end_time, recording diagnostics every
     snapshot_stride accepted steps (plus the initial and final states).
 
@@ -104,8 +104,9 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     pressure, face pass, sum and maximum are computed once and serve both its
     record and the next step, and every step returns a fresh array.  A Field
     is built only for a recorded state.  Recorded states are kept in
-    traj.snapshots, or, when on_record is given, handed to on_record(k, time,
-    state) for record k and not kept (on_record must not modify the state);
+    traj.snapshots when on_record is None, and are otherwise handed to
+    on_record(k, time, state) for record k and not kept (on_record must not
+    modify the state);
     times, diagnostics and steps are filled either way.  Diagnostics are
     recorded in blocks of about RECORD_BLOCK_CELLS cells, and the series is
     trimmed when the run ends.
@@ -125,8 +126,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     if u0.grid is not op.grid and not u0.grid.compatible(op.grid):
         raise ValueError("initial datum grid does not match operator grid")
     check_time_span(start_time, cfg.end_time)
-    confined = mode == "rescaled"
-    kernel = FlowKernel(op, confined, cfg.cfl_safety)
+    kernel = FlowKernel(op, mode == "rescaled", cfg.cfl_safety)
     grid = u0.grid
     vol = kernel.vol
     stop = cfg.end_time - 1e-15 * max(cfg.end_time, 1.0)
@@ -143,8 +143,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
 
     def flush():
         states, ps, face_sets, times, masses, peaks = zip(*block)
-        record(traj.diagnostics, states, times, op, confined=confined,
-               pressures=ps, faces=face_sets, masses=masses, peaks=peaks)
+        record(traj.diagnostics, states, times, op, ps, face_sets, masses, peaks)
         block.clear()
 
     def note(vals, p, faces, time, mass, peak):

@@ -49,7 +49,7 @@ class FlowKernel:
     """Face pass and upwind step of the flow through `op`; confined adds the
     drift of the rescaled form."""
 
-    def __init__(self, op: FracOperator, confined: bool, cfl_safety: float = 1.0):
+    def __init__(self, op: FracOperator, confined: bool, cfl_safety: float):
         grid = op.grid
         self.h = grid.spacing
         self.vol = self.h ** grid.dim

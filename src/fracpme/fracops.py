@@ -6,7 +6,8 @@ exact cell averages of the kernel over each source cell (the singular cell via
 closed form in 1-D and a polar-coordinate reduction in 2-D).  The operator is
 translation invariant, so a single tap table drives both a zero-padded circular
 convolution (any grid) and the dense kernel submatrices that the pivoting
-oracles take.
+oracles take.  `FracOperator.convolve`, on value arrays, is the one way to
+apply the operator.
 
 The convolution runs on the 2N-point embedding one axis at a time, pruned: the
 forward transforms zero-pad the N data rows themselves, and only the N rows that
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, roots_legendre
 
-from .grid import Field, Grid
+from .grid import Grid
 
 FREESPACE = "freespace_kernel"
 TAP_BLOCK_CELLS = 2048  # cells per row block of the 2-D tap build
@@ -76,7 +77,7 @@ class FracParams:
                 f"dim = 1 with s = {self.s} >= 1/2: inverse-potential kernel is not "
                 "positive, results are exploratory",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
 
@@ -237,12 +238,6 @@ class FracOperator:
         self._taps_hat = np.fft.rfftn(emb)
         self._pad_shape = emb.shape
 
-    # -- internals ---------------------------------------------------------
-
-    def _check_field(self, f: Field):
-        if f.grid is not self.grid and not f.grid.compatible(self.grid):
-            raise ValueError("field grid does not match operator grid")
-
     def stiffness_bound(self) -> float:
         """max over Fourier modes of (second-difference symbol) * (kernel symbol).
 
@@ -261,12 +256,10 @@ class FracOperator:
             self._stiffness = float((lap * kernel).max())
         return self._stiffness
 
-    # -- public applications -------------------------------------------------
-
     def convolve(self, values: np.ndarray) -> np.ndarray:
-        """The potential of a value array on this grid, unchecked: the
-        pruned rfftn/irfftn pair of the module docstring.  The flow kernel
-        calls it once per state; `inverse` is it behind the Field checks."""
+        """The potential of a value array shaped like this grid: the pruned
+        rfftn/irfftn pair of the module docstring.  The flow kernel calls it
+        once per state."""
         n = self.grid.points_per_axis
         spec = np.fft.rfft(values, 2 * n, axis=-1)
         if values.ndim == 2:
@@ -275,7 +268,3 @@ class FracOperator:
         if values.ndim == 2:
             spec = np.fft.ifft(spec, axis=0)[:n]
         return np.fft.irfft(spec, 2 * n, axis=-1)[..., :n]
-
-    def inverse(self, f: Field) -> Field:
-        self._check_field(f)
-        return Field(self.grid, self.convolve(f.values))

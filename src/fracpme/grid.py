@@ -117,6 +117,3 @@ class Field:
 
     def linf(self) -> float:
         return float(np.abs(self.values).max())
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)

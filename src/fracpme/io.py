@@ -11,7 +11,8 @@ Datum constructors build Fields on a caller-supplied grid, nonnegative by
 construction.  The box uses exact cell-average overlap fractions, which makes
 its mass exactly width^n * height regardless of the grid; the parabola cap and
 the truncated gaussian sample cell centers.  A snapshot loaded as initial data
-is checked for negative values.
+is checked for negative values.  Initial data, built or loaded, must have
+finite values and a finite mass.
 """
 
 from __future__ import annotations
@@ -176,15 +177,26 @@ def parse_datum(text: str) -> tuple:
     return name, args
 
 
+def _finite_datum(datum: Field, label: str) -> Field:
+    """datum, once its values and its mass are known to be finite."""
+    with np.errstate(over="ignore"):
+        mass = datum.mass()
+    if not (np.isfinite(datum.values).all() and np.isfinite(mass)):
+        raise ValueError(f"{label}: values or mass not finite (mass {mass:g})")
+    return datum
+
+
 def build_datum(name: str, args: tuple, grid: Grid) -> Field:
-    """Construct the named analytic datum on the grid (from_file: snapshot_datum)."""
-    if name == "box":
-        return datum_box(grid, *args)
-    if name == "parabola_cap":
-        return datum_parabola_cap(grid, *args)
-    if name == "gaussian_truncated":
-        return datum_gaussian(grid, *args)
-    raise ValueError(f"unknown datum shape {name!r}")
+    """Construct the named analytic datum on the grid (from_file: snapshot_datum).
+    Values that overflow, or a mass that does, raise ValueError."""
+    makers = {"box": datum_box, "parabola_cap": datum_parabola_cap,
+              "gaussian_truncated": datum_gaussian}
+    if name not in makers:
+        raise ValueError(f"unknown datum shape {name!r}")
+    # a sigma whose square underflows samples exp(-inf) = 0, not a warning
+    with np.errstate(over="ignore", divide="ignore"):
+        datum = makers[name](grid, *args)
+    return _finite_datum(datum, f"datum {name}{args}")
 
 
 def snapshot_datum(path, grid: Grid) -> tuple:
@@ -200,4 +212,4 @@ def snapshot_datum(path, grid: Grid) -> tuple:
     low = loaded.values.min()
     if low < 0.0:
         raise ValueError(f"density field has negative entries (min {low:.3e})")
-    return Field(grid, loaded.values), header
+    return _finite_datum(Field(grid, loaded.values), str(path)), header

@@ -76,13 +76,12 @@ def _resample_axis(values: np.ndarray, src_half_width: float, target_edges: np.n
     return np.moveaxis(out, 0, axis)
 
 
-def resample(f: Field, target: Grid, lam: float = 1.0,
-             require_mass: bool = True) -> Field:
+def resample(f: Field, target: Grid, lam: float) -> Field:
     """Cell averages of x -> f(lam x) on the target grid.
 
     The result integrates to mass(f) / lam^n exactly, provided lam * L_target
-    covers the support of f; require_mass turns silent clipping loss into an
-    error (1e-12 relative budget).
+    covers the support of f; silent clipping loss is an error (1e-12 relative
+    budget).
     """
     if target.dim != f.grid.dim:
         raise ValueError("target grid dimension does not match the field")
@@ -93,11 +92,10 @@ def resample(f: Field, target: Grid, lam: float = 1.0,
     for ax in range(f.grid.dim):
         values = _resample_axis(values, f.grid.half_width, tgt_edges, lam, ax)
     out = Field(target, values)
-    if require_mass:
-        expected = f.mass() / lam ** f.grid.dim
-        if expected != 0.0 and abs(out.mass() - expected) > 1e-12 * abs(expected):
-            raise ValueError(
-                f"resampling lost mass ({out.mass():.15e} vs {expected:.15e}); "
-                "the dilated target box does not cover the source support"
-            )
+    expected = f.mass() / lam ** f.grid.dim
+    if expected != 0.0 and abs(out.mass() - expected) > 1e-12 * abs(expected):
+        raise ValueError(
+            f"resampling lost mass ({out.mass():.15e} vs {expected:.15e}); "
+            "the dilated target box does not cover the source support"
+        )
     return out

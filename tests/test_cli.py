@@ -403,17 +403,22 @@ for k, argv in enumerate(json.load(sys.stdin)):
 print(json.dumps(codes))
 """
 EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-320", "1e308", str(2 ** 64), "")
+FLOW_BASE = ["--N=32", "--L=4", "--end-time=0.05"]
+FLOW_FLAGS = ("n", "s", "L", "N", "end-time", "cfl", "snapshot-stride", "snapshot-every")
 EDGE_FLAGS = {
-    "evolve": (["--N=32", "--L=4", "--end-time=0.05"],
-               ("n", "s", "L", "N", "end-time", "cfl", "snapshot-stride", "snapshot-every")),
+    "evolve": (FLOW_BASE, FLOW_FLAGS),
+    "rescaled": (FLOW_BASE, FLOW_FLAGS),
     "obstacle": (["--N=32", "--L=4"], ("n", "s", "L", "N", "C", "M")),
 }
+EDGE_DATA = {"box": ("0", "2", "1"), "parabola_cap": ("1", "1"), "gaussian_truncated": ("1",)}
 
 
 def test_flag_edge_values_fail_cleanly(tmp_path):
-    # every number flag of evolve and obstacle at each edge value, under a
-    # 2 GiB address-space cap: exit 0-3, stdout only FRACPME-FAIL lines when
-    # the exit is not 0, and nothing on stderr (no traceback, no warning)
+    # every number flag of evolve, rescaled and obstacle, and every argument
+    # of each analytic --datum of evolve and rescaled, at each edge value,
+    # under a 2 GiB address-space cap: exit 0-3, stdout only FRACPME-FAIL
+    # lines when the exit is not 0, and nothing on stderr (no traceback, no
+    # warning)
     cases = []
     for command, (base, flags) in EDGE_FLAGS.items():
         for flag in flags:
@@ -421,6 +426,11 @@ def test_flag_edge_values_fail_cleanly(tmp_path):
             level = ["--M=1"] if command == "obstacle" and flag not in ("C", "M") else []
             cases.extend([command, *base, f"--{flag}={value}", *level]
                          for value in EDGE_VALUES)
+    for command in ("evolve", "rescaled"):
+        for name, args in EDGE_DATA.items():
+            for k in range(len(args)):
+                specs = (",".join(args[:k] + (value,) + args[k + 1:]) for value in EDGE_VALUES)
+                cases.extend([command, *FLOW_BASE, f"--datum={name}({spec})"] for spec in specs)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
 
@@ -432,7 +442,7 @@ def test_flag_edge_values_fail_cleanly(tmp_path):
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     codes = json.loads(done.stdout)
-    assert len(codes) == len(cases) == 112
+    assert len(codes) == len(cases) == 272
     bad = []
     for k, (argv, code) in enumerate(zip(cases, codes)):
         out = (tmp_path / f"{k}.out").read_text().splitlines()

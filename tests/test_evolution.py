@@ -74,7 +74,7 @@ def test_velocity_points_outward():
     op = freespace_op(grid)
     # transport velocity -grad K u at the faces, as the stepper uses it
     u = gaussian_datum(grid)
-    ((w, _),) = FlowKernel(op, False).faces(u.values, op.inverse(u).values)
+    ((w, _),) = FlowKernel(op, False, 1.0).faces(u.values, op.convolve(u.values))
     x = grid.interior_faces()
     assert (w[(x > 0.5) & (x < 4.0)] > 0.0).all()
     assert (w[(x < -0.5) & (x > -4.0)] < 0.0).all()
@@ -102,14 +102,14 @@ def test_run_input_validation():
     op = freespace_op(grid)
     u = box_datum(grid)
     with pytest.raises(ValueError, match="mode"):
-        run(u, "backwards", SolverConfig(), op)
+        run(u, "backwards", SolverConfig(), op, on_record=None)
     nan_vals = u.values.copy()
     nan_vals[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        run(Field(grid, nan_vals), "physical", SolverConfig(), op)
+        run(Field(grid, nan_vals), "physical", SolverConfig(), op, on_record=None)
     other = Grid(dim=1, half_width=5.0, points_per_axis=64)
     with pytest.raises(ValueError, match="grid"):
-        run(box_datum(other), "physical", SolverConfig(), op)
+        run(box_datum(other), "physical", SolverConfig(), op, on_record=None)
 
 
 def test_mass_conserved_and_positive():
@@ -117,7 +117,7 @@ def test_mass_conserved_and_positive():
     op = freespace_op(grid)
     u0 = box_datum(grid)
     traj = run(u0, "physical", SolverConfig(end_time=0.5, snapshot_stride=10),
-               op)
+               op, on_record=None)
     mass = traj.diagnostics.column("mass")
     assert np.abs(mass - mass[0]).max() <= 1e-12 * mass[0]
     for snap in traj.snapshots:
@@ -127,7 +127,7 @@ def test_mass_conserved_and_positive():
 def test_norms_non_increasing():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
-    traj = run(box_datum(grid), "physical", SolverConfig(end_time=0.5), op)
+    traj = run(box_datum(grid), "physical", SolverConfig(end_time=0.5), op, on_record=None)
     for name in ("linf", "l2", "l4"):
         col = traj.diagnostics.column(name)
         assert (np.diff(col) <= 1e-8 * col[:-1]).all(), name
@@ -148,7 +148,8 @@ def test_positivity_exact_at_sharp_cfl():
 def test_zero_state_advances_in_dt_max_hops():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     zero = Field(grid, np.zeros(64))
-    traj = run(zero, "physical", SolverConfig(end_time=3.0 * DT_MAX), freespace_op(grid))
+    traj = run(zero, "physical", SolverConfig(end_time=3.0 * DT_MAX), freespace_op(grid),
+               on_record=None)
     assert traj.times.tolist() == [0.0, DT_MAX, 2.0 * DT_MAX, 3.0 * DT_MAX]
     assert all(np.array_equal(snap.values, zero.values) for snap in traj.snapshots)
 
@@ -164,7 +165,7 @@ def test_dt_cap_honored():
     # the first step is cut to the end time, well below its own bound
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=1e-4),
-               freespace_op(grid))
+               freespace_op(grid), on_record=None)
     assert traj.steps == 1
     assert traj.times.tolist() == [0.0, 1e-4]
 
@@ -172,7 +173,7 @@ def test_dt_cap_honored():
 def rescale(u, t, exp):
     """v(y) = (1+t)^alpha u(y (1+t)^beta): the rescaled state of u at time t."""
     v = resample(u, u.grid, lam=(1.0 + t) ** exp.beta)
-    return v.with_values((1.0 + t) ** exp.alpha * v.values)
+    return Field(v.grid, (1.0 + t) ** exp.alpha * v.values)
 
 
 def test_rescale_matches_analytic_dilation():
@@ -193,8 +194,8 @@ def test_pressure_scaling_under_rescale():
     u = gaussian_datum(grid)
     t = 1.5
     v = rescale(u, t, exp)
-    pu = op.inverse(u).values
-    pv = op.inverse(v).values
+    pu = op.convolve(u.values)
+    pv = op.convolve(v.values)
     x = grid.axis()
     pv_pulled = np.interp(x / (1 + t) ** exp.beta, x, pv)
     sigma = 1.0 - 2.0 * exp.beta
@@ -206,7 +207,7 @@ def test_records_cover_run():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     traj = run(box_datum(grid), "rescaled", SolverConfig(end_time=0.4, snapshot_stride=7),
-               op)
+               op, on_record=None)
     times = np.array(traj.times)
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(0.4, abs=1e-12)
@@ -219,7 +220,7 @@ def test_rescaled_entropy_monotone():
     op = freespace_op(grid)
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
     traj = run(Field(grid, vals), "rescaled",
-               SolverConfig(end_time=1.5, snapshot_stride=5), op)
+               SolverConfig(end_time=1.5, snapshot_stride=5), op, on_record=None)
     e = traj.diagnostics.column("entropy")
     assert (np.diff(e) <= 1e-8 * abs(e[0])).all()
 
@@ -245,7 +246,7 @@ def test_one_pressure_per_state(monkeypatch, dim, mode):
     monkeypatch.setattr(FracOperator, "convolve", counted)
     monkeypatch.setattr(FlowKernel, "faces", counted_faces)
     u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
-    traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op)
+    traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op, on_record=None)
     assert traj.steps >= 3
     assert len(traj.times) == traj.steps + 1
     assert len(calls) == traj.steps + 1
@@ -259,7 +260,7 @@ def test_streamed_states_match_kept_snapshots():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     cfg = SolverConfig(end_time=0.3, snapshot_stride=4)
-    kept = run(box_datum(grid), "rescaled", cfg, op)
+    kept = run(box_datum(grid), "rescaled", cfg, op, on_record=None)
     seen = []
     streamed = run(box_datum(grid), "rescaled", cfg, op,
                    on_record=lambda k, t, state: seen.append((k, t, state)))
@@ -301,7 +302,7 @@ def test_kept_snapshots_are_distinct_arrays(dim):
     op = freespace_op(grid, s=0.25 if dim == 1 else 0.5)
     u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
     cfg = SolverConfig(end_time=0.2, snapshot_stride=1)
-    kept = run(u0, "physical", cfg, op)
+    kept = run(u0, "physical", cfg, op, on_record=None)
     assert kept.steps >= 3
     arrays = [snap.values for snap in kept.snapshots]
     for i, a in enumerate(arrays):
@@ -325,12 +326,12 @@ def test_run_refuses_a_span_beyond_the_step_budget(monkeypatch):
                        (5.0, 5.0 + 2.0 * MAX_STEPS * DT_MAX)):
         with pytest.raises(ValueError, match=f"needs more than {MAX_STEPS} steps"):
             run(tiny, "physical", SolverConfig(end_time=end), op,
-                start_time=start)
+                start_time=start, on_record=None)
     assert calls == []
     monkeypatch.undo()
     late = MAX_STEPS * DT_MAX
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=late), op,
-               start_time=late - 1e-3)
+               start_time=late - 1e-3, on_record=None)
     assert traj.times[-1] == late
 
 
@@ -338,10 +339,10 @@ def test_run_continues_from_start_time():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=1.2, snapshot_stride=5),
-               op, start_time=1.0)
+               op, start_time=1.0, on_record=None)
     assert traj.times[0] == 1.0
     assert traj.times[-1] == pytest.approx(1.2, abs=1e-12)
     assert traj.diagnostics.column("time")[0] == 1.0
     with pytest.raises(ValueError, match="start_time"):
         run(box_datum(grid), "physical", SolverConfig(), op,
-            start_time=-1.0)
+            start_time=-1.0, on_record=None)

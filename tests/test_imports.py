@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 module-level function, class and constant, public method and property is
-used by the package.
+used by the package, and every parameter default is both used and overridden
+by the package.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
@@ -9,9 +10,11 @@ must be referenced from some package module other than at its definition,
 a public module-level UPPERCASE constant must be read by some package
 module, and a public method or property of a package class must be read as
 an attribute by some package module, so that no helper and no public name
-survives for the tests alone.  A public name may instead be listed in an
+survives for the tests alone.  A defaulted parameter must be set by some
+package call and left at its default by another, so that no default serves
+only the tests and none is dead.  A public name may instead be listed in an
 ``__all__``; `oracles.py` holds the reference implementations the tests
-compare against, so its public names are exempt.
+compare against, so its public names and defaults are exempt.
 """
 
 import ast
@@ -116,6 +119,90 @@ def unread_constants(sources: dict) -> list:
                 read.add(node.attr)
         read |= all_names(tree)
     return sorted(d for d in defined if d[2] not in read)
+
+
+def defaulted_parameters(tree: ast.Module) -> list:
+    """(line, callee name, positional index or None, parameter) of each
+    defaulted parameter of a def in `tree`, methods and nested defs included.
+    A method's positional index skips self, and an ``__init__`` is named by
+    its class, as it is called."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                skip = int(cls is not None)  # self
+                name = cls if child.name == "__init__" and cls is not None else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((child.lineno, name, k - skip, positional[k].arg)
+                             for k in range(first, len(positional)))
+                found.extend((child.lineno, name, None, arg.arg)
+                             for arg, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None)
+                visit(child, None)
+            else:
+                visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return found
+
+
+def idle_defaults(sources: dict) -> list:
+    """(module, line, "callee(parameter)") of each defaulted parameter of a
+    package def that no call in `sources` (name -> source text) sets, or that
+    every such call sets.  Calls are matched by the callee's bare name (an
+    ``__init__`` by its class name); a parameter is set by a call that names
+    it or reaches its position, and a ``*`` or ``**`` splat sets every one.
+    Dataclass fields are not parameters of a def, so their defaults are out
+    of scope; the defs of PUBLIC_EXEMPT modules are not checked."""
+    params, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module not in PUBLIC_EXEMPT:
+            params.extend((module, *p) for p in defaulted_parameters(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    idle = []
+    for module, line, name, index, param in params:
+        set_by = [any(isinstance(a, ast.Starred) for a in call.args)
+                  or any(k.arg in (None, param) for k in call.keywords)
+                  or (index is not None and index < len(call.args))
+                  for call in calls.get(name, [])]
+        if not (any(set_by) and not all(set_by)):
+            idle.append((module, line, f"{name}({param})"))
+    return sorted(idle)
+
+
+# defaults kept although the package never both sets and omits them
+IDLE_DEFAULTS_KEPT = {
+    ("cli.py", "main(argv)"): "the console script calls main() with no arguments",
+    ("fracops.py", "FracOperator(mode)"):
+        "perfbench's set-up passes FREESPACE; both go with the next benchmark change",
+}
+
+
+def test_guard_sees_an_idle_default():
+    sources = {"a.py": "def f(x, y=1, *, z=2):\n    pass\n\n"
+                       "def g(x=1):\n    pass\n\n"
+                       "def h(w=1):\n    pass\n\n"
+                       "class C:\n    def __init__(self, u=0):\n        pass\n\n"
+                       "    def m(self, v=0):\n        pass\n",
+               "b.py": "from a import C, f, g, h\n\nf(1)\nf(1, 2, z=3)\ng(1)\ng(x=2)\n"
+                       "h()\nC()\nC(1)\nC().m()\nC().m(*[1])\n",
+               "oracles.py": "def reference(k=1):\n    pass\n"}
+    assert idle_defaults(sources) == [("a.py", 4, "g(x)"), ("a.py", 7, "h(w)")]
+
+
+def test_every_package_default_is_used_and_overridden():
+    sources = {path.name: path.read_text() for path in MODULES}
+    idle = {(module, what) for module, _, what in idle_defaults(sources)}
+    assert idle == set(IDLE_DEFAULTS_KEPT)
 
 
 def test_guard_sees_a_dead_import():

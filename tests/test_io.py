@@ -122,7 +122,7 @@ def test_diagnostics_round_trip(tmp_path, read_diagnostics):
     g = Grid(1, 6.0, 64)
     op = FracOperator(g, FracParams(s=0.25, dim=1))
     traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
-               SolverConfig(end_time=0.2, snapshot_stride=2), op)
+               SolverConfig(end_time=0.2, snapshot_stride=2), op, on_record=None)
     path = tmp_path / "d.csv"
     write_diagnostics(path, traj.diagnostics)
     table = read_diagnostics(path)
@@ -136,7 +136,7 @@ def test_diagnostics_repeat_is_byte_identical(tmp_path):
         g = Grid(1, 6.0, 48)
         op = FracOperator(g, FracParams(s=0.25, dim=1))
         traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
-                   SolverConfig(end_time=0.3), op)
+                   SolverConfig(end_time=0.3), op, on_record=None)
         write_diagnostics(path, traj.diagnostics)
         return path.read_bytes()
 

@@ -66,7 +66,7 @@ def test_resample_to_different_grid():
     src = Grid(dim=1, half_width=4.0, points_per_axis=256)
     tgt = Grid(dim=1, half_width=6.0, points_per_axis=384)
     f = smooth_random_density(src, seed=7)
-    out = resample(f, tgt)
+    out = resample(f, tgt, lam=1.0)
     assert out.mass() == pytest.approx(f.mass(), rel=1e-13)
     # pointwise agreement on the common region at interpolation accuracy
     xi = tgt.axis()

@@ -46,14 +46,14 @@ def test_run_suite_reports_and_writes_csv(tmp_path, monkeypatch, capsys):
     assert lines[2] == "2,beta,y 3.0,<= 2,false"
 
 
-def test_run_suite_all_green_returns_true(monkeypatch, capsys):
+def test_run_suite_all_green_returns_true(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(verify, "CHECKS",
                         (lambda ctx: CheckResult(1, "alpha", "m", "t", True),))
-    assert verify.run_suite(quick=False) is True
+    assert verify.run_suite(quick=False, out_dir=tmp_path) is True
     capsys.readouterr()
 
 
-def test_tamper_env_reaches_the_context(monkeypatch, capsys):
+def test_tamper_env_reaches_the_context(tmp_path, monkeypatch, capsys):
     seen = {}
 
     def spy(ctx):
@@ -62,20 +62,20 @@ def test_tamper_env_reaches_the_context(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "CHECKS", (spy,))
     monkeypatch.setenv("FRACPME_TAMPER", "7")
-    verify.run_suite(quick=True)
+    verify.run_suite(quick=True, out_dir=tmp_path)
     assert seen["tamper"] == 7
     # a non-integer setting must still poison something
     monkeypatch.setenv("FRACPME_TAMPER", "yes")
-    verify.run_suite(quick=True)
+    verify.run_suite(quick=True, out_dir=tmp_path)
     assert seen["tamper"] == 1
     capsys.readouterr()
 
 
-def test_tampered_check_makes_the_suite_return_false(monkeypatch, capsys):
+def test_tampered_check_makes_the_suite_return_false(tmp_path, monkeypatch, capsys):
     # the checks' comparisons are numpy booleans; the suite must not pass them on
     monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_budget,))
     monkeypatch.setenv("FRACPME_TAMPER", "7")
-    assert verify.run_suite(quick=True) is False
+    assert verify.run_suite(quick=True, out_dir=tmp_path) is False
     assert "[ 7] FAIL" in capsys.readouterr().out
 
 
@@ -113,7 +113,8 @@ def test_two_workers_write_the_serial_scoreboard(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("error", [NumericalAbort, RuntimeError])
-def test_worker_fault_surfaces_at_the_reading_check(error, monkeypatch, capsys, cores):
+def test_worker_fault_surfaces_at_the_reading_check(tmp_path, error, monkeypatch, capsys,
+                                                    cores):
     def fail(n_pts, width, height):
         raise error(f"settled run at N = {n_pts} failed")
 
@@ -124,7 +125,7 @@ def test_worker_fault_surfaces_at_the_reading_check(error, monkeypatch, capsys, 
     for count in (1, 2):
         forks = cores(count)
         with pytest.raises(Exception) as info:
-            verify.run_suite(quick=True)
+            verify.run_suite(quick=True, out_dir=tmp_path)
         seen.append((type(info.value), str(info.value), capsys.readouterr().out,
                      len(forks)))
     (kind, message, out, forks), pooled = seen
@@ -133,22 +134,22 @@ def test_worker_fault_surfaces_at_the_reading_check(error, monkeypatch, capsys, 
     assert forks == 0 and pooled == (kind, message, out, 2)
 
 
-def test_checks_that_read_no_artifact_start_no_process(monkeypatch, capsys, cores):
+def test_checks_that_read_no_artifact_start_no_process(tmp_path, monkeypatch, capsys, cores):
     forks = cores(2)
     monkeypatch.setattr(verify, "CHECKS", _fake_checks())
-    verify.run_suite(quick=True)
+    verify.run_suite(quick=True, out_dir=tmp_path)
     capsys.readouterr()
     assert forks == []
 
 
-def test_no_fork_while_another_thread_runs(monkeypatch, capsys, cores):
+def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch, capsys, cores):
     forks = cores(2)
     monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_identity,))
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(30.0,))
     waiter.start()
     try:
-        assert verify.run_suite(quick=True)
+        assert verify.run_suite(quick=True, out_dir=tmp_path)
     finally:
         release.set()
         waiter.join(timeout=30.0)
