@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .evolution import NumericalAbort, SolverConfig, check_time_span, run
-from .fracops import Exponents, FracOperator, FracParams
+from .fracops import FracOperator, FracParams
 from .grid import Grid
 from .io import (
     build_datum,
@@ -283,8 +283,7 @@ def cmd_obstacle(cfg: RunConfig) -> tuple:
         if cfg.M is not None:
             sol = match_mass(cfg.M, cfg.s, grid)
         else:
-            a = Exponents(cfg.n, cfg.s).a
-            sol = solve_obstacle(ObstacleProblem(C=cfg.C, a=a, s=cfg.s, grid=grid))
+            sol = solve_obstacle(ObstacleProblem(C=cfg.C, s=cfg.s, grid=grid))
     except ValueError as exc:
         _machine_line("config", str(exc))
         return EXIT_CONFIG, None

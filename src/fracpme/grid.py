@@ -4,8 +4,9 @@ Cells are squares of side h = 2L/N with centers at -L + (i + 1/2) h, so the box
 is tiled exactly and midpoint quadrature is h^n * sum(values).  There is no grid
 point at the origin; for even N the centers straddle it symmetrically, which keeps
 radially symmetric data exactly symmetric on the lattice.  The spacing, the cell
-volume and 4/h^2 must be positive finite floats.  A Field is a grid and its
-values, with no sign constraint of its own.
+volume and 4/h^2 must be positive finite floats, and so must the squared
+corner radius n L^2.  A Field is a grid and its values, with no sign
+constraint of its own.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ class Grid:
         if not (h * h > 0.0 and math.isfinite(4.0 / (h * h))):
             raise ValueError(f"grid spacing {h:g} is too fine: 4/h^2 is not finite "
                              f"(L = {self.half_width:g}, N = {n})")
+        if not math.isfinite(self.dim * self.half_width * self.half_width):
+            raise ValueError(f"grid half-width {self.half_width:g} is too large: the "
+                             f"squared corner radius n L^2 is not finite (n = {self.dim})")
 
     @property
     def spacing(self) -> float:

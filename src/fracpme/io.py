@@ -12,7 +12,7 @@ construction.  The box uses exact cell-average overlap fractions, which makes
 its mass exactly width^n * height regardless of the grid; the parabola cap and
 the truncated gaussian sample cell centers.  A snapshot loaded as initial data
 is checked for negative values.  Initial data, built or loaded, must have
-finite values and a finite mass.
+finite values and a finite positive mass on the grid.
 """
 
 from __future__ import annotations
@@ -177,18 +177,21 @@ def parse_datum(text: str) -> tuple:
     return name, args
 
 
-def _finite_datum(datum: Field, label: str) -> Field:
-    """datum, once its values and its mass are known to be finite."""
+def _checked_datum(datum: Field, label: str) -> Field:
+    """datum, once its values and its mass are known to be finite and the
+    mass positive: a datum the grid does not see would evolve as zero."""
     with np.errstate(over="ignore"):
         mass = datum.mass()
     if not (np.isfinite(datum.values).all() and np.isfinite(mass)):
         raise ValueError(f"{label}: values or mass not finite (mass {mass:g})")
+    if not mass > 0.0:
+        raise ValueError(f"{label}: no mass on the grid (mass {mass:g})")
     return datum
 
 
 def build_datum(name: str, args: tuple, grid: Grid) -> Field:
     """Construct the named analytic datum on the grid (from_file: snapshot_datum).
-    Values that overflow, or a mass that does, raise ValueError."""
+    Values that overflow, a mass that does, or no mass raise ValueError."""
     makers = {"box": datum_box, "parabola_cap": datum_parabola_cap,
               "gaussian_truncated": datum_gaussian}
     if name not in makers:
@@ -196,7 +199,7 @@ def build_datum(name: str, args: tuple, grid: Grid) -> Field:
     # a sigma whose square underflows samples exp(-inf) = 0, not a warning
     with np.errstate(over="ignore", divide="ignore"):
         datum = makers[name](grid, *args)
-    return _finite_datum(datum, f"datum {name}{args}")
+    return _checked_datum(datum, f"datum {name}{args}")
 
 
 def snapshot_datum(path, grid: Grid) -> tuple:
@@ -212,4 +215,4 @@ def snapshot_datum(path, grid: Grid) -> tuple:
     low = loaded.values.min()
     if low < 0.0:
         raise ValueError(f"density field has negative entries (min {low:.3e})")
-    return _finite_datum(Field(grid, loaded.values), str(path)), header
+    return _checked_datum(Field(grid, loaded.values), str(path)), header

@@ -1,7 +1,9 @@
 """Parabolic-obstacle solutions: the stationary profile pair of the rescaled flow.
 
 The pair (P, V): P >= Phi = C - a|y|^2 with equality on the contact set,
-V = (-Lap)^s P >= 0 supported there, and V (P - Phi) = 0.  V is taken as the
+V = (-Lap)^s P >= 0 supported there, and V (P - Phi) = 0.  The coefficient
+a = beta/2 is fixed by the similarity exponent of (n, s), so the level C is
+the one free parameter.  V is taken as the
 unknown: for compactly supported V the pressure P = K V is the exact
 free-space potential, so P -> 0 at infinity holds by kernel decay rather than
 by boundary conditions, and the unknown lives only on cells with
@@ -16,10 +18,10 @@ current free set {V > 0} by conjugate gradients, with every product W v done
 by the operator's FFT convolution, so W is never formed.  The result is
 re-verified on the full grid.
 
-A target mass M has one route, `match_mass`: it root-finds the level C whose
-discrete mass equals M on the given grid.  Every probe level is capped at the
-largest C the box admits with its margin, and a box whose largest level still
-holds less than M is rejected with ValueError.
+A target mass M has one route, `match_mass`: one bracketed regula falsi
+search for the level C whose discrete mass equals M on the given grid.  Every
+probe level is capped at the largest C the box admits with its margin, and a
+box whose largest level still holds less than M is rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .fracops import Exponents, FracOperator, FracParams
@@ -47,7 +48,8 @@ def _max_level(a: float, grid: Grid) -> float:
 
 @dataclass(frozen=True)
 class ObstacleProblem:
-    """Parabolic obstacle Phi = C - a|y|^2 on a freespace grid.
+    """Parabolic obstacle Phi = C - a|y|^2 on a freespace grid, with
+    a = beta/2 fixed by (grid.dim, s).
 
     The grid box must contain the parabola's positivity ball
     {|y| < sqrt(C/a)} with a factor >= 1.5 to spare, so the free boundary
@@ -55,13 +57,10 @@ class ObstacleProblem:
     """
 
     C: float
-    a: float
     s: float
     grid: Grid
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError(f"parabola coefficient a must be positive, got {self.a}")
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must lie in (0, 1), got {self.s}")
         if self.grid.dim == 1 and self.s >= 0.5:
@@ -76,6 +75,11 @@ class ObstacleProblem:
             )
 
     @property
+    def a(self) -> float:
+        """Parabola coefficient beta/2 of the similarity exponents."""
+        return Exponents(self.grid.dim, self.s).a
+
+    @property
     def parabola_radius(self) -> float:
         """Radius where the obstacle crosses zero; free boundary sits inside it."""
         return float(np.sqrt(max(self.C, 0.0) / self.a))
@@ -85,13 +89,12 @@ class ObstacleProblem:
 
 
 def make_problem(C: float, n: int, s: float, points_per_axis: int) -> ObstacleProblem:
-    """Problem on the default box: half-width BOX_FACTOR * sqrt(C/a),
-    with a = beta/2 fixed by (n, s)."""
+    """Problem on the default box: half-width BOX_FACTOR * sqrt(C/a)."""
     a = Exponents(n, s).a
     if C <= 0.0:
         raise ValueError(f"default sizing needs C > 0, got {C}")
     half = BOX_FACTOR * float(np.sqrt(C / a))
-    return ObstacleProblem(C=C, a=a, s=s, grid=Grid(n, half, points_per_axis))
+    return ObstacleProblem(C=C, s=s, grid=Grid(n, half, points_per_axis))
 
 
 @dataclass
@@ -264,48 +267,31 @@ def match_mass(mass: float, s: float, grid: Grid) -> ObstacleSolution:
 
     The power law only predicts the continuum mass; quadrature shifts it by
     O(h^2), which would leave a spurious floor in any density comparison at
-    matched mass.  So root-find on the level C instead (mass is strictly
-    increasing in C), bracketing from the power-law seed by geometric
-    expansion.  Every probe is a full solve, at a level no higher than the
-    largest one the grid box admits, and each level is solved once per call;
-    if even the largest level holds less than `mass`, the box is too small
-    and ValueError is raised.
+    matched mass.  So search on the level C instead (mass is increasing in
+    C).  The bracket's lower end is the level a min|y|^2 (a (h/2)^2 in 1-D),
+    at which no cell center holds mass, so its gap is -mass without a solve.
+    The upper end starts at the power-law seed and doubles until it holds
+    `mass`, capped at the largest level the box admits; if even that level
+    holds less, the box is too small and ValueError is raised.  Regula falsi
+    (Illinois) then closes the bracket, down to adjacent floats if it must,
+    solving each level once.
     """
     if mass <= 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
     a = Exponents(grid.dim, s).a
     c_max = _max_level(a, grid)
-    by_level = {}  # brentq re-probes both bracket ends, and the root is returned
-
-    def solved(level: float) -> ObstacleSolution:
-        if level not in by_level:
-            prob = ObstacleProblem(C=level, a=a, s=s, grid=grid)
-            by_level[level] = solve_obstacle(prob)
-        return by_level[level]
+    by_level = {}
 
     def gap(level: float) -> float:
-        return solved(level).mass - mass
+        if level not in by_level:
+            by_level[level] = solve_obstacle(ObstacleProblem(C=level, s=s, grid=grid))
+        return by_level[level].mass - mass
 
-    # seed with coefficient 1; the true prefactor is O(1) so a few
-    # halvings or doublings reach a sign change.  No cell center lies nearer
-    # the origin than h/2, so no level up to a (h/2)^2 holds any mass: a tiny
-    # mass starts its upward search there, not hundreds of doublings below.
-    seed = mass ** (2.0 / (grid.dim + 2.0 - 2.0 * s))
-    lo = hi = min(max(seed, a * (grid.spacing / 2.0) ** 2), c_max)
-    g_lo, g_hi = gap(lo), None
-    for _ in range(60):
-        if g_lo <= 0.0:
-            break
-        hi, g_hi = lo, g_lo
-        lo *= 0.5
-        g_lo = gap(lo)
-    else:
-        raise RuntimeError("no lower bracket for the mass match")
-    if g_hi is None:
-        g_hi = gap(hi)
-    for _ in range(60):
-        if g_hi >= 0.0:
-            break
+    # Phi = C - a|y|^2 is positive at no cell center while C <= a min|y|^2
+    lo, g_lo = float(a * grid.radius2().min()), -mass
+    # the power law with coefficient 1: the true prefactor is O(1)
+    hi = min(max(mass ** (2.0 / (grid.dim + 2.0 - 2.0 * s)), lo), c_max)
+    while (g_hi := gap(hi)) < 0.0:
         if hi >= c_max:
             raise ValueError(
                 f"box too small for mass {mass:g}: the largest level it admits, "
@@ -313,25 +299,20 @@ def match_mass(mass: float, s: float, grid: Grid) -> ObstacleSolution:
             )
         lo, g_lo = hi, g_hi
         hi = min(2.0 * hi, c_max)
-        g_hi = gap(hi)
-    else:
-        raise RuntimeError("no upper bracket for the mass match")
-    level = float(brentq(gap, lo, hi, xtol=1e-13, rtol=4e-15))
-    # brentq's absolute xtol is far coarser than a level ulp near the first
-    # cell's switch-on level, where a tiny mass lives: close the bracket on
-    # the mass itself by regula falsi (Illinois: an end kept twice has its
-    # gap halved; every probe is at least one float inside the bracket),
-    # down to adjacent floats, and keep the nearer end
-    kept = 0
-    while abs(g := gap(level)) > 1e-12 * mass:
+    # Illinois: an end kept twice has its gap halved; every probe is at least
+    # one float inside the bracket, and a closed bracket keeps the nearer end
+    level, g, kept = hi, g_hi, 0
+    while abs(g) > 1e-12 * mass:
+        level = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        level = min(max(level, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+        if not lo < level < hi:
+            level = min(lo, hi, key=lambda c: abs(gap(c)))
+            break
+        g = gap(level)
         if g < 0.0:
             lo, g_lo = level, g
             g_hi, kept = (g_hi / 2.0 if kept > 0 else g_hi), 1
         else:
             hi, g_hi = level, g
             g_lo, kept = (g_lo / 2.0 if kept < 0 else g_lo), -1
-        level = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        level = min(max(level, np.nextafter(lo, hi)), np.nextafter(hi, lo))
-        if not lo < level < hi:
-            return solved(min(lo, hi, key=lambda c: abs(gap(c))))
-    return solved(level)
+    return by_level[level]

@@ -33,7 +33,7 @@ import numpy as np
 from .diagnostics import entropy_dissipation_identity_check, fit_power_law
 from .evolution import SolverConfig, run, step_physical
 from .fanout import fan_out
-from .fracops import Exponents, FracOperator, FracParams
+from .fracops import FracOperator, FracParams
 from .grid import Field, Grid
 from .io import datum_box, datum_gaussian, datum_parabola_cap, write_diagnostics
 from .obstacle import (ObstacleProblem, barenblatt_at, make_problem, mass_law,
@@ -142,22 +142,6 @@ def _settled(n_pts: int, width: float, height: float) -> Field:
     return traj.snapshots[-1]
 
 
-def _mass_profile(n_pts: int):
-    """The profile of mass 2 (the limit of the settled runs)."""
-    return match_mass(2.0, 0.25, Grid(1, 12.0, n_pts))
-
-
-def _level_profile(C: float, dim: int, s: float, n_pts: int):
-    """The profile at level C on the default grid of make_problem."""
-    return solve_obstacle(make_problem(C, dim, s, n_pts))
-
-
-def _box_profile(C: float, a: float, s: float, dim: int, L: float, n_pts: int):
-    """The profile at level C with parabola coefficient a on a fixed box
-    (mass-law families)."""
-    return solve_obstacle(ObstacleProblem(C=C, a=a, s=s, grid=Grid(dim, L, n_pts)))
-
-
 # builder of each kind, longest first: the prefetch order (in quick mode
 # the three runs take about 0.3, 0.8 and 0.7 s, in full mode 3.6, 1.8 and
 # 1.1 s; every other artifact takes at most about 0.2 s)
@@ -167,9 +151,8 @@ _BUILDERS = {
     "smoothing_1d": _smoothing_1d,
     "relaxation": _relaxation,
     "settled": _settled,
-    "mass_profile": _mass_profile,
-    "level_profile": _level_profile,
-    "box_profile": _box_profile,
+    "mass_profile": match_mass,
+    "profile": solve_obstacle,
 }
 
 
@@ -195,7 +178,12 @@ def _smoothing(ctx: Suite) -> tuple:
 
 
 def _unit_level(n_pts: int) -> tuple:
-    return ("level_profile", 1.0, 1, 0.25, n_pts)
+    return ("profile", make_problem(1.0, 1, 0.25, n_pts))
+
+
+def _mass_profile(n_pts: int) -> tuple:
+    """Key of the profile of mass 2 (the limit of the settled runs)."""
+    return ("mass_profile", 2.0, 0.25, Grid(1, 12.0, n_pts))
 
 
 def _conservation_runs(ctx: Suite) -> list:
@@ -208,7 +196,7 @@ def _conservation_runs(ctx: Suite) -> list:
 def _limit_pair(ctx: Suite) -> list:
     """A settled run and the profile of its mass, on the same grid."""
     n_pts = ctx.pick(512, 256)
-    return [("settled", n_pts, 2.0, 1.0), ("mass_profile", n_pts)]
+    return [("settled", n_pts, 2.0, 1.0), _mass_profile(n_pts)]
 
 
 # the fourteen checks
@@ -387,16 +375,15 @@ def _check_obstacle(ctx: Suite, sol, ref_sol) -> CheckResult:
 
 
 def _mass_law_families(ctx: Suite) -> list:
-    """Four levels in 1-D (a = 0.2, L = 7) and four in 2-D (a of s = 1/2)."""
+    """Four levels in 1-D (s = 1/4, L = 7) and four in 2-D (s = 1/2, L = 8)."""
     levels = (0.5, 1.0, 2.0, 4.0)
-    a2 = Exponents(2, 0.5).a
-    return ([("box_profile", c, 0.2, 0.25, 1, 7.0, ctx.pick(512, 256)) for c in levels]
-            + [("box_profile", c, a2, 0.5, 2, 8.0, ctx.pick(96, 64)) for c in levels])
+    grids = ((0.25, Grid(1, 7.0, ctx.pick(512, 256))), (0.5, Grid(2, 8.0, ctx.pick(96, 64))))
+    return [("profile", ObstacleProblem(C=c, s=s, grid=g)) for s, g in grids for c in levels]
 
 
 # default sizing makes the level-4 box exactly twice the level-1 box,
 # so the rescaled grids align cell by cell
-@_reads(lambda ctx: [("level_profile", c, 1, 0.25, ctx.pick(1024, 512))
+@_reads(lambda ctx: [("profile", make_problem(c, 1, 0.25, ctx.pick(1024, 512)))
                      for c in (1.0, 4.0)] + _mass_law_families(ctx))
 def _check_scaling(ctx: Suite, sol1, sol4, *families) -> CheckResult:
     dev = scaling_check(sol1, sol4)
@@ -457,7 +444,7 @@ def _check_convergence(ctx: Suite, terminal, prof, twin) -> CheckResult:
 
 # each scheme's floor: distance between its answers at N and N/2
 @_reads(lambda ctx: _limit_pair(ctx) + [("settled", ctx.pick(256, 128), 2.0, 1.0),
-                                        ("mass_profile", ctx.pick(256, 128))])
+                                        _mass_profile(ctx.pick(256, 128))])
 def _check_terminal_match(ctx: Suite, terminal, prof, term_half,
                           prof_half) -> CheckResult:
     dist = _l1(terminal, prof.density)

@@ -193,11 +193,21 @@ SMALL_RUN = ["--N", "32", "--L", "4", "--end-time", "0.01"]
      "end_time 1e+300 from t = 0 needs more than 10000000 steps"),
     (["evolve", *SMALL_RUN, "--L", "1e-320"], "grid spacing 6.22523e-322 is too fine"),
     (["evolve", *SMALL_RUN, "--L", "1e-160"], "grid spacing 6.25e-162 is too fine"),
+    (["evolve", *SMALL_RUN, "--L", "1e160"], "grid half-width 1e+160 is too large"),
+    (["rescaled", *SMALL_RUN, "--L", "1e160"], "grid half-width 1e+160 is too large"),
+    (["obstacle", "--C", "1", "--N", "32", "--L", "1e155"],
+     "grid half-width 1e+155 is too large"),
+    (["evolve", *SMALL_RUN, "--datum", "box(1e308,2,1)"],
+     "datum box(1e+308, 2.0, 1.0): no mass on the grid"),
+    (["evolve", *SMALL_RUN, "--datum", "gaussian_truncated(1e-320)"],
+     "datum gaussian_truncated(1e-320,): no mass on the grid"),
 ], ids=["evolve_kernel_diverges", "rescaled_kernel_diverges", "L_inf", "L_nan",
         "datum_inf", "end_time_inf", "end_time_nan", "obstacle_C_nan",
         "L_spacing_overflows", "obstacle_cell_volume_overflows",
         "end_time_beyond_step_budget", "spacing_squared_underflows",
-        "stiffness_scale_overflows"])
+        "stiffness_scale_overflows", "evolve_corner_radius_overflows",
+        "rescaled_corner_radius_overflows", "obstacle_corner_radius_overflows",
+        "datum_off_grid", "datum_below_the_cells"])
 @pytest.mark.filterwarnings("ignore:dim = 1 with s = 0.5:UserWarning")
 def test_degenerate_config_is_config_error(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "run")])
@@ -348,7 +358,7 @@ def test_obstacle_tiny_mass_matches_the_nearest_level(tmp_path, capsys, mass):
     assert level >= a * (grid.spacing / 2.0) ** 2
     miss = abs(_report_mass(out) - mass)
     for neighbour in (np.nextafter(level, -np.inf), np.nextafter(level, np.inf)):
-        other = solve_obstacle(ObstacleProblem(C=neighbour, a=a, s=0.25, grid=grid)).mass
+        other = solve_obstacle(ObstacleProblem(C=neighbour, s=0.25, grid=grid)).mass
         assert miss <= abs(other - mass)
 
 

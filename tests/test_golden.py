@@ -39,6 +39,8 @@ RUNS = {
     "obstacle_2d": (["obstacle", "--n", "2", "--s", "0.5", "--N", "32", "--L", "8",
                      "--C", "4"],
                     "45399519ac372acb3c7351ee8c4f25d3c4a54da922ae09a0828dff6eb86dd3db"),
+    "obstacle_mass": (["obstacle", "--M", "2", "--N", "256", "--L", "4"],
+                      "4c00e55ae668f4a20d2af30f07540a7b6f8d040c2382e9097acacc06ae8c2cae"),
 }
 
 

@@ -35,17 +35,15 @@ def test_problem_sizing_and_validation():
     assert prob.parabola_radius == pytest.approx(np.sqrt(5.0))
     assert prob.grid.half_width == pytest.approx(3.0 * np.sqrt(5.0))
     with pytest.raises(ValueError, match="margin"):
-        ObstacleProblem(C=1.0, a=0.2, s=0.25, grid=Grid(1, 2.0, 64))
-    with pytest.raises(ValueError, match="positive"):
-        ObstacleProblem(C=1.0, a=-0.2, s=0.25, grid=Grid(1, 8.0, 64))
+        ObstacleProblem(C=1.0, s=0.25, grid=Grid(1, 2.0, 64))
     with pytest.raises(ValueError, match="one dimension"):
-        ObstacleProblem(C=1.0, a=0.25, s=0.6, grid=Grid(1, 8.0, 64))
+        ObstacleProblem(C=1.0, s=0.6, grid=Grid(1, 8.0, 64))
     with pytest.raises(ValueError):
         make_problem(-1.0, 1, 0.25, 64)
 
 
 def test_nonpositive_level_is_trivial():
-    sol = solve_obstacle(ObstacleProblem(C=-1.0, a=0.2, s=0.25, grid=Grid(1, 4.0, 64)))
+    sol = solve_obstacle(ObstacleProblem(C=-1.0, s=0.25, grid=Grid(1, 4.0, 64)))
     assert sol.pressure.linf() == 0.0
     assert sol.density.linf() == 0.0
     assert sol.contact_radius == 0.0
@@ -125,7 +123,16 @@ def test_solver_forms_no_dense_kernel(monkeypatch):
         assert sol.residuals["lcp_residual"] <= 1e-12 * max(1.0, sol.density.linf())
 
 
-def test_match_mass_solves_each_level_once(monkeypatch):
+# (mass, s, grid, solves the brentq-then-refine search took on the same case)
+@pytest.mark.parametrize("mass, s, grid, before", [
+    (2.0, 0.25, Grid(1, 12.0, 128), 7),
+    (2.0, 0.25, Grid(1, 12.0, 256), 8),
+    (2.0, 0.25, Grid(1, 12.0, 512), 8),
+    (2.0, 0.25, Grid(1, 4.0, 512), 7),
+    (0.1, 0.25, Grid(1, 3.0, 256), 8),
+    (1.0, 0.5, Grid(2, 6.0, 48), 9),
+], ids=["L12_N128", "L12_N256", "L12_N512", "readme", "small_box", "2d"])
+def test_match_mass_solves_each_level_once(monkeypatch, mass, s, grid, before):
     levels = []
 
     def counting(prob):
@@ -133,10 +140,26 @@ def test_match_mass_solves_each_level_once(monkeypatch):
         return solve_obstacle(prob)
 
     monkeypatch.setattr(obstacle, "solve_obstacle", counting)
-    sol = match_mass(2.0, 0.25, Grid(1, 12.0, 256))
-    assert sol.mass == pytest.approx(2.0, rel=1e-12)
+    sol = match_mass(mass, s, grid)
+    assert abs(sol.mass - mass) <= 1e-12 * mass
     assert len(levels) == len(set(levels))
     assert sol.problem.C in levels
+    assert len(levels) <= before
+
+
+@pytest.mark.parametrize("mass", [1e-300, 1e-18, 5e-18])
+def test_match_mass_starts_below_every_cell(mass):
+    # the nearest cell center of this grid rounds to inside h/2, so the level
+    # a (h/2)^2 already holds about 1.2e-17; the search starts at a min|y|^2,
+    # and no adjacent float level holds a mass nearer to M than the one returned
+    grid = Grid(1, 3.3, 16)
+    sol = match_mass(mass, 0.25, grid)
+    first = ObstacleProblem(C=sol.problem.a * (grid.spacing / 2.0) ** 2, s=0.25, grid=grid)
+    assert solve_obstacle(first).mass > mass
+    miss = abs(sol.mass - mass)
+    for level in (np.nextafter(sol.problem.C, 0.0), np.nextafter(sol.problem.C, 1.0)):
+        other = solve_obstacle(ObstacleProblem(C=level, s=0.25, grid=grid)).mass
+        assert miss <= abs(other - mass)
 
 
 def test_cg_failure_raises_with_residual(monkeypatch):
@@ -210,7 +233,7 @@ def test_scaling_law(sol_c1, sol_c4):
 
 def test_mass_law_on_fixed_grid():
     grid = make_problem(4.0, 1, 0.25, 512).grid
-    sols = [solve_obstacle(ObstacleProblem(C=c, a=0.2, s=0.25, grid=grid))
+    sols = [solve_obstacle(ObstacleProblem(C=c, s=0.25, grid=grid))
             for c in (0.5, 1.0, 2.0, 4.0)]
     slope, c_fit = mass_law(sols)
     assert abs(slope - 1.25) <= 0.02 * 1.25  # measured 1.25003
@@ -266,7 +289,7 @@ def test_convexity_report(sol_c1):
 def test_box_independence(sol_c1):
     g = sol_c1.density.grid
     doubled = Grid(1, 2.0 * g.half_width, 2 * g.points_per_axis)  # same spacing
-    sol2 = solve_obstacle(ObstacleProblem(C=1.0, a=0.2, s=0.25, grid=doubled))
+    sol2 = solve_obstacle(ObstacleProblem(C=1.0, s=0.25, grid=doubled))
     inner = slice(g.points_per_axis // 2, g.points_per_axis // 2 + g.points_per_axis)
     dv = np.abs(sol_c1.density.values - sol2.density.values[inner]).max()
     assert dv <= 1e-12 * sol_c1.density.linf()
@@ -274,7 +297,7 @@ def test_box_independence(sol_c1):
 
 def test_pressure_monotone_in_level(sol_c1):
     grid = sol_c1.problem.grid
-    higher = solve_obstacle(ObstacleProblem(C=2.0, a=0.2, s=0.25, grid=grid))
+    higher = solve_obstacle(ObstacleProblem(C=2.0, s=0.25, grid=grid))
     gap = higher.pressure.values - sol_c1.pressure.values
     assert gap.min() > 0.0
     # any shifted higher-level pressure is a supersolution staying above

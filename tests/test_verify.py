@@ -163,7 +163,7 @@ def test_scaling_check_solves_nothing_itself(monkeypatch):
     # prefetched artifacts, so they run on the worker pool
     ctx = Suite(quick=True, tamper=None, started=0.0)
     keys = verify._check_scaling.reads(ctx)
-    assert [k[0] for k in keys] == ["level_profile"] * 2 + ["box_profile"] * 8
+    assert [k[0] for k in keys] == ["profile"] * 10
     ctx.cache.update((key, verify._build(key)) for key in keys)
     calls = []
     monkeypatch.setattr(verify, "solve_obstacle", lambda prob: calls.append(prob))
