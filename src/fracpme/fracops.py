@@ -12,7 +12,13 @@ apply the operator.
 The convolution runs on the 2N-point embedding one axis at a time, pruned: the
 forward transforms zero-pad the N data rows themselves, and only the N rows that
 are kept pass through the last-axis inverse.  Every 1-D transform is the one
-``rfftn``/``irfftn`` of the padded box would run, so the result has their bits.
+``rfftn``/``irfftn`` of the padded box would run, on the same data and in the
+same order, so the result has their bits.  The transforms are the pocketfft
+gufuncs of ``numpy.fft._pocketfft_umath`` (``rfft_n_even``, ``fft``, ``ifft``,
+``irfft``) called directly: these are what the ``np.fft`` functions call, and
+``convolve`` passes them the same normalization factors (1 forward, 1/(2N)
+inverse) and the same lengths (through the shapes of the ``out=`` arrays).
+Skipping the Python wrappers saves about a quarter of a 1-D call at N = 512.
 The 2-D tap table is built in blocks of rows, which bounds the Gauss-Legendre node
 arrays to about TAP_BLOCK_CELLS cells at any N.
 """
@@ -23,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pfu
 from scipy.integrate import quad
 from scipy.special import gamma, roots_legendre
 
@@ -30,6 +37,7 @@ from .grid import Grid
 
 FREESPACE = "freespace_kernel"
 TAP_BLOCK_CELLS = 2048  # cells per row block of the 2-D tap build
+_COLUMNS = [(0,), (), (0,)]  # gufunc axes: transform along axis 0 of a 2-D array
 
 
 def riesz_constant(n: int, s: float) -> float:
@@ -258,13 +266,17 @@ class FracOperator:
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
         """The potential of a value array shaped like this grid: the pruned
-        rfftn/irfftn pair of the module docstring.  The flow kernel calls it
-        once per state."""
+        rfftn/irfftn pair of the module docstring, by direct gufunc calls with
+        the lengths and factors ``np.fft`` would pass (an ``out`` of N + 1
+        bins makes a 2N-point ``rfft`` of the zero-padded rows), hence the
+        same bits.  Every call returns a fresh array, since a run keeps the
+        pressures it records.  The flow kernel calls it once per state."""
         n = self.grid.points_per_axis
-        spec = np.fft.rfft(values, 2 * n, axis=-1)
+        rows = values.shape[:-1]
+        spec = _pfu.rfft_n_even(values, 1.0, out=np.empty(rows + (n + 1,), complex))
         if values.ndim == 2:
-            spec = np.fft.fft(spec, 2 * n, axis=0)
+            spec = _pfu.fft(spec, 1.0, axes=_COLUMNS, out=np.empty((2 * n, n + 1), complex))
         spec *= self._taps_hat
         if values.ndim == 2:
-            spec = np.fft.ifft(spec, axis=0)[:n]
-        return np.fft.irfft(spec, 2 * n, axis=-1)[..., :n]
+            spec = _pfu.ifft(spec, 1.0 / (2 * n), axes=_COLUMNS, out=np.empty_like(spec))[:n]
+        return _pfu.irfft(spec, 1.0 / (2 * n), out=np.empty(rows + (2 * n,)))[..., :n]

@@ -14,9 +14,9 @@ positivity ball).  There the system is the linear complementarity problem
 
 with W the symmetric positive definite kernel restricted to those cells.  A
 primal-dual active-set loop solves it: each pass solves W v = Phi on the
-current free set {V > 0} by conjugate gradients, with every product W v done
-by the operator's FFT convolution, so W is never formed.  The result is
-re-verified on the full grid.
+current free set {V > 0} by the module's own conjugate gradients, with every
+product W v done by the operator's FFT convolution, so W is never formed.
+The result is re-verified on the full grid.
 
 A target mass M has one route, `match_mass`: one bracketed regula falsi
 search for the level C whose discrete mass equals M on the given grid.  Every
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .fracops import Exponents, FracOperator, FracParams
 from .grid import Field, Grid
@@ -115,15 +114,41 @@ class ObstacleSolution:
         return self.density.mass()
 
 
+def _cg(matvec, b: np.ndarray) -> tuple:
+    """Unpreconditioned conjugate gradients for matvec(x) = b from x = 0, with
+    the arithmetic of scipy's ``cg(rtol=1e-15, atol=0)``: stop once
+    |r| < 1e-15 |b|.  Returns (x, 0), or (x, 10 len(b)) when that many
+    iterations leave it unconverged."""
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return b, 0
+    x, r, p = np.zeros(b.size), b.copy(), None
+    for _ in range(10 * b.size):
+        if np.linalg.norm(r) < 1e-15 * bnorm:
+            return x, 0
+        rho = np.dot(r, r)
+        if p is None:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, 10 * b.size
+
+
 def _active_set_solve(op: FracOperator, phi: np.ndarray, cells: np.ndarray) -> tuple:
     """Primal-dual active-set loop (Hintermueller-Ito-Kunisch) on LCP(W, -phi),
     W the kernel restricted to the flat indices `cells`, never formed.
 
-    Each pass solves W_FF v_F = phi_F by CG on the free set F (a principal
+    Each pass solves W_FF v_F = phi_F by `_cg` on the free set F (a principal
     block of an SPD kernel) with every product done by `op.convolve` on the
     full grid, then resets F to {v - (W v - phi) > 0}.  Returns (V, passes)
     once F repeats; raises RuntimeError on a revisited set, on the pass cap,
-    or on a CG breakdown."""
+    or on a CG that reaches its iteration cap."""
     grid = op.grid
     full = np.zeros(grid.npoints)
 
@@ -140,9 +165,7 @@ def _active_set_solve(op: FracOperator, phi: np.ndarray, cells: np.ndarray) -> t
         info = 0
         if free.any():
             sel = cells[free]
-            w_ff = LinearOperator((sel.size, sel.size), dtype=float,
-                                  matvec=lambda x: potential(x, sel))
-            v[free], info = cg(w_ff, phi[free], rtol=1e-15, atol=0.0)
+            v[free], info = _cg(lambda x: potential(x, sel), phi[free])
         r = potential(v, cells) - phi
         res = float(np.abs(np.minimum(v, r)).max())
         if info != 0:

@@ -143,8 +143,9 @@ def _settled(n_pts: int, width: float, height: float) -> Field:
 
 
 # builder of each kind, longest first: the prefetch order (in quick mode
-# the three runs take about 0.3, 0.8 and 0.7 s, in full mode 3.6, 1.8 and
-# 1.1 s; every other artifact takes at most about 0.2 s)
+# the three runs take about 0.4, 0.7 and 0.6 s, in full mode 4.0, 1.5 and
+# 0.9 s, serial medians of three on a 2-core VM; every other artifact takes
+# at most about 0.3 s)
 _BUILDERS = {
     "decay_2d": _decay_2d,
     "mass_run": _mass_run,

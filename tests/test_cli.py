@@ -754,18 +754,18 @@ def test_obstacle_snapshot_is_time_zero_data(tmp_path, read_diagnostics):
 
 @pytest.mark.parametrize("failure", ["cg_info", "cycling"])
 def test_obstacle_guard_maps_to_exit_3(tmp_path, monkeypatch, capsys, failure):
-    real_cg = obstacle.cg
+    real_cg = obstacle._cg
     calls = []
 
-    def broken_cg(op, rhs, **kwargs):
-        calls.append(rhs.size)
+    def broken_cg(matvec, b):
+        calls.append(b.size)
         if failure == "cg_info":
-            return np.zeros(rhs.size), 7
+            return np.zeros(b.size), 7
         # the true solve first, then a zero solve that sends the free set
         # back to {phi > 0}, the set it started from
-        return real_cg(op, rhs, **kwargs) if len(calls) == 1 else (np.zeros(rhs.size), 0)
+        return real_cg(matvec, b) if len(calls) == 1 else (np.zeros(b.size), 0)
 
-    monkeypatch.setattr(obstacle, "cg", broken_cg)
+    monkeypatch.setattr(obstacle, "_cg", broken_cg)
     code = main(["obstacle", "--C", "1", "--N", "32", "--L", "4",
                  "--out", str(tmp_path)])
     captured = capsys.readouterr()

@@ -212,9 +212,11 @@ def test_closed_form_matches_fourier_quadrature():
         assert riesz_potential_gaussian(x * x, 2, 0.5) == pytest.approx(two, rel=1e-10)
 
 
-@pytest.mark.parametrize("dim, n", [(1, 8), (1, 512), (2, 8), (2, 48)])
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 96), (1, 512), (1, 1000),
+                                    (2, 8), (2, 40), (2, 48), (2, 96)])
 def test_conv_apply_matches_padded_rfftn(dim, n):
-    # the pruned per-axis transforms give the bits of the full padded pair
+    # the pruned per-axis transforms give the bits of the full padded pair;
+    # the 2N lengths 192, 2000 and 80 take pocketfft's radix-3 and -5 passes
     g = Grid(dim=dim, half_width=6.0, points_per_axis=n)
     op = FracOperator(g, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim))
     values = np.random.default_rng(n).random(g.shape)
@@ -224,6 +226,19 @@ def test_conv_apply_matches_padded_rfftn(dim, n):
     got = op.convolve(values)
     assert got.shape == g.shape
     assert got.tobytes() == reference[(slice(0, n),) * dim].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_convolve_returns_a_fresh_array(dim):
+    # a run keeps the pressure of every recorded state, so no call may hand
+    # back memory that the input or another call's result holds
+    g = Grid(dim=dim, half_width=6.0, points_per_axis=16)
+    op = FracOperator(g, FracParams(s=0.25, dim=dim))
+    values = np.random.default_rng(dim).random(g.shape)
+    first, second = op.convolve(values), op.convolve(values)
+    assert first.tobytes() == second.tobytes()
+    for a, b in ((first, second), (first, values), (second, values)):
+        assert not np.shares_memory(a, b)
 
 
 def unblocked_taps_2d(grid, s):

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 module-level function, class and constant, public method and property is
-used by the package, and every parameter default is both used and overridden
-by the package.
+used by the package, every parameter default is both used and overridden by
+the package, and no package module imports scipy.sparse.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
@@ -269,6 +269,35 @@ def test_guard_sees_an_unread_constant():
 def test_package_reads_every_public_constant():
     sources = {path.name: path.read_text() for path in MODULES}
     assert unread_constants(sources) == []
+
+
+def sparse_imports(source: str) -> list:
+    """(line, module) of each import of ``scipy.sparse`` or a submodule of it,
+    ``from scipy import sparse`` included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append((node.lineno, node.module))
+            if node.module == "scipy":
+                found.extend((node.lineno, f"scipy.{alias.name}") for alias in node.names)
+    return sorted((line, name) for line, name in found
+                  if name == "scipy.sparse" or name.startswith("scipy.sparse."))
+
+
+def test_guard_sees_a_sparse_import():
+    source = ("import scipy.sparse\nfrom scipy.sparse.linalg import cg\n"
+              "from scipy import sparse, special\nimport scipy.sparse.linalg as sla\n"
+              "from scipy.special import gamma\nimport scipy.sparsity\n")
+    assert sparse_imports(source) == [(1, "scipy.sparse"), (2, "scipy.sparse.linalg"),
+                                      (3, "scipy.sparse"), (4, "scipy.sparse.linalg")]
+
+
+def test_package_imports_no_sparse_solver():
+    # the obstacle CG is the package's own; scipy.sparse stays out of the source
+    found = {path.name: hits for path in MODULES if (hits := sparse_imports(path.read_text()))}
+    assert found == {}
 
 
 def test_cli_import_loads_no_process_machinery():

@@ -163,7 +163,7 @@ def test_match_mass_starts_below_every_cell(mass):
 
 
 def test_cg_failure_raises_with_residual(monkeypatch):
-    monkeypatch.setattr(obstacle, "cg", lambda op, rhs, **kw: (np.zeros(rhs.size), 3))
+    monkeypatch.setattr(obstacle, "_cg", lambda matvec, b: (np.zeros(b.size), 3))
     with pytest.raises(RuntimeError, match=r"CG stopped with info 3 in active-set "
                                            r"pass 1 \(residual \d\.\d{3}e[+-]\d+\)"):
         solve_obstacle(make_problem(1.0, 1, 0.25, 64))
@@ -172,20 +172,37 @@ def test_cg_failure_raises_with_residual(monkeypatch):
 def test_cycling_active_set_raises_with_residual(monkeypatch):
     # a true first solve moves the free set; a zero second solve sends it
     # back to {phi > 0}, which the loop has already visited
-    real_cg = obstacle.cg
+    real_cg = obstacle._cg
     calls = []
 
-    def alternating(op, rhs, **kwargs):
-        calls.append(rhs.size)
+    def alternating(matvec, b):
+        calls.append(b.size)
         if len(calls) == 1:
-            return real_cg(op, rhs, **kwargs)
-        return np.zeros(rhs.size), 0
+            return real_cg(matvec, b)
+        return np.zeros(b.size), 0
 
-    monkeypatch.setattr(obstacle, "cg", alternating)
+    monkeypatch.setattr(obstacle, "_cg", alternating)
     with pytest.raises(RuntimeError, match=r"active set cycles at pass 2 "
                                            r"\(residual \d\.\d{3}e[+-]\d+\)"):
         solve_obstacle(make_problem(1.0, 1, 0.25, 64))
     assert len(calls) == 2 and calls[1] != calls[0]
+
+
+def test_cg_repeats_scipy_arithmetic():
+    # scipy's unpreconditioned cg is the reference, bit for bit: a system
+    # that converges, one that reaches the 10 n iteration cap, and b = 0
+    from scipy.linalg import hilbert
+    from scipy.sparse.linalg import cg
+
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(40, 40))
+    cases = ((a @ a.T + 40.0 * np.eye(40), rng.normal(size=40), 0),
+             (hilbert(12), np.ones(12), 120), (np.eye(5), np.zeros(5), 0))
+    for m, b, expected_info in cases:
+        ref, ref_info = cg(m, b, rtol=1e-15, atol=0.0)
+        got, info = obstacle._cg(lambda x: m @ x, b)
+        assert info == ref_info == expected_info
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 21])
