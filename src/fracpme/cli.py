@@ -2,10 +2,14 @@
 
 Subcommands: evolve (physical flow), rescaled (confined flow), obstacle
 (stationary profile), verify (acceptance suite), sweep (parameter study).
-Configuration comes from an optional ``key = value`` file plus flags; flags
-override the file, and every violation is collected before reporting so a bad
-config fails once with the full list.  Only the subcommand sets the mode: no
-flag or file key does.
+KEYS holds every setting with the commands that read it; a sweep also reads
+the keys of its sweep_mode.  Settings come from an optional ``key = value``
+file plus flags; flags override the file.  Each subcommand registers and
+checks only the keys it reads: an unread flag or file key, a sweep_key its
+sweep_mode does not read, and two sweep values that share an output
+directory are violations.  Every violation is collected before reporting, so
+a bad config fails once with the full list.  Only the subcommand sets the
+mode: no flag or file key does.
 
 Exit codes, fixed for scripting: 0 success, 1 criterion failure,
 2 configuration error (an allocation the machine refuses included), 3 numerical
@@ -22,8 +26,9 @@ import contextlib
 import io
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import make_dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .evolution import NumericalAbort, SolverConfig, check_time_span, run
 from .fracops import FracOperator, FracParams
@@ -43,60 +48,81 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 SWEEPABLE = ("N", "L", "s", "end_time", "C", "cfl_safety")
+SWEEP_MODES = ("physical", "rescaled", "obstacle")
+_COMMANDS = {  # command -> (the mode it sets, its help)
+    "evolve": ("physical", "advance the physical flow"),
+    "rescaled": ("rescaled", "advance the confined self-similar flow"),
+    "obstacle": ("obstacle", "solve the stationary profile at level C (or mass M)"),
+    "verify": ("verify", "run the acceptance suite"),
+    "sweep": ("sweep", "repeat a run over a list of parameter values"),
+}
+_MODE_COMMAND = {mode: command for command, (mode, _) in _COMMANDS.items()}
 
 
-@dataclass
-class RunConfig:
-    n: int = 1
-    s: float = 0.25
-    mode: str = "physical"
-    L: float = 6.0
-    N: int = 256
-    end_time: float = 1.0
-    datum: str = "box(0,2,1)"
-    out: str = "out"
-    C: float | None = None
-    M: float | None = None
-    cfl_safety: float = 0.4
-    snapshot_stride: int = 1
-    snapshot_every: int = 50
-    quick: bool = False
-    allow_supercritical: bool = False
-    sweep_key: str | None = None
-    sweep_values: str | None = None
-    sweep_mode: str | None = None
+class _Key(NamedTuple):
+    kind: type  # bool, int, float or str
+    default: object
+    flag: str
+    help: str
+    commands: tuple  # the commands that read the key
 
 
-_BOOL_KEYS = {"quick", "allow_supercritical"}
-_INT_KEYS = {"n", "N", "snapshot_stride", "snapshot_every"}
-_FLOAT_KEYS = {"s", "L", "end_time", "C", "M", "cfl_safety"}
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
-_FILE_KEYS = _KNOWN_KEYS - {"mode"}  # the subcommand sets the mode
+_FLOW, _GRID = ("evolve", "rescaled"), ("evolve", "rescaled", "obstacle")
+KEYS = {
+    "n": _Key(int, 1, "--n", "space dimension (1 or 2)", _GRID),
+    "s": _Key(float, 0.25, "--s", "fractional order in (0, 1)", _GRID),
+    "L": _Key(float, 6.0, "--L", "half-width of the box", _GRID),
+    "N": _Key(int, 256, "--N", "cells per axis (even, >= 8)", _GRID),
+    "end_time": _Key(float, 1.0, "--end-time", "time at which the run stops", _FLOW),
+    "datum": _Key(str, "box(0,2,1)", "--datum", "box(c,w,h) | parabola_cap(a,b) | "
+                  "gaussian_truncated(sigma) | from_file(path)", _FLOW),
+    "out": _Key(str, "out", "--out", "output directory", (*_GRID, "verify", "sweep")),
+    "C": _Key(float, None, "--C", "obstacle level", ("obstacle",)),
+    "M": _Key(float, None, "--M", "target mass, in place of C", ("obstacle",)),
+    "cfl_safety": _Key(float, 0.4, "--cfl", "time-step safety factor in (0, 1]", _FLOW),
+    "snapshot_stride": _Key(int, 1, "--snapshot-stride", "record every k-th step", _FLOW),
+    "snapshot_every": _Key(int, 50, "--snapshot-every", "write every k-th record", _FLOW),
+    "quick": _Key(bool, False, "--quick", "coarse grids, doubled tolerances", ("verify",)),
+    "allow_supercritical": _Key(bool, False, "--allow-supercritical", "allow 1-D s >= 1/2",
+                                _FLOW),
+    "sweep_key": _Key(str, None, "--sweep-key", "one of " + ", ".join(SWEEPABLE), ("sweep",)),
+    "sweep_values": _Key(str, None, "--sweep-values", "comma-separated list", ("sweep",)),
+    "sweep_mode": _Key(str, None, "--sweep-mode", " | ".join(SWEEP_MODES), ("sweep",)),
+}
+# a run's settings: the mode, which only the subcommand sets, and every key
+RunConfig = make_dataclass("RunConfig", [("mode", str, "physical")] + [
+    (key, spec.kind, spec.default) for key, spec in KEYS.items()],
+    namespace={"__module__": __name__})  # so that sweep workers can pickle it
+
+
+def read_keys(*modes: str) -> set:
+    """The keys a run of any of `modes` reads; a sweep's own keys only."""
+    commands = {_MODE_COMMAND[mode] for mode in modes}
+    return {key for key, spec in KEYS.items() if commands.intersection(spec.commands)}
 
 
 def _coerce(key: str, raw: str):
     raw = raw.strip()
-    if key in _BOOL_KEYS:
+    if KEYS[key].kind is bool:
         low = raw.lower()
         if low in ("true", "yes", "on", "1"):
             return True
         if low in ("false", "no", "off", "0"):
             return False
         raise ValueError(f"{key} expects a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+    return KEYS[key].kind(raw)
 
 
 def parse_config(path: str | None, overrides: dict) -> tuple:
-    """Merge config file and flag overrides into a RunConfig.
+    """Merge config file and flag overrides into a RunConfig; an override
+    "mode" sets the mode.
 
-    Returns (config, violations).  The config is still returned when
-    violations exist so callers can report against it; never run it."""
+    Returns (config, violations).  A key the mode does not accept is a
+    violation.  The config is still returned when violations exist so
+    callers can report against it; never run it."""
     violations = []
-    cfg = RunConfig()
+    cfg = RunConfig(mode=overrides.get("mode", RunConfig.mode))
+    given = {}  # key -> (where it was set, value); a flag replaces the file's
     if path is not None:
         try:
             text = Path(path).read_text()
@@ -110,102 +136,112 @@ def parse_config(path: str | None, overrides: dict) -> tuple:
             key = key.strip()
             if not sep:
                 violations.append(f"{path}:{lineno}: expected key = value, got {line!r}")
-                continue
-            if key not in _FILE_KEYS:
+            elif key not in KEYS:
                 violations.append(f"{path}:{lineno}: unknown key {key!r}")
-                continue
-            try:
-                setattr(cfg, key, _coerce(key, value))
-            except ValueError as exc:
-                violations.append(f"{path}:{lineno}: {exc}")
-    for key, value in overrides.items():
-        if value is None:
+            else:
+                given[key] = (f"{path}:{lineno}", value)
+    given.update((key, (f"flag {KEYS[key].flag}", value)) for key, value in overrides.items()
+                 if key != "mode" and value is not None)
+    # a sweep accepts the keys of its sweep_mode, or of every one while it names none
+    sweep_mode = given["sweep_mode"][1].strip() if "sweep_mode" in given else None
+    reader, modes = _MODE_COMMAND[cfg.mode], [cfg.mode]
+    if cfg.mode == "sweep":
+        modes += [sweep_mode] if sweep_mode in SWEEP_MODES else SWEEP_MODES
+        reader += f" --sweep-mode {sweep_mode}" if sweep_mode in SWEEP_MODES else ""
+    accepted = read_keys(*modes)
+    for key, (where, value) in given.items():
+        if key not in accepted:
+            violations.append(f"{where}: {reader} does not read {key}")
             continue
-        if key not in _KNOWN_KEYS:
-            violations.append(f"flag: unknown key {key!r}")
-            continue
-        if isinstance(value, str):
-            try:
-                value = _coerce(key, value)
-            except ValueError as exc:
-                violations.append(f"flag --{key.replace('_', '-')}: {exc}")
-                continue
-        setattr(cfg, key, value)
+        try:
+            setattr(cfg, key, _coerce(key, value) if isinstance(value, str) else value)
+        except ValueError as exc:
+            violations.append(f"{where}: {exc}")
     violations.extend(validate_config(cfg))
     return cfg, violations
 
 
 def validate_config(cfg: RunConfig) -> list:
-    """Every constraint violated by cfg, in field order; empty means runnable."""
+    """Every constraint violated by a key cfg's mode reads, in field order;
+    empty means runnable.  A sweep's members are checked when it runs."""
+    reads = read_keys(cfg.mode)
     bad = []
-    if cfg.n not in (1, 2):
+    if "n" in reads and cfg.n not in (1, 2):
         bad.append(f"n must be 1 or 2, got {cfg.n}")
-    if not 0.0 < cfg.s < 1.0:
+    if "s" in reads and not 0.0 < cfg.s < 1.0:
         bad.append(f"s must lie in (0, 1), got {cfg.s}")
-    elif cfg.n == 1 and cfg.s >= 0.5 and not cfg.allow_supercritical:
+    elif "s" in reads and cfg.n == 1 and cfg.s >= 0.5 and not cfg.allow_supercritical:
         bad.append(
             f"s = {cfg.s} violates the s < 1/2 restriction in one dimension "
-            "(kernel positivity); pass --allow-supercritical to bypass"
+            "(kernel positivity)" + ("; pass --allow-supercritical to bypass"
+                                     if "allow_supercritical" in reads else "")
         )
-    if not 0.0 < cfg.L < math.inf:
+    if "L" in reads and not 0.0 < cfg.L < math.inf:
         bad.append(f"L must be positive and finite, got {cfg.L}")
-    if cfg.N < 8 or cfg.N % 2:
+    if "N" in reads and (cfg.N < 8 or cfg.N % 2):
         bad.append(f"N must be even and >= 8, got {cfg.N}")
-    elif cfg.n in (1, 2) and 0.0 < cfg.L < math.inf:
+    elif "N" in reads and cfg.n in (1, 2) and 0.0 < cfg.L < math.inf:
         try:
             Grid(cfg.n, cfg.L, cfg.N)
         except ValueError as exc:  # a spacing or cell volume that over- or underflows
             bad.append(str(exc))
-    if not 0.0 < cfg.end_time < math.inf:
+    if "end_time" in reads and not 0.0 < cfg.end_time < math.inf:
         bad.append(f"end_time must be positive and finite, got {cfg.end_time}")
-    try:
-        parse_datum(cfg.datum)
-    except ValueError as exc:
-        bad.append(str(exc))
-    if not 0.0 < cfg.cfl_safety <= 1.0:
+    if "datum" in reads:
+        try:
+            parse_datum(cfg.datum)
+        except ValueError as exc:
+            bad.append(str(exc))
+    if "cfl_safety" in reads and not 0.0 < cfg.cfl_safety <= 1.0:
         bad.append(f"cfl_safety must lie in (0, 1], got {cfg.cfl_safety}")
-    if cfg.snapshot_stride < 1:
+    if "snapshot_stride" in reads and cfg.snapshot_stride < 1:
         bad.append(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
-    if cfg.snapshot_every < 1:
+    if "snapshot_every" in reads and cfg.snapshot_every < 1:
         bad.append(f"snapshot_every must be >= 1, got {cfg.snapshot_every}")
-    if cfg.mode == "obstacle":
+    if "C" in reads:
         if (cfg.C is None) == (cfg.M is None):
             bad.append("obstacle mode needs exactly one of C, M")
         if cfg.C is not None and not math.isfinite(cfg.C):
             bad.append(f"C must be finite, got {cfg.C}")
         if cfg.M is not None and not 0.0 < cfg.M < math.inf:
             bad.append(f"M must be positive and finite, got {cfg.M}")
-    if cfg.mode == "sweep":
+    if "sweep_key" in reads:
         if cfg.sweep_key is None or cfg.sweep_values is None:
             bad.append("sweep mode needs sweep_key and sweep_values")
+        elif cfg.sweep_key not in SWEEPABLE:
+            bad.append(f"sweep_key must be one of {SWEEPABLE}, got {cfg.sweep_key!r}")
+        elif cfg.sweep_mode in SWEEP_MODES and cfg.sweep_key not in read_keys(cfg.sweep_mode):
+            bad.append(f"sweep_key {cfg.sweep_key!r} is not read by "
+                       f"{_MODE_COMMAND[cfg.sweep_mode]} (sweep_mode {cfg.sweep_mode})")
         else:
-            if cfg.sweep_key not in SWEEPABLE:
-                bad.append(f"sweep_key must be one of {SWEEPABLE}, got {cfg.sweep_key!r}")
-            else:
-                try:
-                    values = _sweep_values(cfg)
-                except ValueError as exc:
-                    bad.append(str(exc))
-                else:
-                    if len(values) < 2:
-                        bad.append("sweep_values needs at least 2 values")
-            if cfg.sweep_mode not in ("physical", "rescaled", "obstacle"):
-                bad.append(
-                    f"sweep_mode must be physical, rescaled or obstacle, got {cfg.sweep_mode!r}"
-                )
+            try:
+                if len(_sweep_members(cfg)) < 2:
+                    bad.append("sweep_values needs at least 2 values")
+            except ValueError as exc:
+                bad.append(str(exc))
+        if cfg.sweep_mode not in SWEEP_MODES:
+            bad.append(
+                f"sweep_mode must be physical, rescaled or obstacle, got {cfg.sweep_mode!r}"
+            )
     return bad
 
 
-def _sweep_values(cfg: RunConfig) -> list:
-    out = []
+def _sweep_members(cfg: RunConfig) -> dict:
+    """label -> value of each sweep value, in order.  The label names the
+    member's output directory, so two values of one label raise ValueError."""
+    members = {}
     for part in cfg.sweep_values.split(","):
         part = part.strip()
         if not part:
             continue
-        out.append(int(part) if cfg.sweep_key == "N" else float(part))
-    if not out:
+        value = int(part) if cfg.sweep_key == "N" else float(part)
+        label = f"{cfg.sweep_key}={value:g}"
+        if label in members:
+            raise ValueError(f"sweep_values {members[label]} and {value} both write to {label}")
+        members[label] = value
+    if not members:
         raise ValueError(f"sweep_values {cfg.sweep_values!r} parse to nothing")
-    return out
+    return members
 
 
 def _machine_line(kind: str, detail: str) -> None:
@@ -343,13 +379,10 @@ def _sweep_fault(label: str, exc: Exception) -> tuple:
 def cmd_sweep(cfg: RunConfig) -> int:
     from .fanout import fan_out  # deferred: pulls in the process pool
 
-    values = _sweep_values(cfg)
     jobs = []
-    for value in values:
-        label = f"{cfg.sweep_key}={value:g}"
+    for label, value in _sweep_members(cfg).items():
         sub = replace(cfg, mode=cfg.sweep_mode, out=str(Path(cfg.out) / label),
-                      sweep_key=None, sweep_values=None, sweep_mode=None)
-        setattr(sub, cfg.sweep_key, value)
+                      **{cfg.sweep_key: value})
         problems = validate_config(sub)
         if problems:
             _machine_line("config", f"{label}: " + "; ".join(problems))
@@ -368,7 +401,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             _machine_line(*fault)
     worst = max(codes)
     if (cfg.sweep_mode == "obstacle" and cfg.sweep_key == "C"
-            and worst == EXIT_OK and len(values) >= 4):
+            and worst == EXIT_OK and len(jobs) >= 4):
         try:
             slope, coeff = mass_law(sols)
         except ValueError as exc:
@@ -381,56 +414,48 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return worst
 
 
+def _add_keys(parser: argparse.ArgumentParser, keys) -> None:
+    for key, spec in KEYS.items():
+        if key in keys:
+            switch = {"action": "store_const", "const": True} if spec.kind is bool else {}
+            parser.add_argument(spec.flag, dest=key, help=spec.help, **switch)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The fracpme parser: one subparser per command, holding --config and
+    the flag of each key the command may be given (see KEYS)."""
     parser = argparse.ArgumentParser(
         prog="fracpme",
         description="Nonlocal porous-medium flow: evolution, stationary "
                     "profiles, and the verification suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("evolve", "advance the physical flow"),
-        ("rescaled", "advance the confined self-similar flow"),
-        ("obstacle", "solve the stationary profile at level C (or mass M)"),
-        ("verify", "run the acceptance suite"),
-        ("sweep", "repeat a run over a list of parameter values"),
-    ):
+    for name, (mode, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="key = value file; flags override it")
-        p.add_argument("--n", help="space dimension (1 or 2)")
-        p.add_argument("--s", help="fractional order in (0, 1)")
-        p.add_argument("--L", help="half-width of the box")
-        p.add_argument("--N", help="cells per axis (even, >= 8)")
-        p.add_argument("--end-time", dest="end_time")
-        p.add_argument("--datum", help="box(c,w,h) | parabola_cap(a,b) | "
-                                       "gaussian_truncated(sigma) | from_file(path)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--C", help="obstacle level")
-        p.add_argument("--M", help="target mass (obstacle mode)")
-        p.add_argument("--cfl", dest="cfl_safety")
-        p.add_argument("--snapshot-stride", dest="snapshot_stride")
-        p.add_argument("--snapshot-every", dest="snapshot_every")
-        p.add_argument("--quick", action="store_const", const=True)
-        p.add_argument("--allow-supercritical", action="store_const", const=True,
-                       dest="allow_supercritical")
-        p.add_argument("--sweep-key", dest="sweep_key", choices=SWEEPABLE)
-        p.add_argument("--sweep-values", dest="sweep_values",
-                       help="comma-separated list")
-        p.add_argument("--sweep-mode", dest="sweep_mode",
-                       choices=("physical", "rescaled", "obstacle"))
+        _add_keys(p, read_keys(mode, *(SWEEP_MODES if mode == "sweep" else ())))
     return parser
 
 
-_COMMAND_MODE = {"evolve": "physical", "rescaled": "rescaled",
-                 "obstacle": "obstacle", "verify": "verify", "sweep": "sweep"}
+def parse_argv(argv) -> tuple:
+    """(config, violations) of a command line, as parse_config returns them.
+    A flag of KEYS that the command does not read is a violation; any other
+    unknown argument is a usage error (SystemExit 2)."""
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    every_flag = argparse.ArgumentParser(prog=f"fracpme {args.command}", add_help=False)
+    _add_keys(every_flag, KEYS)
+    unread, rest = every_flag.parse_known_args(extras)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    overrides = {key: value for space in (args, unread) for key, value in vars(space).items()
+                 if key in KEYS and value is not None}
+    overrides["mode"] = _COMMANDS[args.command][0]
+    return parse_config(args.config, overrides)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config") and v is not None}
-    overrides["mode"] = _COMMAND_MODE[args.command]
-    cfg, violations = parse_config(args.config, overrides)
+    cfg, violations = parse_argv(argv)
     if violations:
         for v in violations:
             _machine_line("config", v)

@@ -60,7 +60,6 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    snapshots: list = field(default_factory=list)  # empty when run streams states
     diagnostics: DiagnosticsSeries = field(default_factory=DiagnosticsSeries)
     steps: int = 0  # accepted steps; len(times) counts records, not steps
 
@@ -103,13 +102,10 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     The loop carries value arrays through one FlowKernel: each state's
     pressure, face pass, sum and maximum are computed once and serve both its
     record and the next step, and every step returns a fresh array.  A Field
-    is built only for a recorded state.  Recorded states are kept in
-    traj.snapshots when on_record is None, and are otherwise handed to
-    on_record(k, time, state) for record k and not kept (on_record must not
-    modify the state);
-    times, diagnostics and steps are filled either way.  Diagnostics are
-    recorded in blocks of about RECORD_BLOCK_CELLS cells, and the series is
-    trimmed when the run ends.
+    is built only for a recorded state and handed to on_record(k, time,
+    state) for record k; run keeps no state, and on_record must not modify
+    it.  Diagnostics are recorded in blocks of about RECORD_BLOCK_CELLS
+    cells, and the series is trimmed when the run ends.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
     any negative value, on non-finite velocities, and once MAX_STEPS steps
@@ -149,11 +145,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     def note(vals, p, faces, time, mass, peak):
         k = len(traj.diagnostics) + len(block)
         block.append((vals, p, faces, time, mass, peak))
-        state = Field(grid, vals)
-        if on_record is None:
-            traj.snapshots.append(state)
-        else:
-            on_record(k, time, state)
+        on_record(k, time, Field(grid, vals))
         if len(block) == per_block:
             flush()
 

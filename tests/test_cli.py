@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import weakref
@@ -71,7 +73,7 @@ def test_malformed_file_line(tmp_path):
 
 def test_bad_boolean_in_file(tmp_path):
     f = tmp_path / "cfg.txt"
-    f.write_text("quick = maybe\n")
+    f.write_text("allow_supercritical = maybe\n")
     _, violations = parse_config(str(f), {})
     assert any("expects a boolean" in v for v in violations)
 
@@ -163,6 +165,100 @@ def test_mode_file_key_is_config_error(tmp_path, capsys, value):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().out == f"FRACPME-FAIL config: {f}:2: unknown key 'mode'\n"
     assert not (tmp_path / "run").exists()
+
+
+FLOW_KEYS = {"n", "s", "L", "N", "end_time", "datum", "out", "cfl_safety",
+             "snapshot_stride", "snapshot_every", "allow_supercritical"}
+OBSTACLE_KEYS = {"n", "s", "L", "N", "C", "M", "out"}
+
+
+def test_each_command_registers_only_its_keys():
+    # a sweep may be given its own keys and those of any mode it can run
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    expected = {"evolve": FLOW_KEYS, "rescaled": FLOW_KEYS, "obstacle": OBSTACLE_KEYS,
+                "verify": {"quick", "out"},
+                "sweep": {"sweep_key", "sweep_values", "sweep_mode"} | FLOW_KEYS | OBSTACLE_KEYS}
+    registered = {name: {action.dest for action in sub._actions} - {"help", "config"}
+                  for name, sub in commands.items()}
+    assert registered == expected
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["verify", "--quick", "--s", "0.9"], ["flag --s: verify does not read s"]),
+    (["obstacle", "--C", "1", "--end-time", "-1"],
+     ["flag --end-time: obstacle does not read end_time"]),
+    (["obstacle", "--C", "1", "--datum", "box(0,0,0)"],
+     ["flag --datum: obstacle does not read datum"]),
+    (["evolve", "--M", "3", "--C", "2", "--quick", "--sweep-values", "1,2"],
+     ["flag --C: evolve does not read C", "flag --M: evolve does not read M",
+      "flag --quick: evolve does not read quick",
+      "flag --sweep-values: evolve does not read sweep_values"]),
+    (["obstacle", "--C", "1", "--cfl", "0.9", "--snapshot-stride", "7"],
+     ["flag --cfl: obstacle does not read cfl_safety",
+      "flag --snapshot-stride: obstacle does not read snapshot_stride"]),
+    (["sweep", "--sweep-key", "end_time", "--sweep-mode", "obstacle", "--sweep-values", "1,2"],
+     ["sweep_key 'end_time' is not read by obstacle (sweep_mode obstacle)"]),
+    (["sweep", "--sweep-key", "C", "--sweep-mode", "physical", "--sweep-values", "1,2"],
+     ["sweep_key 'C' is not read by evolve (sweep_mode physical)"]),
+    (["sweep", "--sweep-key", "N", "--sweep-mode", "obstacle", "--sweep-values", "32,64",
+      "--C", "1", "--snapshot-every", "2"],
+     ["flag --snapshot-every: sweep --sweep-mode obstacle does not read snapshot_every"]),
+], ids=["verify_s", "obstacle_end_time", "obstacle_datum", "evolve_obstacle_verify_sweep",
+        "obstacle_flow", "sweep_end_time_obstacle", "sweep_C_physical", "sweep_member_flag"])
+def test_unread_setting_is_config_error(tmp_path, capsys, argv, lines):
+    code = main(argv + ["--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out.splitlines() == [f"FRACPME-FAIL config: {line}" for line in lines]
+    assert captured.err == ""
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["verify", "--quick"], ["1: verify does not read N", "2: verify does not read L",
+                             "3: verify does not read end_time"]),
+    (["obstacle", "--C", "1"], ["3: obstacle does not read end_time"]),
+    (["sweep", "--sweep-key", "C", "--sweep-mode", "obstacle", "--sweep-values", "1,2"],
+     ["3: sweep --sweep-mode obstacle does not read end_time"]),
+], ids=["verify", "obstacle", "sweep"])
+def test_unread_file_key_is_config_error(tmp_path, capsys, argv, lines):
+    f = tmp_path / "cfg.txt"
+    f.write_text("N = 32\nL = 4\nend_time = 0.05\n")
+    code = main([*argv, "--config", str(f), "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().out.splitlines() == [
+        f"FRACPME-FAIL config: {f}:{line}" for line in lines]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, values, label", [
+    ("N", "32,32", "N=32"),
+    ("L", "4.0000001,4.0000002", "L=4"),
+], ids=["equal", "equal_label"])
+def test_sweep_values_sharing_a_directory_is_config_error(tmp_path, capsys, key, values,
+                                                          label):
+    other = {"N": ["--L", "4"], "L": ["--N", "32"]}[key]
+    code = main(["sweep", "--sweep-key", key, "--sweep-values", values,
+                 "--sweep-mode", "physical", "--end-time", "0.05", *other,
+                 "--out", str(tmp_path / "sweep")])
+    first, second = values.split(",")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().out == (
+        f"FRACPME-FAIL config: sweep_values {first} and {second} both write to {label}\n")
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_readme_commands_are_valid():
+    # every fracpme command in the README's code blocks parses and validates
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("fracpme ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        assert cli.parse_argv(argv)[1] == [], argv
 
 
 def test_config_error_exit_and_machine_line(tmp_path, capsys):
@@ -419,17 +515,32 @@ EDGE_FLAGS = {
     "evolve": (FLOW_BASE, FLOW_FLAGS),
     "rescaled": (FLOW_BASE, FLOW_FLAGS),
     "obstacle": (["--N=32", "--L=4"], ("n", "s", "L", "N", "C", "M")),
+    "verify": (["--quick"], FLOW_FLAGS),  # verify reads none of them
+    "sweep": (["--sweep-key=end_time", "--sweep-values=0.02,0.05", "--sweep-mode=physical",
+               "--N=32", "--L=4"], FLOW_FLAGS),
 }
 EDGE_DATA = {"box": ("0", "2", "1"), "parabola_cap": ("1", "1"), "gaussian_truncated": ("1",)}
+# one case per class of unread setting: (argv, the line it must print alone)
+EDGE_UNREAD = [
+    (["obstacle", "--N=32", "--L=4", "--M=1", "--end-time=1"],
+     "FRACPME-FAIL config: flag --end-time: obstacle does not read end_time"),
+    (["verify", "--quick", "--config=unread.cfg"],
+     "FRACPME-FAIL config: unread.cfg:1: verify does not read s"),
+    (["sweep", "--sweep-key=C", "--sweep-values=1,2", "--sweep-mode=physical", "--N=32", "--L=4"],
+     "FRACPME-FAIL config: sweep_key 'C' is not read by evolve (sweep_mode physical)"),
+]
 
 
 def test_flag_edge_values_fail_cleanly(tmp_path):
-    # every number flag of evolve, rescaled and obstacle, and every argument
-    # of each analytic --datum of evolve and rescaled, at each edge value,
-    # under a 2 GiB address-space cap: exit 0-3, stdout only FRACPME-FAIL
-    # lines when the exit is not 0, and nothing on stderr (no traceback, no
-    # warning)
-    cases = []
+    # every number flag of evolve, rescaled and obstacle, each flow flag of
+    # verify (which reads none) and of a physical sweep, a swept value, and
+    # every argument of each analytic --datum of evolve and rescaled, at each
+    # edge value, under a 2 GiB address-space cap: exit 0-3, stdout only
+    # FRACPME-FAIL lines when the exit is not 0, and nothing on stderr (no
+    # traceback, no warning).  Each EDGE_UNREAD case prints its one line and
+    # exits 2.
+    (tmp_path / "unread.cfg").write_text("s = 0.9\n")
+    cases = [argv for argv, _ in EDGE_UNREAD]
     for command, (base, flags) in EDGE_FLAGS.items():
         for flag in flags:
             # an obstacle run needs one of C and M: the mass, unless the flag is one
@@ -441,6 +552,8 @@ def test_flag_edge_values_fail_cleanly(tmp_path):
             for k in range(len(args)):
                 specs = (",".join(args[:k] + (value,) + args[k + 1:]) for value in EDGE_VALUES)
                 cases.extend([command, *FLOW_BASE, f"--datum={name}({spec})"] for spec in specs)
+    cases.extend(["sweep", "--sweep-key=L", f"--sweep-values=4,{value}", "--sweep-mode=physical",
+                  "--N=32", "--end-time=0.05"] for value in EDGE_VALUES)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
 
@@ -452,7 +565,7 @@ def test_flag_edge_values_fail_cleanly(tmp_path):
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     codes = json.loads(done.stdout)
-    assert len(codes) == len(cases) == 272
+    assert len(codes) == len(cases) == 411
     bad = []
     for k, (argv, code) in enumerate(zip(cases, codes)):
         out = (tmp_path / f"{k}.out").read_text().splitlines()
@@ -462,6 +575,8 @@ def test_flag_edge_values_fail_cleanly(tmp_path):
         if code not in (0, 1, 2, 3) or not clean or err:
             bad.append((" ".join(argv), code, out, err[-500:]))
     assert bad == []
+    for k, (_, line) in enumerate(EDGE_UNREAD):
+        assert (codes[k], (tmp_path / f"{k}.out").read_text()) == (EXIT_CONFIG, line + "\n")
 
 
 def test_obstacle_mass_beyond_the_box_is_config_error(tmp_path, capsys):

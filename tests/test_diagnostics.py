@@ -247,11 +247,13 @@ def test_run_rows_equal_lone_state_rows(dim, mode):
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=n)
     op = FracOperator(grid, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim))
     per_block = RECORD_BLOCK_CELLS // grid.npoints
+    states = []
     traj = run(Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0)), mode,
-               SolverConfig(end_time=0.3, snapshot_stride=1), op, on_record=None)
+               SolverConfig(end_time=0.3, snapshot_stride=1), op,
+               on_record=lambda k, t, state: states.append(state))
     assert len(traj.times) % per_block != 0 and len(traj.times) > per_block
     expected = [reference_row(snap.values, op, mode == "rescaled")
-                for snap in traj.snapshots]
+                for snap in states]
     got = traj.diagnostics.table.copy()
     assert np.array_equal(got[:, 0], traj.times)
     got[:, 0] = 0.0
@@ -326,7 +328,7 @@ def test_entropy_identity_on_run():
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
     traj = run(Field(grid, vals), "rescaled",
                SolverConfig(end_time=2.0, snapshot_stride=20, cfl_safety=0.3),
-               op, on_record=None)
+               op, on_record=lambda k, t, state: None)
     mismatch = entropy_dissipation_identity_check(traj.diagnostics, (0.5, 1.5))
     assert mismatch < 0.03  # measured 0.017 at 256 cells
 

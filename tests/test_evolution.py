@@ -16,6 +16,15 @@ def freespace_op(grid, s=0.25):
     return FracOperator(grid, FracParams(s=s, dim=grid.dim))
 
 
+def discard(k, t, state):
+    """on_record for runs read only through their diagnostics."""
+
+
+def collect(states):
+    """on_record that appends each recorded state to `states`."""
+    return lambda k, t, state: states.append(state)
+
+
 def box_datum(grid, width=1.0, height=1.0):
     return Field(grid, np.where(np.abs(grid.axis()) < width, height, 0.0))
 
@@ -102,32 +111,33 @@ def test_run_input_validation():
     op = freespace_op(grid)
     u = box_datum(grid)
     with pytest.raises(ValueError, match="mode"):
-        run(u, "backwards", SolverConfig(), op, on_record=None)
+        run(u, "backwards", SolverConfig(), op, on_record=discard)
     nan_vals = u.values.copy()
     nan_vals[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        run(Field(grid, nan_vals), "physical", SolverConfig(), op, on_record=None)
+        run(Field(grid, nan_vals), "physical", SolverConfig(), op, on_record=discard)
     other = Grid(dim=1, half_width=5.0, points_per_axis=64)
     with pytest.raises(ValueError, match="grid"):
-        run(box_datum(other), "physical", SolverConfig(), op, on_record=None)
+        run(box_datum(other), "physical", SolverConfig(), op, on_record=discard)
 
 
 def test_mass_conserved_and_positive():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     u0 = box_datum(grid)
+    states = []
     traj = run(u0, "physical", SolverConfig(end_time=0.5, snapshot_stride=10),
-               op, on_record=None)
+               op, on_record=collect(states))
     mass = traj.diagnostics.column("mass")
     assert np.abs(mass - mass[0]).max() <= 1e-12 * mass[0]
-    for snap in traj.snapshots:
+    for snap in states:
         assert snap.values.min() >= 0.0
 
 
 def test_norms_non_increasing():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
-    traj = run(box_datum(grid), "physical", SolverConfig(end_time=0.5), op, on_record=None)
+    traj = run(box_datum(grid), "physical", SolverConfig(end_time=0.5), op, on_record=discard)
     for name in ("linf", "l2", "l4"):
         col = traj.diagnostics.column(name)
         assert (np.diff(col) <= 1e-8 * col[:-1]).all(), name
@@ -148,10 +158,11 @@ def test_positivity_exact_at_sharp_cfl():
 def test_zero_state_advances_in_dt_max_hops():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     zero = Field(grid, np.zeros(64))
+    states = []
     traj = run(zero, "physical", SolverConfig(end_time=3.0 * DT_MAX), freespace_op(grid),
-               on_record=None)
+               on_record=collect(states))
     assert traj.times.tolist() == [0.0, DT_MAX, 2.0 * DT_MAX, 3.0 * DT_MAX]
-    assert all(np.array_equal(snap.values, zero.values) for snap in traj.snapshots)
+    assert all(np.array_equal(snap.values, zero.values) for snap in states)
 
 
 def test_symmetry_preserved_by_step():
@@ -165,7 +176,7 @@ def test_dt_cap_honored():
     # the first step is cut to the end time, well below its own bound
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=1e-4),
-               freespace_op(grid), on_record=None)
+               freespace_op(grid), on_record=discard)
     assert traj.steps == 1
     assert traj.times.tolist() == [0.0, 1e-4]
 
@@ -206,13 +217,14 @@ def test_pressure_scaling_under_rescale():
 def test_records_cover_run():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
+    states = []
     traj = run(box_datum(grid), "rescaled", SolverConfig(end_time=0.4, snapshot_stride=7),
-               op, on_record=None)
+               op, on_record=collect(states))
     times = np.array(traj.times)
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(0.4, abs=1e-12)
     assert (np.diff(times) > 0).all()
-    assert len(traj.snapshots) == len(traj.diagnostics)
+    assert len(states) == len(traj.diagnostics)
 
 
 def test_rescaled_entropy_monotone():
@@ -220,7 +232,7 @@ def test_rescaled_entropy_monotone():
     op = freespace_op(grid)
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
     traj = run(Field(grid, vals), "rescaled",
-               SolverConfig(end_time=1.5, snapshot_stride=5), op, on_record=None)
+               SolverConfig(end_time=1.5, snapshot_stride=5), op, on_record=discard)
     e = traj.diagnostics.column("entropy")
     assert (np.diff(e) <= 1e-8 * abs(e[0])).all()
 
@@ -246,31 +258,35 @@ def test_one_pressure_per_state(monkeypatch, dim, mode):
     monkeypatch.setattr(FracOperator, "convolve", counted)
     monkeypatch.setattr(FlowKernel, "faces", counted_faces)
     u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
-    traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op, on_record=None)
+    states = []
+    traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op,
+               on_record=collect(states))
     assert traj.steps >= 3
     assert len(traj.times) == traj.steps + 1
     assert len(calls) == traj.steps + 1
     assert len(face_calls) == traj.steps + 1
-    for vals, called, snap in zip(face_calls, calls, traj.snapshots, strict=True):
+    for vals, called, snap in zip(face_calls, calls, states, strict=True):
         assert vals is snap.values
         assert called is vals
 
 
 def test_streamed_states_match_kept_snapshots():
+    # each record reaches on_record once, numbered and timed as in the
+    # diagnostics, and a repeat hands on the same bits
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     cfg = SolverConfig(end_time=0.3, snapshot_stride=4)
-    kept = run(box_datum(grid), "rescaled", cfg, op, on_record=None)
-    seen = []
+    first, seen = [], []
+    kept = run(box_datum(grid), "rescaled", cfg, op, on_record=collect(first))
     streamed = run(box_datum(grid), "rescaled", cfg, op,
                    on_record=lambda k, t, state: seen.append((k, t, state)))
-    assert streamed.snapshots == []
     assert streamed.steps == kept.steps
     assert streamed.times.tobytes() == kept.times.tobytes()
     assert streamed.diagnostics.table.tobytes() == kept.diagnostics.table.tobytes()
     assert [k for k, _, _ in seen] == list(range(len(kept.times)))
     assert [t for _, t, _ in seen] == kept.times.tolist()
-    for (_, _, state), snap in zip(seen, kept.snapshots):
+    assert len(first) == len(seen)
+    for (_, _, state), snap in zip(seen, first):
         assert np.array_equal(state.values, snap.values)
 
 
@@ -302,9 +318,10 @@ def test_kept_snapshots_are_distinct_arrays(dim):
     op = freespace_op(grid, s=0.25 if dim == 1 else 0.5)
     u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
     cfg = SolverConfig(end_time=0.2, snapshot_stride=1)
-    kept = run(u0, "physical", cfg, op, on_record=None)
+    states = []
+    kept = run(u0, "physical", cfg, op, on_record=collect(states))
     assert kept.steps >= 3
-    arrays = [snap.values for snap in kept.snapshots]
+    arrays = [snap.values for snap in states]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
     seen = []
@@ -326,12 +343,12 @@ def test_run_refuses_a_span_beyond_the_step_budget(monkeypatch):
                        (5.0, 5.0 + 2.0 * MAX_STEPS * DT_MAX)):
         with pytest.raises(ValueError, match=f"needs more than {MAX_STEPS} steps"):
             run(tiny, "physical", SolverConfig(end_time=end), op,
-                start_time=start, on_record=None)
+                start_time=start, on_record=discard)
     assert calls == []
     monkeypatch.undo()
     late = MAX_STEPS * DT_MAX
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=late), op,
-               start_time=late - 1e-3, on_record=None)
+               start_time=late - 1e-3, on_record=discard)
     assert traj.times[-1] == late
 
 
@@ -339,10 +356,10 @@ def test_run_continues_from_start_time():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
     traj = run(box_datum(grid), "physical", SolverConfig(end_time=1.2, snapshot_stride=5),
-               op, start_time=1.0, on_record=None)
+               op, start_time=1.0, on_record=discard)
     assert traj.times[0] == 1.0
     assert traj.times[-1] == pytest.approx(1.2, abs=1e-12)
     assert traj.diagnostics.column("time")[0] == 1.0
     with pytest.raises(ValueError, match="start_time"):
         run(box_datum(grid), "physical", SolverConfig(), op,
-            start_time=-1.0, on_record=None)
+            start_time=-1.0, on_record=discard)
