@@ -6,10 +6,10 @@ KEYS holds every setting with the commands that read it; a sweep also reads
 the keys of its sweep_mode.  Settings come from an optional ``key = value``
 file plus flags; flags override the file.  Each subcommand registers and
 checks only the keys it reads: an unread flag or file key, a sweep_key its
-sweep_mode does not read, and two sweep values that share an output
-directory are violations.  Every violation is collected before reporting, so
-a bad config fails once with the full list.  Only the subcommand sets the
-mode: no flag or file key does.
+sweep_mode does not read, a value set for the swept key and two sweep values
+that share an output directory are violations.  Every violation is collected
+before reporting, so a bad config fails once with the full list.  Only the
+subcommand sets the mode: no flag or file key does.
 
 Exit codes, fixed for scripting: 0 success, 1 criterion failure,
 2 configuration error (an allocation the machine refuses included), 3 numerical
@@ -149,9 +149,13 @@ def parse_config(path: str | None, overrides: dict) -> tuple:
         modes += [sweep_mode] if sweep_mode in SWEEP_MODES else SWEEP_MODES
         reader += f" --sweep-mode {sweep_mode}" if sweep_mode in SWEEP_MODES else ""
     accepted = read_keys(*modes)
+    swept = given["sweep_key"][1].strip() if cfg.mode == "sweep" and "sweep_key" in given else None
     for key, (where, value) in given.items():
         if key not in accepted:
             violations.append(f"{where}: {reader} does not read {key}")
+            continue
+        if key == swept:
+            violations.append(f"{where}: sweep takes {key} from sweep_values")
             continue
         try:
             setattr(cfg, key, _coerce(key, value) if isinstance(value, str) else value)
@@ -351,7 +355,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    all_pass = run_suite(quick=cfg.quick, out_dir=out)
+    try:
+        all_pass = run_suite(quick=cfg.quick, out_dir=out)
+    except (ValueError, RuntimeError) as exc:  # NumericalAbort included
+        code, _, fault = _fault("verify", exc)
+        _machine_line(*fault)
+        return code
     return EXIT_OK if all_pass else EXIT_CRITERION
 
 
@@ -366,11 +375,12 @@ def _sweep_member(job: tuple) -> tuple:
         except OSError:
             raise
         except Exception as exc:  # any other fault: a FRACPME-FAIL line, no traceback
-            return (*_sweep_fault(label, exc), text.getvalue())
+            return (*_fault(label, exc), text.getvalue())
     return code, sol, None, text.getvalue()
 
 
-def _sweep_fault(label: str, exc: Exception) -> tuple:
+def _fault(label: str, exc: Exception) -> tuple:
+    """(exit code, None, (kind, detail)) of the fault `exc` raised under `label`."""
     kind, code = (("config", EXIT_CONFIG) if isinstance(exc, (ValueError, MemoryError))
                   else ("numerical", EXIT_NUMERICAL))
     return code, None, (kind, f"{label}: {type(exc).__name__}: {exc}")
@@ -394,7 +404,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if isinstance(r, OSError):
             raise r  # main reports unwritable outputs
     # any other exception comes from a worker that died (BrokenProcessPool)
-    codes, sols, faults, _ = zip(*(r if isinstance(r, tuple) else (*_sweep_fault(label, r), "")
+    codes, sols, faults, _ = zip(*(r if isinstance(r, tuple) else (*_fault(label, r), "")
                                    for (label, _), r in zip(jobs, results)))
     for fault in faults:
         if fault is not None:

@@ -23,9 +23,9 @@ second-difference/kernel symbol bound (h^(2s-2) scaling).  With s < 1/2 that
 bound is the binding one on fine grids; without it the interior develops a
 growing checkerboard.  The step controller takes the sharper of the two.
 
-The step itself is `flow.FlowKernel.step`.  `run` builds one kernel per run
-and carries value arrays through it; `step_physical` is the same kernel for
-one step of a Field.
+The step itself is `flow.FlowKernel.step`, the one single-step API; `run`,
+the one stepping loop, builds one kernel per run and carries value arrays
+through it.
 """
 
 from __future__ import annotations
@@ -67,19 +67,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         """Record times: the diagnostics' time column (a view)."""
         return self.diagnostics.column("time")
-
-
-def step_physical(u: Field, op: FracOperator, cfg: SolverConfig) -> tuple:
-    """One upwind step of u_t = div(u grad K u); returns (new field, dt).
-    A negative entering or resulting density raises NumericalAbort."""
-    if u.values.min() < 0.0:
-        raise NumericalAbort(f"negative density entering step (min {u.values.min():.3e})")
-    kernel = FlowKernel(op, False, cfg.cfl_safety)
-    faces = kernel.faces(u.values, kernel.convolve(u.values))
-    vals, dt, low = kernel.step(u.values, faces, float(u.values.max()), np.inf)
-    if low < 0.0:
-        raise NumericalAbort(f"positivity lost in step (min {low:.3e})")
-    return Field(u.grid, vals), dt
 
 
 def check_time_span(start_time: float, end_time: float) -> None:
@@ -128,7 +115,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     stop = cfg.end_time - 1e-15 * max(cfg.end_time, 1.0)
     traj = Trajectory()
     vals = u0.values.copy()
-    p = kernel.convolve(vals)
+    p = op.convolve(vals)
     faces = kernel.faces(vals, p)
     t = float(start_time)
     mass0 = mass = vol * float(vals.sum())
@@ -167,7 +154,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
                 )
         if low < 0.0:
             raise NumericalAbort(f"positivity lost at t = {t:.6g} (min {low:.3e})")
-        p = kernel.convolve(vals)
+        p = op.convolve(vals)
         faces = kernel.faces(vals, p)
         if steps % cfg.snapshot_stride == 0 or t >= stop:
             note(vals, p, faces, t, mass, peak)

@@ -7,10 +7,11 @@ the upwind value up of the density at that face.  The flux is w * up and the
 dissipation is sum(w * w * up) h^n, so one face pass per state serves both.
 
 A FlowKernel binds once what stays fixed during a run: the spacing, the cell
-volume, the operator's stiffness bound and its array-level convolution, the
-CFL safety factor, the drift, the per-axis slices and the flux buffers, whose
-zero ends (the box boundary carries no flux) are set at construction.  Its
-arrays are plain value arrays on the operator's grid.
+volume, the operator's stiffness bound, the CFL safety factor, the drift,
+the per-axis slices and the flux buffers, whose zero ends (the box boundary
+carries no flux) are set at construction.  Its arrays are plain value arrays
+on the operator's grid; the pressure it reads comes from the operator's own
+`convolve`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class FlowKernel:
         grid = op.grid
         self.h = grid.spacing
         self.vol = self.h ** grid.dim
-        self.convolve = op.convolve
         self._stiffness = op.stiffness_bound()
         self._cfl_h = cfl_safety * self.h
         self._cfl_2 = cfl_safety * 2.0

@@ -61,14 +61,6 @@ class Grid:
         n, h = self.points_per_axis, self.spacing
         return -self.half_width + (np.arange(n) + 0.5) * h
 
-    def coords(self) -> list:
-        """Cell-center coordinate arrays, one per axis, each shaped like a field."""
-        ax = self.axis()
-        if self.dim == 1:
-            return [ax]
-        x0, x1 = np.meshgrid(ax, ax, indexing="ij")
-        return [x0, x1]
-
     def interior_faces(self) -> np.ndarray:
         """Positions of the N-1 interior faces along one axis."""
         n, h = self.points_per_axis, self.spacing
@@ -80,10 +72,9 @@ class Grid:
         Built on first use and shared by every later call, so it is read-only."""
         r2 = self.__dict__.get("_radius2")
         if r2 is None:
-            c = self.coords()
-            r2 = c[0] ** 2
-            for x in c[1:]:
-                r2 = r2 + x ** 2
+            r2 = self.axis() ** 2
+            if self.dim == 2:
+                r2 = r2[:, None] + r2[None, :]
             r2.flags.writeable = False
             object.__setattr__(self, "_radius2", r2)  # a cache, not a field
         return r2

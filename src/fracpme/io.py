@@ -44,10 +44,10 @@ def write_snapshot(path, v: Field, s: float, time: float, mode: str) -> None:
         f"mode: {mode}",
         "",
     ]
-    flat = v.values.ravel()
-    for start in range(0, flat.size, _VALUES_PER_LINE):
-        chunk = flat[start:start + _VALUES_PER_LINE]
-        lines.append(" ".join(f"{x:.16e}" for x in chunk))
+    values = v.values.ravel().tolist()
+    for start in range(0, len(values), _VALUES_PER_LINE):
+        chunk = values[start:start + _VALUES_PER_LINE]  # "%.16e" is the text of f"{x:.16e}"
+        lines.append(" ".join(["%.16e"] * len(chunk)) % tuple(chunk))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -118,7 +118,7 @@ def _cg(matvec, b: np.ndarray) -> tuple:
     """Unpreconditioned conjugate gradients for matvec(x) = b from x = 0, with
     the arithmetic of scipy's ``cg(rtol=1e-15, atol=0)``: stop once
     |r| < 1e-15 |b|.  Returns (x, 0), or (x, 10 len(b)) when that many
-    iterations leave it unconverged."""
+    iterations leave it unconverged; a zero or empty b returns at once."""
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return b, 0
@@ -162,10 +162,8 @@ def _active_set_solve(op: FracOperator, phi: np.ndarray, cells: np.ndarray) -> t
     for passes in range(1, ACTIVE_SET_MAX_PASSES + 1):
         seen.add(free.tobytes())
         v = np.zeros(phi.size)
-        info = 0
-        if free.any():
-            sel = cells[free]
-            v[free], info = _cg(lambda x: potential(x, sel), phi[free])
+        sel = cells[free]
+        v[free], info = _cg(lambda x: potential(x, sel), phi[free])
         r = potential(v, cells) - phi
         res = float(np.abs(np.minimum(v, r)).max())
         if info != 0:
@@ -187,24 +185,13 @@ def solve_obstacle(prob: ObstacleProblem) -> ObstacleSolution:
 
     The contact set and the pressure-deficit abort are measured against
     SOLVE_TOL * max(C, max V).  Raises RuntimeError (with the residual in the
-    message) if the active-set loop fails to settle; C <= 0 short-circuits
-    to the trivial solution.
+    message) if the active-set loop fails to settle.  A level C <= 0 takes
+    the same route: its first free set is empty, so one pass returns the
+    zero profile.
     """
     grid = prob.grid
     op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim))
     phi_full = prob.obstacle_values()
-
-    if prob.C <= 0.0:
-        zero = np.zeros(grid.shape)
-        return ObstacleSolution(
-            problem=prob, pressure=Field(grid, zero), density=Field(grid, zero),
-            contact_mask=Field(grid, np.zeros(grid.shape, dtype=bool)),
-            contact_radius=0.0,
-            residuals={"pressure_deficit": 0.0, "density_negativity": 0.0,
-                       "complementarity": 0.0, "lcp_residual": 0.0},
-            sweeps=0,
-        )
-
     r2 = grid.radius2()
     reach = prob.parabola_radius + 2.0 * grid.spacing
     idx = np.nonzero(r2.ravel() <= reach**2)[0]

@@ -74,10 +74,10 @@ def riesz_potential_gaussian(r2: np.ndarray, n: int, s: float) -> np.ndarray:
 
 
 def kernel_matrix(op: FracOperator, flat_index: np.ndarray) -> np.ndarray:
-    """Dense inverse-potential matrix of a freespace operator restricted to
-    the given flat (row-major) cell indices, gathered from `op.taps`.
+    """Dense potential matrix of a freespace operator restricted to the
+    given flat (row-major) cell indices, gathered from `op.taps`.
 
-    The matrix product is the direct-summation route to `op.inverse`, whose
+    The matrix product is the direct-summation route to `op.convolve`, whose
     FFT convolution it checks, and the matrix is what the pivoting oracles
     take; the obstacle solver never forms it."""
     if op.grid.dim == 1:

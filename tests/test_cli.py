@@ -221,7 +221,9 @@ def test_unread_setting_is_config_error(tmp_path, capsys, argv, lines):
     (["obstacle", "--C", "1"], ["3: obstacle does not read end_time"]),
     (["sweep", "--sweep-key", "C", "--sweep-mode", "obstacle", "--sweep-values", "1,2"],
      ["3: sweep --sweep-mode obstacle does not read end_time"]),
-], ids=["verify", "obstacle", "sweep"])
+    (["sweep", "--sweep-key", "L", "--sweep-mode", "physical", "--sweep-values", "4,5"],
+     ["2: sweep takes L from sweep_values"]),
+], ids=["verify", "obstacle", "sweep", "sweep_swept_key"])
 def test_unread_file_key_is_config_error(tmp_path, capsys, argv, lines):
     f = tmp_path / "cfg.txt"
     f.write_text("N = 32\nL = 4\nend_time = 0.05\n")
@@ -520,7 +522,7 @@ EDGE_FLAGS = {
                "--N=32", "--L=4"], FLOW_FLAGS),
 }
 EDGE_DATA = {"box": ("0", "2", "1"), "parabola_cap": ("1", "1"), "gaussian_truncated": ("1",)}
-# one case per class of unread setting: (argv, the line it must print alone)
+# one case per class of refused setting: (argv, the line it must print alone)
 EDGE_UNREAD = [
     (["obstacle", "--N=32", "--L=4", "--M=1", "--end-time=1"],
      "FRACPME-FAIL config: flag --end-time: obstacle does not read end_time"),
@@ -528,6 +530,9 @@ EDGE_UNREAD = [
      "FRACPME-FAIL config: unread.cfg:1: verify does not read s"),
     (["sweep", "--sweep-key=C", "--sweep-values=1,2", "--sweep-mode=physical", "--N=32", "--L=4"],
      "FRACPME-FAIL config: sweep_key 'C' is not read by evolve (sweep_mode physical)"),
+    (["sweep", "--sweep-key=N", "--sweep-values=32,64", "--sweep-mode=physical", "--N=7",
+      "--L=4", "--end-time=0.05"],
+     "FRACPME-FAIL config: flag --N: sweep takes N from sweep_values"),
 ]
 
 
@@ -565,7 +570,7 @@ def test_flag_edge_values_fail_cleanly(tmp_path):
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     codes = json.loads(done.stdout)
-    assert len(codes) == len(cases) == 411
+    assert len(codes) == len(cases) == 412
     bad = []
     for k, (argv, code) in enumerate(zip(cases, codes)):
         out = (tmp_path / f"{k}.out").read_text().splitlines()
@@ -631,10 +636,10 @@ def _nan_snapshot(tmp_path):
 def test_non_finite_snapshot_is_config_error(tmp_path, capsys, command):
     bad = _nan_snapshot(tmp_path)
     capsys.readouterr()
-    argv = ["evolve"] if command == "evolve" else [
+    argv = ["evolve", "--end-time", "0.1"] if command == "evolve" else [
         "sweep", "--sweep-key", "end_time", "--sweep-values", "0.1,0.2",
         "--sweep-mode", "physical"]
-    code = main(argv + ["--N", "32", "--L", "4", "--end-time", "0.1",
+    code = main(argv + ["--N", "32", "--L", "4",
                         "--datum", f"from_file({bad})", "--out", str(tmp_path / "b")])
     assert code == EXIT_CONFIG
     lines = capsys.readouterr().out.strip().splitlines()
@@ -762,6 +767,26 @@ def test_verify_failure_maps_to_exit_1(tmp_path, monkeypatch):
     monkeypatch.setattr(fracpme.verify, "run_suite",
                         lambda quick, out_dir: False)
     assert main(["verify", "--out", str(tmp_path)]) == EXIT_CRITERION
+
+
+@pytest.mark.parametrize("fault, kind, code", [
+    (NumericalAbort("positivity lost"), "numerical", EXIT_NUMERICAL),
+    (ValueError("bad grid"), "config", EXIT_CONFIG),
+], ids=["numerical", "config"])
+def test_verify_fault_maps_to_exit_code(tmp_path, monkeypatch, capsys, fault, kind, code):
+    # a fault inside a check's artifact is one FRACPME-FAIL line, not a traceback
+    import fracpme.verify
+
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setitem(fracpme.verify._BUILDERS, "settled", broken)
+    monkeypatch.setattr(fracpme.verify, "CHECKS", (fracpme.verify._check_convergence,))
+    assert main(["verify", "--quick", "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    fail = [line for line in captured.out.splitlines() if line.startswith("FRACPME-FAIL")]
+    assert fail == [f"FRACPME-FAIL {kind}: verify: {type(fault).__name__}: {fault}"]
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("command", [

@@ -135,7 +135,7 @@ def test_dissipation_matches_face_gradient_formula(dim, confined):
     s = 0.25 if dim == 1 else 0.5
     op = FracOperator(grid, FracParams(s=s, dim=dim))
     exp = Exponents(dim, s)
-    c = grid.coords()
+    c = np.meshgrid(*[grid.axis()] * dim, indexing="ij")
     # off-centre and lopsided, so faces of both signs and zero cells occur
     vals = np.clip(1.0 - (c[0] - 0.4) ** 2 - sum(0.5 * x ** 2 for x in c[1:]), 0.0, None)
     v = Field(grid, vals * (1.0 + 0.3 * c[0]).clip(0.0))

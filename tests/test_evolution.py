@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracpme.evolution import DT_MAX, MAX_STEPS, NumericalAbort, SolverConfig, run, step_physical
+from fracpme.evolution import DT_MAX, MAX_STEPS, NumericalAbort, SolverConfig, run
 from fracpme.flow import FlowKernel
 from fracpme.fracops import Exponents, FracOperator, FracParams
 from fracpme.grid import Field, Grid
@@ -89,21 +89,34 @@ def test_velocity_points_outward():
     assert (w[(x < -0.5) & (x > -4.0)] < 0.0).all()
 
 
+def kernel_step(kernel, op, vals):
+    """One FlowKernel step of the state `vals`, as run takes it: (values, dt, min)."""
+    return kernel.step(vals, kernel.faces(vals, op.convolve(vals)), float(vals.max()), np.inf)
+
+
 def test_step_rejects_negative_state():
+    # a negative state never enters a step: run refuses it as a datum
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = freespace_op(grid)
     bad = Field(grid, np.where(np.abs(grid.axis()) < 1, 1.0, -0.1))
-    with pytest.raises(NumericalAbort, match="negative"):
-        step_physical(bad, op, SolverConfig())
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(bad, "physical", SolverConfig(), op, on_record=discard)
 
 
 def test_step_rejects_negative_result(monkeypatch):
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     op = freespace_op(grid)
-    overshoot = lambda self, vals, *args: (vals - 2.0, 0.1, float((vals - 2.0).min()))
+
+    def overshoot(self, vals, *args):
+        # moves one unit of mass from the first cell to the last: mass kept, sign lost
+        new = vals.copy()
+        new[0] -= 1.0
+        new[-1] += 1.0
+        return new, 0.1, float(new.min())
+
     monkeypatch.setattr(FlowKernel, "step", overshoot)
     with pytest.raises(NumericalAbort, match="positivity lost"):
-        step_physical(box_datum(grid), op, SolverConfig())
+        run(box_datum(grid), "physical", SolverConfig(), op, on_record=discard)
 
 
 def test_run_input_validation():
@@ -147,12 +160,15 @@ def test_positivity_exact_at_sharp_cfl():
     # flux-form roundoff dust must be repaired, not let through as -1e-16
     grid = Grid(dim=1, half_width=4.0, points_per_axis=128)
     op = freespace_op(grid)
+    kernel = FlowKernel(op, False, 1.0)
     state = box_datum(grid)
     mass0 = state.mass()
+    vals = state.values
     for _ in range(200):
-        state, _ = step_physical(state, op, SolverConfig(cfl_safety=1.0))
-    assert state.values.min() >= 0.0
-    assert abs(state.mass() - mass0) <= 1e-12 * mass0
+        vals, _, low = kernel_step(kernel, op, vals)
+        assert low >= 0.0
+    assert vals.min() >= 0.0
+    assert abs(Field(grid, vals).mass() - mass0) <= 1e-12 * mass0
 
 
 def test_zero_state_advances_in_dt_max_hops():
@@ -168,8 +184,8 @@ def test_zero_state_advances_in_dt_max_hops():
 def test_symmetry_preserved_by_step():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
-    state, _ = step_physical(gaussian_datum(grid), op, SolverConfig())
-    np.testing.assert_allclose(state.values, state.values[::-1], atol=1e-14)
+    vals, _, _ = kernel_step(FlowKernel(op, False, 0.4), op, gaussian_datum(grid).values)
+    np.testing.assert_allclose(vals, vals[::-1], atol=1e-14)
 
 
 def test_dt_cap_honored():

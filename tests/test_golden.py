@@ -1,11 +1,11 @@
 """Byte-identity gate: sha256 digests of the outputs of short CLI runs.
 
-The digests pin every byte of diagnostics.csv, the snapshots and the obstacle
-report, so a change meant to leave the numerics alone cannot move a last bit
-unnoticed.  They were recorded with the library versions, the machine and the
-SIMD targets numpy dispatches log and power to in RECORDED; another numpy or
-scipy, or another target, may round differently, so the test skips there and
-says why.
+The digests pin every byte of diagnostics.csv, the snapshots, the obstacle
+report and the quick verify scoreboard, so a change meant to leave the
+numerics alone cannot move a last bit unnoticed.  They were recorded with the
+library versions, the machine and the SIMD targets numpy dispatches log and
+power to in RECORDED; another numpy or scipy, or another target, may round
+differently, so the test skips there and says why.
 """
 
 import hashlib
@@ -41,6 +41,9 @@ RUNS = {
                     "45399519ac372acb3c7351ee8c4f25d3c4a54da922ae09a0828dff6eb86dd3db"),
     "obstacle_mass": (["obstacle", "--M", "2", "--N", "256", "--L", "4"],
                       "4c00e55ae668f4a20d2af30f07540a7b6f8d040c2382e9097acacc06ae8c2cae"),
+    # verify_results.csv, the same bytes on one core and on two
+    "verify_quick": (["verify", "--quick"],
+                     "e64750429bf7e7a56942eeeb402d8fae8793913d6925ceb9dc7a0900c38e5514"),
 }
 
 

@@ -30,9 +30,9 @@ def test_grid_validation():
 
 def test_coords_and_radius_2d():
     g = Grid(dim=2, half_width=2.0, points_per_axis=8)
-    x0, x1 = g.coords()
-    assert x0.shape == (8, 8)
-    assert np.allclose(g.radius2(), x0 ** 2 + x1 ** 2)
+    x0, x1 = np.meshgrid(g.axis(), g.axis(), indexing="ij")
+    assert g.radius2().shape == (8, 8)
+    assert np.array_equal(g.radius2(), x0 ** 2 + x1 ** 2)
     # radius2 is symmetric under both axis flips
     r2 = g.radius2()
     assert np.allclose(r2, r2[::-1, :])

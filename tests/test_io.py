@@ -47,6 +47,20 @@ def test_snapshot_irrational_spacing_survives(tmp_path):
     assert np.array_equal(loaded.values, v.values)
 
 
+def test_snapshot_values_have_the_text_of_each_float_alone(tmp_path):
+    # the row template gives the text f"{x:.16e}" gives each value on its own,
+    # on signed zeros, subnormals and non-finite values, and on a short last line
+    g = Grid(1, 2.0, 10)
+    vals = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf,
+                     1.0 / 3.0, -1e308, 2.0 ** -1022])
+    write_snapshot(tmp_path / "s.txt", Field(g, vals), s=0.25, time=0.0, mode="physical")
+    _, body = (tmp_path / "s.txt").read_text().split("\n\n", 1)
+    expected = [" ".join(f"{x:.16e}" for x in vals[:8]), " ".join(f"{x:.16e}" for x in vals[8:])]
+    assert body.splitlines() == expected
+    assert expected[0].split()[:2] == ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
+    assert expected[0].split()[4:7] == ["nan", "inf", "-inf"]
+
+
 def _write_valid(tmp_path):
     g = Grid(1, 2.0, 8)
     write_snapshot(tmp_path / "ok.txt", Field(g, np.ones(8)),

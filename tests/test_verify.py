@@ -26,6 +26,18 @@ def test_pick_switches_on_mode():
     assert Suite(quick=True, tamper=None, started=0.0).pick(512, 256) == 256
 
 
+def test_one_step_check_aborts_on_lost_positivity(monkeypatch):
+    # check 10 steps through FlowKernel itself and keeps the step's sign guard
+    from fracpme.flow import FlowKernel
+
+    def overshoot(self, vals, *args):
+        return vals - 1.0, 0.1, float((vals - 1.0).min())
+
+    monkeypatch.setattr(FlowKernel, "step", overshoot)
+    with pytest.raises(NumericalAbort, match="positivity lost in step"):
+        verify._check_one_step(Suite(quick=True, tamper=None, started=0.0))
+
+
 def _fake_checks():
     return (
         lambda ctx: CheckResult(1, "alpha", "x 1.0", "<= 2", True),
