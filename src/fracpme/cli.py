@@ -126,7 +126,7 @@ def parse_config(path: str | None, overrides: dict) -> tuple:
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             return cfg, [f"config file: {exc}"]
         for lineno, line in enumerate(text.splitlines(), 1):
             body = line.split("#", 1)[0].strip()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fracops import Exponents, FracOperator
+from .fracops import FracOperator
 
 BOLTZMANN_FLOOR = 1e-30
 L4_UNDERFLOW = 1e-100  # x ** 4 underflows to exactly 0 at and below this
@@ -105,7 +105,7 @@ def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperato
     r2 = grid.radius2().reshape(-1)
     moment2 = vol * (r2 * block).sum(axis=1)
     energy1 = vol * (block * rows_of(pressures)).sum(axis=1)
-    beta = Exponents(grid.dim, op.s).beta
+    beta = op.params.beta
     # each row's Boltzmann sum runs over that row's compressed entries
     pos_mask = block > BOLTZMANN_FLOOR
     pos = block[pos_mask]

@@ -23,24 +23,148 @@ second-difference/kernel symbol bound (h^(2s-2) scaling).  With s < 1/2 that
 bound is the binding one on fine grids; without it the interior develops a
 growing checkerboard.  The step controller takes the sharper of the two.
 
-The step itself is `flow.FlowKernel.step`, the one single-step API; `run`,
-the one stepping loop, builds one kernel per run and carries value arrays
-through it.
+The stepper's flux through a face and the recorded dissipation both read the
+same two arrays per axis: the face velocity w, which is minus the pressure
+difference over h less the confining drift beta y_face when there is one, and
+the upwind value up of the density at that face.  The flux is w * up and the
+dissipation is sum(w * w * up) h^n, so one face pass per state serves both.
+
+The step itself is `FlowKernel.step`, the one single-step API; `run`, the one
+stepping loop, builds one kernel per run and carries value arrays through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import RECORD_BLOCK_CELLS, DiagnosticsSeries, record
-from .flow import DT_MAX, QUIESCENT_SPEED, FlowKernel, NumericalAbort
 from .fracops import FracOperator
 from .grid import Field
 
 MAX_STEPS = 10 ** 7  # step budget of a run: checked up front and while stepping
+QUIESCENT_SPEED = 1e-14
+DT_MAX = 1.0  # step taken when the velocity field is quiescent
+
+
+class NumericalAbort(RuntimeError):
+    """A run monitor tripped (mass drift, lost positivity, non-finite velocity,
+    a stalled clock)."""
+
+
+class _Axis(NamedTuple):
+    """One axis's slices, drift and buffers; the buffer views are taken once."""
+
+    lo: tuple  # lower cell of each interior face
+    hi: tuple  # upper cell
+    drift: np.ndarray | None
+    part: np.ndarray  # outflow through this axis's faces
+    part_lo: np.ndarray
+    part_hi: np.ndarray
+    part_last: np.ndarray
+    flux_inner: np.ndarray  # the interior faces of a flux buffer zero at both ends
+    flux_hi: np.ndarray
+    flux_lo: np.ndarray
+
+
+class FlowKernel:
+    """Face pass and upwind step of the flow through `op`; confined adds the
+    drift of the rescaled form."""
+
+    def __init__(self, op: FracOperator, confined: bool, cfl_safety: float):
+        grid = op.grid
+        self.h = grid.spacing
+        self.vol = self.h ** grid.dim
+        self._stiffness = op.stiffness_bound()
+        self._cfl_h = cfl_safety * self.h
+        self._cfl_2 = cfl_safety * 2.0
+        beta = op.params.beta
+        faces = grid.interior_faces()
+        self._axes = []
+        for ax in range(grid.dim):
+            lead = (slice(None),) * ax
+            lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
+            shape = [1] * grid.dim
+            shape[ax] = faces.size
+            part = np.empty(grid.shape)
+            flux_shape = list(grid.shape)
+            flux_shape[ax] += 1
+            flux = np.zeros(flux_shape)  # the box faces stay zero
+            self._axes.append(_Axis(
+                lo, hi, beta * faces.reshape(shape) if confined else None,
+                part, part[lo], part[hi], part[lead + (slice(-1, None),)],
+                flux[lead + (slice(1, -1),)], flux[hi], flux[lo]))
+
+    def faces(self, vals: np.ndarray, pressure: np.ndarray) -> list:
+        """(w, up) for each axis of the state `vals` whose pressure is `pressure`.
+
+        The N-1 interior faces of each axis, with face i+1/2 between cells i
+        and i+1; up is the lower cell's value where w > 0 and the upper cell's
+        otherwise.  Both are fresh arrays."""
+        out = []
+        neg_h = -self.h
+        for axis in self._axes:
+            lo, hi = axis.lo, axis.hi
+            w = np.subtract(pressure[hi], pressure[lo])
+            w /= neg_h
+            if axis.drift is not None:
+                w -= axis.drift
+            out.append((w, np.where(w > 0.0, vals[lo], vals[hi])))
+        return out
+
+    def step(self, vals: np.ndarray, faces: list, vmax: float, dt_cap: float) -> tuple:
+        """One upwind step of the state `vals` whose faces are `faces` and whose
+        maximum is `vmax`.
+
+        Returns (new values, dt, min of the new values); the new values are a
+        fresh array.  dt is at most dt_cap and otherwise cfl_safety times the
+        sharper of two bounds: h over the largest per-cell sum of outgoing
+        face speeds (advective positivity), and 2 / (vmax * operator
+        stiffness) (non-amplification of the linearized pressure diffusion;
+        it scales like h^(2-2s) and binds on fine grids when s < 1/2).
+        Raises NumericalAbort on a non-finite face speed."""
+        outflow = None
+        for axis, (w, _) in zip(self._axes, faces):
+            np.maximum(w, 0.0, out=axis.part_lo)  # out through i+1/2
+            axis.part_last.fill(0.0)
+            np.subtract(axis.part_hi, np.minimum(w, 0.0), out=axis.part_hi)  # i-1/2
+            part = axis.part
+            outflow = part if outflow is None else np.add(outflow, part, out=outflow)
+        peak = float(outflow.max())
+        if not math.isfinite(peak):
+            raise NumericalAbort("non-finite velocity (operator blowup)")
+        if peak < QUIESCENT_SPEED:
+            # zero flux everywhere: the state is an exact fixed point of the
+            # update and the diffusion bound has nothing to amplify
+            dt = DT_MAX
+        else:
+            dt = self._cfl_h / peak
+            rate = vmax * self._stiffness
+            if rate >= QUIESCENT_SPEED:
+                dt = min(dt, self._cfl_2 / rate)
+            dt = min(dt, DT_MAX)
+        dt = min(dt, dt_cap)
+
+        div = None
+        for axis, (w, up) in zip(self._axes, faces):
+            np.multiply(w, up, out=axis.flux_inner)
+            term = np.subtract(axis.flux_hi, axis.flux_lo)
+            term /= self.h
+            div = term if div is None else np.add(div, term, out=div)
+        div *= dt
+        new_vals = np.subtract(vals, div, out=div)
+        # The convex-combination positivity bound is exact in exact arithmetic,
+        # but the flux-difference form can leave -O(eps * peak) dust when the
+        # bound is tight.  Zero only that dust; deeper negatives are genuine.
+        low = float(new_vals.min())
+        if low < 0.0:
+            floor = -1e-12 * max(vmax, 1.0)
+            new_vals[(new_vals < 0.0) & (new_vals >= floor)] = 0.0
+            low = float(new_vals.min())
+        return new_vals, dt, low
 
 
 @dataclass
@@ -95,8 +219,9 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     cells, and the series is trimmed when the run ends.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
-    any negative value, on non-finite velocities, and once MAX_STEPS steps
-    have not reached the end time.  A time span that check_time_span
+    any negative value, on non-finite velocities, on a step too small to
+    advance the clock (t + dt == t), and once MAX_STEPS steps have not
+    reached the end time.  A time span that check_time_span
     refuses, a negative or non-finite datum and a datum on another grid
     raise ValueError before the first step.
     """
@@ -142,6 +267,8 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
         if steps == MAX_STEPS:
             raise NumericalAbort(f"{MAX_STEPS} steps did not reach end_time (t = {t:.6g})")
         vals, dt, low = kernel.step(vals, faces, peak, cfg.end_time - t)
+        if t + dt == t:
+            raise NumericalAbort(f"step {dt:.3e} does not advance the clock at t = {t:.6g}")
         t += dt
         steps += 1
         mass = vol * float(vals.sum())

@@ -59,11 +59,16 @@ def riesz_constant(n: int, s: float) -> float:
 
 @dataclass(frozen=True)
 class FracParams:
-    """Order parameter s with its validity range tied to the dimension.
+    """Order s and dimension, which fix both the operator and the similarity
+    exponents.
 
     In one dimension the inverse potential requires s < 1/2; larger s is admitted
     only with allow_supercritical=True and comes with a warning (the kernel constant
     changes sign there, so the potential loses positivity).
+
+    beta = 1/(n+2-2s) scales space, alpha = n beta scales amplitude (so that
+    mass is conserved), and a = beta/2 is the obstacle-parabola coefficient;
+    alpha + (2-2s) beta = 1 by construction.
     """
 
     s: float
@@ -78,7 +83,7 @@ class FracParams:
         if self.dim == 1 and self.s >= 0.5:
             if not self.allow_supercritical:
                 raise ValueError(
-                    f"s = {self.s} >= 1/2 with dim = 1 is outside the supported range; "
+                    f"s = {self.s} needs s < 1/2 in one dimension (kernel not positive); "
                     "pass allow_supercritical=True to override"
                 )
             warnings.warn(
@@ -88,33 +93,13 @@ class FracParams:
                 stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
-
-@dataclass(frozen=True)
-class Exponents:
-    """Similarity exponents for dimension n and order s.
-
-    beta = 1/(n+2-2s) scales space, alpha = n beta scales amplitude (so that
-    mass is conserved), and a = beta/2 is the obstacle-parabola coefficient.
-    alpha + (2-2s) beta = 1 by construction.  They depend on (n, s) alone, so
-    the flow and its diagnostics build them from the operator.
-    """
-
-    n: int
-    s: float
-
-    def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.n}")
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s must lie in (0, 1), got {self.s}")
-
     @property
     def beta(self) -> float:
-        return 1.0 / (self.n + 2.0 - 2.0 * self.s)
+        return 1.0 / (self.dim + 2.0 - 2.0 * self.s)
 
     @property
     def alpha(self) -> float:
-        return self.n * self.beta
+        return self.dim * self.beta
 
     @property
     def a(self) -> float:
@@ -228,9 +213,9 @@ class FracOperator:
         if mode != FREESPACE:
             raise ValueError(f"unknown operator mode {mode!r}")
         self.grid = grid
-        self.s = params.s
+        self.params = params
         self._stiffness = None
-        taps = _taps_1d(grid, self.s) if grid.dim == 1 else _taps_2d(grid, self.s)
+        taps = _taps_1d(grid, params.s) if grid.dim == 1 else _taps_2d(grid, params.s)
         self.taps = taps
         n = grid.points_per_axis
         if grid.dim == 1:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import Exponents, FracOperator, FracParams
+from .fracops import FracOperator, FracParams
 from .grid import Field, Grid
 from .remap import resample
 
@@ -60,12 +60,7 @@ class ObstacleProblem:
     grid: Grid
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s must lie in (0, 1), got {self.s}")
-        if self.grid.dim == 1 and self.s >= 0.5:
-            raise ValueError(
-                f"s = {self.s} needs s < 1/2 in one dimension (kernel not positive)"
-            )
+        FracParams(self.s, self.grid.dim)  # the s-range and 1-D rules
         if self.C > _max_level(self.a, self.grid):
             needed = MARGIN_FACTOR * float(np.sqrt(self.C / self.a))
             raise ValueError(
@@ -76,7 +71,7 @@ class ObstacleProblem:
     @property
     def a(self) -> float:
         """Parabola coefficient beta/2 of the similarity exponents."""
-        return Exponents(self.grid.dim, self.s).a
+        return FracParams(self.s, self.grid.dim).a
 
     @property
     def parabola_radius(self) -> float:
@@ -86,10 +81,15 @@ class ObstacleProblem:
     def obstacle_values(self) -> np.ndarray:
         return self.C - self.a * self.grid.radius2()
 
+    def cells(self) -> np.ndarray:
+        """Flat indices of the unknowns: the cells within parabola_radius + 2h."""
+        reach = self.parabola_radius + 2.0 * self.grid.spacing
+        return np.nonzero(self.grid.radius2().ravel() <= reach**2)[0]
+
 
 def make_problem(C: float, n: int, s: float, points_per_axis: int) -> ObstacleProblem:
     """Problem on the default box: half-width BOX_FACTOR * sqrt(C/a)."""
-    a = Exponents(n, s).a
+    a = FracParams(s, n).a
     if C <= 0.0:
         raise ValueError(f"default sizing needs C > 0, got {C}")
     half = BOX_FACTOR * float(np.sqrt(C / a))
@@ -146,16 +146,17 @@ def _active_set_solve(op: FracOperator, phi: np.ndarray, cells: np.ndarray) -> t
 
     Each pass solves W_FF v_F = phi_F by `_cg` on the free set F (a principal
     block of an SPD kernel) with every product done by `op.convolve` on the
-    full grid, then resets F to {v - (W v - phi) > 0}.  Returns (V, passes)
-    once F repeats; raises RuntimeError on a revisited set, on the pass cap,
-    or on a CG that reaches its iteration cap."""
+    full grid, then resets F to {v - (W v - phi) > 0}.  Returns (V, P,
+    passes) once F repeats, P the full-grid potential of V from the last
+    pass; raises RuntimeError on a revisited set, on the pass cap, or on a
+    CG that reaches its iteration cap."""
     grid = op.grid
     full = np.zeros(grid.npoints)
 
     def potential(v: np.ndarray, sel: np.ndarray) -> np.ndarray:
         full[:] = 0.0
         full[sel] = v
-        return op.convolve(full.reshape(grid.shape)).ravel()[sel]
+        return op.convolve(full.reshape(grid.shape))
 
     free = phi > 0.0
     seen = set()
@@ -163,15 +164,16 @@ def _active_set_solve(op: FracOperator, phi: np.ndarray, cells: np.ndarray) -> t
         seen.add(free.tobytes())
         v = np.zeros(phi.size)
         sel = cells[free]
-        v[free], info = _cg(lambda x: potential(x, sel), phi[free])
-        r = potential(v, cells) - phi
+        v[free], info = _cg(lambda x: potential(x, sel).ravel()[sel], phi[free])
+        pressure = potential(v, cells)
+        r = pressure.ravel()[cells] - phi
         res = float(np.abs(np.minimum(v, r)).max())
         if info != 0:
             raise RuntimeError(f"obstacle CG stopped with info {info} in active-set "
                                f"pass {passes} (residual {res:.3e})")
         nxt = v - r > 0.0
         if np.array_equal(nxt, free):
-            return v, passes
+            return v, pressure, passes
         if nxt.tobytes() in seen:
             raise RuntimeError(f"obstacle active set cycles at pass {passes} "
                                f"(residual {res:.3e})")
@@ -193,14 +195,13 @@ def solve_obstacle(prob: ObstacleProblem) -> ObstacleSolution:
     op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim))
     phi_full = prob.obstacle_values()
     r2 = grid.radius2()
-    reach = prob.parabola_radius + 2.0 * grid.spacing
-    idx = np.nonzero(r2.ravel() <= reach**2)[0]
-    v_loc, sweeps = _active_set_solve(op, phi_full.ravel()[idx], idx)
+    idx = prob.cells()
+    v_loc, p_full, sweeps = _active_set_solve(op, phi_full.ravel()[idx], idx)
 
     v_full = np.zeros(grid.npoints)
     v_full[idx] = v_loc
     density = Field(grid, v_full.reshape(grid.shape))
-    pressure = Field(grid, op.convolve(density.values))
+    pressure = Field(grid, p_full)
 
     gap = pressure.values - phi_full
     scale = max(prob.C, float(v_loc.max()))
@@ -232,11 +233,11 @@ def barenblatt_at(sol: ObstacleSolution, t: float) -> Field:
     exactly, so the mass is t-independent."""
     if t <= -1.0:
         raise ValueError(f"self-similar time must exceed -1, got {t}")
-    exp = Exponents(sol.problem.grid.dim, sol.problem.s)
+    params = FracParams(sol.problem.s, sol.problem.grid.dim)
     # resample yields V(lam x) with mass / lam^n; lam = (1+t)^-beta plus the
     # (1+t)^-alpha amplitude leaves the mass exactly t-independent
-    out = resample(sol.density, sol.density.grid, lam=(1.0 + t) ** -exp.beta)
-    return Field(out.grid, (1.0 + t) ** -exp.alpha * out.values)
+    out = resample(sol.density, sol.density.grid, lam=(1.0 + t) ** -params.beta)
+    return Field(out.grid, (1.0 + t) ** -params.alpha * out.values)
 
 
 def scaling_check(sol1: ObstacleSolution, sol_c: ObstacleSolution) -> float:
@@ -288,7 +289,7 @@ def match_mass(mass: float, s: float, grid: Grid) -> ObstacleSolution:
     """
     if mass <= 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
-    a = Exponents(grid.dim, s).a
+    a = FracParams(s, grid.dim).a
     c_max = _max_level(a, grid)
     by_level = {}
 

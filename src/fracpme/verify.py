@@ -31,9 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import entropy_dissipation_identity_check, fit_power_law
-from .evolution import SolverConfig, run
+from .evolution import FlowKernel, NumericalAbort, SolverConfig, run
 from .fanout import fan_out
-from .flow import FlowKernel, NumericalAbort
 from .fracops import FracOperator, FracParams
 from .grid import Field, Grid
 from .io import datum_box, datum_gaussian, datum_parabola_cap, write_diagnostics
@@ -360,9 +359,8 @@ def _check_obstacle(ctx: Suite, sol, ref_sol) -> CheckResult:
     symmetric = abs(axis[idx[0]] + axis[idx[-1]]) <= h + 1e-12
     # dense pivoting oracle on the restricted system at 128 cells
     prob = ref_sol.problem
-    r2 = prob.grid.radius2().ravel()
-    keep = np.nonzero(r2 <= (prob.parabola_radius + 2 * prob.grid.spacing) ** 2)[0]
-    op = FracOperator(prob.grid, FracParams(s=0.25, dim=1))
+    keep = prob.cells()
+    op = FracOperator(prob.grid, FracParams(s=prob.s, dim=prob.grid.dim))
     v_ref = lemke_lcp(kernel_matrix(op, keep),
                       -prob.obstacle_values().ravel()[keep])
     lcp_dev = float(np.abs(ref_sol.density.values.ravel()[keep] - v_ref).max())
@@ -412,7 +410,7 @@ def _check_one_step(ctx: Suite, *sols) -> CheckResult:
     for sol in sols:
         prob = sol.problem
         u1 = barenblatt_at(sol, 1.0)
-        op = FracOperator(prob.grid, FracParams(s=0.25, dim=1))
+        op = FracOperator(prob.grid, FracParams(s=prob.s, dim=prob.grid.dim))
         kernel = FlowKernel(op, False, 0.4)
         faces = kernel.faces(u1.values, op.convolve(u1.values))
         vals, dt, low = kernel.step(u1.values, faces, float(u1.values.max()), np.inf)

@@ -18,7 +18,7 @@ from fracpme.cli import (EXIT_CONFIG, EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK,
 from fracpme.evolution import NumericalAbort
 from fracpme.grid import Field, Grid
 from fracpme.io import read_snapshot, write_snapshot
-from fracpme.fracops import Exponents
+from fracpme.fracops import FracParams
 from fracpme.obstacle import ObstacleProblem, solve_obstacle
 
 
@@ -81,6 +81,17 @@ def test_bad_boolean_in_file(tmp_path):
 def test_missing_config_file():
     _, violations = parse_config("/nonexistent/cfg.txt", {})
     assert len(violations) == 1 and "config file:" in violations[0]
+
+
+def test_undecodable_config_file(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"N = 32\n\xff\n")
+    _, violations = parse_config(str(path), {})
+    assert len(violations) == 1 and violations[0].startswith("config file: ")
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FRACPME-FAIL config: ") and "config file: " in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_supercritical_needs_explicit_bypass():
@@ -451,7 +462,7 @@ def test_obstacle_tiny_mass_matches_the_nearest_level(tmp_path, capsys, mass):
                  "--out", str(out)]) == EXIT_OK
     assert "FRACPME-FAIL" not in capsys.readouterr().out
     grid = Grid(1, 4.0, 64)
-    a = Exponents(1, 0.25).a
+    a = FracParams(0.25, 1).a
     level = float((out / "report.txt").read_text().splitlines()[0].split(":")[1])
     assert level >= a * (grid.spacing / 2.0) ** 2
     miss = abs(_report_mass(out) - mass)
@@ -878,6 +889,24 @@ def test_restart_mismatch_is_config_error(tmp_path, capsys, first, argv, message
     assert code == EXIT_CONFIG
     line = capsys.readouterr().out.strip()
     assert line.startswith("FRACPME-FAIL config: ") and message in line
+    assert not (out / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("stride", ["1", "3"])
+def test_restart_below_clock_resolution_is_numerical_abort(tmp_path, capsys, stride):
+    # at t = 0.1 a step of about 1e-19 leaves t + dt == t: one fault line and
+    # exit 3, not a repeated record time (stride 1) or a spin to MAX_STEPS
+    snap, _ = _first_run(tmp_path, "evolve")
+    capsys.readouterr()
+    out = tmp_path / "second"
+    code = main(["evolve", "--N", "64", "--L", "6", "--end-time", "0.3", "--cfl", "1e-18",
+                 "--snapshot-stride", stride, "--datum", f"from_file({snap})",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    line = captured.out.strip()
+    assert line.startswith("FRACPME-FAIL numerical: ") and "does not advance the clock" in line
+    assert "Traceback" not in captured.out + captured.err
     assert not (out / "diagnostics.csv").exists()
 
 

@@ -13,9 +13,8 @@ from fracpme.diagnostics import (
     fit_power_law,
     record,
 )
-from fracpme.evolution import SolverConfig, run
-from fracpme.flow import FlowKernel
-from fracpme.fracops import Exponents, FracOperator, FracParams
+from fracpme.evolution import FlowKernel, SolverConfig, run
+from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.oracles import kernel_matrix
 
@@ -55,8 +54,8 @@ def gaussian_field(grid, width=0.8):
 
 def test_record_cross_checks():
     grid = Grid(dim=1, half_width=8.0, points_per_axis=256)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1))
-    exp = Exponents(1, 0.25)
+    params = FracParams(s=0.25, dim=1)
+    op = FracOperator(grid, params)
     v = gaussian_field(grid)
     rec = record_one(v, op, time=0.3)
     h = grid.spacing
@@ -69,7 +68,7 @@ def test_record_cross_checks():
     dense = kernel_matrix(op, np.arange(grid.npoints))
     assert rec.energy1 == pytest.approx(h * v.values @ dense @ v.values, rel=1e-10)
     assert rec.entropy == pytest.approx(
-        0.5 * (rec.energy1 + exp.beta * rec.moment2), rel=1e-14
+        0.5 * (rec.energy1 + params.beta * rec.moment2), rel=1e-14
     )
     pos = v.values[v.values > 0]
     assert rec.boltzmann == pytest.approx(h * (pos * np.log(pos)).sum(), rel=1e-13)
@@ -133,14 +132,14 @@ def _face_gradient_dissipation(pot, weight, grid, drift_coeff):
 def test_dissipation_matches_face_gradient_formula(dim, confined):
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 24)
     s = 0.25 if dim == 1 else 0.5
-    op = FracOperator(grid, FracParams(s=s, dim=dim))
-    exp = Exponents(dim, s)
+    params = FracParams(s=s, dim=dim)
+    op = FracOperator(grid, params)
     c = np.meshgrid(*[grid.axis()] * dim, indexing="ij")
     # off-centre and lopsided, so faces of both signs and zero cells occur
     vals = np.clip(1.0 - (c[0] - 0.4) ** 2 - sum(0.5 * x ** 2 for x in c[1:]), 0.0, None)
     v = Field(grid, vals * (1.0 + 0.3 * c[0]).clip(0.0))
     expected = _face_gradient_dissipation(
-        op.convolve(v.values), v.values, grid, exp.beta if confined else None)
+        op.convolve(v.values), v.values, grid, params.beta if confined else None)
     assert record_one(v, op, confined=confined).dissipation == expected
     assert expected > 0.0
 
@@ -169,7 +168,7 @@ def reference_row(vals, op, confined):
     full-array one, with no block in sight."""
     grid = op.grid
     vol = grid.spacing ** grid.dim
-    beta = Exponents(grid.dim, op.s).beta
+    beta = op.params.beta
     r2 = grid.radius2()
     kv = op.convolve(vals)
     moment2 = vol * float((r2 * vals).sum())

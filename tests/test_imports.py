@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level function, class and constant, public method and property is
 used by the package, every parameter default is both used and overridden by
-the package, and no package module imports scipy.sparse.
+the package, every package-internal import names the module that defines the
+name, and no package module imports scipy.sparse.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
@@ -269,6 +270,44 @@ def test_guard_sees_an_unread_constant():
 def test_package_reads_every_public_constant():
     sources = {path.name: path.read_text() for path in MODULES}
     assert unread_constants(sources) == []
+
+
+def reexported_imports(sources: dict) -> list:
+    """(module, line, "name from .m") of each ``from .m import name``, at any
+    depth of a module in `sources` (file name -> source text), whose module m
+    does not itself define `name` by a module-level def, class or assignment:
+    such an import reaches the name through a re-export."""
+    defined = {}
+    for module, source in sources.items():
+        names = defined.setdefault(module.removesuffix(".py"), set())
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found.extend((module, node.lineno, f"{alias.name} from .{node.module}")
+                             for alias in node.names
+                             if alias.name not in defined.get(node.module, set()))
+    return sorted(found)
+
+
+def test_guard_sees_a_reexport():
+    sources = {"a.py": "from .b import g\n\nX = 1\nY: int = 2\n\ndef f():\n    pass\n\n"
+                       "class C:\n    pass\n",
+               "b.py": "from .a import C, X, Y, f\n\ndef g():\n    from .a import g\n",
+               "c.py": "from . import a\nfrom .b import X, g\n"}
+    assert reexported_imports(sources) == [("b.py", 4, "g from .a"),
+                                           ("c.py", 2, "X from .b")]
+
+
+def test_package_imports_each_name_from_its_definer():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert reexported_imports(sources) == []
 
 
 def sparse_imports(source: str) -> list:

@@ -104,13 +104,43 @@ def test_solver_matches_lemke_pivoting(args):
     sol = solve_obstacle(prob)
     grid = prob.grid
     op = FracOperator(grid, FracParams(s=prob.s, dim=grid.dim))
+    idx = prob.cells()
     r2 = grid.radius2().ravel()
-    idx = np.nonzero(r2 <= (prob.parabola_radius + 2 * grid.spacing) ** 2)[0]
+    assert idx.tolist() == [k for k in range(grid.npoints)
+                            if r2[k] <= (prob.parabola_radius + 2 * grid.spacing) ** 2]
     w_mat = kernel_matrix(op, idx)
     phi = prob.obstacle_values().ravel()[idx]
     v_ref = lemke_lcp(w_mat, -phi)
     v_sol = sol.density.values.ravel()[idx]
     assert np.abs(v_sol - v_ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("args", [(1.0, 1, 0.25, 128), (4.0, 2, 0.5, 32)],
+                         ids=["1d", "2d"])
+def test_one_pressure_per_state(monkeypatch, args):
+    # each CG product and each pass's residual take one convolution; the
+    # solution's pressure is the last pass's potential, not one more
+    convolve, cg = FracOperator.convolve, obstacle._cg
+    calls, products = [], []
+
+    def counted(self, values):
+        calls.append(values)
+        return convolve(self, values)
+
+    def counted_cg(matvec, b):
+        def product(x):
+            products.append(x)
+            return matvec(x)
+        return cg(product, b)
+
+    monkeypatch.setattr(FracOperator, "convolve", counted)
+    monkeypatch.setattr(obstacle, "_cg", counted_cg)
+    prob = make_problem(*args)
+    sol = solve_obstacle(prob)
+    assert sol.sweeps >= 2
+    assert len(calls) == len(products) + sol.sweeps
+    op = FracOperator(prob.grid, FracParams(s=prob.s, dim=prob.grid.dim))
+    assert np.array_equal(sol.pressure.values, convolve(op, sol.density.values))
 
 
 def test_solver_forms_no_dense_kernel(monkeypatch):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 import fracpme.verify as verify
-from fracpme.evolution import NumericalAbort
+from fracpme.evolution import FlowKernel, NumericalAbort
 from fracpme.verify import CheckResult, Suite
 
 
@@ -28,8 +28,6 @@ def test_pick_switches_on_mode():
 
 def test_one_step_check_aborts_on_lost_positivity(monkeypatch):
     # check 10 steps through FlowKernel itself and keeps the step's sign guard
-    from fracpme.flow import FlowKernel
-
     def overshoot(self, vals, *args):
         return vals - 1.0, 0.1, float((vals - 1.0).min())
 
