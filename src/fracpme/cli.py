@@ -83,8 +83,6 @@ KEYS = {
     "snapshot_stride": _Key(int, 1, "--snapshot-stride", "record every k-th step", _FLOW),
     "snapshot_every": _Key(int, 50, "--snapshot-every", "write every k-th record", _FLOW),
     "quick": _Key(bool, False, "--quick", "coarse grids, doubled tolerances", ("verify",)),
-    "allow_supercritical": _Key(bool, False, "--allow-supercritical", "allow 1-D s >= 1/2",
-                                _FLOW),
     "sweep_key": _Key(str, None, "--sweep-key", "one of " + ", ".join(SWEEPABLE), ("sweep",)),
     "sweep_values": _Key(str, None, "--sweep-values", "comma-separated list", ("sweep",)),
     "sweep_mode": _Key(str, None, "--sweep-mode", " | ".join(SWEEP_MODES), ("sweep",)),
@@ -174,12 +172,9 @@ def validate_config(cfg: RunConfig) -> list:
         bad.append(f"n must be 1 or 2, got {cfg.n}")
     if "s" in reads and not 0.0 < cfg.s < 1.0:
         bad.append(f"s must lie in (0, 1), got {cfg.s}")
-    elif "s" in reads and cfg.n == 1 and cfg.s >= 0.5 and not cfg.allow_supercritical:
-        bad.append(
-            f"s = {cfg.s} violates the s < 1/2 restriction in one dimension "
-            "(kernel positivity)" + ("; pass --allow-supercritical to bypass"
-                                     if "allow_supercritical" in reads else "")
-        )
+    elif "s" in reads and cfg.n == 1 and cfg.s >= 0.5:
+        bad.append(f"s = {cfg.s} violates the s < 1/2 restriction in one dimension "
+                   "(kernel positivity)")
     if "L" in reads and not 0.0 < cfg.L < math.inf:
         bad.append(f"L must be positive and finite, got {cfg.L}")
     if "N" in reads and (cfg.N < 8 or cfg.N % 2):
@@ -281,9 +276,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         else:
             u0, start = build_datum(name, args, grid), 0.0
         check_time_span(start, cfg.end_time)
-        params = FracParams(s=cfg.s, dim=cfg.n,
-                            allow_supercritical=cfg.allow_supercritical)
-        op = FracOperator(grid, params)
+        op = FracOperator(grid, FracParams(s=cfg.s, dim=cfg.n))
     except (ValueError, OSError) as exc:
         _machine_line("config", str(exc))
         return EXIT_CONFIG

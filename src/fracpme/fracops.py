@@ -25,7 +25,6 @@ arrays to about TAP_BLOCK_CELLS cells at any N.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +61,8 @@ class FracParams:
     """Order s and dimension, which fix both the operator and the similarity
     exponents.
 
-    In one dimension the inverse potential requires s < 1/2; larger s is admitted
-    only with allow_supercritical=True and comes with a warning (the kernel constant
-    changes sign there, so the potential loses positivity).
+    In one dimension the inverse potential requires s < 1/2: the kernel constant
+    diverges at s = 1/2 and is negative above it, so larger s raises ValueError.
 
     beta = 1/(n+2-2s) scales space, alpha = n beta scales amplitude (so that
     mass is conserved), and a = beta/2 is the obstacle-parabola coefficient;
@@ -73,7 +71,6 @@ class FracParams:
 
     s: float
     dim: int
-    allow_supercritical: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -81,17 +78,8 @@ class FracParams:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.dim == 1 and self.s >= 0.5:
-            if not self.allow_supercritical:
-                raise ValueError(
-                    f"s = {self.s} needs s < 1/2 in one dimension (kernel not positive); "
-                    "pass allow_supercritical=True to override"
-                )
-            warnings.warn(
-                f"dim = 1 with s = {self.s} >= 1/2: inverse-potential kernel is not "
-                "positive, results are exploratory",
-                UserWarning,
-                stacklevel=3,  # past the dataclass __init__ to its caller
-            )
+            raise ValueError(f"s = {self.s} needs s < 1/2 in one dimension "
+                             "(kernel not positive)")
 
     @property
     def beta(self) -> float:

@@ -84,13 +84,6 @@ class Grid:
         # writeable, and the copy that gets it rebuilds it read-only on use
         return {k: v for k, v in self.__dict__.items() if k != "_radius2"}
 
-    def compatible(self, other: "Grid") -> bool:
-        return (
-            self.dim == other.dim
-            and self.points_per_axis == other.points_per_axis
-            and np.isclose(self.half_width, other.half_width, rtol=1e-14, atol=0.0)
-        )
-
 
 @dataclass
 class Field:

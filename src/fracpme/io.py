@@ -206,7 +206,7 @@ def snapshot_datum(path, grid: Grid) -> tuple:
     """(density Field, header dict) of a snapshot used as initial data; the
     snapshot's grid must match `grid` and its values must be nonnegative."""
     loaded, header = read_snapshot(path)
-    if not loaded.grid.compatible(grid):
+    if loaded.grid != grid:
         raise ValueError(
             f"{path}: snapshot grid (n={loaded.grid.dim}, "
             f"L={loaded.grid.half_width}, N={loaded.grid.points_per_axis}) "

@@ -14,15 +14,12 @@ process, so the scoreboard and verify_results.csv do not depend on the
 number of cores.
 
 Quick mode coarsens grids and doubles tolerances; step-count floors
-and order bounds stay put.  Setting FRACPME_TAMPER=<number> poisons
-that check's headline tolerance, which must surface as a FAIL row and
-a nonzero exit (self-test of the failure path).
+and order bounds stay put.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -57,15 +54,11 @@ class CheckResult:
 @dataclass
 class Suite:
     quick: bool
-    tamper: int | None
     started: float
     cache: dict = field(default_factory=dict)
 
     def tol(self, number: int, value: float) -> float:
-        """Headline tolerance of a check: doubled in quick mode, made
-        unsatisfiable when the tamper hook targets this check."""
-        if self.tamper == number:
-            return float("-inf")
+        """Headline tolerance of check `number`: doubled in quick mode."""
         return value * (2.0 if self.quick else 1.0)
 
     def pick(self, full, quick):
@@ -497,8 +490,6 @@ def _check_harness(ctx: Suite) -> CheckResult:
         identical = probe(Path(tmp) / "a.csv") == probe(Path(tmp) / "b.csv")
     elapsed = time.perf_counter() - ctx.started
     budget = 300.0 if ctx.quick else float("inf")
-    if ctx.tamper == 14:
-        budget = -1.0
     ok = identical and elapsed < budget
     return CheckResult(
         14, "determinism and runtime budget",
@@ -526,14 +517,7 @@ def _prefetch(ctx: Suite) -> None:
 
 
 def run_suite(quick: bool, out_dir) -> bool:
-    tamper_env = os.environ.get("FRACPME_TAMPER")
-    tamper = None
-    if tamper_env:
-        try:
-            tamper = int(tamper_env)
-        except ValueError:
-            tamper = 1   # any set value must poison something
-    ctx = Suite(quick=quick, tamper=tamper, started=time.perf_counter())
+    ctx = Suite(quick=quick, started=time.perf_counter())
     print(f"self-check suite, {'quick' if quick else 'full'} mode")
     _prefetch(ctx)
     results = []

@@ -21,7 +21,7 @@ _BY_NUMBER = {i + 1: check for i, check in enumerate(CHECKS)}
 @pytest.fixture(scope="module")
 def ctx():
     # shared across criteria: several checks reuse the same long runs
-    return Suite(quick=False, tamper=None, started=time.perf_counter())
+    return Suite(quick=False, started=time.perf_counter())
 
 
 def _run(ctx, number):

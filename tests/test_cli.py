@@ -73,8 +73,8 @@ def test_malformed_file_line(tmp_path):
 
 def test_bad_boolean_in_file(tmp_path):
     f = tmp_path / "cfg.txt"
-    f.write_text("allow_supercritical = maybe\n")
-    _, violations = parse_config(str(f), {})
+    f.write_text("quick = maybe\n")
+    _, violations = parse_config(str(f), {"mode": "verify"})
     assert any("expects a boolean" in v for v in violations)
 
 
@@ -94,10 +94,17 @@ def test_undecodable_config_file(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
-def test_supercritical_needs_explicit_bypass():
-    bad = validate_config(RunConfig(n=1, s=0.6))
-    assert any("allow-supercritical" in v for v in bad)
-    assert validate_config(RunConfig(n=1, s=0.6, allow_supercritical=True)) == []
+def test_one_dimension_refuses_s_from_one_half(tmp_path, capsys):
+    # the Riesz kernel inverts the fractional Laplacian only for 2s < n
+    out = ["--out", str(tmp_path / "run")]
+    for argv in (["evolve", *out], ["rescaled", *out], ["obstacle", "--C", "1", *out]):
+        for s in ("0.5", "0.6"):
+            assert main([*argv, "--s", s]) == EXIT_CONFIG
+            assert capsys.readouterr().out == (
+                f"FRACPME-FAIL config: s = {s} violates the s < 1/2 restriction in "
+                "one dimension (kernel positivity)\n")
+    assert not (tmp_path / "run").exists()
+    assert validate_config(RunConfig(n=2, s=0.6)) == []
 
 
 @pytest.mark.parametrize("field,value,msg", [
@@ -168,6 +175,18 @@ def test_mode_flag_is_rejected(tmp_path, capsys, value):
     assert not (tmp_path / "run").exists()
 
 
+def test_no_flag_or_file_key_lifts_the_one_dimensional_rule(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--s", "0.6", "--allow-supercritical", "--out", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --allow-supercritical" in capsys.readouterr().err
+    f = tmp_path / "cfg.txt"
+    f.write_text("allow_supercritical = true\n")
+    _, violations = parse_config(str(f), {})
+    assert violations == [f"{f}:1: unknown key 'allow_supercritical'"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value", ["physical", "rescaled"])
 def test_mode_file_key_is_config_error(tmp_path, capsys, value):
     f = tmp_path / "cfg.txt"
@@ -179,7 +198,7 @@ def test_mode_file_key_is_config_error(tmp_path, capsys, value):
 
 
 FLOW_KEYS = {"n", "s", "L", "N", "end_time", "datum", "out", "cfl_safety",
-             "snapshot_stride", "snapshot_every", "allow_supercritical"}
+             "snapshot_stride", "snapshot_every"}
 OBSTACLE_KEYS = {"n", "s", "L", "N", "C", "M", "out"}
 
 
@@ -274,6 +293,19 @@ def test_readme_commands_are_valid():
         assert cli.parse_argv(argv)[1] == [], argv
 
 
+def test_readme_key_table_matches_keys():
+    # the "keys it reads" table: one row per command or pair of commands
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = {}
+    for first, rest in re.findall(r"^\| (`[^|]*`) \| ([^|]*) \|$", readme, re.M):
+        commands = re.findall(r"`(\w+)`", first)
+        if set(commands) <= set(cli._COMMANDS):
+            table.update((command, set(re.findall(r"`(\w+)`", rest))) for command in commands)
+    for command in ("evolve", "rescaled", "obstacle", "verify"):
+        assert table[command] == cli.read_keys(cli._COMMANDS[command][0]), command
+    assert cli.read_keys("sweep") <= table["sweep"]
+
+
 def test_config_error_exit_and_machine_line(tmp_path, capsys):
     code = main(["evolve", "--N", "63", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -284,10 +316,6 @@ SMALL_RUN = ["--N", "32", "--L", "4", "--end-time", "0.01"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["evolve", "--n", "1", "--s", "0.5", "--allow-supercritical", *SMALL_RUN],
-     "Riesz kernel normalization diverges"),
-    (["rescaled", "--n", "1", "--s", "0.5", "--allow-supercritical", *SMALL_RUN],
-     "Riesz kernel normalization diverges"),
     (["evolve", *SMALL_RUN, "--L", "inf"], "L must be positive and finite, got inf"),
     (["evolve", *SMALL_RUN, "--L", "nan"], "L must be positive and finite, got nan"),
     (["evolve", *SMALL_RUN, "--datum", "box(0,1,inf)"], "datum box: non-finite argument"),
@@ -310,14 +338,13 @@ SMALL_RUN = ["--N", "32", "--L", "4", "--end-time", "0.01"]
      "datum box(1e+308, 2.0, 1.0): no mass on the grid"),
     (["evolve", *SMALL_RUN, "--datum", "gaussian_truncated(1e-320)"],
      "datum gaussian_truncated(1e-320,): no mass on the grid"),
-], ids=["evolve_kernel_diverges", "rescaled_kernel_diverges", "L_inf", "L_nan",
+], ids=["L_inf", "L_nan",
         "datum_inf", "end_time_inf", "end_time_nan", "obstacle_C_nan",
         "L_spacing_overflows", "obstacle_cell_volume_overflows",
         "end_time_beyond_step_budget", "spacing_squared_underflows",
         "stiffness_scale_overflows", "evolve_corner_radius_overflows",
         "rescaled_corner_radius_overflows", "obstacle_corner_radius_overflows",
         "datum_off_grid", "datum_below_the_cells"])
-@pytest.mark.filterwarnings("ignore:dim = 1 with s = 0.5:UserWarning")
 def test_degenerate_config_is_config_error(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "run")])
     captured = capsys.readouterr()
@@ -384,6 +411,26 @@ def test_numerical_abort_maps_to_exit_3(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "FRACPME-FAIL numerical: mass drifted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--datum", "box(0,2,1e200)"],
+    ["rescaled", "--datum", "box(0,2,1e200)"],
+    ["evolve", "--datum", "parabola_cap(1e300,1)"],
+    ["rescaled", "--datum", "parabola_cap(1e300,1)"],
+    ["evolve", "--n", "2", "--s", "0.5", "--datum", "box(0,2,1e200)"],
+], ids=["evolve_box", "rescaled_box", "evolve_cap", "rescaled_cap", "evolve_2d_box"])
+def test_overflowing_flux_is_numerical_abort(tmp_path, capsys, argv):
+    # the step stops before it multiplies out a flux that overflows, so no
+    # RuntimeWarning (an error under this suite) and no NaN state
+    code = main([*argv, "--N", "32", "--L", "4", "--end-time", "0.05",
+                 "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FRACPME-FAIL numerical: flux overflows: ")
+    assert captured.err == ""
+    assert not (tmp_path / "run" / "diagnostics.csv").exists()
 
 
 def test_obstacle_nonconvergence_maps_to_exit_3(tmp_path, monkeypatch, capsys):

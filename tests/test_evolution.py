@@ -49,11 +49,10 @@ def test_exponent_values(n, s, beta, alpha, sigma, a):
     assert e.a == pytest.approx(a, abs=1e-15)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.49, 0.75])
-@pytest.mark.filterwarnings("ignore:dim = 1 with s = 0.75:UserWarning")
+@pytest.mark.parametrize("s, n", [(s, n) for s in (0.1, 0.25, 0.4, 0.49, 0.75)
+                                  for n in (1, 2) if n == 2 or s < 0.5])
 def test_exponent_identity(n, s):
-    e = FracParams(s, n, allow_supercritical=True)
+    e = FracParams(s, n)
     assert e.alpha + (2.0 - 2.0 * s) * e.beta == pytest.approx(1.0, abs=1e-14)
     assert e.a == pytest.approx(e.beta / 2.0, abs=1e-16)
 

@@ -28,22 +28,20 @@ def test_riesz_constant_closed_forms():
     assert riesz_constant(2, 0.5) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)
 
 
+def test_riesz_constant_diverges_at_2s_equal_n():
+    with pytest.raises(ValueError, match="diverges at 2s = n"):
+        riesz_constant(1, 0.5)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         FracParams(s=0.0, dim=1)
     with pytest.raises(ValueError):
         FracParams(s=1.0, dim=2)
-    with pytest.raises(ValueError):
-        FracParams(s=0.6, dim=1)
-    with pytest.warns(UserWarning):
-        FracParams(s=0.6, dim=1, allow_supercritical=True)
+    for s in (0.5, 0.6):
+        with pytest.raises(ValueError, match="needs s < 1/2 in one dimension"):
+            FracParams(s=s, dim=1)
     FracParams(s=0.6, dim=2)  # fine in 2-D
-
-
-def test_supercritical_warning_points_at_the_caller():
-    with pytest.warns(UserWarning, match="exploratory") as caught:
-        FracParams(s=0.6, dim=1, allow_supercritical=True)
-    assert [w.filename for w in caught] == [__file__]
 
 
 def test_unknown_mode_rejected():

@@ -77,11 +77,15 @@ def test_norms():
 
 
 def test_compatible():
-    a = Grid(dim=1, half_width=1.0, points_per_axis=8)
-    b = Grid(dim=1, half_width=1.0, points_per_axis=8)
-    c = Grid(dim=1, half_width=2.0, points_per_axis=8)
-    assert a.compatible(b)
-    assert not a.compatible(c)
+    # one grid is the same grid as another when their fields are equal; the
+    # radius2 cache takes no part in equality or hashing
+    a = Grid(dim=2, half_width=1.0, points_per_axis=8)
+    a.radius2()
+    b = Grid(dim=2, half_width=1.0, points_per_axis=8)
+    assert a == b and hash(a) == hash(b)
+    assert a != Grid(dim=2, half_width=2.0, points_per_axis=8)
+    assert a != Grid(dim=2, half_width=1.0, points_per_axis=10)
+    assert a != Grid(dim=1, half_width=1.0, points_per_axis=8)
 
 
 def _grid_with_cache(n: int) -> Grid:

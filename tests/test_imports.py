@@ -2,7 +2,8 @@
 module-level function, class and constant, public method and property is
 used by the package, every parameter default is both used and overridden by
 the package, every package-internal import names the module that defines the
-name, and no package module imports scipy.sparse.
+name, no package module imports scipy.sparse, and no package module reads
+the environment.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
@@ -336,6 +337,39 @@ def test_guard_sees_a_sparse_import():
 def test_package_imports_no_sparse_solver():
     # the obstacle CG is the package's own; scipy.sparse stays out of the source
     found = {path.name: hits for path in MODULES if (hits := sparse_imports(path.read_text()))}
+    assert found == {}
+
+
+def environment_reads(source: str) -> list:
+    """(line, what) of each read of the process environment: ``os.environ``
+    or ``os.getenv`` (through any name bound to ``os``) and ``from os import
+    environ`` or ``getenv``."""
+    tree = ast.parse(source)
+    os_names = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name) and node.value.id in os_names):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend((node.lineno, f"from os import {alias.name}")
+                         for alias in node.names if alias.name in ("environ", "getenv"))
+    return sorted(found)
+
+
+def test_guard_sees_an_environment_read():
+    source = ("import os\nimport os as system\nfrom os import environ, path\n"
+              "from os import getenv as ge\nos.path.join('a')\n"
+              "x = os.environ.get('A')\ny = system.getenv('B')\nenviron = {}\n")
+    assert environment_reads(source) == [(3, "from os import environ"),
+                                         (4, "from os import getenv"),
+                                         (6, "os.environ"), (7, "system.getenv")]
+
+
+def test_package_reads_no_environment():
+    # every setting comes from the command line or a config file
+    found = {path.name: hits for path in MODULES if (hits := environment_reads(path.read_text()))}
     assert found == {}
 
 

@@ -17,7 +17,7 @@ def test_snapshot_round_trip_exact_1d(tmp_path):
     write_snapshot(path, v, s=0.25, time=1.5, mode="physical")
     loaded, header = read_snapshot(path)
     assert np.array_equal(loaded.values, v.values)  # bit for bit
-    assert loaded.grid.compatible(g)
+    assert loaded.grid == g
     assert header == {
         "format_version": SNAPSHOT_VERSION, "n": 1, "s": 0.25, "L": 6.0,
         "N": 64, "time": 1.5, "mode": "physical",
