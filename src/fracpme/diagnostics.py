@@ -29,7 +29,9 @@ import numpy as np
 from .fracops import FracOperator
 
 BOLTZMANN_FLOOR = 1e-30
-L4_UNDERFLOW = 1e-100  # x ** 4 underflows to exactly 0 at and below this
+# x ** 4 is exactly +0.0 at and below this: under correct rounding pow(x, 4)
+# is 0 for every x below 2^(-1075/4) ~ 1.2537e-81
+L4_UNDERFLOW = 1e-82
 RECORD_BLOCK_CELLS = 8192  # cells per block of states `run` records at once
 CSV_COLUMNS = ("time", "mass", "linf", "l2", "l4", "moment2", "energy1", "entropy",
                "boltzmann", "dissipation", "support_radius")  # the CSV header
@@ -81,6 +83,7 @@ class DiagnosticsSeries:
         return self._rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperator,
            pressures: list, faces: list, masses: list, peaks: list) -> None:
     """Append one row per state of `states` (value arrays on op.grid) at the
@@ -92,7 +95,12 @@ def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperato
     confining drift exactly when the faces do; the entropy formula always
     carries its beta moment term.  The support radius is the largest
     cell-center radius where the state exceeds 1e-10 of its maximum modulus,
-    zero for an identically zero state."""
+    zero for an identically zero state.  The l4 sum takes the fourth power
+    only of entries above L4_UNDERFLOW, whose fourth powers are exactly +0.0
+    (pow(x, 4) rounds to 0 for every x below 2^(-1075/4) ~ 1.2537e-81).
+
+    A quantity that overflows is recorded as inf or nan without a warning;
+    `run` aborts on such a row."""
     grid = op.grid
     vol = grid.spacing ** grid.dim
     k = len(states)
@@ -103,26 +111,26 @@ def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperato
 
     block = rows_of(states)
     r2 = grid.radius2().reshape(-1)
-    moment2 = vol * (r2 * block).sum(axis=1)
-    energy1 = vol * (block * rows_of(pressures)).sum(axis=1)
+    moment2 = vol * np.add.reduce(r2 * block, axis=1)
+    energy1 = vol * np.add.reduce(block * rows_of(pressures), axis=1)
     beta = op.params.beta
     # each row's Boltzmann sum runs over that row's compressed entries
     pos_mask = block > BOLTZMANN_FLOOR
     pos = block[pos_mask]
     plogp = np.log(pos)
     plogp *= pos
-    ends = np.cumsum(np.count_nonzero(pos_mask, axis=1)).tolist()
+    ends = np.add.reduce(pos_mask, axis=1).cumsum().tolist()
     boltzmann = [vol * float(np.add.reduce(plogp[a:b])) for a, b in zip([0] + ends, ends)]
     dissipation = 0.0
     for ax in range(grid.dim):
         integrand = rows_of([f[ax][0] for f in faces])
         integrand *= integrand
         integrand *= rows_of([f[ax][1] for f in faces])
-        dissipation = dissipation + integrand.sum(axis=1) * vol
+        dissipation = dissipation + np.add.reduce(integrand, axis=1) * vol
     a = np.abs(block)
     linf = np.abs(peaks)
-    # pow(x, 4) is exactly 0 for x <= 1e-100 but slow there, so only larger
-    # entries (and nan) take the power; the summed array is unchanged
+    # pow(x, 4) is exactly 0 for x <= L4_UNDERFLOW but slow there, so only
+    # larger entries (and nan) take the power; the summed array is unchanged
     a4 = np.power(a, 4, out=np.zeros(a.shape), where=~(a <= L4_UNDERFLOW))
     inside = block > (1e-10 * linf)[:, None]
     np.square(a, out=a)
@@ -131,15 +139,15 @@ def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperato
         "mass": masses,
         "linf": linf,
         # the roots stay Python float powers, as for a state recorded alone
-        "l2": [(vol * x) ** 0.5 for x in a.sum(axis=1).tolist()],
-        "l4": [(vol * x) ** 0.25 for x in a4.sum(axis=1).tolist()],
+        "l2": [(vol * x) ** 0.5 for x in np.add.reduce(a, axis=1).tolist()],
+        "l4": [(vol * x) ** 0.25 for x in np.add.reduce(a4, axis=1).tolist()],
         "moment2": moment2,
         "energy1": energy1,
         "entropy": 0.5 * (energy1 + beta * moment2),
         "boltzmann": boltzmann,
         "dissipation": dissipation,
-        "support_radius": np.sqrt(np.broadcast_to(r2, block.shape).max(
-            axis=1, where=inside, initial=0.0)),
+        # r2 >= 0, so the zeros outside do not move a maximum over inside
+        "support_radius": np.sqrt(np.maximum.reduce(np.multiply(inside, r2), axis=1)),
     }
     rows = np.empty((k, len(CSV_COLUMNS)))
     for j, name in enumerate(CSV_COLUMNS):

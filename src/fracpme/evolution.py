@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import RECORD_BLOCK_CELLS, DiagnosticsSeries, record
+from .diagnostics import CSV_COLUMNS, RECORD_BLOCK_CELLS, DiagnosticsSeries, record
 from .fracops import FracOperator
 from .grid import Field
 
@@ -52,7 +52,7 @@ DT_MAX = 1.0  # step taken when the velocity field is quiescent
 
 class NumericalAbort(RuntimeError):
     """A run monitor tripped (mass drift, lost positivity, non-finite velocity,
-    an overflowing flux, a stalled clock)."""
+    an overflowing pressure, flux or diagnostic, a stalled clock)."""
 
 
 class _Axis(NamedTuple):
@@ -61,10 +61,11 @@ class _Axis(NamedTuple):
     lo: tuple  # lower cell of each interior face
     hi: tuple  # upper cell
     drift: np.ndarray | None
-    part: np.ndarray  # outflow through this axis's faces
-    part_lo: np.ndarray
-    part_hi: np.ndarray
-    part_last: np.ndarray
+    part: np.ndarray  # outflow through this axis's faces: out_up - out_down
+    out_up: np.ndarray  # max(w, 0) in the lower cells, the last cell zero
+    out_up_lo: np.ndarray
+    out_down: np.ndarray  # min(w, 0) in the upper cells, the first cell zero
+    out_down_hi: np.ndarray
     flux_inner: np.ndarray  # the interior faces of a flux buffer zero at both ends
     flux_hi: np.ndarray
     flux_lo: np.ndarray
@@ -81,6 +82,7 @@ class FlowKernel:
         self._stiffness = op.stiffness_bound()
         self._cfl_h = cfl_safety * self.h
         self._cfl_2 = cfl_safety * 2.0
+        self._two_dim = 2.0 * grid.dim
         beta = op.params.beta
         faces = grid.interior_faces()
         self._axes = []
@@ -89,13 +91,13 @@ class FlowKernel:
             lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
             shape = [1] * grid.dim
             shape[ax] = faces.size
-            part = np.empty(grid.shape)
+            out_up, out_down = np.zeros(grid.shape), np.zeros(grid.shape)
             flux_shape = list(grid.shape)
             flux_shape[ax] += 1
             flux = np.zeros(flux_shape)  # the box faces stay zero
             self._axes.append(_Axis(
                 lo, hi, beta * faces.reshape(shape) if confined else None,
-                part, part[lo], part[hi], part[lead + (slice(-1, None),)],
+                np.empty(grid.shape), out_up, out_up[lo], out_down, out_down[hi],
                 flux[lead + (slice(1, -1),)], flux[hi], flux[lo]))
 
     def faces(self, vals: np.ndarray, pressure: np.ndarray) -> list:
@@ -129,17 +131,17 @@ class FlowKernel:
         that overflows."""
         outflow = None
         for axis, (w, _) in zip(self._axes, faces):
-            np.maximum(w, 0.0, out=axis.part_lo)  # out through i+1/2
-            axis.part_last.fill(0.0)
-            np.subtract(axis.part_hi, np.minimum(w, 0.0), out=axis.part_hi)  # i-1/2
-            part = axis.part
+            np.maximum(w, 0.0, out=axis.out_up_lo)  # out through i+1/2
+            np.minimum(w, 0.0, out=axis.out_down_hi)  # out through i-1/2
+            # the zero edge cells give x - 0.0 = x and 0.0 - m = -m there
+            part = np.subtract(axis.out_up, axis.out_down, out=axis.part)
             outflow = part if outflow is None else np.add(outflow, part, out=outflow)
-        peak = float(outflow.max())
+        peak = float(np.maximum.reduce(outflow, axis=None))
         if not math.isfinite(peak):
             raise NumericalAbort("non-finite velocity (operator blowup)")
         # |w| <= peak and 0 <= up <= vmax, so this bounds every flux and
         # divergence term below
-        bound = 2.0 * len(self._axes) * peak * vmax / self.h
+        bound = self._two_dim * peak * vmax / self.h
         if not math.isfinite(bound):
             raise NumericalAbort(f"flux overflows: face speed {peak:.3e} times "
                                  f"peak density {vmax:.3e}")
@@ -166,11 +168,11 @@ class FlowKernel:
         # The convex-combination positivity bound is exact in exact arithmetic,
         # but the flux-difference form can leave -O(eps * peak) dust when the
         # bound is tight.  Zero only that dust; deeper negatives are genuine.
-        low = float(new_vals.min())
+        low = float(np.minimum.reduce(new_vals, axis=None))
         if low < 0.0:
             floor = -1e-12 * max(vmax, 1.0)
             new_vals[(new_vals < 0.0) & (new_vals >= floor)] = 0.0
-            low = float(new_vals.min())
+            low = float(np.minimum.reduce(new_vals, axis=None))
         return new_vals, dt, low
 
 
@@ -226,9 +228,11 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     cells, and the series is trimmed when the run ends.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
-    any negative value, on non-finite velocities, on a step too small to
-    advance the clock (t + dt == t), and once MAX_STEPS steps have not
-    reached the end time.  A time span that check_time_span
+    any negative value, on non-finite velocities, on a datum whose pressure
+    overflows, on a recorded row that is not finite (the datum's row is
+    recorded once the first step has passed its flux check), on a step too
+    small to advance the clock (t + dt == t), and once MAX_STEPS steps have
+    not reached the end time.  A time span that check_time_span
     refuses, a negative or non-finite datum and a datum on another grid
     raise ValueError before the first step.
     """
@@ -247,7 +251,10 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     stop = cfg.end_time - 1e-15 * max(cfg.end_time, 1.0)
     traj = Trajectory()
     vals = u0.values.copy()
-    p = op.convolve(vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = op.convolve(vals)
+    if not np.isfinite(p).all():
+        raise NumericalAbort("the datum's pressure overflows")
     faces = kernel.faces(vals, p)
     t = float(start_time)
     mass0 = mass = vol * float(vals.sum())
@@ -260,6 +267,11 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
         states, ps, face_sets, times, masses, peaks = zip(*block)
         record(traj.diagnostics, states, times, op, ps, face_sets, masses, peaks)
         block.clear()
+        rows = traj.diagnostics.table[-len(states):]
+        if not np.isfinite(rows).all():
+            i, j = np.argwhere(~np.isfinite(rows))[0]
+            raise NumericalAbort(f"diagnostics overflow: {CSV_COLUMNS[j]} is "
+                                 f"{rows[i, j]} at t = {rows[i, 0]:.6g}")
 
     def note(vals, p, faces, time, mass, peak):
         k = len(traj.diagnostics) + len(block)
@@ -274,12 +286,14 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
         if steps == MAX_STEPS:
             raise NumericalAbort(f"{MAX_STEPS} steps did not reach end_time (t = {t:.6g})")
         vals, dt, low = kernel.step(vals, faces, peak, cfg.end_time - t)
+        if steps == 0 and block:
+            flush()  # the datum's row, once its flux passed the overflow check
         if t + dt == t:
             raise NumericalAbort(f"step {dt:.3e} does not advance the clock at t = {t:.6g}")
         t += dt
         steps += 1
-        mass = vol * float(vals.sum())
-        peak = float(vals.max())
+        mass = vol * float(np.add.reduce(vals, axis=None))
+        peak = float(np.maximum.reduce(vals, axis=None))
         if mass0 > threshold:
             drift_rel = abs(mass - mass0) / mass0
             if drift_rel > 1e-9:

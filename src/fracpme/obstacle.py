@@ -26,6 +26,7 @@ box whose largest level still holds less than M is rejected with ValueError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,11 +115,14 @@ class ObstacleSolution:
         return self.density.mass()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cg(matvec, b: np.ndarray) -> tuple:
     """Unpreconditioned conjugate gradients for matvec(x) = b from x = 0, with
     the arithmetic of scipy's ``cg(rtol=1e-15, atol=0)``: stop once
     |r| < 1e-15 |b|.  Returns (x, 0), or (x, 10 len(b)) when that many
-    iterations leave it unconverged; a zero or empty b returns at once."""
+    iterations leave it unconverged, or (x, -1) once r.r is not finite (the
+    problem's scale overflows; numpy's overflow warnings are off here); a
+    zero or empty b returns at once."""
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return b, 0
@@ -127,6 +131,8 @@ def _cg(matvec, b: np.ndarray) -> tuple:
         if np.linalg.norm(r) < 1e-15 * bnorm:
             return x, 0
         rho = np.dot(r, r)
+        if not math.isfinite(rho):
+            return x, -1
         if p is None:
             p = r.copy()
         else:

@@ -433,6 +433,30 @@ def test_overflowing_flux_is_numerical_abort(tmp_path, capsys, argv):
     assert not (tmp_path / "run" / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--N", "32", "--L", "4", "--end-time", "0.05", "--datum", "box(0,2,1e150)"],
+    ["evolve", "--N", "32", "--L", "4", "--end-time", "0.05", "--datum", "box(0,2,1e150)",
+     "--snapshot-stride", "100000"],
+    ["evolve", "--N", "32", "--L", "4", "--datum", "parabola_cap(1e307,1)"],
+    ["obstacle", "--M", "1e300", "--N", "32", "--L", "1e100"],
+], ids=["diagnostics", "diagnostics_stride", "datum_pressure", "obstacle_cg"])
+def test_overflow_is_one_numerical_line(tmp_path, argv):
+    # a fresh interpreter with RuntimeWarnings as errors and the real step
+    # budget: an overflowing record, datum pressure or CG norm must stop the
+    # command at once with its one line, no warning and no diagnostics
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = tmp_path / "run"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracpme.cli", *argv,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_NUMERICAL, done.stdout + done.stderr
+    (line,) = done.stdout.splitlines()
+    assert line.startswith("FRACPME-FAIL numerical: ")
+    assert done.stderr == ""
+    assert not (out / "diagnostics.csv").exists()
+
+
 def test_obstacle_nonconvergence_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     def stall(*args, **kwargs):
         raise RuntimeError("sweeps exhausted")

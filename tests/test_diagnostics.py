@@ -7,6 +7,7 @@ import pytest
 
 from fracpme.diagnostics import (
     CSV_COLUMNS,
+    L4_UNDERFLOW,
     RECORD_BLOCK_CELLS,
     DiagnosticsSeries,
     entropy_dissipation_identity_check,
@@ -75,9 +76,20 @@ def test_record_cross_checks():
     assert rec.dissipation > 0.0
 
 
+def test_l4_cutoff_powers_are_exactly_zero():
+    # record skips the power at and below L4_UNDERFLOW, so every fourth power
+    # there must be +0.0; the first nonzero one starts near 2^(-1075/4)
+    x = np.geomspace(5e-324, L4_UNDERFLOW, 1_000_001)
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), [L4_UNDERFLOW]])
+    x = x[(x > 0.0) & (x <= L4_UNDERFLOW)]
+    assert (np.power(x, 4) == 0.0).all()
+    assert np.power(1.2537e-81, 4) > 0.0
+
+
 def test_norms_exact_on_underflowing_tail():
     # tails from 1e-320 to 1e-60, where fourth powers are 0 or subnormal: on
-    # a bulk, alone, and alone in the range where subnormal powers dominate
+    # a bulk, alone, alone in the range where subnormal powers dominate, and
+    # alone in (1e-100, 1e-82], where record skips powers that are exactly 0
     grid = Grid(dim=1, half_width=8.0, points_per_axis=256)
     op = FracOperator(grid, FracParams(s=0.25, dim=1))
     h = grid.spacing
@@ -89,13 +101,17 @@ def test_norms_exact_on_underflowing_tail():
     tail[::2] = np.logspace(-320, -60, 128)
     subnormal = np.zeros(256)
     subnormal[1::2] = np.logspace(-100, -78, 128)
-    for vals in (bulk, tail, subnormal):
+    skipped = np.zeros(256)
+    skipped[::2] = np.logspace(-99.9, -82, 128)
+    skipped[1::2] = np.nextafter(skipped[::2], 0.0)
+    for vals in (bulk, tail, subnormal, skipped):
         v = Field(grid, vals)
         rec = record_one(v, op)
         assert rec.l4 == (h * (np.abs(v.values) ** 4).sum()) ** 0.25
         assert rec.l2 == (h * (np.abs(v.values) ** 2).sum()) ** 0.5
         assert rec.linf == float(np.abs(v.values).max())
     assert 0.0 < record_one(Field(grid, subnormal), op).l4
+    assert record_one(Field(grid, skipped), op).l4 == 0.0
     bulk[5] = np.nan
     assert np.isnan(record_one(Field(grid, bulk), op).l4)
     # a single spike has the closed forms
