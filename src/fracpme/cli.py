@@ -1,32 +1,25 @@
 """Command-line front end.
 
 Subcommands: evolve (physical flow), rescaled (confined flow), obstacle
-(stationary profile), verify (acceptance suite), sweep (parameter study).
-KEYS holds every setting with the commands that read it; a sweep also reads
-the keys of its sweep_mode.  Settings come from an optional ``key = value``
-file plus flags; flags override the file.  Each subcommand registers and
-checks only the keys it reads: an unread flag or file key, a sweep_key its
-sweep_mode does not read, a value set for the swept key and two sweep values
-that share an output directory are violations.  Every violation is collected
-before reporting, so a bad config fails once with the full list.  Only the
-subcommand sets the mode: no flag or file key does.
+(stationary profile), verify (acceptance suite).  KEYS holds every setting
+with the commands that read it.  Settings come from an optional
+``key = value`` file plus flags; flags override the file.  Each subcommand
+registers and checks only the keys it reads: an unread flag or file key is a
+violation.  Every violation is collected before reporting, so a bad config
+fails once with the full list.  Only the subcommand sets the mode: no flag or
+file key does.
 
 Exit codes, fixed for scripting: 0 success, 1 criterion failure,
 2 configuration error (an allocation the machine refuses included), 3 numerical
 abort.
-
-Sweep members run on the available cores (`fanout.fan_out`); their stdout
-is written in value order, then their fault lines, as a serial run would.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import math
 import sys
-from dataclasses import make_dataclass, replace
+from dataclasses import make_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,21 +33,18 @@ from .io import (
     write_diagnostics,
     write_snapshot,
 )
-from .obstacle import ObstacleProblem, mass_law, match_mass, solve_obstacle
+from .obstacle import ObstacleProblem, match_mass, solve_obstacle
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-SWEEPABLE = ("N", "L", "s", "end_time", "C", "cfl_safety")
-SWEEP_MODES = ("physical", "rescaled", "obstacle")
 _COMMANDS = {  # command -> (the mode it sets, its help)
     "evolve": ("physical", "advance the physical flow"),
     "rescaled": ("rescaled", "advance the confined self-similar flow"),
     "obstacle": ("obstacle", "solve the stationary profile at level C (or mass M)"),
     "verify": ("verify", "run the acceptance suite"),
-    "sweep": ("sweep", "repeat a run over a list of parameter values"),
 }
 _MODE_COMMAND = {mode: command for command, (mode, _) in _COMMANDS.items()}
 
@@ -76,27 +66,22 @@ KEYS = {
     "end_time": _Key(float, 1.0, "--end-time", "time at which the run stops", _FLOW),
     "datum": _Key(str, "box(0,2,1)", "--datum", "box(c,w,h) | parabola_cap(a,b) | "
                   "gaussian_truncated(sigma) | from_file(path)", _FLOW),
-    "out": _Key(str, "out", "--out", "output directory", (*_GRID, "verify", "sweep")),
+    "out": _Key(str, "out", "--out", "output directory", (*_GRID, "verify")),
     "C": _Key(float, None, "--C", "obstacle level", ("obstacle",)),
     "M": _Key(float, None, "--M", "target mass, in place of C", ("obstacle",)),
     "cfl_safety": _Key(float, 0.4, "--cfl", "time-step safety factor in (0, 1]", _FLOW),
     "snapshot_stride": _Key(int, 1, "--snapshot-stride", "record every k-th step", _FLOW),
     "snapshot_every": _Key(int, 50, "--snapshot-every", "write every k-th record", _FLOW),
     "quick": _Key(bool, False, "--quick", "coarse grids, doubled tolerances", ("verify",)),
-    "sweep_key": _Key(str, None, "--sweep-key", "one of " + ", ".join(SWEEPABLE), ("sweep",)),
-    "sweep_values": _Key(str, None, "--sweep-values", "comma-separated list", ("sweep",)),
-    "sweep_mode": _Key(str, None, "--sweep-mode", " | ".join(SWEEP_MODES), ("sweep",)),
 }
 # a run's settings: the mode, which only the subcommand sets, and every key
 RunConfig = make_dataclass("RunConfig", [("mode", str, "physical")] + [
-    (key, spec.kind, spec.default) for key, spec in KEYS.items()],
-    namespace={"__module__": __name__})  # so that sweep workers can pickle it
+    (key, spec.kind, spec.default) for key, spec in KEYS.items()])
 
 
-def read_keys(*modes: str) -> set:
-    """The keys a run of any of `modes` reads; a sweep's own keys only."""
-    commands = {_MODE_COMMAND[mode] for mode in modes}
-    return {key for key, spec in KEYS.items() if commands.intersection(spec.commands)}
+def read_keys(mode: str) -> set:
+    """The keys a run of `mode` reads."""
+    return {key for key, spec in KEYS.items() if _MODE_COMMAND[mode] in spec.commands}
 
 
 def _coerce(key: str, raw: str):
@@ -140,20 +125,10 @@ def parse_config(path: str | None, overrides: dict) -> tuple:
                 given[key] = (f"{path}:{lineno}", value)
     given.update((key, (f"flag {KEYS[key].flag}", value)) for key, value in overrides.items()
                  if key != "mode" and value is not None)
-    # a sweep accepts the keys of its sweep_mode, or of every one while it names none
-    sweep_mode = given["sweep_mode"][1].strip() if "sweep_mode" in given else None
-    reader, modes = _MODE_COMMAND[cfg.mode], [cfg.mode]
-    if cfg.mode == "sweep":
-        modes += [sweep_mode] if sweep_mode in SWEEP_MODES else SWEEP_MODES
-        reader += f" --sweep-mode {sweep_mode}" if sweep_mode in SWEEP_MODES else ""
-    accepted = read_keys(*modes)
-    swept = given["sweep_key"][1].strip() if cfg.mode == "sweep" and "sweep_key" in given else None
+    reader, accepted = _MODE_COMMAND[cfg.mode], read_keys(cfg.mode)
     for key, (where, value) in given.items():
         if key not in accepted:
             violations.append(f"{where}: {reader} does not read {key}")
-            continue
-        if key == swept:
-            violations.append(f"{where}: sweep takes {key} from sweep_values")
             continue
         try:
             setattr(cfg, key, _coerce(key, value) if isinstance(value, str) else value)
@@ -165,7 +140,7 @@ def parse_config(path: str | None, overrides: dict) -> tuple:
 
 def validate_config(cfg: RunConfig) -> list:
     """Every constraint violated by a key cfg's mode reads, in field order;
-    empty means runnable.  A sweep's members are checked when it runs."""
+    empty means runnable."""
     reads = read_keys(cfg.mode)
     bad = []
     if "n" in reads and cfg.n not in (1, 2):
@@ -204,43 +179,7 @@ def validate_config(cfg: RunConfig) -> list:
             bad.append(f"C must be finite, got {cfg.C}")
         if cfg.M is not None and not 0.0 < cfg.M < math.inf:
             bad.append(f"M must be positive and finite, got {cfg.M}")
-    if "sweep_key" in reads:
-        if cfg.sweep_key is None or cfg.sweep_values is None:
-            bad.append("sweep mode needs sweep_key and sweep_values")
-        elif cfg.sweep_key not in SWEEPABLE:
-            bad.append(f"sweep_key must be one of {SWEEPABLE}, got {cfg.sweep_key!r}")
-        elif cfg.sweep_mode in SWEEP_MODES and cfg.sweep_key not in read_keys(cfg.sweep_mode):
-            bad.append(f"sweep_key {cfg.sweep_key!r} is not read by "
-                       f"{_MODE_COMMAND[cfg.sweep_mode]} (sweep_mode {cfg.sweep_mode})")
-        else:
-            try:
-                if len(_sweep_members(cfg)) < 2:
-                    bad.append("sweep_values needs at least 2 values")
-            except ValueError as exc:
-                bad.append(str(exc))
-        if cfg.sweep_mode not in SWEEP_MODES:
-            bad.append(
-                f"sweep_mode must be physical, rescaled or obstacle, got {cfg.sweep_mode!r}"
-            )
     return bad
-
-
-def _sweep_members(cfg: RunConfig) -> dict:
-    """label -> value of each sweep value, in order.  The label names the
-    member's output directory, so two values of one label raise ValueError."""
-    members = {}
-    for part in cfg.sweep_values.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        value = int(part) if cfg.sweep_key == "N" else float(part)
-        label = f"{cfg.sweep_key}={value:g}"
-        if label in members:
-            raise ValueError(f"sweep_values {members[label]} and {value} both write to {label}")
-        members[label] = value
-    if not members:
-        raise ValueError(f"sweep_values {cfg.sweep_values!r} parse to nothing")
-    return members
 
 
 def _machine_line(kind: str, detail: str) -> None:
@@ -306,9 +245,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_obstacle(cfg: RunConfig) -> tuple:
-    """(exit code, solution or None): the profile at level C, or the one whose
-    discrete mass is M, with its snapshots and report written."""
+def cmd_obstacle(cfg: RunConfig) -> int:
+    """Solve for the profile at level C, or the one whose discrete mass is M,
+    and write its snapshots and report."""
     grid = Grid(cfg.n, cfg.L, cfg.N)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,10 +258,10 @@ def cmd_obstacle(cfg: RunConfig) -> tuple:
             sol = solve_obstacle(ObstacleProblem(C=cfg.C, s=cfg.s, grid=grid))
     except ValueError as exc:
         _machine_line("config", str(exc))
-        return EXIT_CONFIG, None
+        return EXIT_CONFIG
     except RuntimeError as exc:
         _machine_line("numerical", str(exc))
-        return EXIT_NUMERICAL, None
+        return EXIT_NUMERICAL
     write_snapshot(out / "pressure.txt", sol.pressure, s=cfg.s, time=0.0,
                    mode="obstacle")
     write_snapshot(out / "density.txt", sol.density, s=cfg.s, time=0.0,
@@ -340,7 +279,7 @@ def cmd_obstacle(cfg: RunConfig) -> tuple:
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print(f"obstacle solve: C = {sol.problem.C:.6g}, R = {sol.contact_radius:.6g}, "
           f"mass = {sol.mass:.6g} -> {out}")
-    return EXIT_OK, sol
+    return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -351,70 +290,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     try:
         all_pass = run_suite(quick=cfg.quick, out_dir=out)
     except (ValueError, RuntimeError) as exc:  # NumericalAbort included
-        code, _, fault = _fault("verify", exc)
+        code, *fault = _fault("verify", exc)
         _machine_line(*fault)
         return code
     return EXIT_OK if all_pass else EXIT_CRITERION
 
 
-def _sweep_member(job: tuple) -> tuple:
-    """(exit code, solution or None, fault or None, stdout text) of a sweep
-    member (label, config); an OSError propagates for main to report."""
-    label, sub = job
-    with contextlib.redirect_stdout(io.StringIO()) as text:
-        try:
-            code, sol = (cmd_obstacle(sub) if sub.mode == "obstacle"
-                         else (cmd_evolve(sub), None))
-        except OSError:
-            raise
-        except Exception as exc:  # any other fault: a FRACPME-FAIL line, no traceback
-            return (*_fault(label, exc), text.getvalue())
-    return code, sol, None, text.getvalue()
-
-
 def _fault(label: str, exc: Exception) -> tuple:
-    """(exit code, None, (kind, detail)) of the fault `exc` raised under `label`."""
-    kind, code = (("config", EXIT_CONFIG) if isinstance(exc, (ValueError, MemoryError))
+    """(exit code, kind, detail) of the fault `exc` raised under `label`."""
+    kind, code = (("config", EXIT_CONFIG) if isinstance(exc, ValueError)
                   else ("numerical", EXIT_NUMERICAL))
-    return code, None, (kind, f"{label}: {type(exc).__name__}: {exc}")
-
-
-def cmd_sweep(cfg: RunConfig) -> int:
-    from .fanout import fan_out  # deferred: pulls in the process pool
-
-    jobs = []
-    for label, value in _sweep_members(cfg).items():
-        sub = replace(cfg, mode=cfg.sweep_mode, out=str(Path(cfg.out) / label),
-                      **{cfg.sweep_key: value})
-        problems = validate_config(sub)
-        if problems:
-            _machine_line("config", f"{label}: " + "; ".join(problems))
-            return EXIT_CONFIG
-        jobs.append((label, sub))
-    results = fan_out(_sweep_member, jobs)
-    sys.stdout.write("".join(r[3] for r in results if isinstance(r, tuple)))
-    for r in results:
-        if isinstance(r, OSError):
-            raise r  # main reports unwritable outputs
-    # any other exception comes from a worker that died (BrokenProcessPool)
-    codes, sols, faults, _ = zip(*(r if isinstance(r, tuple) else (*_fault(label, r), "")
-                                   for (label, _), r in zip(jobs, results)))
-    for fault in faults:
-        if fault is not None:
-            _machine_line(*fault)
-    worst = max(codes)
-    if (cfg.sweep_mode == "obstacle" and cfg.sweep_key == "C"
-            and worst == EXIT_OK and len(jobs) >= 4):
-        try:
-            slope, coeff = mass_law(sols)
-        except ValueError as exc:
-            _machine_line("config", f"mass-law study skipped: {exc}")
-        else:
-            text = f"exponent: {slope:.17g}\ncoefficient: {coeff:.17g}\n"
-            (Path(cfg.out) / "mass_law.txt").write_text(text)
-            print(f"mass law over C sweep: exponent {slope:.6g}, "
-                  f"coefficient {coeff:.6g}")
-    return worst
+    return code, kind, f"{label}: {type(exc).__name__}: {exc}"
 
 
 def _add_keys(parser: argparse.ArgumentParser, keys) -> None:
@@ -436,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (mode, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="key = value file; flags override it")
-        _add_keys(p, read_keys(mode, *(SWEEP_MODES if mode == "sweep" else ())))
+        _add_keys(p, read_keys(mode))
     return parser
 
 
@@ -467,10 +353,8 @@ def main(argv=None) -> int:
         if cfg.mode in ("physical", "rescaled"):
             return cmd_evolve(cfg)
         if cfg.mode == "obstacle":
-            return cmd_obstacle(cfg)[0]
-        if cfg.mode == "verify":
-            return cmd_verify(cfg)
-        return cmd_sweep(cfg)
+            return cmd_obstacle(cfg)
+        return cmd_verify(cfg)
     except OSError as exc:  # the output directory or a file in it
         _machine_line("config", f"cannot write outputs: {exc}")
         return EXIT_CONFIG

@@ -128,11 +128,11 @@ def _cg(matvec, b: np.ndarray) -> tuple:
         return b, 0
     x, r, p = np.zeros(b.size), b.copy(), None
     for _ in range(10 * b.size):
-        if np.linalg.norm(r) < 1e-15 * bnorm:
-            return x, 0
         rho = np.dot(r, r)
         if not math.isfinite(rho):
             return x, -1
+        if math.sqrt(rho) < 1e-15 * bnorm:  # numpy's norm of r, bit for bit
+            return x, 0
         if p is None:
             p = r.copy()
         else:

@@ -130,20 +130,6 @@ def test_obstacle_needs_exactly_one_of_c_and_m():
     assert validate_config(RunConfig(mode="obstacle", C=1.0)) == []
 
 
-def test_sweep_validation():
-    assert any("needs sweep_key" in v
-               for v in validate_config(RunConfig(mode="sweep")))
-    one = RunConfig(mode="sweep", sweep_key="N", sweep_values="64",
-                    sweep_mode="physical")
-    assert any("at least 2 values" in v for v in validate_config(one))
-    bad_key = RunConfig(mode="sweep", sweep_key="datum", sweep_values="1,2",
-                        sweep_mode="physical")
-    assert any("sweep_key must be one of" in v for v in validate_config(bad_key))
-    bad_mode = RunConfig(mode="sweep", sweep_key="N", sweep_values="32,64",
-                         sweep_mode="verify")
-    assert any("sweep_mode must be" in v for v in validate_config(bad_mode))
-
-
 def test_evolve_exit_ok_and_outputs(tmp_path, read_diagnostics):
     out = tmp_path / "run"
     code = main(["evolve", "--N", "64", "--L", "6", "--end-time", "0.1",
@@ -187,6 +173,33 @@ def test_no_flag_or_file_key_lifts_the_one_dimensional_rule(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep"],
+    ["sweep", "--sweep-key", "C", "--sweep-values", "0.5,1,2,4", "--sweep-mode", "obstacle"],
+])
+def test_sweep_command_is_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sweep_key", "N"), ("sweep_values", "32,64"), ("sweep_mode", "physical")])
+def test_sweep_settings_are_rejected(tmp_path, capsys, key, value):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", flag, value, "--out", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    f = tmp_path / "cfg.txt"
+    f.write_text(f"{key} = {value}\n")
+    assert main(["evolve", "--config", str(f), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert capsys.readouterr().out == f"FRACPME-FAIL config: {f}:1: unknown key {key!r}\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value", ["physical", "rescaled"])
 def test_mode_file_key_is_config_error(tmp_path, capsys, value):
     f = tmp_path / "cfg.txt"
@@ -203,12 +216,10 @@ OBSTACLE_KEYS = {"n", "s", "L", "N", "C", "M", "out"}
 
 
 def test_each_command_registers_only_its_keys():
-    # a sweep may be given its own keys and those of any mode it can run
     (commands,) = [action.choices for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
     expected = {"evolve": FLOW_KEYS, "rescaled": FLOW_KEYS, "obstacle": OBSTACLE_KEYS,
-                "verify": {"quick", "out"},
-                "sweep": {"sweep_key", "sweep_values", "sweep_mode"} | FLOW_KEYS | OBSTACLE_KEYS}
+                "verify": {"quick", "out"}}
     registered = {name: {action.dest for action in sub._actions} - {"help", "config"}
                   for name, sub in commands.items()}
     assert registered == expected
@@ -220,22 +231,14 @@ def test_each_command_registers_only_its_keys():
      ["flag --end-time: obstacle does not read end_time"]),
     (["obstacle", "--C", "1", "--datum", "box(0,0,0)"],
      ["flag --datum: obstacle does not read datum"]),
-    (["evolve", "--M", "3", "--C", "2", "--quick", "--sweep-values", "1,2"],
+    (["evolve", "--M", "3", "--C", "2", "--quick"],
      ["flag --C: evolve does not read C", "flag --M: evolve does not read M",
-      "flag --quick: evolve does not read quick",
-      "flag --sweep-values: evolve does not read sweep_values"]),
+      "flag --quick: evolve does not read quick"]),
     (["obstacle", "--C", "1", "--cfl", "0.9", "--snapshot-stride", "7"],
      ["flag --cfl: obstacle does not read cfl_safety",
       "flag --snapshot-stride: obstacle does not read snapshot_stride"]),
-    (["sweep", "--sweep-key", "end_time", "--sweep-mode", "obstacle", "--sweep-values", "1,2"],
-     ["sweep_key 'end_time' is not read by obstacle (sweep_mode obstacle)"]),
-    (["sweep", "--sweep-key", "C", "--sweep-mode", "physical", "--sweep-values", "1,2"],
-     ["sweep_key 'C' is not read by evolve (sweep_mode physical)"]),
-    (["sweep", "--sweep-key", "N", "--sweep-mode", "obstacle", "--sweep-values", "32,64",
-      "--C", "1", "--snapshot-every", "2"],
-     ["flag --snapshot-every: sweep --sweep-mode obstacle does not read snapshot_every"]),
-], ids=["verify_s", "obstacle_end_time", "obstacle_datum", "evolve_obstacle_verify_sweep",
-        "obstacle_flow", "sweep_end_time_obstacle", "sweep_C_physical", "sweep_member_flag"])
+], ids=["verify_s", "obstacle_end_time", "obstacle_datum", "evolve_obstacle_verify",
+        "obstacle_flow"])
 def test_unread_setting_is_config_error(tmp_path, capsys, argv, lines):
     code = main(argv + ["--out", str(tmp_path / "run")])
     captured = capsys.readouterr()
@@ -249,11 +252,7 @@ def test_unread_setting_is_config_error(tmp_path, capsys, argv, lines):
     (["verify", "--quick"], ["1: verify does not read N", "2: verify does not read L",
                              "3: verify does not read end_time"]),
     (["obstacle", "--C", "1"], ["3: obstacle does not read end_time"]),
-    (["sweep", "--sweep-key", "C", "--sweep-mode", "obstacle", "--sweep-values", "1,2"],
-     ["3: sweep --sweep-mode obstacle does not read end_time"]),
-    (["sweep", "--sweep-key", "L", "--sweep-mode", "physical", "--sweep-values", "4,5"],
-     ["2: sweep takes L from sweep_values"]),
-], ids=["verify", "obstacle", "sweep", "sweep_swept_key"])
+], ids=["verify", "obstacle"])
 def test_unread_file_key_is_config_error(tmp_path, capsys, argv, lines):
     f = tmp_path / "cfg.txt"
     f.write_text("N = 32\nL = 4\nend_time = 0.05\n")
@@ -262,23 +261,6 @@ def test_unread_file_key_is_config_error(tmp_path, capsys, argv, lines):
     assert capsys.readouterr().out.splitlines() == [
         f"FRACPME-FAIL config: {f}:{line}" for line in lines]
     assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("key, values, label", [
-    ("N", "32,32", "N=32"),
-    ("L", "4.0000001,4.0000002", "L=4"),
-], ids=["equal", "equal_label"])
-def test_sweep_values_sharing_a_directory_is_config_error(tmp_path, capsys, key, values,
-                                                          label):
-    other = {"N": ["--L", "4"], "L": ["--N", "32"]}[key]
-    code = main(["sweep", "--sweep-key", key, "--sweep-values", values,
-                 "--sweep-mode", "physical", "--end-time", "0.05", *other,
-                 "--out", str(tmp_path / "sweep")])
-    first, second = values.split(",")
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().out == (
-        f"FRACPME-FAIL config: sweep_values {first} and {second} both write to {label}\n")
-    assert not (tmp_path / "sweep").exists()
 
 
 def test_readme_commands_are_valid():
@@ -303,7 +285,6 @@ def test_readme_key_table_matches_keys():
             table.update((command, set(re.findall(r"`(\w+)`", rest))) for command in commands)
     for command in ("evolve", "rescaled", "obstacle", "verify"):
         assert table[command] == cli.read_keys(cli._COMMANDS[command][0]), command
-    assert cli.read_keys("sweep") <= table["sweep"]
 
 
 def test_config_error_exit_and_machine_line(tmp_path, capsys):
@@ -353,16 +334,6 @@ def test_degenerate_config_is_config_error(tmp_path, capsys, argv, message):
     assert len(lines) == 1 and lines[0].startswith(f"FRACPME-FAIL config: {message}")
     assert "Traceback" not in captured.err
     assert not (tmp_path / "run" / "diagnostics.csv").exists()
-
-
-def test_degenerate_sweep_value_is_config_error(tmp_path, capsys):
-    code = main(["sweep", "--sweep-key", "L", "--sweep-values", "4,inf",
-                 "--sweep-mode", "physical", "--N", "32", "--end-time", "0.01",
-                 "--out", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().out == (
-        "FRACPME-FAIL config: L=inf: L must be positive and finite, got inf\n")
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_from_file_grid_mismatch_is_config_error(tmp_path, capsys):
@@ -600,8 +571,6 @@ EDGE_FLAGS = {
     "rescaled": (FLOW_BASE, FLOW_FLAGS),
     "obstacle": (["--N=32", "--L=4"], ("n", "s", "L", "N", "C", "M")),
     "verify": (["--quick"], FLOW_FLAGS),  # verify reads none of them
-    "sweep": (["--sweep-key=end_time", "--sweep-values=0.02,0.05", "--sweep-mode=physical",
-               "--N=32", "--L=4"], FLOW_FLAGS),
 }
 EDGE_DATA = {"box": ("0", "2", "1"), "parabola_cap": ("1", "1"), "gaussian_truncated": ("1",)}
 # one case per class of refused setting: (argv, the line it must print alone)
@@ -610,22 +579,16 @@ EDGE_UNREAD = [
      "FRACPME-FAIL config: flag --end-time: obstacle does not read end_time"),
     (["verify", "--quick", "--config=unread.cfg"],
      "FRACPME-FAIL config: unread.cfg:1: verify does not read s"),
-    (["sweep", "--sweep-key=C", "--sweep-values=1,2", "--sweep-mode=physical", "--N=32", "--L=4"],
-     "FRACPME-FAIL config: sweep_key 'C' is not read by evolve (sweep_mode physical)"),
-    (["sweep", "--sweep-key=N", "--sweep-values=32,64", "--sweep-mode=physical", "--N=7",
-      "--L=4", "--end-time=0.05"],
-     "FRACPME-FAIL config: flag --N: sweep takes N from sweep_values"),
 ]
 
 
 def test_flag_edge_values_fail_cleanly(tmp_path):
     # every number flag of evolve, rescaled and obstacle, each flow flag of
-    # verify (which reads none) and of a physical sweep, a swept value, and
-    # every argument of each analytic --datum of evolve and rescaled, at each
-    # edge value, under a 2 GiB address-space cap: exit 0-3, stdout only
-    # FRACPME-FAIL lines when the exit is not 0, and nothing on stderr (no
-    # traceback, no warning).  Each EDGE_UNREAD case prints its one line and
-    # exits 2.
+    # verify (which reads none), and every argument of each analytic --datum
+    # of evolve and rescaled, at each edge value, under a 2 GiB address-space
+    # cap: exit 0-3, stdout only FRACPME-FAIL lines when the exit is not 0,
+    # and nothing on stderr (no traceback, no warning).  Each EDGE_UNREAD case
+    # prints its one line and exits 2.
     (tmp_path / "unread.cfg").write_text("s = 0.9\n")
     cases = [argv for argv, _ in EDGE_UNREAD]
     for command, (base, flags) in EDGE_FLAGS.items():
@@ -639,8 +602,6 @@ def test_flag_edge_values_fail_cleanly(tmp_path):
             for k in range(len(args)):
                 specs = (",".join(args[:k] + (value,) + args[k + 1:]) for value in EDGE_VALUES)
                 cases.extend([command, *FLOW_BASE, f"--datum={name}({spec})"] for spec in specs)
-    cases.extend(["sweep", "--sweep-key=L", f"--sweep-values=4,{value}", "--sweep-mode=physical",
-                  "--N=32", "--end-time=0.05"] for value in EDGE_VALUES)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
 
@@ -652,7 +613,7 @@ def test_flag_edge_values_fail_cleanly(tmp_path):
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     codes = json.loads(done.stdout)
-    assert len(codes) == len(cases) == 412
+    assert len(codes) == len(cases) == 338
     bad = []
     for k, (argv, code) in enumerate(zip(cases, codes)):
         out = (tmp_path / f"{k}.out").read_text().splitlines()
@@ -692,16 +653,6 @@ def test_snapshot_every_thins_output(tmp_path):
     assert all(i % 3 == 0 for i in indices[:-1])  # last is always kept
 
 
-def test_sweep_runs_and_partitions_output(tmp_path):
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--sweep-key", "N", "--sweep-values", "32,64",
-                 "--sweep-mode", "physical", "--L", "5", "--end-time", "0.05",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    assert (out / "N=32" / "diagnostics.csv").exists()
-    assert (out / "N=64" / "diagnostics.csv").exists()
-
-
 def _nan_snapshot(tmp_path):
     assert main(["evolve", "--N", "32", "--L", "4", "--end-time", "0.05",
                  "--out", str(tmp_path / "first")]) == EXIT_OK
@@ -714,133 +665,15 @@ def _nan_snapshot(tmp_path):
     return bad
 
 
-@pytest.mark.parametrize("command", ["evolve", "sweep"])
-def test_non_finite_snapshot_is_config_error(tmp_path, capsys, command):
+def test_non_finite_snapshot_is_config_error(tmp_path, capsys):
     bad = _nan_snapshot(tmp_path)
     capsys.readouterr()
-    argv = ["evolve", "--end-time", "0.1"] if command == "evolve" else [
-        "sweep", "--sweep-key", "end_time", "--sweep-values", "0.1,0.2",
-        "--sweep-mode", "physical"]
-    code = main(argv + ["--N", "32", "--L", "4",
-                        "--datum", f"from_file({bad})", "--out", str(tmp_path / "b")])
+    code = main(["evolve", "--end-time", "0.1", "--N", "32", "--L", "4",
+                 "--datum", f"from_file({bad})", "--out", str(tmp_path / "b")])
     assert code == EXIT_CONFIG
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines and all(line == f"FRACPME-FAIL config: {bad}: value 5 is nan, not finite"
                          for line in lines)
-
-
-@pytest.mark.parametrize("mode, error, expected", [
-    ("physical", ZeroDivisionError("float division by zero"), EXIT_NUMERICAL),
-    ("physical", ValueError("start_time must be finite"), EXIT_CONFIG),
-    ("obstacle", KeyError("residual"), EXIT_NUMERICAL),
-], ids=["evolve_zero_division", "evolve_value_error", "obstacle_key_error"])
-def test_sweep_worker_fault_maps_to_exit_code(tmp_path, monkeypatch, capsys,
-                                              mode, error, expected):
-    def explode(*args, **kwargs):
-        raise error
-
-    monkeypatch.setattr(cli, "run" if mode == "physical" else "solve_obstacle", explode)
-    key, values = ("end_time", "0.1,0.2") if mode == "physical" else ("C", "0.5,1")
-    code = main(["sweep", "--sweep-key", key, "--sweep-values", values,
-                 "--sweep-mode", mode, "--N", "32", "--L", "4",
-                 "--out", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == expected
-    kind = "config" if expected == EXIT_CONFIG else "numerical"
-    lines = captured.out.strip().splitlines()
-    assert len(lines) == 2
-    for line, value in zip(lines, values.split(",")):
-        assert line == (f"FRACPME-FAIL {kind}: {key}={float(value):g}: "
-                        f"{type(error).__name__}: {error}")
-    assert "Traceback" not in captured.out + captured.err
-
-
-def _files(root) -> dict:
-    return {str(p.relative_to(root)): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
-
-
-@pytest.mark.parametrize("argv", [
-    ["--sweep-key", "L", "--sweep-values", "4,5", "--sweep-mode", "physical",
-     "--N", "32", "--end-time", "0.2", "--snapshot-every", "4"],
-    ["--sweep-key", "C", "--sweep-values", "0.5,1,2,4", "--sweep-mode", "obstacle",
-     "--N", "48", "--L", "7"],
-], ids=["physical", "obstacle"])
-def test_sweep_output_does_not_depend_on_the_cores(tmp_path, monkeypatch, capsys,
-                                                   cores, argv):
-    seen = []
-    for count in (1, 2):
-        forks = cores(count)
-        run_dir = tmp_path / f"cores{count}"
-        run_dir.mkdir()
-        monkeypatch.chdir(run_dir)  # the same relative --out in both runs
-        assert main(["sweep", *argv, "--out", "sweep"]) == EXIT_OK
-        seen.append((capsys.readouterr().out, _files(run_dir), len(forks)))
-    (serial_out, serial_files, serial_forks), (out, files, forks) = seen
-    assert (serial_forks, forks) == (0, 2)
-    assert out == serial_out and files == serial_files
-    key, values = argv[1], argv[3].split(",")
-    assert [line.rsplit("-> ", 1)[1] for line in out.splitlines() if "-> " in line] == [
-        f"sweep/{key}={float(v):g}" for v in values]
-    assert ("sweep/mass_law.txt" in files) == (key == "C")
-
-
-def test_dead_sweep_worker_is_numerical_abort(tmp_path, monkeypatch, capsys, cores):
-    parent = os.getpid()
-
-    def die(*args, **kwargs):
-        if os.getpid() == parent:  # never end the test process itself
-            raise AssertionError("the member ran in the test process")
-        os._exit(1)
-
-    monkeypatch.setattr(cli, "run", die)
-    forks = cores(2)
-    code = main(["sweep", "--sweep-key", "end_time", "--sweep-values", "0.1,0.2",
-                 "--sweep-mode", "physical", "--N", "32", "--L", "4",
-                 "--out", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == EXIT_NUMERICAL and forks
-    lines = captured.out.splitlines()
-    assert [line.split(":")[:3] for line in lines] == [
-        ["FRACPME-FAIL numerical", " end_time=0.1", " BrokenProcessPool"],
-        ["FRACPME-FAIL numerical", " end_time=0.2", " BrokenProcessPool"]]
-    assert "Traceback" not in captured.out + captured.err
-
-
-def test_sweep_rejects_invalid_member(tmp_path, capsys):
-    code = main(["sweep", "--sweep-key", "N", "--sweep-values", "32,63",
-                 "--sweep-mode", "physical", "--out", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert "N=63" in capsys.readouterr().out
-
-
-def test_obstacle_sweep_writes_mass_law(tmp_path):
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--sweep-key", "C", "--sweep-values", "0.5,1,2,4",
-                 "--sweep-mode", "obstacle", "--N", "96", "--L", "7",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    text = (out / "mass_law.txt").read_text()
-    exponent = float(text.splitlines()[0].split(":")[1])
-    assert abs(exponent - 1.25) <= 0.025  # 2% of the predicted slope
-
-
-def test_obstacle_sweep_solves_each_level_once(tmp_path, monkeypatch, cores):
-    cores(1)  # the counter lives in this process
-    levels = []
-
-    def counted(prob, *args, **kwargs):
-        levels.append(prob.C)
-        return solve_obstacle(prob, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "solve_obstacle", counted)
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--sweep-key", "C", "--sweep-values", "0.5,1,2,4",
-                 "--sweep-mode", "obstacle", "--N", "48", "--L", "7",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    assert (out / "mass_law.txt").exists()
-    assert sorted(levels) == [0.5, 1.0, 2.0, 4.0]
 
 
 def test_verify_failure_maps_to_exit_1(tmp_path, monkeypatch):
@@ -871,13 +704,33 @@ def test_verify_fault_maps_to_exit_code(tmp_path, monkeypatch, capsys, fault, ki
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_dead_verify_worker_is_numerical_abort(tmp_path, monkeypatch, capsys, cores):
+    import fracpme.verify
+
+    parent = os.getpid()
+
+    def die(*args):
+        if os.getpid() == parent:  # never end the test process itself
+            raise AssertionError("the artifact was built in the test process")
+        os._exit(1)
+
+    monkeypatch.setitem(fracpme.verify._BUILDERS, "settled", die)
+    monkeypatch.setattr(fracpme.verify, "CHECKS", (fracpme.verify._check_entropy_budget,
+                                                   fracpme.verify._check_convergence))
+    forks = cores(2)
+    assert main(["verify", "--quick", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    fail = [line for line in captured.out.splitlines() if line.startswith("FRACPME-FAIL")]
+    assert forks and len(fail) == 1
+    assert fail[0].startswith("FRACPME-FAIL numerical: verify: BrokenProcessPool: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("command", [
     ["evolve", "--N", "32", "--L", "4", "--end-time", "0.05"],
     ["obstacle", "--C", "1", "--N", "32", "--L", "4"],
     ["verify", "--quick"],
-    ["sweep", "--sweep-key", "L", "--sweep-values", "4,5", "--sweep-mode", "physical",
-     "--N", "32", "--end-time", "0.05"],
-], ids=["evolve", "obstacle", "verify", "sweep"])
+], ids=["evolve", "obstacle", "verify"])
 def test_unwritable_out_is_config_error(tmp_path, capsys, command):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
