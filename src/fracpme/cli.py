@@ -2,12 +2,11 @@
 
 Subcommands: evolve (physical flow), rescaled (confined flow), obstacle
 (stationary profile), verify (acceptance suite).  KEYS holds every setting
-with the commands that read it.  Settings come from an optional
-``key = value`` file plus flags; flags override the file.  Each subcommand
-registers and checks only the keys it reads: an unread flag or file key is a
-violation.  Every violation is collected before reporting, so a bad config
-fails once with the full list.  Only the subcommand sets the mode: no flag or
-file key does.
+with the commands that read it; flags are the only way to set one.  Each
+subcommand accepts the flag of every key but lists only the keys it reads: a
+flag it does not read is a violation.  Every violation is collected before
+reporting, so a bad command line fails once with the full list.  Only the
+subcommand sets the mode: no flag does.
 
 Exit codes, fixed for scripting: 0 success, 1 criterion failure,
 2 configuration error (an allocation the machine refuses included), 3 numerical
@@ -82,60 +81,6 @@ RunConfig = make_dataclass("RunConfig", [("mode", str, "physical")] + [
 def read_keys(mode: str) -> set:
     """The keys a run of `mode` reads."""
     return {key for key, spec in KEYS.items() if _MODE_COMMAND[mode] in spec.commands}
-
-
-def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    if KEYS[key].kind is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(f"{key} expects a boolean, got {raw!r}")
-    return KEYS[key].kind(raw)
-
-
-def parse_config(path: str | None, overrides: dict) -> tuple:
-    """Merge config file and flag overrides into a RunConfig; an override
-    "mode" sets the mode.
-
-    Returns (config, violations).  A key the mode does not accept is a
-    violation.  The config is still returned when violations exist so
-    callers can report against it; never run it."""
-    violations = []
-    cfg = RunConfig(mode=overrides.get("mode", RunConfig.mode))
-    given = {}  # key -> (where it was set, value); a flag replaces the file's
-    if path is not None:
-        try:
-            text = Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            return cfg, [f"config file: {exc}"]
-        for lineno, line in enumerate(text.splitlines(), 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            key, sep, value = body.partition("=")
-            key = key.strip()
-            if not sep:
-                violations.append(f"{path}:{lineno}: expected key = value, got {line!r}")
-            elif key not in KEYS:
-                violations.append(f"{path}:{lineno}: unknown key {key!r}")
-            else:
-                given[key] = (f"{path}:{lineno}", value)
-    given.update((key, (f"flag {KEYS[key].flag}", value)) for key, value in overrides.items()
-                 if key != "mode" and value is not None)
-    reader, accepted = _MODE_COMMAND[cfg.mode], read_keys(cfg.mode)
-    for key, (where, value) in given.items():
-        if key not in accepted:
-            violations.append(f"{where}: {reader} does not read {key}")
-            continue
-        try:
-            setattr(cfg, key, _coerce(key, value) if isinstance(value, str) else value)
-        except ValueError as exc:
-            violations.append(f"{where}: {exc}")
-    violations.extend(validate_config(cfg))
-    return cfg, violations
 
 
 def validate_config(cfg: RunConfig) -> list:
@@ -290,29 +235,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     try:
         all_pass = run_suite(quick=cfg.quick, out_dir=out)
     except (ValueError, RuntimeError) as exc:  # NumericalAbort included
-        code, *fault = _fault("verify", exc)
-        _machine_line(*fault)
+        kind, code = (("config", EXIT_CONFIG) if isinstance(exc, ValueError)
+                      else ("numerical", EXIT_NUMERICAL))
+        _machine_line(kind, f"verify: {type(exc).__name__}: {exc}")
         return code
     return EXIT_OK if all_pass else EXIT_CRITERION
 
 
-def _fault(label: str, exc: Exception) -> tuple:
-    """(exit code, kind, detail) of the fault `exc` raised under `label`."""
-    kind, code = (("config", EXIT_CONFIG) if isinstance(exc, ValueError)
-                  else ("numerical", EXIT_NUMERICAL))
-    return code, kind, f"{label}: {type(exc).__name__}: {exc}"
-
-
-def _add_keys(parser: argparse.ArgumentParser, keys) -> None:
-    for key, spec in KEYS.items():
-        if key in keys:
-            switch = {"action": "store_const", "const": True} if spec.kind is bool else {}
-            parser.add_argument(spec.flag, dest=key, help=spec.help, **switch)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The fracpme parser: one subparser per command, holding --config and
-    the flag of each key the command may be given (see KEYS)."""
+    """The fracpme parser: one subparser per command, each holding the flag
+    of every key (see KEYS); the flags the command does not read are hidden
+    from its help and usage."""
     parser = argparse.ArgumentParser(
         prog="fracpme",
         description="Nonlocal porous-medium flow: evolution, stationary "
@@ -321,26 +254,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (mode, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--config", help="key = value file; flags override it")
-        _add_keys(p, read_keys(mode))
+        reads = read_keys(mode)
+        for key, spec in KEYS.items():
+            switch = {"action": "store_const", "const": True} if spec.kind is bool else {}
+            p.add_argument(spec.flag, dest=key,
+                           help=spec.help if key in reads else argparse.SUPPRESS, **switch)
     return parser
 
 
 def parse_argv(argv) -> tuple:
-    """(config, violations) of a command line, as parse_config returns them.
-    A flag of KEYS that the command does not read is a violation; any other
+    """(config, violations) of a command line: the violations are a bad
+    value of a flag the command reads, then each flag of KEYS it does not
+    read, then validate_config's.  The config is returned even when
+    violations exist, so callers can report against it; never run it.  An
     unknown argument is a usage error (SystemExit 2)."""
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
-    every_flag = argparse.ArgumentParser(prog=f"fracpme {args.command}", add_help=False)
-    _add_keys(every_flag, KEYS)
-    unread, rest = every_flag.parse_known_args(extras)
-    if rest:
-        parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    overrides = {key: value for space in (args, unread) for key, value in vars(space).items()
-                 if key in KEYS and value is not None}
-    overrides["mode"] = _COMMANDS[args.command][0]
-    return parse_config(args.config, overrides)
+    args = build_parser().parse_args(argv)
+    cfg = RunConfig(mode=_COMMANDS[args.command][0])
+    reads = read_keys(cfg.mode)
+    violations, unread = [], []
+    for key, spec in KEYS.items():
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key not in reads:
+            unread.append(f"flag {spec.flag}: {args.command} does not read {key}")
+            continue
+        try:
+            setattr(cfg, key, value if spec.kind is bool else spec.kind(value.strip()))
+        except ValueError as exc:
+            violations.append(f"flag {spec.flag}: {exc}")
+    return cfg, violations + unread + validate_config(cfg)
 
 
 def main(argv=None) -> int:

@@ -202,7 +202,6 @@ class FracOperator:
             raise ValueError(f"unknown operator mode {mode!r}")
         self.grid = grid
         self.params = params
-        self._stiffness = None
         taps = _taps_1d(grid, params.s) if grid.dim == 1 else _taps_2d(grid, params.s)
         self.taps = taps
         n = grid.points_per_axis
@@ -228,14 +227,11 @@ class FracOperator:
         the kernel symbol behaves like |k|^(-2s), the bound scales like
         h^(2s-2): the diffusion constraint dt ~ h^(2-2s) beats the advective
         CFL dt ~ h on fine grids whenever s < 1/2."""
-        if self._stiffness is None:
-            # circulant symbol of the embedded kernel; taps are symmetric so
-            # it is real up to roundoff
-            kernel = np.maximum(self._taps_hat.real, 0.0)
-            lap = _second_difference_symbol(self._pad_shape[0], self.grid.spacing,
-                                             self.grid.dim)
-            self._stiffness = float((lap * kernel).max())
-        return self._stiffness
+        # circulant symbol of the embedded kernel; taps are symmetric so it
+        # is real up to roundoff
+        kernel = np.maximum(self._taps_hat.real, 0.0)
+        lap = _second_difference_symbol(self._pad_shape[0], self.grid.spacing, self.grid.dim)
+        return float((lap * kernel).max())
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
         """The potential of a value array shaped like this grid: the pruned

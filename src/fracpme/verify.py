@@ -57,8 +57,8 @@ class Suite:
     started: float
     cache: dict = field(default_factory=dict)
 
-    def tol(self, number: int, value: float) -> float:
-        """Headline tolerance of check `number`: doubled in quick mode."""
+    def tol(self, value: float) -> float:
+        """A check's headline tolerance `value`: doubled in quick mode."""
         return value * (2.0 if self.quick else 1.0)
 
     def pick(self, full, quick):
@@ -217,7 +217,7 @@ def _check_operators(ctx: Suite) -> CheckResult:
                  - np.arange(g.points_per_axis)[None, :])
     ref = taps[idx] @ f
     kernel_dev = float(np.abs(got - ref).max() / np.abs(ref).max())
-    tol_kernel = ctx.tol(1, 1e-6)
+    tol_kernel = ctx.tol(1e-6)
     measured = [f"kernel {kernel_dev:.2e}"]
     target = [f"kernel <= {tol_kernel:.0e}"]
     ok = kernel_dev <= tol_kernel
@@ -228,7 +228,7 @@ def _check_operators(ctx: Suite) -> CheckResult:
         coarse, fine = (_gaussian_potential_error(Grid(dim, half_width, m), s)
                         for m in (n_pts // 2, n_pts))
         order = float(np.log2(coarse / fine))
-        tol = ctx.tol(1, bound)
+        tol = ctx.tol(bound)
         measured.append(f"gauss{dim}d {fine:.2e} order {order:.2f}")
         target.append(f"gauss{dim}d <= {tol:.0e} order >= 1.5")
         ok = ok and fine <= tol and order >= 1.5
@@ -239,7 +239,7 @@ def _check_operators(ctx: Suite) -> CheckResult:
 @_reads(_conservation_runs)
 def _check_conservation(ctx: Suite, *runs) -> CheckResult:
     drift, steps, low = zip(*runs)
-    tol = ctx.tol(2, 1e-9)
+    tol = ctx.tol(1e-9)
     ok = (max(drift) <= tol and min(steps) >= 10 ** 4 and min(low) >= 0.0)
     return CheckResult(
         2, "mass conservation and positivity",
@@ -256,7 +256,7 @@ def _check_monotone_norms(ctx: Suite) -> CheckResult:
     for col in ("linf", "l2", "l4"):
         y = traj.diagnostics.column(col)
         worst = max(worst, float((np.diff(y) / y[:-1]).max()))
-    tol = ctx.tol(3, 1e-8)
+    tol = ctx.tol(1e-8)
     return CheckResult(
         3, "monotone norms",
         f"max per-step rise {worst:+.1e}",
@@ -268,8 +268,8 @@ def _check_monotone_norms(ctx: Suite) -> CheckResult:
 def _check_peak_decay(ctx: Suite, diag1, diag2) -> CheckResult:
     slope1 = fit_power_law(diag1, "linf", (10.0, 100.0))
     slope2 = fit_power_law(diag2, "linf", (10.0, 100.0))
-    tol1 = ctx.tol(4, 0.04)    # 10% of 0.4
-    tol2 = ctx.tol(4, 0.10)    # 15% of 2/3
+    tol1 = ctx.tol(0.04)    # 10% of 0.4
+    tol2 = ctx.tol(0.10)    # 15% of 2/3
     ok = abs(slope1 + 0.4) <= tol1 and abs(slope2 + 2.0 / 3.0) <= tol2
     return CheckResult(
         4, "peak decay exponents",
@@ -295,7 +295,7 @@ def _check_propagation(ctx: Suite) -> CheckResult:
         # one face of numerical dust shifts the front by up to two cells
         bound = np.clip(speed * t - (x - 1.0 - 2.0 * h), 0.0, None) ** 2
         pw_excess = max(pw_excess, float((snap.values - bound).max()))
-    tol = ctx.tol(5, 1e-8)
+    tol = ctx.tol(1e-8)
     ok = speed <= 5.0 and env_excess <= 0.0 and pw_excess <= tol
     return CheckResult(
         5, "finite propagation envelope",
@@ -312,7 +312,7 @@ def _check_entropy_identity(ctx: Suite, coarse, fine) -> CheckResult:
     m_c = entropy_dissipation_identity_check(coarse, (0.5, 1.5))
     m_f = entropy_dissipation_identity_check(fine, (0.5, 1.5))
     order = float(np.log2(m_c / m_f))
-    tol = ctx.tol(6, 0.05)
+    tol = ctx.tol(0.05)
     ok = m_f <= tol and order >= 1.0
     return CheckResult(
         6, "entropy-dissipation identity",
@@ -328,7 +328,7 @@ def _check_entropy_budget(ctx: Suite, fine) -> CheckResult:
     i = fine.column("dissipation")
     max_rise = float(np.diff(e).max())
     integral = float(np.trapezoid(i, t))
-    slack = ctx.tol(7, 1e-6) * e[0]
+    slack = ctx.tol(1e-6) * e[0]
     budget_gap = integral - (e[0] - e[-1]) - slack
     ok = max_rise <= 1e-12 * abs(e[0]) and budget_gap <= 0.0
     return CheckResult(
@@ -357,8 +357,8 @@ def _check_obstacle(ctx: Suite, sol, ref_sol) -> CheckResult:
     v_ref = lemke_lcp(kernel_matrix(op, keep),
                       -prob.obstacle_values().ravel()[keep])
     lcp_dev = float(np.abs(ref_sol.density.values.ravel()[keep] - v_ref).max())
-    tol_comp = ctx.tol(8, 1e-8) * scale
-    tol_lcp = ctx.tol(8, 1e-6)
+    tol_comp = ctx.tol(1e-8) * scale
+    tol_lcp = ctx.tol(1e-6)
     ok = (comp <= tol_comp and radius_ok and contiguous and symmetric
           and lcp_dev <= tol_lcp)
     return CheckResult(
@@ -384,9 +384,9 @@ def _check_scaling(ctx: Suite, sol1, sol4, *families) -> CheckResult:
     dev = scaling_check(sol1, sol4)
     p1, _ = mass_law(families[:4])
     p2, _ = mass_law(families[4:])
-    tol_dev = ctx.tol(9, 0.02)
-    tol_p1 = ctx.tol(9, 0.025)   # 2% of 1.25
-    tol_p2 = ctx.tol(9, 0.03)    # 2% of 1.5
+    tol_dev = ctx.tol(0.02)
+    tol_p1 = ctx.tol(0.025)   # 2% of 1.25
+    tol_p2 = ctx.tol(0.03)    # 2% of 1.5
     ok = (dev <= tol_dev and abs(p1 - 1.25) <= tol_p1
           and abs(p2 - 1.5) <= tol_p2)
     return CheckResult(
@@ -413,7 +413,7 @@ def _check_one_step(ctx: Suite, *sols) -> CheckResult:
         resids.append(r)
         ratios.append(r / (dt * prob.grid.spacing))
     mean_order = float(np.log2(resids[0] / resids[-1]) / 2.0)
-    tol = ctx.tol(10, 3.0)
+    tol = ctx.tol(3.0)
     decreasing = resids[0] > resids[1] > resids[2]
     ok = max(ratios) <= tol and decreasing and mean_order >= 1.0
     return CheckResult(
@@ -429,9 +429,9 @@ def _check_convergence(ctx: Suite, terminal, prof, twin) -> CheckResult:
     dinf = float(np.abs(terminal.values - prof.density.values).max())
     d1_twin = _l1(twin, prof.density)
     ratio = max(d1, d1_twin) / min(d1, d1_twin)
-    tol_1 = ctx.tol(11, 0.01) * 2.0              # mass of the datum
-    tol_inf = ctx.tol(11, 0.01) * prof.density.linf()
-    tol_ratio = ctx.tol(11, 2.0)
+    tol_1 = ctx.tol(0.01) * 2.0              # mass of the datum
+    tol_inf = ctx.tol(0.01) * prof.density.linf()
+    tol_ratio = ctx.tol(2.0)
     ok = d1 <= tol_1 and dinf <= tol_inf and ratio <= tol_ratio
     return CheckResult(
         11, "convergence to the profile",
@@ -455,7 +455,7 @@ def _check_terminal_match(ctx: Suite, terminal, prof, term_half,
                              - term_half.values).sum() * h_half)
     floor_obs = float(np.abs(pair_avg(prof.density.values)
                              - prof_half.density.values).sum() * h_half)
-    allowance = ctx.tol(12, 1.0) * max(floor_run, floor_obs)
+    allowance = ctx.tol(1.0) * max(floor_run, floor_obs)
     return CheckResult(
         12, "stationary limit equals profile",
         f"L1 {dist:.1e}; floors {floor_run:.1e} / {floor_obs:.1e}",
@@ -467,8 +467,8 @@ def _check_terminal_match(ctx: Suite, terminal, prof, term_half,
 def _check_rate_fits(ctx: Suite, diag) -> CheckResult:
     m2 = fit_power_law(diag, "moment2", (10.0, 100.0))
     e1 = fit_power_law(diag, "energy1", (10.0, 100.0))
-    tol_m2 = 0.8 + ctx.tol(13, 0.1)    # 2*beta plus the allowed excess
-    tol_e1 = ctx.tol(13, 0.05)
+    tol_m2 = 0.8 + ctx.tol(0.1)    # 2*beta plus the allowed excess
+    tol_e1 = ctx.tol(0.05)
     ok = m2 <= tol_m2 and abs(e1 + 0.2) <= tol_e1
     return CheckResult(
         13, "moment and energy rates",

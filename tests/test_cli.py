@@ -14,7 +14,7 @@ import pytest
 
 from fracpme import cli, evolution, obstacle
 from fracpme.cli import (EXIT_CONFIG, EXIT_CRITERION, EXIT_NUMERICAL, EXIT_OK,
-                         RunConfig, main, parse_config, validate_config)
+                         RunConfig, main, parse_argv, validate_config)
 from fracpme.evolution import NumericalAbort
 from fracpme.grid import Field, Grid
 from fracpme.io import read_snapshot, write_snapshot
@@ -22,76 +22,13 @@ from fracpme.fracops import FracParams
 from fracpme.obstacle import ObstacleProblem, solve_obstacle
 
 
-def test_flag_overrides_file(tmp_path):
-    # config precedence is part of the interface; pin it on its own
-    f = tmp_path / "cfg.txt"
-    f.write_text("N = 64\nL = 5.0\nend_time = 0.1\n")
-    cfg, violations = parse_config(str(f), {"N": 32})
-    assert violations == []
-    assert cfg.N == 32 and cfg.L == 5.0
-
-
-def test_flag_overrides_file_end_to_end(tmp_path):
-    f = tmp_path / "cfg.txt"
-    f.write_text("N = 64\nL = 5.0\nend_time = 0.05\n")
-    out = tmp_path / "run"
-    assert main(["evolve", "--config", str(f), "--L", "4",
-                 "--out", str(out)]) == EXIT_OK
-    _, header = read_snapshot(out / "snapshot_000000.txt")
-    assert header["L"] == 4.0 and header["N"] == 64
-
-
-def test_config_file_comments_and_blanks(tmp_path):
-    f = tmp_path / "cfg.txt"
-    f.write_text("# a comment\n\nN = 32   # trailing note\n")
-    cfg, violations = parse_config(str(f), {})
-    assert violations == [] and cfg.N == 32
-
-
 def test_all_violations_collected():
-    cfg, violations = parse_config(None, {"N": 63, "s": 0.7, "end_time": -1.0})
+    cfg, violations = parse_argv(["evolve", "--N", "63", "--s", "0.7", "--end-time", "-1"])
     assert len(violations) == 3
     joined = " | ".join(violations)
     assert "N must be even" in joined
     assert "s < 1/2 restriction" in joined
     assert "end_time must be positive" in joined
-
-
-def test_unknown_file_key_reports_position(tmp_path):
-    f = tmp_path / "cfg.txt"
-    f.write_text("N = 64\nbogus = 3\n")
-    _, violations = parse_config(str(f), {})
-    assert any(f"{f}:2: unknown key 'bogus'" in v for v in violations)
-
-
-def test_malformed_file_line(tmp_path):
-    f = tmp_path / "cfg.txt"
-    f.write_text("just words\n")
-    _, violations = parse_config(str(f), {})
-    assert any("expected key = value" in v for v in violations)
-
-
-def test_bad_boolean_in_file(tmp_path):
-    f = tmp_path / "cfg.txt"
-    f.write_text("quick = maybe\n")
-    _, violations = parse_config(str(f), {"mode": "verify"})
-    assert any("expects a boolean" in v for v in violations)
-
-
-def test_missing_config_file():
-    _, violations = parse_config("/nonexistent/cfg.txt", {})
-    assert len(violations) == 1 and "config file:" in violations[0]
-
-
-def test_undecodable_config_file(tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_bytes(b"N = 32\n\xff\n")
-    _, violations = parse_config(str(path), {})
-    assert len(violations) == 1 and violations[0].startswith("config file: ")
-    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out.startswith("FRACPME-FAIL config: ") and "config file: " in captured.out
-    assert "Traceback" not in captured.out + captured.err
 
 
 def test_one_dimension_refuses_s_from_one_half(tmp_path, capsys):
@@ -151,7 +88,7 @@ def test_rescaled_subcommand_pins_mode(tmp_path):
     assert header["mode"] == "rescaled"
 
 
-# only the subcommand sets the mode: neither a flag nor a file key can
+# only the subcommand sets the mode: no flag can
 @pytest.mark.parametrize("value", ["physical", "rescaled"])
 def test_mode_flag_is_rejected(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:
@@ -161,15 +98,11 @@ def test_mode_flag_is_rejected(tmp_path, capsys, value):
     assert not (tmp_path / "run").exists()
 
 
-def test_no_flag_or_file_key_lifts_the_one_dimensional_rule(tmp_path, capsys):
+def test_no_flag_lifts_the_one_dimensional_rule(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["evolve", "--s", "0.6", "--allow-supercritical", "--out", str(tmp_path / "run")])
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments: --allow-supercritical" in capsys.readouterr().err
-    f = tmp_path / "cfg.txt"
-    f.write_text("allow_supercritical = true\n")
-    _, violations = parse_config(str(f), {})
-    assert violations == [f"{f}:1: unknown key 'allow_supercritical'"]
     assert not (tmp_path / "run").exists()
 
 
@@ -193,20 +126,6 @@ def test_sweep_settings_are_rejected(tmp_path, capsys, key, value):
         main(["evolve", flag, value, "--out", str(tmp_path / "run")])
     assert exc.value.code == EXIT_CONFIG
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    f = tmp_path / "cfg.txt"
-    f.write_text(f"{key} = {value}\n")
-    assert main(["evolve", "--config", str(f), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
-    assert capsys.readouterr().out == f"FRACPME-FAIL config: {f}:1: unknown key {key!r}\n"
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("value", ["physical", "rescaled"])
-def test_mode_file_key_is_config_error(tmp_path, capsys, value):
-    f = tmp_path / "cfg.txt"
-    f.write_text(f"N = 32\nmode = {value}\n")
-    code = main(["evolve", "--config", str(f), "--out", str(tmp_path / "run")])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().out == f"FRACPME-FAIL config: {f}:2: unknown key 'mode'\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -216,13 +135,29 @@ OBSTACLE_KEYS = {"n", "s", "L", "N", "C", "M", "out"}
 
 
 def test_each_command_registers_only_its_keys():
+    # every subparser accepts every flag of KEYS, but its help and usage list
+    # only the flags of the keys the command reads
     (commands,) = [action.choices for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
     expected = {"evolve": FLOW_KEYS, "rescaled": FLOW_KEYS, "obstacle": OBSTACLE_KEYS,
                 "verify": {"quick", "out"}}
-    registered = {name: {action.dest for action in sub._actions} - {"help", "config"}
-                  for name, sub in commands.items()}
-    assert registered == expected
+    option = r"(?<![\w-])--?\w[\w-]*"
+    for name, sub in commands.items():
+        flags = {cli.KEYS[key].flag for key in expected[name]}
+        assert set(re.findall(option, sub.format_usage())) == {"-h", *flags}, name
+        assert set(re.findall(option, sub.format_help())) == {"-h", "--help", *flags}, name
+
+
+@pytest.mark.parametrize("command", ["evolve", "rescaled", "obstacle", "verify"])
+def test_config_file_is_rejected(tmp_path, capsys, command):
+    # flags are the only route to a setting: --config is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "x.cfg", "--out", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --config" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, lines", [
@@ -245,21 +180,6 @@ def test_unread_setting_is_config_error(tmp_path, capsys, argv, lines):
     assert code == EXIT_CONFIG
     assert captured.out.splitlines() == [f"FRACPME-FAIL config: {line}" for line in lines]
     assert captured.err == ""
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("argv, lines", [
-    (["verify", "--quick"], ["1: verify does not read N", "2: verify does not read L",
-                             "3: verify does not read end_time"]),
-    (["obstacle", "--C", "1"], ["3: obstacle does not read end_time"]),
-], ids=["verify", "obstacle"])
-def test_unread_file_key_is_config_error(tmp_path, capsys, argv, lines):
-    f = tmp_path / "cfg.txt"
-    f.write_text("N = 32\nL = 4\nend_time = 0.05\n")
-    code = main([*argv, "--config", str(f), "--out", str(tmp_path / "run")])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().out.splitlines() == [
-        f"FRACPME-FAIL config: {f}:{line}" for line in lines]
     assert not (tmp_path / "run").exists()
 
 
@@ -577,8 +497,7 @@ EDGE_DATA = {"box": ("0", "2", "1"), "parabola_cap": ("1", "1"), "gaussian_trunc
 EDGE_UNREAD = [
     (["obstacle", "--N=32", "--L=4", "--M=1", "--end-time=1"],
      "FRACPME-FAIL config: flag --end-time: obstacle does not read end_time"),
-    (["verify", "--quick", "--config=unread.cfg"],
-     "FRACPME-FAIL config: unread.cfg:1: verify does not read s"),
+    (["verify", "--quick", "--s=0.9"], "FRACPME-FAIL config: flag --s: verify does not read s"),
 ]
 
 
@@ -589,7 +508,6 @@ def test_flag_edge_values_fail_cleanly(tmp_path):
     # cap: exit 0-3, stdout only FRACPME-FAIL lines when the exit is not 0,
     # and nothing on stderr (no traceback, no warning).  Each EDGE_UNREAD case
     # prints its one line and exits 2.
-    (tmp_path / "unread.cfg").write_text("s = 0.9\n")
     cases = [argv for argv, _ in EDGE_UNREAD]
     for command, (base, flags) in EDGE_FLAGS.items():
         for flag in flags:

@@ -1,9 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level function, class and constant, public method and property is
 used by the package, every parameter default is both used and overridden by
-the package, every package-internal import names the module that defines the
-name, no package module imports scipy.sparse, and no package module reads
-the environment.
+the package, every parameter is read by its def, every package-internal
+import names the module that defines the name, no package module imports
+scipy.sparse, and no package module reads the environment.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
@@ -14,9 +14,11 @@ module, and a public method or property of a package class must be read as
 an attribute by some package module, so that no helper and no public name
 survives for the tests alone.  A defaulted parameter must be set by some
 package call and left at its default by another, so that no default serves
-only the tests and none is dead.  A public name may instead be listed in an
-``__all__``; `oracles.py` holds the reference implementations the tests
-compare against, so its public names and defaults are exempt.
+only the tests and none is dead; and a def must read each of its
+parameters, so that no caller passes a value for nothing.  A public name
+may instead be listed in an ``__all__``; `oracles.py` holds the reference
+implementations the tests compare against, so its public names and defaults
+are exempt.
 """
 
 import ast
@@ -207,6 +209,58 @@ def test_every_package_default_is_used_and_overridden():
     assert idle == set(IDLE_DEFAULTS_KEPT)
 
 
+def unread_parameters(sources: dict) -> list:
+    """(module, line, "callee(parameter)") of each parameter of a named def
+    in `sources` (name -> source text), methods and nested defs included,
+    that the def's body never reads by name; a read inside a nested def or
+    lambda counts.  A method is named "Class.method".  Lambdas are not named
+    defs, so their parameters are not checked."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *filter(None, (args.vararg, args.kwarg))]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                name = f"{cls}.{child.name}" if cls else child.name
+                found.extend((module, child.lineno, f"{name}({p.arg})")
+                             for p in params if p.arg not in read)
+                visit(child, None)
+            else:
+                visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), None)
+    return sorted(found)
+
+
+# parameters kept although their def never reads them
+UNREAD_PARAMETERS_KEPT = {
+    ("verify.py", f"_discard({param})"):
+        "an on_record stub: run passes every record as (k, t, state)"
+    for param in ("k", "t", "state")
+}
+
+
+def test_guard_sees_an_unread_parameter():
+    sources = {"a.py": "def f(x, y, *args, z, **kw):\n    return x + z\n\n"
+                       "def g(u):\n    def inner(v):\n        return u\n    return inner\n\n"
+                       "class C:\n    def m(self, w):\n        return lambda q: self\n",
+               "b.py": "def h(p):\n    \"\"\"A stub.\"\"\"\n"}
+    assert unread_parameters(sources) == [
+        ("a.py", 1, "f(args)"), ("a.py", 1, "f(kw)"), ("a.py", 1, "f(y)"),
+        ("a.py", 5, "inner(v)"), ("a.py", 10, "C.m(w)"), ("b.py", 1, "h(p)")]
+
+
+def test_every_package_parameter_is_read():
+    sources = {path.name: path.read_text() for path in MODULES}
+    unread = {(module, what) for module, _, what in unread_parameters(sources)}
+    assert unread == set(UNREAD_PARAMETERS_KEPT)
+
+
 def test_guard_sees_a_dead_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
     assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
@@ -368,7 +422,7 @@ def test_guard_sees_an_environment_read():
 
 
 def test_package_reads_no_environment():
-    # every setting comes from the command line or a config file
+    # every setting comes from the command line
     found = {path.name: hits for path in MODULES if (hits := environment_reads(path.read_text()))}
     assert found == {}
 

@@ -11,8 +11,8 @@ from fracpme.verify import CheckResult, Suite
 def test_tolerance_doubles_in_quick_mode():
     full = Suite(quick=False, started=0.0)
     quick = Suite(quick=True, started=0.0)
-    assert full.tol(3, 1e-8) == 1e-8
-    assert quick.tol(3, 1e-8) == 2e-8
+    assert full.tol(1e-8) == 1e-8
+    assert quick.tol(1e-8) == 2e-8
 
 
 def test_pick_switches_on_mode():
@@ -60,7 +60,7 @@ def test_run_suite_all_green_returns_true(tmp_path, monkeypatch, capsys):
 def test_failing_check_makes_the_suite_return_false(tmp_path, monkeypatch, capsys):
     # the checks' comparisons are numpy booleans; the suite must not pass them on
     monkeypatch.setattr(verify, "CHECKS", (verify._check_entropy_budget,))
-    monkeypatch.setattr(Suite, "tol", lambda self, number, value: float("-inf"))
+    monkeypatch.setattr(Suite, "tol", lambda self, value: float("-inf"))
     assert verify.run_suite(quick=True, out_dir=tmp_path) is False
     assert "[ 7] FAIL" in capsys.readouterr().out
 
