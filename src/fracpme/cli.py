@@ -4,9 +4,10 @@ Subcommands: evolve (physical flow), rescaled (confined flow), obstacle
 (stationary profile), verify (acceptance suite).  KEYS holds every setting
 with the commands that read it; flags are the only way to set one.  Each
 subcommand accepts the flag of every key but lists only the keys it reads: a
-flag it does not read is a violation.  Every violation is collected before
-reporting, so a bad command line fails once with the full list.  Only the
-subcommand sets the mode: no flag does.
+flag it does not read is a violation.  A flag must be spelled in full: a
+prefix such as `--c` for `--cfl` is a usage error.  Every violation is
+collected before reporting, so a bad command line fails once with the full
+list.  Only the subcommand sets the mode: no flag does.
 
 Exit codes, fixed for scripting: 0 success, 1 criterion failure,
 2 configuration error (an allocation the machine refuses included), 3 numerical
@@ -22,8 +23,7 @@ from dataclasses import make_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .evolution import NumericalAbort, SolverConfig, check_time_span, run
-from .fracops import FracOperator, FracParams
+from .evolution import NumericalAbort, run
 from .grid import Grid
 from .io import (
     build_datum,
@@ -159,15 +159,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
             start = _restart_time(args[0], header, cfg)
         else:
             u0, start = build_datum(name, args, grid), 0.0
-        check_time_span(start, cfg.end_time)
-        op = FracOperator(grid, FracParams(s=cfg.s, dim=cfg.n))
     except (ValueError, OSError) as exc:
         _machine_line("config", str(exc))
         return EXIT_CONFIG
-    solver = SolverConfig(
-        cfl_safety=cfg.cfl_safety, end_time=cfg.end_time,
-        snapshot_stride=cfg.snapshot_stride,
-    )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     kept = []  # (record, time, state): every snapshot_every-th and the latest
@@ -178,7 +172,11 @@ def cmd_evolve(cfg: RunConfig) -> int:
         kept.append((k, t, state))
 
     try:
-        traj = run(u0, cfg.mode, solver, op, start_time=start, on_record=keep)
+        traj = run(u0, cfg.mode, cfg.s, cfg.end_time, snapshot_stride=cfg.snapshot_stride,
+                   cfl_safety=cfg.cfl_safety, start_time=start, on_record=keep)
+    except ValueError as exc:  # a time span or an s the operator refuses
+        _machine_line("config", str(exc))
+        return EXIT_CONFIG
     except NumericalAbort as exc:
         _machine_line("numerical", str(exc))
         return EXIT_NUMERICAL
@@ -245,15 +243,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The fracpme parser: one subparser per command, each holding the flag
     of every key (see KEYS); the flags the command does not read are hidden
-    from its help and usage."""
+    from its help and usage, and no flag may be abbreviated."""
     parser = argparse.ArgumentParser(
-        prog="fracpme",
+        prog="fracpme", allow_abbrev=False,
         description="Nonlocal porous-medium flow: evolution, stationary "
                     "profiles, and the verification suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (mode, blurb) in _COMMANDS.items():
-        p = sub.add_parser(name, help=blurb)
+        p = sub.add_parser(name, help=blurb, allow_abbrev=False)
         reads = read_keys(mode)
         for key, spec in KEYS.items():
             switch = {"action": "store_const", "const": True} if spec.kind is bool else {}

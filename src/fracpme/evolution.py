@@ -30,7 +30,8 @@ the upwind value up of the density at that face.  The flux is w * up and the
 dissipation is sum(w * w * up) h^n, so one face pass per state serves both.
 
 The step itself is `FlowKernel.step`, the one single-step API; `run`, the one
-stepping loop, builds one kernel per run and carries value arrays through it.
+stepping loop, builds one operator and one kernel per run from the datum's
+grid and s, and carries value arrays through them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import CSV_COLUMNS, RECORD_BLOCK_CELLS, DiagnosticsSeries, record
-from .fracops import FracOperator
+from .fracops import FracOperator, FracParams
 from .grid import Field
 
 MAX_STEPS = 10 ** 7  # step budget of a run: checked up front and while stepping
@@ -177,21 +178,6 @@ class FlowKernel:
 
 
 @dataclass
-class SolverConfig:
-    cfl_safety: float = 0.4
-    end_time: float = 1.0
-    snapshot_stride: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if self.end_time < 0.0:
-            raise ValueError(f"end_time must be nonnegative, got {self.end_time}")
-        if self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
-
-
-@dataclass
 class Trajectory:
     diagnostics: DiagnosticsSeries = field(default_factory=DiagnosticsSeries)
     steps: int = 0  # accepted steps; len(times) counts records, not steps
@@ -202,7 +188,7 @@ class Trajectory:
         return self.diagnostics.column("time")
 
 
-def check_time_span(start_time: float, end_time: float) -> None:
+def _check_time_span(start_time: float, end_time: float) -> None:
     """Raise ValueError unless a run can go from start_time to end_time: the
     start must be finite and nonnegative, and since every step is at most
     DT_MAX, (end_time - start_time) / DT_MAX steps at least must fit in
@@ -214,10 +200,11 @@ def check_time_span(start_time: float, end_time: float) -> None:
                          f"than {MAX_STEPS} steps of at most DT_MAX = {DT_MAX:g}")
 
 
-def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
-        start_time: float = 0.0, *, on_record) -> Trajectory:
-    """Advance u0 from start_time to cfg.end_time, recording diagnostics every
-    snapshot_stride accepted steps (plus the initial and final states).
+def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int,
+        cfl_safety: float, start_time: float = 0.0, on_record) -> Trajectory:
+    """Advance u0 from start_time to end_time under the operator of order s
+    on u0's grid, recording diagnostics every snapshot_stride accepted steps
+    (plus the initial and final states).
 
     The loop carries value arrays through one FlowKernel: each state's
     pressure, face pass, sum and maximum are computed once and serve both its
@@ -232,23 +219,29 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     overflows, on a recorded row that is not finite (the datum's row is
     recorded once the first step has passed its flux check), on a step too
     small to advance the clock (t + dt == t), and once MAX_STEPS steps have
-    not reached the end time.  A time span that check_time_span
-    refuses, a negative or non-finite datum and a datum on another grid
-    raise ValueError before the first step.
+    not reached the end time.  A bad cfl_safety, end_time or
+    snapshot_stride, a time span that _check_time_span refuses, a negative
+    or non-finite datum and an s the operator refuses raise ValueError
+    before the first step.
     """
+    if not 0.0 < cfl_safety <= 1.0:
+        raise ValueError(f"cfl_safety must lie in (0, 1], got {cfl_safety}")
+    if end_time < 0.0:
+        raise ValueError(f"end_time must be nonnegative, got {end_time}")
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     if mode not in ("physical", "rescaled"):
         raise ValueError(f"unknown run mode {mode!r}")
     if not np.isfinite(u0.values).all():
         raise ValueError("initial datum has non-finite entries")
     if u0.values.min() < 0.0:
         raise ValueError("initial datum must be nonnegative")
-    if u0.grid != op.grid:
-        raise ValueError("initial datum grid does not match operator grid")
-    check_time_span(start_time, cfg.end_time)
-    kernel = FlowKernel(op, mode == "rescaled", cfg.cfl_safety)
+    _check_time_span(start_time, end_time)
     grid = u0.grid
+    op = FracOperator(grid, FracParams(s=s, dim=grid.dim))
+    kernel = FlowKernel(op, mode == "rescaled", cfl_safety)
     vol = kernel.vol
-    stop = cfg.end_time - 1e-15 * max(cfg.end_time, 1.0)
+    stop = end_time - 1e-15 * max(end_time, 1.0)
     traj = Trajectory()
     vals = u0.values.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -285,7 +278,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
     while t < stop:
         if steps == MAX_STEPS:
             raise NumericalAbort(f"{MAX_STEPS} steps did not reach end_time (t = {t:.6g})")
-        vals, dt, low = kernel.step(vals, faces, peak, cfg.end_time - t)
+        vals, dt, low = kernel.step(vals, faces, peak, end_time - t)
         if steps == 0 and block:
             flush()  # the datum's row, once its flux passed the overflow check
         if t + dt == t:
@@ -304,7 +297,7 @@ def run(u0: Field, mode: str, cfg: SolverConfig, op: FracOperator,
             raise NumericalAbort(f"positivity lost at t = {t:.6g} (min {low:.3e})")
         p = op.convolve(vals)
         faces = kernel.faces(vals, p)
-        if steps % cfg.snapshot_stride == 0 or t >= stop:
+        if steps % snapshot_stride == 0 or t >= stop:
             note(vals, p, faces, t, mass, peak)
     if block:
         flush()

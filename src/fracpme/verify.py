@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import entropy_dissipation_identity_check, fit_power_law
-from .evolution import FlowKernel, NumericalAbort, SolverConfig, run
+from .evolution import FlowKernel, NumericalAbort, run
 from .fanout import fan_out
 from .fracops import FracOperator, FracParams
 from .grid import Field, Grid
@@ -75,14 +75,6 @@ class Suite:
         return value
 
 
-def _evolve(grid: Grid, u0: Field, mode: str, s: float, end_time: float,
-            stride: int, cfl: float, on_record):
-    op = FracOperator(grid, FracParams(s=s, dim=grid.dim))
-    cfg = SolverConfig(end_time=end_time, snapshot_stride=stride,
-                       cfl_safety=cfl)
-    return run(u0, mode, cfg, op, on_record=on_record)
-
-
 def _discard(k, t, state):
     """on_record for runs read only through their diagnostics."""
 
@@ -98,8 +90,8 @@ def _l1(a: Field, b: Field) -> float:
 def _decay_2d(n_pts: int):
     """Diagnostics of a long 2-D physical run from a box (decay check)."""
     g = Grid(2, 8.0, n_pts)
-    return _evolve(g, datum_box(g, 0.0, 2.0, 1.0), "physical", 0.5, 100.0,
-                   10, 0.4, _discard).diagnostics
+    return run(datum_box(g, 0.0, 2.0, 1.0), "physical", 0.5, 100.0,
+               snapshot_stride=10, cfl_safety=0.4, on_record=_discard).diagnostics
 
 
 def _mass_run(mode: str, n_pts: int, cfl: float, end_time: float) -> tuple:
@@ -107,8 +99,8 @@ def _mass_run(mode: str, n_pts: int, cfl: float, end_time: float) -> tuple:
     long run from a box recording only its first and last states."""
     g = Grid(1, 12.0, n_pts)
     low = []
-    traj = _evolve(g, datum_box(g, 0.0, 2.0, 1.0), mode, 0.25, end_time,
-                   10 ** 9, cfl, lambda k, t, state: low.append(state.values.min()))
+    traj = run(datum_box(g, 0.0, 2.0, 1.0), mode, 0.25, end_time, snapshot_stride=10 ** 9,
+               cfl_safety=cfl, on_record=lambda k, t, state: low.append(state.values.min()))
     m = traj.diagnostics.column("mass")
     return abs(m[-1] - m[0]) / m[0], traj.steps, min(low)
 
@@ -116,23 +108,23 @@ def _mass_run(mode: str, n_pts: int, cfl: float, end_time: float) -> tuple:
 def _smoothing_1d(n_pts: int):
     """Diagnostics of a long physical run from a box (decay and rate checks)."""
     g = Grid(1, 12.0, n_pts)
-    return _evolve(g, datum_box(g, 0.0, 2.0, 1.0), "physical", 0.25, 100.0,
-                   5, 0.4, _discard).diagnostics
+    return run(datum_box(g, 0.0, 2.0, 1.0), "physical", 0.25, 100.0,
+               snapshot_stride=5, cfl_safety=0.4, on_record=_discard).diagnostics
 
 
 def _relaxation(n_pts: int):
     """Diagnostics of a rescaled relaxation from a Gaussian (entropy checks)."""
     g = Grid(1, 6.0, n_pts)
-    return _evolve(g, datum_gaussian(g, 0.8), "rescaled", 0.25, 2.0, 1, 0.3,
-                   _discard).diagnostics
+    return run(datum_gaussian(g, 0.8), "rescaled", 0.25, 2.0,
+               snapshot_stride=1, cfl_safety=0.3, on_record=_discard).diagnostics
 
 
 def _settled(n_pts: int, width: float, height: float) -> Field:
     """Terminal state of a mass-2 box datum after a long rescaled run."""
     g = Grid(1, 12.0, n_pts)
     states = []
-    _evolve(g, datum_box(g, 0.0, width, height), "rescaled", 0.25, 8.0, 10 ** 9, 0.4,
-            lambda k, t, state: states.append(state))
+    run(datum_box(g, 0.0, width, height), "rescaled", 0.25, 8.0, snapshot_stride=10 ** 9,
+        cfl_safety=0.4, on_record=lambda k, t, state: states.append(state))
     return states[-1]
 
 
@@ -250,8 +242,8 @@ def _check_conservation(ctx: Suite, *runs) -> CheckResult:
 
 def _check_monotone_norms(ctx: Suite) -> CheckResult:
     g = Grid(1, 6.0, ctx.pick(256, 128))
-    traj = _evolve(g, datum_box(g, 0.0, 2.0, 1.0), "physical",
-                   0.25, 2.0, 1, 0.4, _discard)
+    traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical", 0.25, 2.0,
+               snapshot_stride=1, cfl_safety=0.4, on_record=_discard)
     worst = -np.inf
     for col in ("linf", "l2", "l4"):
         y = traj.diagnostics.column(col)
@@ -282,8 +274,8 @@ def _check_propagation(ctx: Suite) -> CheckResult:
     g = Grid(1, 4.0, ctx.pick(512, 256))
     h = g.spacing
     records = []
-    traj = _evolve(g, datum_parabola_cap(g, 1.0, 1.0), "physical", 0.25, 1.0, 5, 0.4,
-                   lambda k, t, state: records.append((t, state)))
+    traj = run(datum_parabola_cap(g, 1.0, 1.0), "physical", 0.25, 1.0, snapshot_stride=5,
+               cfl_safety=0.4, on_record=lambda k, t, state: records.append((t, state)))
     times = traj.diagnostics.column("time")
     rad = traj.diagnostics.column("support_radius")
     late = times >= 0.05
@@ -481,8 +473,8 @@ def _check_harness(ctx: Suite) -> CheckResult:
     # repeat a representative run and demand byte-identical diagnostics
     def probe(path):
         g = Grid(1, 6.0, 128)
-        traj = _evolve(g, datum_box(g, 0.0, 2.0, 1.0), "physical",
-                       0.25, 0.5, 1, 0.4, _discard)
+        traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical", 0.25, 0.5,
+                   snapshot_stride=1, cfl_safety=0.4, on_record=_discard)
         write_diagnostics(path, traj.diagnostics)
         return Path(path).read_bytes()
 

@@ -14,7 +14,7 @@ from fracpme.diagnostics import (
     fit_power_law,
     record,
 )
-from fracpme.evolution import FlowKernel, SolverConfig, run
+from fracpme.evolution import FlowKernel, run
 from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.oracles import kernel_matrix
@@ -264,7 +264,7 @@ def test_run_rows_equal_lone_state_rows(dim, mode):
     per_block = RECORD_BLOCK_CELLS // grid.npoints
     states = []
     traj = run(Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0)), mode,
-               SolverConfig(end_time=0.3, snapshot_stride=1), op,
+               op.params.s, 0.3, snapshot_stride=1, cfl_safety=0.4,
                on_record=lambda k, t, state: states.append(state))
     assert len(traj.times) % per_block != 0 and len(traj.times) > per_block
     expected = [reference_row(snap.values, op, mode == "rescaled")
@@ -339,11 +339,9 @@ def test_entropy_identity_input_errors():
 def test_entropy_identity_on_run():
     # companion to the refinement study in the acceptance suite
     grid = Grid(dim=1, half_width=6.0, points_per_axis=256)
-    op = FracOperator(grid, FracParams(s=0.25, dim=1))
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
-    traj = run(Field(grid, vals), "rescaled",
-               SolverConfig(end_time=2.0, snapshot_stride=20, cfl_safety=0.3),
-               op, on_record=lambda k, t, state: None)
+    traj = run(Field(grid, vals), "rescaled", 0.25, 2.0, snapshot_stride=20,
+               cfl_safety=0.3, on_record=lambda k, t, state: None)
     mismatch = entropy_dissipation_identity_check(traj.diagnostics, (0.5, 1.5))
     assert mismatch < 0.03  # measured 0.017 at 256 cells
 

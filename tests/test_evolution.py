@@ -5,10 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracpme.evolution import DT_MAX, MAX_STEPS, FlowKernel, NumericalAbort, SolverConfig, run
+from fracpme.evolution import DT_MAX, MAX_STEPS, FlowKernel, NumericalAbort, run
 from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Field, Grid
 from fracpme.remap import resample
+
+
+# run's solver settings for a run recording every step at the CLI's CFL factor
+SETTINGS = {"snapshot_stride": 1, "cfl_safety": 0.4}
 
 
 def freespace_op(grid, s=0.25):
@@ -73,8 +77,12 @@ def test_exponent_validation(n, s):
     ],
 )
 def test_solver_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        SolverConfig(**kwargs)
+    # run refuses a bad solver setting, naming it, before it builds anything
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
+    (key,) = kwargs
+    with pytest.raises(ValueError, match=f"^{key} must "):
+        run(box_datum(grid), "physical", 0.25, on_record=discard,
+            **{"end_time": 1.0, **SETTINGS, **kwargs})
 
 
 def test_velocity_points_outward():
@@ -96,15 +104,13 @@ def kernel_step(kernel, op, vals):
 def test_step_rejects_negative_state():
     # a negative state never enters a step: run refuses it as a datum
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = freespace_op(grid)
     bad = Field(grid, np.where(np.abs(grid.axis()) < 1, 1.0, -0.1))
     with pytest.raises(ValueError, match="nonnegative"):
-        run(bad, "physical", SolverConfig(), op, on_record=discard)
+        run(bad, "physical", 0.25, 1.0, **SETTINGS, on_record=discard)
 
 
 def test_step_rejects_negative_result(monkeypatch):
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = freespace_op(grid)
 
     def overshoot(self, vals, *args):
         # moves one unit of mass from the first cell to the last: mass kept, sign lost
@@ -115,31 +121,26 @@ def test_step_rejects_negative_result(monkeypatch):
 
     monkeypatch.setattr(FlowKernel, "step", overshoot)
     with pytest.raises(NumericalAbort, match="positivity lost"):
-        run(box_datum(grid), "physical", SolverConfig(), op, on_record=discard)
+        run(box_datum(grid), "physical", 0.25, 1.0, **SETTINGS, on_record=discard)
 
 
 def test_run_input_validation():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = freespace_op(grid)
     u = box_datum(grid)
     with pytest.raises(ValueError, match="mode"):
-        run(u, "backwards", SolverConfig(), op, on_record=discard)
+        run(u, "backwards", 0.25, 1.0, **SETTINGS, on_record=discard)
     nan_vals = u.values.copy()
     nan_vals[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        run(Field(grid, nan_vals), "physical", SolverConfig(), op, on_record=discard)
-    other = Grid(dim=1, half_width=5.0, points_per_axis=64)
-    with pytest.raises(ValueError, match="grid"):
-        run(box_datum(other), "physical", SolverConfig(), op, on_record=discard)
+        run(Field(grid, nan_vals), "physical", 0.25, 1.0, **SETTINGS, on_record=discard)
 
 
 def test_mass_conserved_and_positive():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = freespace_op(grid)
     u0 = box_datum(grid)
     states = []
-    traj = run(u0, "physical", SolverConfig(end_time=0.5, snapshot_stride=10),
-               op, on_record=collect(states))
+    traj = run(u0, "physical", 0.25, 0.5, snapshot_stride=10, cfl_safety=0.4,
+               on_record=collect(states))
     mass = traj.diagnostics.column("mass")
     assert np.abs(mass - mass[0]).max() <= 1e-12 * mass[0]
     for snap in states:
@@ -148,8 +149,7 @@ def test_mass_conserved_and_positive():
 
 def test_norms_non_increasing():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = freespace_op(grid)
-    traj = run(box_datum(grid), "physical", SolverConfig(end_time=0.5), op, on_record=discard)
+    traj = run(box_datum(grid), "physical", 0.25, 0.5, **SETTINGS, on_record=discard)
     for name in ("linf", "l2", "l4"):
         col = traj.diagnostics.column(name)
         assert (np.diff(col) <= 1e-8 * col[:-1]).all(), name
@@ -174,8 +174,7 @@ def test_zero_state_advances_in_dt_max_hops():
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     zero = Field(grid, np.zeros(64))
     states = []
-    traj = run(zero, "physical", SolverConfig(end_time=3.0 * DT_MAX), freespace_op(grid),
-               on_record=collect(states))
+    traj = run(zero, "physical", 0.25, 3.0 * DT_MAX, **SETTINGS, on_record=collect(states))
     assert traj.times.tolist() == [0.0, DT_MAX, 2.0 * DT_MAX, 3.0 * DT_MAX]
     assert all(np.array_equal(snap.values, zero.values) for snap in states)
 
@@ -190,8 +189,7 @@ def test_symmetry_preserved_by_step():
 def test_dt_cap_honored():
     # the first step is cut to the end time, well below its own bound
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    traj = run(box_datum(grid), "physical", SolverConfig(end_time=1e-4),
-               freespace_op(grid), on_record=discard)
+    traj = run(box_datum(grid), "physical", 0.25, 1e-4, **SETTINGS, on_record=discard)
     assert traj.steps == 1
     assert traj.times.tolist() == [0.0, 1e-4]
 
@@ -231,10 +229,9 @@ def test_pressure_scaling_under_rescale():
 
 def test_records_cover_run():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = freespace_op(grid)
     states = []
-    traj = run(box_datum(grid), "rescaled", SolverConfig(end_time=0.4, snapshot_stride=7),
-               op, on_record=collect(states))
+    traj = run(box_datum(grid), "rescaled", 0.25, 0.4, snapshot_stride=7, cfl_safety=0.4,
+               on_record=collect(states))
     times = np.array(traj.times)
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(0.4, abs=1e-12)
@@ -244,10 +241,9 @@ def test_records_cover_run():
 
 def test_rescaled_entropy_monotone():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = freespace_op(grid)
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
-    traj = run(Field(grid, vals), "rescaled",
-               SolverConfig(end_time=1.5, snapshot_stride=5), op, on_record=discard)
+    traj = run(Field(grid, vals), "rescaled", 0.25, 1.5, snapshot_stride=5,
+               cfl_safety=0.4, on_record=discard)
     e = traj.diagnostics.column("entropy")
     assert (np.diff(e) <= 1e-8 * abs(e[0])).all()
 
@@ -257,7 +253,6 @@ def test_rescaled_entropy_monotone():
 def test_one_pressure_per_state(monkeypatch, dim, mode):
     # each state's convolution and face pass serve its record and the next step
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 32)
-    op = freespace_op(grid, s=0.25 if dim == 1 else 0.5)
     calls = []
     face_calls = []
     convolve, faces = FracOperator.convolve, FlowKernel.faces
@@ -274,7 +269,7 @@ def test_one_pressure_per_state(monkeypatch, dim, mode):
     monkeypatch.setattr(FlowKernel, "faces", counted_faces)
     u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
     states = []
-    traj = run(u0, mode, SolverConfig(end_time=0.3, snapshot_stride=1), op,
+    traj = run(u0, mode, 0.25 if dim == 1 else 0.5, 0.3, **SETTINGS,
                on_record=collect(states))
     assert traj.steps >= 3
     assert len(traj.times) == traj.steps + 1
@@ -289,11 +284,11 @@ def test_streamed_states_match_kept_snapshots():
     # each record reaches on_record once, numbered and timed as in the
     # diagnostics, and a repeat hands on the same bits
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = freespace_op(grid)
-    cfg = SolverConfig(end_time=0.3, snapshot_stride=4)
+    settings = dict(snapshot_stride=4, cfl_safety=0.4)
     first, seen = [], []
-    kept = run(box_datum(grid), "rescaled", cfg, op, on_record=collect(first))
-    streamed = run(box_datum(grid), "rescaled", cfg, op,
+    kept = run(box_datum(grid), "rescaled", 0.25, 0.3, **settings,
+               on_record=collect(first))
+    streamed = run(box_datum(grid), "rescaled", 0.25, 0.3, **settings,
                    on_record=lambda k, t, state: seen.append((k, t, state)))
     assert streamed.steps == kept.steps
     assert streamed.times.tobytes() == kept.times.tobytes()
@@ -309,14 +304,12 @@ def test_records_cost_one_table_row_each():
     # a streamed stride-1 run keeps one 88-B row per record and nothing else;
     # a first identical run fills the caches and the interpreter's free lists
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = freespace_op(grid)
-    cfg = SolverConfig(end_time=20.0, snapshot_stride=1)
     discard = lambda k, t, state: None
-    run(box_datum(grid), "physical", cfg, op, on_record=discard)
+    run(box_datum(grid), "physical", 0.25, 20.0, **SETTINGS, on_record=discard)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        traj = run(box_datum(grid), "physical", cfg, op, on_record=discard)
+        traj = run(box_datum(grid), "physical", 0.25, 20.0, **SETTINGS, on_record=discard)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -330,17 +323,16 @@ def test_records_cost_one_table_row_each():
 def test_kept_snapshots_are_distinct_arrays(dim):
     # every step returns a fresh array, so no kept state aliases another
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 24)
-    op = freespace_op(grid, s=0.25 if dim == 1 else 0.5)
+    s = 0.25 if dim == 1 else 0.5
     u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
-    cfg = SolverConfig(end_time=0.2, snapshot_stride=1)
     states = []
-    kept = run(u0, "physical", cfg, op, on_record=collect(states))
+    kept = run(u0, "physical", s, 0.2, **SETTINGS, on_record=collect(states))
     assert kept.steps >= 3
     arrays = [snap.values for snap in states]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
     seen = []
-    run(u0, "physical", cfg, op,
+    run(u0, "physical", s, 0.2, **SETTINGS,
         on_record=lambda k, t, state: seen.append(state.values.copy()))
     assert len(seen) == len(arrays)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, seen))
@@ -350,31 +342,28 @@ def test_run_refuses_a_span_beyond_the_step_budget(monkeypatch):
     # every step is at most DT_MAX, so such a run could never finish; it is
     # refused before any work, and the span counts from the start time
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
-    op = freespace_op(grid)
     tiny = Field(grid, np.where(np.abs(grid.axis()) < 0.5, 1e-300, 0.0))
     calls = []
     monkeypatch.setattr(FracOperator, "convolve", lambda self, values: calls.append(values))
     for start, end in ((0.0, 1e300), (0.0, 2.0 * MAX_STEPS * DT_MAX),
                        (5.0, 5.0 + 2.0 * MAX_STEPS * DT_MAX)):
         with pytest.raises(ValueError, match=f"needs more than {MAX_STEPS} steps"):
-            run(tiny, "physical", SolverConfig(end_time=end), op,
-                start_time=start, on_record=discard)
+            run(tiny, "physical", 0.25, end, **SETTINGS, start_time=start, on_record=discard)
     assert calls == []
     monkeypatch.undo()
     late = MAX_STEPS * DT_MAX
-    traj = run(box_datum(grid), "physical", SolverConfig(end_time=late), op,
+    traj = run(box_datum(grid), "physical", 0.25, late, **SETTINGS,
                start_time=late - 1e-3, on_record=discard)
     assert traj.times[-1] == late
 
 
 def test_run_continues_from_start_time():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
-    op = freespace_op(grid)
-    traj = run(box_datum(grid), "physical", SolverConfig(end_time=1.2, snapshot_stride=5),
-               op, start_time=1.0, on_record=discard)
+    traj = run(box_datum(grid), "physical", 0.25, 1.2, snapshot_stride=5, cfl_safety=0.4,
+               start_time=1.0, on_record=discard)
     assert traj.times[0] == 1.0
     assert traj.times[-1] == pytest.approx(1.2, abs=1e-12)
     assert traj.diagnostics.column("time")[0] == 1.0
     with pytest.raises(ValueError, match="start_time"):
-        run(box_datum(grid), "physical", SolverConfig(), op,
+        run(box_datum(grid), "physical", 0.25, 1.0, **SETTINGS,
             start_time=-1.0, on_record=discard)

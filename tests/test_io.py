@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fracpme.diagnostics import CSV_COLUMNS, DiagnosticsSeries
-from fracpme.evolution import SolverConfig, run
-from fracpme.fracops import FracOperator, FracParams
+from fracpme.evolution import run
 from fracpme.grid import Field, Grid
 from fracpme.io import (CSV_CHUNK_ROWS, SNAPSHOT_VERSION, datum_box, datum_gaussian,
                         datum_parabola_cap, parse_datum, read_snapshot,
@@ -134,10 +133,8 @@ def test_snapshot_malformed_header_line(tmp_path):
 
 def test_diagnostics_round_trip(tmp_path, read_diagnostics):
     g = Grid(1, 6.0, 64)
-    op = FracOperator(g, FracParams(s=0.25, dim=1))
-    traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
-               SolverConfig(end_time=0.2, snapshot_stride=2), op,
-               on_record=lambda k, t, state: None)
+    traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical", 0.25, 0.2, snapshot_stride=2,
+               cfl_safety=0.4, on_record=lambda k, t, state: None)
     path = tmp_path / "d.csv"
     write_diagnostics(path, traj.diagnostics)
     table = read_diagnostics(path)
@@ -149,9 +146,8 @@ def test_diagnostics_round_trip(tmp_path, read_diagnostics):
 def test_diagnostics_repeat_is_byte_identical(tmp_path):
     def once(path):
         g = Grid(1, 6.0, 48)
-        op = FracOperator(g, FracParams(s=0.25, dim=1))
-        traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical",
-                   SolverConfig(end_time=0.3), op, on_record=lambda k, t, state: None)
+        traj = run(datum_box(g, 0.0, 2.0, 1.0), "physical", 0.25, 0.3, snapshot_stride=1,
+                   cfl_safety=0.4, on_record=lambda k, t, state: None)
         write_diagnostics(path, traj.diagnostics)
         return path.read_bytes()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracpme import obstacle, oracles
-from fracpme.evolution import SolverConfig, run
+from fracpme.evolution import run
 from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Grid
 from fracpme.obstacle import (
@@ -306,10 +306,8 @@ def test_self_similar_sampling(sol_c1):
 
 
 def test_profile_is_stationary_under_rescaled_step(sol_c1):
-    g = sol_c1.density.grid
-    op = FracOperator(g, FracParams(s=0.25, dim=1))
     states = []
-    traj = run(sol_c1.density, "rescaled", SolverConfig(end_time=0.05), op,
+    traj = run(sol_c1.density, "rescaled", 0.25, 0.05, snapshot_stride=1, cfl_safety=0.4,
                on_record=lambda k, t, state: states.append(state))
     assert traj.steps >= 1
     for state in states:
