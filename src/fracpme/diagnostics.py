@@ -11,15 +11,14 @@ With that convention a stationary profile reports exactly zero dissipation:
 every face either has a vanishing potential gradient (on the contact set) or
 draws its density from the empty side of the free boundary.
 
-A series is one float64 table with a row of CSV_COLUMNS per record (88 B),
-grown by doubling and trimmed when a run ends; a column is a view of it.
-`record` fills the rows of a block of states in one pass.  Each reduction
-runs along the last axis of the states laid end to end as C-contiguous rows,
-which sums a row exactly as the state's own array is summed; the Boltzmann
-sum still runs over each row's compressed positive entries, and the square
-and fourth roots stay Python float powers.  So every row has the bits of the
-state recorded alone.  A run hands it blocks of about RECORD_BLOCK_CELLS
-cells.
+Records are rows of the structured dtype ROW, one float64 field per name in
+CSV_COLUMNS (88 B); a column rows[name] is a view of them.  `record` returns
+the rows of a block of states, filled in one pass.  Each reduction runs along
+the last axis of the states laid end to end as C-contiguous rows, which sums
+a row exactly as the state's own array is summed; the Boltzmann sum still
+runs over each row's compressed positive entries, and the square and fourth
+roots stay Python float powers.  So every row has the bits of the state
+recorded alone.  A run hands it blocks of about RECORD_BLOCK_CELLS cells.
 """
 
 from __future__ import annotations
@@ -35,60 +34,15 @@ L4_UNDERFLOW = 1e-82
 RECORD_BLOCK_CELLS = 8192  # cells per block of states `run` records at once
 CSV_COLUMNS = ("time", "mass", "linf", "l2", "l4", "moment2", "energy1", "entropy",
                "boltzmann", "dissipation", "support_radius")  # the CSV header
-
-
-class DiagnosticsSeries:
-    """Records as the rows of one float64 table, columns as in CSV_COLUMNS.
-
-    The table doubles when it is full; trim() drops the spare rows."""
-
-    def __init__(self):
-        self._table = np.empty((64, len(CSV_COLUMNS)))
-        self._rows = 0
-
-    def append(self, rows) -> None:
-        """Append rows (one or a 2-D block, columns as in CSV_COLUMNS); their
-        times must increase from the last row's."""
-        rows = np.asarray(rows, dtype=float).reshape(-1, len(CSV_COLUMNS))
-        prev = self._table[self._rows - 1, 0] if self._rows else None
-        for time in rows[:, 0].tolist():
-            if prev is not None and time <= prev:
-                raise ValueError(f"record times must increase ({time} after {prev})")
-            prev = time
-        end = self._rows + len(rows)
-        if end > len(self._table):
-            grown = np.empty((max(end, 2 * len(self._table)), len(CSV_COLUMNS)))
-            grown[:self._rows] = self._table[:self._rows]
-            self._table = grown
-        self._table[self._rows:end] = rows
-        self._rows = end
-
-    def trim(self) -> None:
-        """Release the spare rows of the table."""
-        if self._rows < len(self._table):
-            self._table = self._table[:self._rows].copy()
-
-    @property
-    def table(self) -> np.ndarray:
-        """The recorded rows, a view."""
-        return self._table[:self._rows]
-
-    def column(self, name: str) -> np.ndarray:
-        """One column of the recorded rows, a view."""
-        if name not in CSV_COLUMNS:
-            raise KeyError(f"unknown diagnostics column {name!r}")
-        return self._table[:self._rows, CSV_COLUMNS.index(name)]
-
-    def __len__(self) -> int:
-        return self._rows
+ROW = np.dtype([(name, np.float64) for name in CSV_COLUMNS])  # one record
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperator,
-           pressures: list, faces: list, masses: list, peaks: list) -> None:
-    """Append one row per state of `states` (value arrays on op.grid) at the
-    matching `times` to `series`, from what the run computed for each state:
-    its pressure op.convolve(state), its `FlowKernel.faces`, its mass
+def record(states: list, times: list, op: FracOperator, pressures: list, faces: list,
+           masses: list, peaks: list) -> np.ndarray:
+    """The ROW array of one row per state of `states` (value arrays on
+    op.grid) at the matching `times`, from what the run computed for each
+    state: its pressure op.convolve(state), its `FlowKernel.faces`, its mass
     h^n * sum and its maximum (states are nonnegative).
 
     The dissipation sums w^2 * up over the given faces, so it carries the
@@ -149,20 +103,18 @@ def record(series: DiagnosticsSeries, states: list, times: list, op: FracOperato
         # r2 >= 0, so the zeros outside do not move a maximum over inside
         "support_radius": np.sqrt(np.maximum.reduce(np.multiply(inside, r2), axis=1)),
     }
-    rows = np.empty((k, len(CSV_COLUMNS)))
-    for j, name in enumerate(CSV_COLUMNS):
-        rows[:, j] = columns[name]
-    series.append(rows)
+    rows = np.empty(k, ROW)
+    for name in CSV_COLUMNS:
+        rows[name] = columns[name]
+    return rows
 
 
-def entropy_dissipation_identity_check(series: DiagnosticsSeries, window: tuple) -> float:
-    """Centered dE/dtau against -I at the interior records in the window;
-    returns the maximum relative mismatch |dE/dtau + I| / max(|dE/dtau|, I)."""
-    if len(series) < 3:
+def entropy_dissipation_identity_check(rows: np.ndarray, window: tuple) -> float:
+    """Centered dE/dtau against -I at the interior records (ROW array) in the
+    window; returns the maximum relative mismatch |dE/dtau + I| / max(|dE/dtau|, I)."""
+    if len(rows) < 3:
         raise ValueError("need at least 3 records for the centered difference")
-    t = series.column("time")
-    e = series.column("entropy")
-    i = series.column("dissipation")
+    t, e, i = rows["time"], rows["entropy"], rows["dissipation"]
     de = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
     mid_t, mid_i = t[1:-1], i[1:-1]
     sel = (mid_t >= window[0]) & (mid_t <= window[1])
@@ -173,10 +125,10 @@ def entropy_dissipation_identity_check(series: DiagnosticsSeries, window: tuple)
     return float((np.abs(de + mid_i) / scale).max())
 
 
-def fit_power_law(series: DiagnosticsSeries, quantity: str, window: tuple) -> float:
-    """Least-squares slope of log(quantity) against log(time) in the window."""
-    t = series.column("time")
-    y = series.column(quantity)
+def fit_power_law(rows: np.ndarray, quantity: str, window: tuple) -> float:
+    """Least-squares slope of log(quantity) against log(time) in the window,
+    over the records of the ROW array `rows`."""
+    t, y = rows["time"], rows[quantity]
     sel = (t >= window[0]) & (t <= window[1]) & (t > 0.0)
     if sel.sum() < 10:
         raise ValueError(f"need >= 10 records in window {window}, have {int(sel.sum())}")

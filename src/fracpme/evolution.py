@@ -37,12 +37,12 @@ grid and s, and carries value arrays through them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS, RECORD_BLOCK_CELLS, DiagnosticsSeries, record
+from .diagnostics import CSV_COLUMNS, RECORD_BLOCK_CELLS, record
 from .fracops import FracOperator, FracParams
 from .grid import Field
 
@@ -179,13 +179,13 @@ class FlowKernel:
 
 @dataclass
 class Trajectory:
-    diagnostics: DiagnosticsSeries = field(default_factory=DiagnosticsSeries)
-    steps: int = 0  # accepted steps; len(times) counts records, not steps
+    diagnostics: np.ndarray  # one diagnostics.ROW per record
+    steps: int  # accepted steps; len(times) counts records, not steps
 
     @property
     def times(self) -> np.ndarray:
         """Record times: the diagnostics' time column (a view)."""
-        return self.diagnostics.column("time")
+        return self.diagnostics["time"]
 
 
 def _check_time_span(start_time: float, end_time: float) -> None:
@@ -212,7 +212,7 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     is built only for a recorded state and handed to on_record(k, time,
     state) for record k; run keeps no state, and on_record must not modify
     it.  Diagnostics are recorded in blocks of about RECORD_BLOCK_CELLS
-    cells, and the series is trimmed when the run ends.
+    cells, and the blocks' rows are joined once when the run ends.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
     any negative value, on non-finite velocities, on a datum whose pressure
@@ -226,7 +226,7 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     """
     if not 0.0 < cfl_safety <= 1.0:
         raise ValueError(f"cfl_safety must lie in (0, 1], got {cfl_safety}")
-    if end_time < 0.0:
+    if not end_time >= 0.0:
         raise ValueError(f"end_time must be nonnegative, got {end_time}")
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
@@ -242,7 +242,6 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     kernel = FlowKernel(op, mode == "rescaled", cfl_safety)
     vol = kernel.vol
     stop = end_time - 1e-15 * max(end_time, 1.0)
-    traj = Trajectory()
     vals = u0.values.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         p = op.convolve(vals)
@@ -254,23 +253,28 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     peak = float(vals.max())
     threshold = QUIESCENT_SPEED * max(mass0, 1.0)
     per_block = max(1, RECORD_BLOCK_CELLS // grid.npoints)
-    block = []  # (state, pressure, faces, time, mass, peak) awaiting their rows
+    pending = []  # (state, pressure, faces, time, mass, peak) awaiting their rows
+    blocks = []  # the recorded rows, one ROW array per flushed block
+    recorded = 0  # rows in blocks
 
     def flush():
-        states, ps, face_sets, times, masses, peaks = zip(*block)
-        record(traj.diagnostics, states, times, op, ps, face_sets, masses, peaks)
-        block.clear()
-        rows = traj.diagnostics.table[-len(states):]
-        if not np.isfinite(rows).all():
-            i, j = np.argwhere(~np.isfinite(rows))[0]
+        nonlocal recorded
+        states, ps, face_sets, times, masses, peaks = zip(*pending)
+        pending.clear()
+        rows = record(states, times, op, ps, face_sets, masses, peaks)
+        table = rows.view(np.float64).reshape(len(rows), len(CSV_COLUMNS))
+        if not np.isfinite(table).all():
+            i, j = np.argwhere(~np.isfinite(table))[0]
             raise NumericalAbort(f"diagnostics overflow: {CSV_COLUMNS[j]} is "
-                                 f"{rows[i, j]} at t = {rows[i, 0]:.6g}")
+                                 f"{table[i, j]} at t = {table[i, 0]:.6g}")
+        blocks.append(rows)
+        recorded += len(rows)
 
     def note(vals, p, faces, time, mass, peak):
-        k = len(traj.diagnostics) + len(block)
-        block.append((vals, p, faces, time, mass, peak))
+        k = recorded + len(pending)
+        pending.append((vals, p, faces, time, mass, peak))
         on_record(k, time, Field(grid, vals))
-        if len(block) == per_block:
+        if len(pending) == per_block:
             flush()
 
     note(vals, p, faces, t, mass, peak)
@@ -279,7 +283,7 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
         if steps == MAX_STEPS:
             raise NumericalAbort(f"{MAX_STEPS} steps did not reach end_time (t = {t:.6g})")
         vals, dt, low = kernel.step(vals, faces, peak, end_time - t)
-        if steps == 0 and block:
+        if steps == 0 and pending:
             flush()  # the datum's row, once its flux passed the overflow check
         if t + dt == t:
             raise NumericalAbort(f"step {dt:.3e} does not advance the clock at t = {t:.6g}")
@@ -299,8 +303,6 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
         faces = kernel.faces(vals, p)
         if steps % snapshot_stride == 0 or t >= stop:
             note(vals, p, faces, t, mass, peak)
-    if block:
+    if pending:
         flush()
-    traj.diagnostics.trim()
-    traj.steps = steps
-    return traj
+    return Trajectory(np.concatenate(blocks), steps)

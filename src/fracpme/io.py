@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS, DiagnosticsSeries
+from .diagnostics import CSV_COLUMNS
 from .grid import Field, Grid
 
 SNAPSHOT_VERSION = 1
@@ -103,16 +103,16 @@ def read_snapshot(path) -> tuple:
     return Field(grid, values.reshape(grid.shape)), parsed
 
 
-def write_diagnostics(path, series: DiagnosticsSeries) -> None:
-    """The series as CSV: the CSV_COLUMNS header, then one "%.17g" row per
-    record, formatted and written CSV_CHUNK_ROWS rows at a time."""
-    row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"  # the text of f"{x:.17g}"
-    table = series.table
+def write_diagnostics(path, rows: np.ndarray) -> None:
+    """The records of the diagnostics.ROW array `rows` as CSV: the
+    CSV_COLUMNS header, then one "%.17g" line per record, formatted and
+    written CSV_CHUNK_ROWS records at a time."""
+    line = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"  # the text of f"{x:.17g}"
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for start in range(0, len(table), CSV_CHUNK_ROWS):
-            chunk = table[start:start + CSV_CHUNK_ROWS].tolist()
-            fh.write("".join(row % tuple(r) for r in chunk))
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start:start + CSV_CHUNK_ROWS].tolist()  # a tuple per record
+            fh.write("".join(line % r for r in chunk))
 
 
 def datum_box(grid: Grid, center: float, width: float, height: float) -> Field:
@@ -146,6 +146,21 @@ def datum_gaussian(grid: Grid, sigma: float) -> Field:
     return Field(grid, vals)
 
 
+# name -> (maker, argument count) of each datum shape; from_file(path) has no
+# maker here, snapshot_datum reads it
+_DATUM_SHAPES = {"box": (datum_box, 3), "parabola_cap": (datum_parabola_cap, 2),
+                 "gaussian_truncated": (datum_gaussian, 1), "from_file": (None, 1)}
+
+
+def _datum_shape(name: str, built: bool) -> tuple:
+    """(maker, argument count) of the datum shape `name`; from_file is
+    unknown where a datum is built."""
+    shape = _DATUM_SHAPES.get(name)
+    if shape is None or (built and shape[0] is None):
+        raise ValueError(f"unknown datum shape {name!r}")
+    return shape
+
+
 def parse_datum(text: str) -> tuple:
     """Parse a datum spec like box(0,2,1) into (name, args).
 
@@ -159,13 +174,9 @@ def parse_datum(text: str) -> tuple:
     name, _, inner = text[:-1].partition("(")
     name = name.strip()
     parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
-    arity = {"box": 3, "parabola_cap": 2, "gaussian_truncated": 1, "from_file": 1}
-    if name not in arity:
-        raise ValueError(f"unknown datum shape {name!r}")
-    if len(parts) != arity[name]:
-        raise ValueError(
-            f"datum {name} takes {arity[name]} argument(s), got {len(parts)}"
-        )
+    _, arity = _datum_shape(name, built=False)
+    if len(parts) != arity:
+        raise ValueError(f"datum {name} takes {arity} argument(s), got {len(parts)}")
     if name == "from_file":
         return name, (parts[0],)
     try:
@@ -192,13 +203,10 @@ def _checked_datum(datum: Field, label: str) -> Field:
 def build_datum(name: str, args: tuple, grid: Grid) -> Field:
     """Construct the named analytic datum on the grid (from_file: snapshot_datum).
     Values that overflow, a mass that does, or no mass raise ValueError."""
-    makers = {"box": datum_box, "parabola_cap": datum_parabola_cap,
-              "gaussian_truncated": datum_gaussian}
-    if name not in makers:
-        raise ValueError(f"unknown datum shape {name!r}")
+    maker, _ = _datum_shape(name, built=True)
     # a sigma whose square underflows samples exp(-inf) = 0, not a warning
     with np.errstate(over="ignore", divide="ignore"):
-        datum = makers[name](grid, *args)
+        datum = maker(grid, *args)
     return _checked_datum(datum, f"datum {name}{args}")
 
 

@@ -101,7 +101,7 @@ def _mass_run(mode: str, n_pts: int, cfl: float, end_time: float) -> tuple:
     low = []
     traj = run(datum_box(g, 0.0, 2.0, 1.0), mode, 0.25, end_time, snapshot_stride=10 ** 9,
                cfl_safety=cfl, on_record=lambda k, t, state: low.append(state.values.min()))
-    m = traj.diagnostics.column("mass")
+    m = traj.diagnostics["mass"]
     return abs(m[-1] - m[0]) / m[0], traj.steps, min(low)
 
 
@@ -246,7 +246,7 @@ def _check_monotone_norms(ctx: Suite) -> CheckResult:
                snapshot_stride=1, cfl_safety=0.4, on_record=_discard)
     worst = -np.inf
     for col in ("linf", "l2", "l4"):
-        y = traj.diagnostics.column(col)
+        y = traj.diagnostics[col]
         worst = max(worst, float((np.diff(y) / y[:-1]).max()))
     tol = ctx.tol(1e-8)
     return CheckResult(
@@ -276,8 +276,8 @@ def _check_propagation(ctx: Suite) -> CheckResult:
     records = []
     traj = run(datum_parabola_cap(g, 1.0, 1.0), "physical", 0.25, 1.0, snapshot_stride=5,
                cfl_safety=0.4, on_record=lambda k, t, state: records.append((t, state)))
-    times = traj.diagnostics.column("time")
-    rad = traj.diagnostics.column("support_radius")
+    times = traj.diagnostics["time"]
+    rad = traj.diagnostics["support_radius"]
     late = times >= 0.05
     speed = float(((rad[late] - 1.0) / times[late]).max())
     env_excess = float((rad - (1.0 + speed * times + 3.0 * h)).max())
@@ -315,9 +315,7 @@ def _check_entropy_identity(ctx: Suite, coarse, fine) -> CheckResult:
 
 @_reads(lambda ctx: [("relaxation", ctx.pick(512, 256))])
 def _check_entropy_budget(ctx: Suite, fine) -> CheckResult:
-    t = fine.column("time")
-    e = fine.column("entropy")
-    i = fine.column("dissipation")
+    t, e, i = fine["time"], fine["entropy"], fine["dissipation"]
     max_rise = float(np.diff(e).max())
     integral = float(np.trapezoid(i, t))
     slack = ctx.tol(1e-6) * e[0]

@@ -5,11 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from numpy.lib.recfunctions import structured_to_unstructured
+
 from fracpme.diagnostics import (
     CSV_COLUMNS,
     L4_UNDERFLOW,
     RECORD_BLOCK_CELLS,
-    DiagnosticsSeries,
+    ROW,
     entropy_dissipation_identity_check,
     fit_power_law,
     record,
@@ -20,31 +22,32 @@ from fracpme.grid import Field, Grid
 from fracpme.oracles import kernel_matrix
 
 
-def make_record(time, **overrides):
-    base = dict(
-        time=time, mass=1.0, linf=1.0, l2=1.0, l4=1.0, moment2=1.0, energy1=1.0,
-        entropy=1.0, boltzmann=0.0, dissipation=1.0, support_radius=1.0,
-    )
-    base.update(overrides)
-    return [base[name] for name in CSV_COLUMNS]
+def make_rows(times, **overrides):
+    """Records at `times`, every other column 1.0 (boltzmann 0.0) unless
+    `overrides` gives it (a value or one per record)."""
+    rows = np.ones(len(times), ROW)
+    rows["time"] = times
+    rows["boltzmann"] = 0.0
+    for name, value in overrides.items():
+        rows[name] = value
+    return rows
 
 
-def record_states(series, states, times, op, confined):
+def record_states(states, times, op, confined):
     """record() of the value arrays `states`, handed their pressures, faces,
     masses and peaks as `run` computes them."""
     kernel = FlowKernel(op, confined, 1.0)
     vol = op.grid.spacing ** op.grid.dim
     pressures = [op.convolve(v) for v in states]
-    record(series, states, times, op, pressures,
-           [kernel.faces(v, p) for v, p in zip(states, pressures)],
-           [vol * float(v.sum()) for v in states], [float(v.max()) for v in states])
+    return record(states, times, op, pressures,
+                  [kernel.faces(v, p) for v, p in zip(states, pressures)],
+                  [vol * float(v.sum()) for v in states], [float(v.max()) for v in states])
 
 
 def record_one(v, op, confined=True, time=0.0):
     """The diagnostics of the single state v, by column name."""
-    series = DiagnosticsSeries()
-    record_states(series, [v.values], [time], op, confined)
-    return SimpleNamespace(**dict(zip(CSV_COLUMNS, series.table[0].tolist())))
+    (row,) = record_states([v.values], [time], op, confined).tolist()
+    return SimpleNamespace(**dict(zip(CSV_COLUMNS, row)))
 
 
 def gaussian_field(grid, width=0.8):
@@ -160,23 +163,19 @@ def test_dissipation_matches_face_gradient_formula(dim, confined):
     assert expected > 0.0
 
 
-def test_record_row_matches_columns():
-    # one float64 table: a row per record, each column a view of it
-    series = DiagnosticsSeries()
-    rows = [make_record(0.1 * k, mass=float(k), support_radius=-float(k))
-            for k in range(100)]  # past the first doubling
-    series.append(rows[:1])
-    series.append(rows[1:])
-    assert len(series) == 100
-    assert series.table.shape == (100, len(CSV_COLUMNS))
-    assert series.table.tolist() == rows
+def test_record_columns_are_views_of_its_rows():
+    # record returns one 88-B ROW per state, and a column is a view of them
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
+    op = FracOperator(grid, FracParams(s=0.25, dim=1))
+    states = [gaussian_field(grid, width).values for width in (0.5, 0.8, 1.1)]
+    rows = record_states(states, [0.0, 0.1, 0.2], op, True)
+    assert rows.dtype == ROW and rows.dtype.names == CSV_COLUMNS
+    assert rows.nbytes == 88 * len(states)
+    table = structured_to_unstructured(rows)
     for j, name in enumerate(CSV_COLUMNS):
-        col = series.column(name)
-        assert np.shares_memory(col, series.table)
-        assert col.tolist() == [row[j] for row in rows]
-    series.trim()
-    assert series.table.base is None or series.table.base.shape[0] == 100
-    assert series.table.tolist() == rows
+        assert np.shares_memory(rows[name], rows)
+        assert rows[name].tolist() == table[:, j].tolist()
+    assert rows["time"].tolist() == [0.0, 0.1, 0.2]
 
 
 def reference_row(vals, op, confined):
@@ -244,12 +243,12 @@ def test_block_rows_equal_lone_state_rows(dim, n, confined):
     states.append(nan)
     expected = [reference_row(v, op, confined) for v in states]
     for size in (1, 3, len(states)):
-        series = DiagnosticsSeries()
+        blocks = []
         for start in range(0, len(states), size):
             part = states[start:start + size]
-            record_states(series, part, [start + j + 1.0 for j in range(len(part))], op,
-                          confined)
-        got = series.table.copy()
+            blocks.append(record_states(part, [start + j + 1.0 for j in range(len(part))], op,
+                                        confined))
+        got = structured_to_unstructured(np.concatenate(blocks))
         got[:, 0] = 0.0
         assert _bits(got) == _bits(expected), size
 
@@ -269,7 +268,7 @@ def test_run_rows_equal_lone_state_rows(dim, mode):
     assert len(traj.times) % per_block != 0 and len(traj.times) > per_block
     expected = [reference_row(snap.values, op, mode == "rescaled")
                 for snap in states]
-    got = traj.diagnostics.table.copy()
+    got = structured_to_unstructured(traj.diagnostics, copy=True)
     assert np.array_equal(got[:, 0], traj.times)
     got[:, 0] = 0.0
     assert _bits(got) == _bits(expected)
@@ -300,40 +299,20 @@ def test_support_radius():
     assert record_one(Field(grid, np.zeros(256)), op).support_radius == 0.0
 
 
-def test_series_append_requires_increasing_time():
-    series = DiagnosticsSeries()
-    series.append(make_record(0.0))
-    series.append(make_record(0.5))
-    with pytest.raises(ValueError, match="increase"):
-        series.append(make_record(0.5))
-    with pytest.raises(ValueError, match="increase"):
-        series.append([make_record(0.7), make_record(0.6)])
-    assert len(series) == 2
-    np.testing.assert_allclose(series.column("time"), [0.0, 0.5])
-    with pytest.raises(KeyError):
-        series.column("no_such_column")
-
-
 def test_entropy_identity_on_manufactured_series():
     # entropy e^-t with dissipation e^-t satisfies dE/dtau = -I exactly;
     # the centered difference leaves only its own dt^2/6 truncation error
-    series = DiagnosticsSeries()
     dt = 0.01
-    for k in range(101):
-        t = k * dt
-        series.append(make_record(t, entropy=np.exp(-t), dissipation=np.exp(-t)))
-    assert entropy_dissipation_identity_check(series, (0.0, 1.0)) < dt**2 / 4.0
+    t = np.arange(101) * dt
+    rows = make_rows(t, entropy=np.exp(-t), dissipation=np.exp(-t))
+    assert entropy_dissipation_identity_check(rows, (0.0, 1.0)) < dt**2 / 4.0
 
 
 def test_entropy_identity_input_errors():
-    series = DiagnosticsSeries()
-    series.append(make_record(0.0))
-    series.append(make_record(0.1))
     with pytest.raises(ValueError, match="3 records"):
-        entropy_dissipation_identity_check(series, (0.0, 1.0))
-    series.append(make_record(0.2))
+        entropy_dissipation_identity_check(make_rows([0.0, 0.1]), (0.0, 1.0))
     with pytest.raises(ValueError, match="window"):
-        entropy_dissipation_identity_check(series, (5.0, 6.0))
+        entropy_dissipation_identity_check(make_rows([0.0, 0.1, 0.2]), (5.0, 6.0))
 
 
 def test_entropy_identity_on_run():
@@ -347,20 +326,13 @@ def test_entropy_identity_on_run():
 
 
 def test_fit_power_law_recovers_exact_slope():
-    series = DiagnosticsSeries()
-    for t in np.linspace(1.0, 10.0, 25):
-        series.append(make_record(t, linf=3.0 * t**-0.4))
-    assert fit_power_law(series, "linf", (1.0, 10.0)) == pytest.approx(-0.4, abs=1e-12)
+    t = np.linspace(1.0, 10.0, 25)
+    rows = make_rows(t, linf=3.0 * t**-0.4)
+    assert fit_power_law(rows, "linf", (1.0, 10.0)) == pytest.approx(-0.4, abs=1e-12)
 
 
 def test_fit_power_law_input_errors():
-    series = DiagnosticsSeries()
-    for t in np.linspace(1.0, 2.0, 5):
-        series.append(make_record(t))
     with pytest.raises(ValueError, match="10 records"):
-        fit_power_law(series, "linf", (1.0, 2.0))
-    series2 = DiagnosticsSeries()
-    for t in np.linspace(1.0, 2.0, 12):
-        series2.append(make_record(t, linf=0.0))
+        fit_power_law(make_rows(np.linspace(1.0, 2.0, 5)), "linf", (1.0, 2.0))
     with pytest.raises(ValueError, match="nonpositive"):
-        fit_power_law(series2, "linf", (1.0, 2.0))
+        fit_power_law(make_rows(np.linspace(1.0, 2.0, 12), linf=0.0), "linf", (1.0, 2.0))

@@ -74,6 +74,7 @@ def test_exponent_validation(n, s):
         {"cfl_safety": 1.5},
         {"end_time": -1.0},
         {"snapshot_stride": 0},
+        {"end_time": float("nan")},
     ],
 )
 def test_solver_config_validation(kwargs):
@@ -141,7 +142,7 @@ def test_mass_conserved_and_positive():
     states = []
     traj = run(u0, "physical", 0.25, 0.5, snapshot_stride=10, cfl_safety=0.4,
                on_record=collect(states))
-    mass = traj.diagnostics.column("mass")
+    mass = traj.diagnostics["mass"]
     assert np.abs(mass - mass[0]).max() <= 1e-12 * mass[0]
     for snap in states:
         assert snap.values.min() >= 0.0
@@ -151,7 +152,7 @@ def test_norms_non_increasing():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     traj = run(box_datum(grid), "physical", 0.25, 0.5, **SETTINGS, on_record=discard)
     for name in ("linf", "l2", "l4"):
-        col = traj.diagnostics.column(name)
+        col = traj.diagnostics[name]
         assert (np.diff(col) <= 1e-8 * col[:-1]).all(), name
 
 
@@ -239,12 +240,30 @@ def test_records_cover_run():
     assert len(states) == len(traj.diagnostics)
 
 
+@pytest.mark.parametrize("mode, start, end, stride", [
+    ("physical", 0.0, 10.0, 1),  # past one block of rows
+    ("rescaled", 0.0, 0.3, 3),
+    ("physical", 1.0, 1.2, 5),  # a restart
+    ("rescaled", 0.0, 1e-6, 4),  # one step, taken at the end-time cap
+], ids=["physical", "rescaled", "restart", "end-time-cap"])
+def test_record_times_increase(mode, start, end, stride):
+    # every record is noted once, at a later time than the one before it
+    grid = Grid(dim=1, half_width=6.0, points_per_axis=64)
+    traj = run(box_datum(grid), mode, 0.25, end, snapshot_stride=stride, cfl_safety=0.4,
+               start_time=start, on_record=discard)
+    times = traj.times
+    assert times[0] == start
+    assert times[-1] == pytest.approx(end, abs=1e-12)
+    assert len(times) >= 2
+    assert (np.diff(times) > 0).all()
+
+
 def test_rescaled_entropy_monotone():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     vals = np.clip(1.0 - np.abs(grid.axis()), 0.0, None) ** 2
     traj = run(Field(grid, vals), "rescaled", 0.25, 1.5, snapshot_stride=5,
                cfl_safety=0.4, on_record=discard)
-    e = traj.diagnostics.column("entropy")
+    e = traj.diagnostics["entropy"]
     assert (np.diff(e) <= 1e-8 * abs(e[0])).all()
 
 
@@ -292,7 +311,7 @@ def test_streamed_states_match_kept_snapshots():
                    on_record=lambda k, t, state: seen.append((k, t, state)))
     assert streamed.steps == kept.steps
     assert streamed.times.tobytes() == kept.times.tobytes()
-    assert streamed.diagnostics.table.tobytes() == kept.diagnostics.table.tobytes()
+    assert streamed.diagnostics.tobytes() == kept.diagnostics.tobytes()
     assert [k for k, _, _ in seen] == list(range(len(kept.times)))
     assert [t for _, t, _ in seen] == kept.times.tolist()
     assert len(first) == len(seen)
@@ -315,7 +334,7 @@ def test_records_cost_one_table_row_each():
         tracemalloc.stop()
     records = len(traj.times)
     assert records > 600
-    assert traj.diagnostics.table.nbytes == 88 * records
+    assert traj.diagnostics.nbytes == 88 * records
     assert grown <= 128 * records
 
 
@@ -363,7 +382,7 @@ def test_run_continues_from_start_time():
                start_time=1.0, on_record=discard)
     assert traj.times[0] == 1.0
     assert traj.times[-1] == pytest.approx(1.2, abs=1e-12)
-    assert traj.diagnostics.column("time")[0] == 1.0
+    assert traj.diagnostics["time"][0] == 1.0
     with pytest.raises(ValueError, match="start_time"):
         run(box_datum(grid), "physical", 0.25, 1.0, **SETTINGS,
             start_time=-1.0, on_record=discard)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracpme.diagnostics import CSV_COLUMNS, DiagnosticsSeries
+from fracpme.diagnostics import CSV_COLUMNS, ROW
 from fracpme.evolution import run
 from fracpme.grid import Field, Grid
 from fracpme.io import (CSV_CHUNK_ROWS, SNAPSHOT_VERSION, datum_box, datum_gaussian,
@@ -140,7 +140,7 @@ def test_diagnostics_round_trip(tmp_path, read_diagnostics):
     table = read_diagnostics(path)
     assert set(table) == set(CSV_COLUMNS)
     for name in CSV_COLUMNS:
-        assert np.array_equal(table[name], traj.diagnostics.column(name))
+        assert np.array_equal(table[name], traj.diagnostics[name])
 
 
 def test_diagnostics_repeat_is_byte_identical(tmp_path):
@@ -161,17 +161,14 @@ def test_diagnostics_text_is_the_fstring_form(tmp_path):
             123456789012345678.0, 1e-5, 1e-4, 1e17, 9.999999999999999e16]
     bits = np.random.default_rng(0).integers(0, 2**63, 3 * 11 * 800, dtype=np.uint64)
     values = edge + [float(x) for x in bits.view(np.float64)] + edge[::-1]
-    width = len(CSV_COLUMNS) - 1  # the time column must increase
+    width = len(CSV_COLUMNS) - 1  # the time column counts the rows
     values += [0.0] * (-len(values) % width)
     rows = [[float(k)] + values[j:j + width]
             for k, j in enumerate(range(0, len(values), width))]
     rows[0][0] = -np.inf
     rows[-1][0] = np.inf
     rows[1][0], rows[2][0] = -5e-324, 0.0
-    series = DiagnosticsSeries()
-    for start in range(0, len(rows), 700):  # past the first doubling and a chunk
-        series.append(rows[start:start + 700])
-    write_diagnostics(tmp_path / "d.csv", series)
+    write_diagnostics(tmp_path / "d.csv", np.array([tuple(row) for row in rows], ROW))
     expected = [",".join(CSV_COLUMNS)] + [",".join(f"{x:.17g}" for x in row) for row in rows]
     assert len(rows) > 2 * CSV_CHUNK_ROWS
     assert (tmp_path / "d.csv").read_text() == "\n".join(expected) + "\n"

@@ -313,7 +313,7 @@ def test_profile_is_stationary_under_rescaled_step(sol_c1):
     for state in states:
         assert np.abs(state.values - sol_c1.density.values).max() <= 1e-12
     # upwind dissipation quadrature sees the fixed point exactly
-    assert traj.diagnostics.column("dissipation")[0] <= 1e-20
+    assert traj.diagnostics["dissipation"][0] <= 1e-20
 
 
 def test_convexity_report(sol_c1):
