@@ -11,7 +11,9 @@ list.  Only the subcommand sets the mode: no flag does.
 
 Exit codes, fixed for scripting: 0 success, 1 criterion failure,
 2 configuration error (an allocation the machine refuses included), 3 numerical
-abort.
+abort.  The commands catch nothing: `main` alone maps a fault to its
+FRACPME-FAIL line and exit code, a RuntimeError (NumericalAbort included) to
+numerical and a ValueError, an OSError or a MemoryError to config.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import make_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .evolution import NumericalAbort, run
+from .evolution import run
 from .grid import Grid
 from .io import (
     build_datum,
@@ -132,36 +134,13 @@ def _machine_line(kind: str, detail: str) -> None:
     print(f"FRACPME-FAIL {kind}: {detail}")
 
 
-def _restart_time(path: str, header: dict, cfg: RunConfig) -> float:
-    """Time a run from snapshot `path` starts at: the snapshot's own time for
-    a physical or rescaled snapshot of the same s and mode, 0 for obstacle
-    data.  Raises ValueError on a mismatch or an end time already reached."""
-    if header["mode"] == "obstacle":
-        return 0.0
-    if header["mode"] != cfg.mode:
-        raise ValueError(f"{path}: snapshot mode {header['mode']!r} does not "
-                         f"match the {cfg.mode} run")
-    if header["s"] != cfg.s:
-        raise ValueError(f"{path}: snapshot s = {header['s']:g} does not match "
-                         f"s = {cfg.s:g}")
-    if cfg.end_time <= header["time"]:
-        raise ValueError(f"{path}: end_time {cfg.end_time:g} does not exceed the "
-                         f"snapshot time {header['time']:.17g}")
-    return header["time"]
-
-
 def cmd_evolve(cfg: RunConfig) -> int:
     grid = Grid(cfg.n, cfg.L, cfg.N)
     name, args = parse_datum(cfg.datum)
-    try:
-        if name == "from_file":
-            u0, header = snapshot_datum(args[0], grid)
-            start = _restart_time(args[0], header, cfg)
-        else:
-            u0, start = build_datum(name, args, grid), 0.0
-    except (ValueError, OSError) as exc:
-        _machine_line("config", str(exc))
-        return EXIT_CONFIG
+    if name == "from_file":
+        u0, start = snapshot_datum(args[0], grid, cfg.mode, cfg.s, cfg.end_time)
+    else:
+        u0, start = build_datum(name, args, grid), 0.0
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     kept = []  # (record, time, state): every snapshot_every-th and the latest
@@ -171,15 +150,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
             kept.pop()  # a later record arrived, so that one was not the last
         kept.append((k, t, state))
 
-    try:
-        traj = run(u0, cfg.mode, cfg.s, cfg.end_time, snapshot_stride=cfg.snapshot_stride,
-                   cfl_safety=cfg.cfl_safety, start_time=start, on_record=keep)
-    except ValueError as exc:  # a time span or an s the operator refuses
-        _machine_line("config", str(exc))
-        return EXIT_CONFIG
-    except NumericalAbort as exc:
-        _machine_line("numerical", str(exc))
-        return EXIT_NUMERICAL
+    traj = run(u0, cfg.mode, cfg.s, cfg.end_time, snapshot_stride=cfg.snapshot_stride,
+               cfl_safety=cfg.cfl_safety, start_time=start, on_record=keep)
     write_diagnostics(out / "diagnostics.csv", traj.diagnostics)
     for k, t, snap in kept:
         write_snapshot(out / f"snapshot_{k:06d}.txt", snap,
@@ -194,17 +166,10 @@ def cmd_obstacle(cfg: RunConfig) -> int:
     grid = Grid(cfg.n, cfg.L, cfg.N)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        if cfg.M is not None:
-            sol = match_mass(cfg.M, cfg.s, grid)
-        else:
-            sol = solve_obstacle(ObstacleProblem(C=cfg.C, s=cfg.s, grid=grid))
-    except ValueError as exc:
-        _machine_line("config", str(exc))
-        return EXIT_CONFIG
-    except RuntimeError as exc:
-        _machine_line("numerical", str(exc))
-        return EXIT_NUMERICAL
+    if cfg.M is not None:
+        sol = match_mass(cfg.M, cfg.s, grid)
+    else:
+        sol = solve_obstacle(ObstacleProblem(C=cfg.C, s=cfg.s, grid=grid))
     write_snapshot(out / "pressure.txt", sol.pressure, s=cfg.s, time=0.0,
                    mode="obstacle")
     write_snapshot(out / "density.txt", sol.density, s=cfg.s, time=0.0,
@@ -230,14 +195,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        all_pass = run_suite(quick=cfg.quick, out_dir=out)
-    except (ValueError, RuntimeError) as exc:  # NumericalAbort included
-        kind, code = (("config", EXIT_CONFIG) if isinstance(exc, ValueError)
-                      else ("numerical", EXIT_NUMERICAL))
-        _machine_line(kind, f"verify: {type(exc).__name__}: {exc}")
-        return code
-    return EXIT_OK if all_pass else EXIT_CRITERION
+    return EXIT_OK if run_suite(quick=cfg.quick, out_dir=out) else EXIT_CRITERION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,6 +254,12 @@ def main(argv=None) -> int:
         if cfg.mode == "obstacle":
             return cmd_obstacle(cfg)
         return cmd_verify(cfg)
+    except ValueError as exc:  # a datum, snapshot, time span, s or mass refused
+        _machine_line("config", str(exc))
+        return EXIT_CONFIG
+    except RuntimeError as exc:  # NumericalAbort, an obstacle guard, a dead verify worker
+        _machine_line("numerical", str(exc))
+        return EXIT_NUMERICAL
     except OSError as exc:  # the output directory or a file in it
         _machine_line("config", f"cannot write outputs: {exc}")
         return EXIT_CONFIG

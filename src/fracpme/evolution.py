@@ -47,6 +47,7 @@ from .fracops import FracOperator, FracParams
 from .grid import Field
 
 MAX_STEPS = 10 ** 7  # step budget of a run: checked up front and while stepping
+JOIN_BLOCKS = 1024  # flushed blocks of rows joined into one array as a run goes
 QUIESCENT_SPEED = 1e-14
 DT_MAX = 1.0  # step taken when the velocity field is quiescent
 
@@ -212,7 +213,9 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     is built only for a recorded state and handed to on_record(k, time,
     state) for record k; run keeps no state, and on_record must not modify
     it.  Diagnostics are recorded in blocks of about RECORD_BLOCK_CELLS
-    cells, and the blocks' rows are joined once when the run ends.
+    cells; each JOIN_BLOCKS flushed blocks are joined as the run goes (a
+    block may be one record, and a lone row costs more than its 88 B), and
+    all once when the run ends.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
     any negative value, on non-finite velocities, on a datum whose pressure
@@ -254,8 +257,9 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     threshold = QUIESCENT_SPEED * max(mass0, 1.0)
     per_block = max(1, RECORD_BLOCK_CELLS // grid.npoints)
     pending = []  # (state, pressure, faces, time, mass, peak) awaiting their rows
-    blocks = []  # the recorded rows, one ROW array per flushed block
-    recorded = 0  # rows in blocks
+    joined = []  # the rows of each JOIN_BLOCKS flushed blocks, one ROW array
+    blocks = []  # the rows of each later flushed block, one ROW array
+    recorded = 0  # rows in joined and blocks
 
     def flush():
         nonlocal recorded
@@ -269,6 +273,9 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
                                  f"{table[i, j]} at t = {table[i, 0]:.6g}")
         blocks.append(rows)
         recorded += len(rows)
+        if len(blocks) == JOIN_BLOCKS:
+            joined.append(np.concatenate(blocks))
+            blocks.clear()
 
     def note(vals, p, faces, time, mass, peak):
         k = recorded + len(pending)
@@ -305,4 +312,4 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
             note(vals, p, faces, t, mass, peak)
     if pending:
         flush()
-    return Trajectory(np.concatenate(blocks), steps)
+    return Trajectory(np.concatenate(joined + blocks), steps)

@@ -55,8 +55,12 @@ def read_snapshot(path) -> tuple:
     """Inverse of write_snapshot: (Field, header dict).
 
     The header must carry exactly the documented keys, with finite s, L and
-    time; the value count must match N^n, and every value must be finite."""
-    text = Path(path).read_text()
+    time; the value count must match N^n, and every value must be finite.  A
+    file that cannot be read raises ValueError with the system's message."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # missing, a directory, not permitted
+        raise ValueError(str(exc)) from None
     try:
         head, body = text.split("\n\n", 1)
     except ValueError:
@@ -210,9 +214,15 @@ def build_datum(name: str, args: tuple, grid: Grid) -> Field:
     return _checked_datum(datum, f"datum {name}{args}")
 
 
-def snapshot_datum(path, grid: Grid) -> tuple:
-    """(density Field, header dict) of a snapshot used as initial data; the
-    snapshot's grid must match `grid` and its values must be nonnegative."""
+def snapshot_datum(path, grid: Grid, mode: str, s: float, end_time: float) -> tuple:
+    """(density Field, start time) of a snapshot used as initial data for a
+    `mode` run of order s that stops at end_time.
+
+    The snapshot's grid must match `grid` and its values must be
+    nonnegative.  A physical or rescaled snapshot continues the clock: its
+    mode and s must be the run's, the run starts at its time, and end_time
+    must exceed that time.  An obstacle snapshot is data at time 0.  Any
+    mismatch raises ValueError."""
     loaded, header = read_snapshot(path)
     if loaded.grid != grid:
         raise ValueError(
@@ -223,4 +233,16 @@ def snapshot_datum(path, grid: Grid) -> tuple:
     low = loaded.values.min()
     if low < 0.0:
         raise ValueError(f"density field has negative entries (min {low:.3e})")
-    return _checked_datum(Field(grid, loaded.values), str(path)), header
+    datum = _checked_datum(loaded, str(path))
+    if header["mode"] == "obstacle":
+        return datum, 0.0
+    if header["mode"] != mode:
+        raise ValueError(f"{path}: snapshot mode {header['mode']!r} does not "
+                         f"match the {mode} run")
+    if header["s"] != s:
+        raise ValueError(f"{path}: snapshot s = {header['s']:g} does not match "
+                         f"s = {s:g}")
+    if end_time <= header["time"]:
+        raise ValueError(f"{path}: end_time {end_time:g} does not exceed the "
+                         f"snapshot time {header['time']:.17g}")
+    return datum, header["time"]

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import re
@@ -299,6 +300,24 @@ def test_negative_snapshot_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_snapshot_is_config_error(tmp_path, capsys, kind):
+    # the reader's OSError is a config fault with the system's message, and
+    # nothing is written
+    snap = tmp_path / "snap.txt"
+    if kind == "directory":
+        snap.mkdir()
+    code = main(["evolve", *SMALL_RUN, "--datum", f"from_file({snap})",
+                 "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    number = errno.ENOENT if kind == "missing" else errno.EISDIR
+    assert code == EXIT_CONFIG
+    assert captured.out == (f"FRACPME-FAIL config: [Errno {number}] "
+                            f"{os.strerror(number)}: '{snap}'\n")
+    assert captured.err == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_step_budget_ends_a_fine_grid_run(tmp_path, monkeypatch, capsys):
     # the stiffness bound makes every step on this grid tiny; the run stops
     # at MAX_STEPS instead of stepping for days
@@ -321,6 +340,35 @@ def test_numerical_abort_maps_to_exit_3(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     assert "FRACPME-FAIL numerical: mass drifted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["evolve", "rescaled", "obstacle", "verify"])
+def test_runtime_error_is_one_numerical_line(tmp_path, monkeypatch, capsys, command):
+    # a RuntimeError that is not a NumericalAbort, raised from each command's
+    # library call, is a numerical fault like any other
+    import fracpme.verify
+
+    def stall(*args, **kwargs):
+        raise RuntimeError("solver stalled")
+
+    argv = {"evolve": ["evolve", *SMALL_RUN], "rescaled": ["rescaled", *SMALL_RUN],
+            "obstacle": ["obstacle", "--C", "1", "--N", "32", "--L", "4"],
+            "verify": ["verify", "--quick"]}[command]
+    if command == "obstacle":
+        monkeypatch.setattr(cli, "solve_obstacle", stall)
+    elif command == "verify":
+        monkeypatch.setitem(fracpme.verify._BUILDERS, "settled", stall)
+        monkeypatch.setattr(fracpme.verify, "CHECKS", (fracpme.verify._check_convergence,))
+    else:
+        monkeypatch.setattr(cli, "run", stall)
+    code = main([*argv, "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    fail = [line for line in captured.out.splitlines() if line.startswith("FRACPME-FAIL")]
+    assert fail == ["FRACPME-FAIL numerical: solver stalled"]
+    assert "Traceback" not in captured.out + captured.err
+    assert not any((tmp_path / "run" / name).exists()
+                   for name in ("diagnostics.csv", "report.txt", "verify_results.csv"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -637,7 +685,7 @@ def test_verify_fault_maps_to_exit_code(tmp_path, monkeypatch, capsys, fault, ki
     assert main(["verify", "--quick", "--out", str(tmp_path)]) == code
     captured = capsys.readouterr()
     fail = [line for line in captured.out.splitlines() if line.startswith("FRACPME-FAIL")]
-    assert fail == [f"FRACPME-FAIL {kind}: verify: {type(fault).__name__}: {fault}"]
+    assert fail == [f"FRACPME-FAIL {kind}: {fault}"]
     assert "Traceback" not in captured.out + captured.err
 
 
@@ -658,8 +706,9 @@ def test_dead_verify_worker_is_numerical_abort(tmp_path, monkeypatch, capsys, co
     assert main(["verify", "--quick", "--out", str(tmp_path)]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     fail = [line for line in captured.out.splitlines() if line.startswith("FRACPME-FAIL")]
-    assert forks and len(fail) == 1
-    assert fail[0].startswith("FRACPME-FAIL numerical: verify: BrokenProcessPool: ")
+    assert forks
+    assert fail == ["FRACPME-FAIL numerical: A process in the process pool was terminated "
+                    "abruptly while the future was running or pending."]
     assert "Traceback" not in captured.out + captured.err
 
 

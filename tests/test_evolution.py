@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracpme import evolution
 from fracpme.evolution import DT_MAX, MAX_STEPS, FlowKernel, NumericalAbort, run
 from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Field, Grid
@@ -319,23 +320,32 @@ def test_streamed_states_match_kept_snapshots():
         assert np.array_equal(state.values, snap.values)
 
 
-def test_records_cost_one_table_row_each():
+def test_records_cost_one_table_row_each(monkeypatch):
     # a streamed stride-1 run keeps one 88-B row per record and nothing else;
-    # a first identical run fills the caches and the interpreter's free lists
+    # a first identical run fills the caches and the interpreter's free lists.
+    # With one state a block (32 cells a block on 64 cells), the blocks are
+    # joined as the run goes, so the peak, at the final join, is the rows
+    # twice and little more, not a list of lone rows beside the joined copy
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
     discard = lambda k, t, state: None
-    run(box_datum(grid), "physical", 0.25, 20.0, **SETTINGS, on_record=discard)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        traj = run(box_datum(grid), "physical", 0.25, 20.0, **SETTINGS, on_record=discard)
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    records = len(traj.times)
-    assert records > 600
-    assert traj.diagnostics.nbytes == 88 * records
-    assert grown <= 128 * records
+    for block_cells, end_time in ((None, 20.0), (32, 60.0)):
+        if block_cells is not None:
+            monkeypatch.setattr(evolution, "RECORD_BLOCK_CELLS", block_cells)
+        run(box_datum(grid), "physical", 0.25, end_time, **SETTINGS, on_record=discard)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = run(box_datum(grid), "physical", 0.25, end_time, **SETTINGS,
+                       on_record=discard)
+            grown, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        records = len(traj.times)
+        assert records > (600 if block_cells is None else 2 * evolution.JOIN_BLOCKS)
+        assert traj.diagnostics.nbytes == 88 * records
+        assert grown <= 128 * records
+        if block_cells is not None:
+            assert peak <= 240 * records
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -3,7 +3,8 @@ module-level function, class and constant, public method and property is
 used by the package, every parameter default is both used and overridden by
 the package, every parameter is read by its def, every package-internal
 import names the module that defines the name, no package module imports
-scipy.sparse, and no package module reads the environment.
+scipy.sparse, no package module reads the environment, and only the CLI's
+`main` prints a FRACPME-FAIL line.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
@@ -425,6 +426,49 @@ def test_package_reads_no_environment():
     # every setting comes from the command line
     found = {path.name: hits for path in MODULES if (hits := environment_reads(path.read_text()))}
     assert found == {}
+
+
+def fault_line_reads(sources: dict) -> list:
+    """(module, line, owner) of each read of ``_machine_line``, by name or as
+    an attribute, in `sources` (file name -> source text); owner is the
+    outermost def around the read, or None at module level.  Only the reads
+    in cli's ``main`` are allowed: main is the one map from a fault to its
+    FRACPME-FAIL line, and a command that prints its own has grown a second."""
+    found = []
+
+    def visit(module, node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name == "_machine_line" and isinstance(child.ctx, ast.Load):
+                found.append((module, child.lineno, owner))
+            outermost = owner is None and isinstance(child, (ast.FunctionDef,
+                                                             ast.AsyncFunctionDef))
+            visit(module, child, child.name if outermost else owner)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), None)
+    return sorted(found, key=lambda f: f[:2])
+
+
+def test_guard_sees_a_fault_line_outside_main():
+    sources = {"cli.py": "def _machine_line(kind, detail):\n    print(kind, detail)\n\n"
+                         "def cmd(cfg):\n    try:\n        pass\n"
+                         "    except ValueError as exc:\n        _machine_line('config', exc)\n\n"
+                         "def main():\n    def report(v):\n        _machine_line('config', v)\n"
+                         "    _machine_line('numerical', 'x')\n    return report\n\n"
+                         "alias = _machine_line\n",
+               "verify.py": "from . import cli\n\ndef run_suite():\n"
+                            "    cli._machine_line('numerical', 'x')\n"}
+    assert fault_line_reads(sources) == [
+        ("cli.py", 8, "cmd"), ("cli.py", 12, "main"), ("cli.py", 13, "main"),
+        ("cli.py", 16, None), ("verify.py", 4, "run_suite")]
+
+
+def test_only_main_prints_a_fault_line():
+    sources = {path.name: path.read_text() for path in MODULES}
+    found = fault_line_reads(sources)
+    assert found and {(module, owner) for module, _, owner in found} == {("cli.py", "main")}
 
 
 def test_cli_import_loads_no_process_machinery():

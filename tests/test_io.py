@@ -259,12 +259,17 @@ def test_parse_datum_rejects(text, msg):
 
 
 def test_snapshot_datum_round_trip(tmp_path):
+    # a flow snapshot starts the run at its own time, an obstacle one at 0
     g = Grid(1, 6.0, 64)
     v = datum_gaussian(g, 1.0)
     write_snapshot(tmp_path / "v.txt", v, s=0.25, time=2.0, mode="physical")
-    rebuilt, header = snapshot_datum(tmp_path / "v.txt", g)
+    rebuilt, start = snapshot_datum(tmp_path / "v.txt", g, "physical", 0.25, 3.0)
     assert np.array_equal(rebuilt.values, v.values)
-    assert header["time"] == 2.0
+    assert start == 2.0
+    write_snapshot(tmp_path / "p.txt", v, s=0.25, time=0.0, mode="obstacle")
+    rebuilt, start = snapshot_datum(tmp_path / "p.txt", g, "rescaled", 0.25, 0.5)
+    assert np.array_equal(rebuilt.values, v.values)
+    assert start == 0.0
 
 
 def test_snapshot_datum_grid_mismatch(tmp_path):
@@ -272,4 +277,4 @@ def test_snapshot_datum_grid_mismatch(tmp_path):
     write_snapshot(tmp_path / "v.txt", datum_gaussian(g, 1.0),
                    s=0.25, time=0.0, mode="physical")
     with pytest.raises(ValueError, match="does not match the configured grid"):
-        snapshot_datum(tmp_path / "v.txt", Grid(1, 6.0, 128))
+        snapshot_datum(tmp_path / "v.txt", Grid(1, 6.0, 128), "physical", 0.25, 1.0)
