@@ -25,7 +25,8 @@ from .diagnostics import CSV_COLUMNS
 from .grid import Field, Grid
 
 SNAPSHOT_VERSION = 1
-HEADER_KEYS = ("format_version", "n", "s", "L", "N", "time", "mode")
+HEADER_KEYS = {"format_version": int, "n": int, "s": float, "L": float, "N": int,
+               "time": float, "mode": str}  # key -> the type its value parses as
 GAUSSIAN_CUTOFF = 1e-14  # relative truncation of the sampled tail
 _VALUES_PER_LINE = 8
 CSV_CHUNK_ROWS = 1024  # diagnostics rows formatted per write
@@ -54,13 +55,16 @@ def write_snapshot(path, v: Field, s: float, time: float, mode: str) -> None:
 def read_snapshot(path) -> tuple:
     """Inverse of write_snapshot: (Field, header dict).
 
-    The header must carry exactly the documented keys, with finite s, L and
-    time; the value count must match N^n, and every value must be finite.  A
-    file that cannot be read raises ValueError with the system's message."""
+    The header must carry each documented key once, with finite s and L and a
+    finite time that is not negative; the value count must match N^n, and
+    every value must be finite.  A fault raises ValueError naming the path,
+    and a file that cannot be read raises it with the system's message."""
     try:
         text = Path(path).read_text()
     except OSError as exc:  # missing, a directory, not permitted
         raise ValueError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     try:
         head, body = text.split("\n\n", 1)
     except ValueError:
@@ -68,42 +72,46 @@ def read_snapshot(path) -> tuple:
     header = {}
     for line in head.splitlines():
         key, sep, value = line.partition(":")
+        key = key.strip()
         if not sep:
             raise ValueError(f"{path}: malformed header line {line!r}")
-        header[key.strip()] = value.strip()
+        if key in header:
+            raise ValueError(f"{path}: duplicate header key {key!r}")
+        header[key] = value.strip()
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:
         raise ValueError(f"{path}: header lacks {missing}")
     unknown = sorted(set(header) - set(HEADER_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown header keys {unknown}")
-    if int(header["format_version"]) != SNAPSHOT_VERSION:
+    parsed = {}
+    for key, kind in HEADER_KEYS.items():
+        try:
+            parsed[key] = kind(header[key])
+        except ValueError:
+            raise ValueError(f"{path}: header {key} = {header[key]!r} "
+                             f"does not parse as {kind.__name__}") from None
+    if parsed["format_version"] != SNAPSHOT_VERSION:
         raise ValueError(
             f"{path}: format version {header['format_version']} unsupported"
         )
-    dim = int(header["n"])
-    npts = int(header["N"])
-    grid = Grid(dim, float(header["L"]), npts)
-    values = np.array(body.split(), dtype=float)
-    if values.size != npts**dim:
+    for key in ("s", "L", "time"):
+        if not np.isfinite(parsed[key]):
+            raise ValueError(f"{path}: header {key} = {header[key]!r} is not finite")
+    if parsed["time"] < 0.0:
+        raise ValueError(f"{path}: header time = {header['time']!r} is negative")
+    try:
+        grid = Grid(parsed["n"], parsed["L"], parsed["N"])
+        values = np.array(body.split(), dtype=float)
+    except ValueError as exc:  # a grid Grid refuses, a value that is not a number
+        raise ValueError(f"{path}: {exc}") from None
+    if values.size != grid.npoints:
         raise ValueError(
-            f"{path}: expected {npts**dim} values, found {values.size}"
+            f"{path}: expected {grid.npoints} values, found {values.size}"
         )
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(f"{path}: value {bad} is {values[bad]}, not finite")
-    parsed = {
-        "format_version": SNAPSHOT_VERSION,
-        "n": dim,
-        "s": float(header["s"]),
-        "L": float(header["L"]),
-        "N": npts,
-        "time": float(header["time"]),
-        "mode": header["mode"],
-    }
-    for key in ("s", "L", "time"):
-        if not np.isfinite(parsed[key]):
-            raise ValueError(f"{path}: header {key} = {header[key]!r} is not finite")
     return Field(grid, values.reshape(grid.shape)), parsed
 
 
@@ -232,7 +240,7 @@ def snapshot_datum(path, grid: Grid, mode: str, s: float, end_time: float) -> tu
         )
     low = loaded.values.min()
     if low < 0.0:
-        raise ValueError(f"density field has negative entries (min {low:.3e})")
+        raise ValueError(f"{path}: density field has negative entries (min {low:.3e})")
     datum = _checked_datum(loaded, str(path))
     if header["mode"] == "obstacle":
         return datum, 0.0

@@ -33,7 +33,6 @@ import numpy as np
 
 from .fracops import FracOperator, FracParams
 from .grid import Field, Grid
-from .remap import resample
 
 MARGIN_FACTOR = 1.5
 BOX_FACTOR = 3.0  # make_problem's box half-width over the parabola radius
@@ -230,52 +229,6 @@ def solve_obstacle(prob: ObstacleProblem) -> ObstacleSolution:
         contact_mask=Field(grid, contact), contact_radius=contact_radius,
         residuals=residuals, sweeps=sweeps,
     )
-
-
-def barenblatt_at(sol: ObstacleSolution, t: float) -> Field:
-    """The self-similar solution through the profile,
-    U_C(x, t) = (1+t)^(-alpha) V_C(x (1+t)^(-beta)), at time t > -1 on the
-    profile's grid.  The conservative remap carries the amplitude factor
-    exactly, so the mass is t-independent."""
-    if t <= -1.0:
-        raise ValueError(f"self-similar time must exceed -1, got {t}")
-    params = FracParams(sol.problem.s, sol.problem.grid.dim)
-    # resample yields V(lam x) with mass / lam^n; lam = (1+t)^-beta plus the
-    # (1+t)^-alpha amplitude leaves the mass exactly t-independent
-    out = resample(sol.density, sol.density.grid, lam=(1.0 + t) ** -params.beta)
-    return Field(out.grid, (1.0 + t) ** -params.alpha * out.values)
-
-
-def scaling_check(sol1: ObstacleSolution, sol_c: ObstacleSolution) -> float:
-    """Maximum deviation of sol_c's density from the dilation law applied to
-    sol1, relative to sol_c's peak.
-
-    V_C(y) = (C/C1)^(1-s) V_1(y / sqrt(C/C1)); sol1 is conservatively
-    resampled onto sol_c's grid, so the deviation includes one interpolation
-    error."""
-    ratio = sol_c.problem.C / sol1.problem.C
-    # resample gives V1(y/lam) for dilation factor 1/lam = 1/sqrt(ratio)
-    v_pred = resample(sol1.density, sol_c.density.grid, lam=1.0 / float(np.sqrt(ratio)))
-    v_pred = v_pred.values * ratio ** (1.0 - sol1.problem.s)
-    return float(np.abs(sol_c.density.values - v_pred).max()) / sol_c.density.linf()
-
-
-def mass_law(solutions: list) -> tuple:
-    """Fit mass = c * C^p over the solved family; returns (p, c).
-
-    Needs at least 4 levels spanning a factor of 8 in C."""
-    cs = np.array([s.problem.C for s in solutions], dtype=float)
-    masses = np.array([s.mass for s in solutions], dtype=float)
-    if len(cs) < 4:
-        raise ValueError(f"need at least 4 solutions, got {len(cs)}")
-    if cs.min() <= 0.0 or masses.min() <= 0.0:
-        raise ValueError("mass-law fit needs positive C and positive masses")
-    if cs.max() / cs.min() < 8.0:
-        raise ValueError(
-            f"C values span only a factor {cs.max() / cs.min():.3g}; need >= 8"
-        )
-    slope, intercept = np.polyfit(np.log(cs), np.log(masses), 1)
-    return float(slope), float(np.exp(intercept))
 
 
 def match_mass(mass: float, s: float, grid: Grid) -> ObstacleSolution:

@@ -4,8 +4,7 @@ Everything here recomputes a quantity through a route that shares no code with t
 implementation it checks: adaptive quadrature instead of closed-form antiderivatives
 for the kernel taps, the closed-form Riesz potential of a Gaussian instead of the
 tap table and FFT convolution, dense kernel matrices instead of FFT convolution,
-and complementary pivoting or enumeration instead of the active-set obstacle
-solver.
+and complementary pivoting instead of the active-set obstacle solver.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from scipy.special import gamma, hyp1f1
 
 from .fracops import FracOperator, riesz_constant
 from .grid import Grid
+
+LEMKE_MAX_PIVOTS = 20000  # pivots lemke_lcp takes before it gives up
 
 
 def quadrature_taps_1d(grid: Grid, s: float) -> np.ndarray:
@@ -35,28 +36,6 @@ def quadrature_taps_1d(grid: Grid, s: float) -> np.ndarray:
         val, _ = quad(kern, d - h / 2.0, d + h / 2.0, epsabs=1e-13, limit=200)
         taps[m] = val
     return c * taps
-
-
-def quadrature_tap_2d(grid: Grid, s: float, mx: int, my: int) -> float:
-    """One 2-D kernel tap by nested adaptive quadrature (slow; spot checks only)."""
-    from scipy.integrate import dblquad
-
-    h = grid.spacing
-    c = riesz_constant(2, s)
-    dx, dy = mx * h, my * h
-    if mx == 0 and my == 0:
-        # integrate |z|^(2s-2) over the quarter cell and use symmetry; the inner
-        # integral is still singular at the origin, which `points` handles.
-        val, _ = dblquad(
-            lambda y, x: (x * x + y * y) ** (s - 1.0),
-            0.0, h / 2.0, 0.0, h / 2.0, epsabs=1e-12,
-        )
-        return float(4.0 * c * val)
-    val, _ = dblquad(
-        lambda y, x: ((dx - x) ** 2 + (dy - y) ** 2) ** (s - 1.0),
-        -h / 2.0, h / 2.0, -h / 2.0, h / 2.0, epsabs=1e-12,
-    )
-    return float(c * val)
 
 
 def riesz_potential_gaussian(r2: np.ndarray, n: int, s: float) -> np.ndarray:
@@ -89,7 +68,7 @@ def kernel_matrix(op: FracOperator, flat_index: np.ndarray) -> np.ndarray:
     return op.taps[dx, dy]
 
 
-def lemke_lcp(m_mat: np.ndarray, q: np.ndarray, max_pivots: int = 20000) -> np.ndarray:
+def lemke_lcp(m_mat: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Complementary pivoting for the LCP w = M v + q, v, w >= 0, v'w = 0.
 
     Textbook Lemke with the all-ones covering vector; terminates for positive
@@ -106,7 +85,7 @@ def lemke_lcp(m_mat: np.ndarray, q: np.ndarray, max_pivots: int = 20000) -> np.n
     basis = list(range(n))
     row = int(np.argmin(tab[:, -1]))
     entering = 2 * n  # z0
-    for _ in range(max_pivots):
+    for _ in range(LEMKE_MAX_PIVOTS):
         piv = tab[row, entering]
         if abs(piv) < 1e-14:
             raise RuntimeError("degenerate pivot in complementary pivoting")
@@ -130,26 +109,4 @@ def lemke_lcp(m_mat: np.ndarray, q: np.ndarray, max_pivots: int = 20000) -> np.n
             raise RuntimeError("unbounded ray in complementary pivoting")
         ratios = np.where(pos, tab[:, -1] / np.where(pos, col, 1.0), np.inf)
         row = int(np.argmin(ratios))
-    raise RuntimeError(f"no complementary solution within {max_pivots} pivots")
-
-
-def enumerate_lcp(m_mat: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Brute-force LCP solution by trying every active set (n <= 16 only)."""
-    q = np.asarray(q, dtype=float)
-    n = q.size
-    if n > 16:
-        raise ValueError(f"enumeration oracle limited to 16 unknowns, got {n}")
-    for mask in range(2**n):
-        act = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-        v = np.zeros(n)
-        if act.any():
-            try:
-                v[act] = np.linalg.solve(m_mat[np.ix_(act, act)], -q[act])
-            except np.linalg.LinAlgError:
-                continue
-            if v[act].min() < -1e-12:
-                continue
-        w = m_mat @ v + q
-        if w.min() >= -1e-10:
-            return v
-    raise RuntimeError("no active set solves the LCP (matrix not a P-matrix?)")
+    raise RuntimeError(f"no complementary solution within {LEMKE_MAX_PIVOTS} pivots")

@@ -296,8 +296,43 @@ def test_negative_snapshot_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "run")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().out == (
-        "FRACPME-FAIL config: density field has negative entries (min -1.000e-03)\n")
+        f"FRACPME-FAIL config: {snap}: density field has negative entries (min -1.000e-03)\n")
     assert not (tmp_path / "run").exists()
+
+
+# (header line, its replacement, the fault after the path; None: the run goes ahead)
+SNAPSHOT_EDITS = {
+    "repeated_mode": ("mode: physical", "mode: rescaled\nmode: physical",
+                      "duplicate header key 'mode'"),
+    "repeated_time": ("time: 0", "time: 0\ntime: 0", "duplicate header key 'time'"),
+    "unparsed_version": ("format_version: 1", "format_version: x",
+                         "header format_version = 'x' does not parse as int"),
+    "refused_grid": ("N: 32", "N: 0", "points_per_axis must be even and >= 8, got 0"),
+    "negative_time": ("time: 0", "time: -5", "header time = '-5' is negative"),
+    "negative_zero_time": ("time: 0", "time: -0", None),
+}
+
+
+@pytest.mark.parametrize("edit", SNAPSHOT_EDITS.values(), ids=SNAPSHOT_EDITS.keys())
+def test_snapshot_fault_names_the_file(tmp_path, capsys, edit):
+    # a snapshot the reader refuses is one config line that starts with its
+    # path, before the output directory is made
+    old, new, fault = edit
+    snap = tmp_path / "snap.txt"
+    write_snapshot(snap, Field(Grid(1, 4.0, 32), np.ones(32)), s=0.25, time=0.0,
+                   mode="physical")
+    lines = snap.read_text().split("\n")
+    lines[lines.index(old)] = new
+    snap.write_text("\n".join(lines))
+    out = tmp_path / "run"
+    code = main(["evolve", *SMALL_RUN, "--datum", f"from_file({snap})", "--out", str(out)])
+    printed = capsys.readouterr().out
+    if fault is None:
+        assert code == EXIT_OK and (out / "diagnostics.csv").exists()
+        return
+    assert code == EXIT_CONFIG
+    assert printed == f"FRACPME-FAIL config: {snap}: {fault}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -17,9 +17,7 @@ survives for the tests alone.  A defaulted parameter must be set by some
 package call and left at its default by another, so that no default serves
 only the tests and none is dead; and a def must read each of its
 parameters, so that no caller passes a value for nothing.  A public name
-may instead be listed in an ``__all__``; `oracles.py` holds the reference
-implementations the tests compare against, so its public names and defaults
-are exempt.
+may instead be listed in an ``__all__``.
 """
 
 import ast
@@ -31,7 +29,6 @@ from pathlib import Path
 import fracpme
 
 MODULES = sorted(Path(fracpme.__file__).parent.glob("*.py"))
-PUBLIC_EXEMPT = {"oracles.py"}
 
 
 def all_names(tree: ast.Module) -> set:
@@ -63,15 +60,14 @@ def unreferenced_defs(sources: dict, private: bool) -> list:
     """(module, line, name) of each module-level def or class, private
     (``_name``) or public by `private`, that no module in `sources` (name ->
     source text) refers to.  Public names in an ``__all__`` count as
-    referenced, and public names of PUBLIC_EXEMPT modules are not checked."""
+    referenced."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and node.name.startswith("_") == private
-                    and not node.name.endswith("__")
-                    and (private or module not in PUBLIC_EXEMPT)):
+                    and not node.name.endswith("__")):
                 defined.append((module, node.lineno, node.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -88,12 +84,12 @@ def unreferenced_members(sources: dict) -> list:
     """(module, line, "Class.name") of each public method or property of a
     module-level class that no module in `sources` reads as an attribute.
     Dataclass fields are not defs and dunders are not public, so neither is
-    checked; nor are the classes of PUBLIC_EXEMPT modules."""
+    checked."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for cls in tree.body:
-            if isinstance(cls, ast.ClassDef) and module not in PUBLIC_EXEMPT:
+            if isinstance(cls, ast.ClassDef):
                 defined.extend((module, node.lineno, f"{cls.name}.{node.name}")
                                for node in cls.body
                                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -106,12 +102,12 @@ def unreferenced_members(sources: dict) -> list:
 def unread_constants(sources: dict) -> list:
     """(module, line, name) of each public module-level UPPERCASE constant
     that no module in `sources` reads, by name or as an attribute.  Being
-    assigned is not being read; a constant in an ``__all__`` counts as read,
-    and the constants of PUBLIC_EXEMPT modules are not checked."""
+    assigned is not being read, and a constant in an ``__all__`` counts as
+    read."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body if module not in PUBLIC_EXEMPT else []:
+        for node in tree.body:
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             defined.extend((module, node.lineno, target.id) for target in targets
@@ -161,12 +157,11 @@ def idle_defaults(sources: dict) -> list:
     ``__init__`` by its class name); a parameter is set by a call that names
     it or reaches its position, and a ``*`` or ``**`` splat sets every one.
     Dataclass fields are not parameters of a def, so their defaults are out
-    of scope; the defs of PUBLIC_EXEMPT modules are not checked."""
+    of scope."""
     params, calls = [], {}
     for module, source in sources.items():
         tree = ast.parse(source)
-        if module not in PUBLIC_EXEMPT:
-            params.extend((module, *p) for p in defaulted_parameters(tree))
+        params.extend((module, *p) for p in defaulted_parameters(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -199,8 +194,7 @@ def test_guard_sees_an_idle_default():
                        "class C:\n    def __init__(self, u=0):\n        pass\n\n"
                        "    def m(self, v=0):\n        pass\n",
                "b.py": "from a import C, f, g, h\n\nf(1)\nf(1, 2, z=3)\ng(1)\ng(x=2)\n"
-                       "h()\nC()\nC(1)\nC().m()\nC().m(*[1])\n",
-               "oracles.py": "def reference(k=1):\n    pass\n"}
+                       "h()\nC()\nC(1)\nC().m()\nC().m(*[1])\n"}
     assert idle_defaults(sources) == [("a.py", 4, "g(x)"), ("a.py", 7, "h(w)")]
 
 
@@ -290,8 +284,7 @@ def test_package_uses_every_private_def():
 def test_guard_sees_an_unreferenced_public_def():
     sources = {"a.py": "def used():\n    pass\n\ndef dead():\n    pass\n\n"
                        "class Listed:\n    pass\n\n__all__ = ['Listed']\n",
-               "b.py": "from a import used\n\nclass Gone:\n    pass\n",
-               "oracles.py": "def reference():\n    pass\n"}
+               "b.py": "from a import used\n\nclass Gone:\n    pass\n"}
     assert unreferenced_defs(sources, private=False) == [("a.py", 4, "dead"),
                                                          ("b.py", 3, "Gone")]
 
@@ -305,8 +298,7 @@ def test_guard_sees_an_unreferenced_member():
     sources = {"a.py": "class A:\n    x: int\n\n    def used(self):\n        pass\n\n"
                        "    @property\n    def dead(self):\n        pass\n\n"
                        "    def __len__(self):\n        return 0\n",
-               "b.py": "from a import A\n\nA().used()\nA().dead = 1\n",
-               "oracles.py": "class R:\n    def reference(self):\n        pass\n"}
+               "b.py": "from a import A\n\nA().used()\nA().dead = 1\n"}
     assert unreferenced_members(sources) == [("a.py", 8, "A.dead")]
 
 
@@ -318,8 +310,7 @@ def test_package_reads_every_public_member():
 def test_guard_sees_an_unread_constant():
     sources = {"a.py": "USED = 1\nDEAD = 2\nLISTED = 3\n_PRIVATE = 4\n"
                        "__all__ = ['LISTED']\n",
-               "b.py": "import a\n\nGONE: int = a.USED\na.DEAD = 5\n",
-               "oracles.py": "REFERENCE = 1\n"}
+               "b.py": "import a\n\nGONE: int = a.USED\na.DEAD = 5\n"}
     assert unread_constants(sources) == [("a.py", 2, "DEAD"), ("b.py", 3, "GONE")]
 
 
@@ -471,13 +462,25 @@ def test_only_main_prints_a_fault_line():
     assert found and {(module, owner) for module, _, owner in found} == {("cli.py", "main")}
 
 
-def test_cli_import_loads_no_process_machinery():
-    # fanout imports the process pool; the command line must not pay for it
+CLI_IMPORT_PROBE = """
+import sys
+from fracpme.cli import main
+
+print(sorted(m for m in ("multiprocessing", "concurrent.futures.process",
+                         "concurrent.futures.thread") if m in sys.modules))
+codes = [main(["evolve", "--N", "32", "--L", "4", "--end-time", "0.01", "--out", "evolve"]),
+         main(["obstacle", "--N", "32", "--L", "4", "--C", "1", "--out", "obstacle"])]
+print(codes, "scipy.interpolate" in sys.modules)
+"""
+
+
+def test_cli_import_loads_no_process_machinery(tmp_path):
+    # fanout imports the process pool and verify's remap scipy.interpolate;
+    # neither the command line nor an evolve or obstacle run may pay for them
     env = dict(os.environ, PYTHONPATH=str(Path(fracpme.__file__).parents[1]))
-    probe = ("import sys, fracpme.cli; print(sorted(m for m in ('multiprocessing', "
-             "'concurrent.futures.process', 'concurrent.futures.thread') "
-             "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", CLI_IMPORT_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[0, 0] False"

@@ -123,6 +123,19 @@ def test_snapshot_rejects_non_finite(tmp_path, old, new, message):
         read_snapshot(bad)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: b"\xff" + text.encode(), "'utf-8' codec can't decode byte 0xff"),
+    (lambda text: text.replace("\n\n1.0000000000000000e+00", "\n\nabc", 1).encode(),
+     "could not convert string to float: 'abc'"),
+], ids=["binary", "text_value"])
+def test_snapshot_decode_faults_name_the_file(tmp_path, edit, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(edit(_write_valid(tmp_path)))
+    with pytest.raises(ValueError) as caught:
+        read_snapshot(bad)
+    assert str(caught.value).startswith(f"{bad}: {message}")
+
+
 def test_snapshot_malformed_header_line(tmp_path):
     text = _write_valid(tmp_path).replace("n: 1", "just words")
     bad = tmp_path / "bad.txt"

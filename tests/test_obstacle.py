@@ -7,16 +7,11 @@ from fracpme import obstacle, oracles
 from fracpme.evolution import run
 from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Grid
-from fracpme.obstacle import (
-    ObstacleProblem,
-    barenblatt_at,
-    make_problem,
-    mass_law,
-    match_mass,
-    scaling_check,
-    solve_obstacle,
-)
-from fracpme.oracles import enumerate_lcp, kernel_matrix, lemke_lcp
+from fracpme.obstacle import ObstacleProblem, make_problem, match_mass, solve_obstacle
+from fracpme.oracles import kernel_matrix, lemke_lcp
+from fracpme.remap import resample
+from fracpme.verify import _barenblatt_at
+from reference_oracles import enumerate_lcp
 
 
 @pytest.fixture(scope="module")
@@ -266,43 +261,49 @@ def test_center_value_against_extrapolated_pivoting_oracle():
     assert abs(v0 - extrapolated) <= 0.02 * v0  # measured 2e-4 relative
 
 
+def scaling_dev(sol1, sol_c) -> float:
+    """Maximum deviation of sol_c's density from the dilation law
+    V_C(y) = (C/C1)^(1-s) V_1(y / sqrt(C/C1)) applied to sol1, relative to
+    sol_c's peak, as verify check 9 measures it."""
+    ratio = sol_c.problem.C / sol1.problem.C
+    v_pred = resample(sol1.density, sol_c.density.grid, lam=1.0 / float(np.sqrt(ratio)))
+    v_pred = v_pred.values * ratio ** (1.0 - sol1.problem.s)
+    return float(np.abs(sol_c.density.values - v_pred).max()) / sol_c.density.linf()
+
+
+def mass_fit(solutions) -> tuple:
+    """(p, c) of the least-squares fit mass = c * C^p over the family."""
+    slope, intercept = np.polyfit(np.log([sol.problem.C for sol in solutions]),
+                                  np.log([sol.mass for sol in solutions]), 1)
+    return float(slope), float(np.exp(intercept))
+
+
 def test_scaling_law(sol_c1, sol_c4):
     # boxes scale with sqrt(C), so the two discrete systems are exact copies:
     # deviations sit at solver precision, far below the 2% contract
-    assert scaling_check(sol_c1, sol_c4) <= 1e-10
+    assert scaling_dev(sol_c1, sol_c4) <= 1e-10
     # the boxes align cell by cell, so P_4 = 4 P_1 and R_4 = 2 R_1 per cell
     p_dev = np.abs(sol_c4.pressure.values - 4.0 * sol_c1.pressure.values).max()
     assert p_dev <= 1e-10 * sol_c4.pressure.linf()
     cell = sol_c4.density.grid.spacing
     assert abs(sol_c4.contact_radius - 2.0 * sol_c1.contact_radius) <= cell
-    assert scaling_check(sol_c1, sol_c1) <= 1e-12
+    assert scaling_dev(sol_c1, sol_c1) <= 1e-12
 
 
 def test_mass_law_on_fixed_grid():
     grid = make_problem(4.0, 1, 0.25, 512).grid
     sols = [solve_obstacle(ObstacleProblem(C=c, s=0.25, grid=grid))
             for c in (0.5, 1.0, 2.0, 4.0)]
-    slope, c_fit = mass_law(sols)
+    slope, c_fit = mass_fit(sols)
     assert abs(slope - 1.25) <= 0.02 * 1.25  # measured 1.25003
     assert c_fit == pytest.approx(1.36, abs=2e-3)
 
 
-def test_mass_law_input_validation(sol_c1, sol_c4):
-    with pytest.raises(ValueError, match="4 solutions"):
-        mass_law([sol_c1, sol_c4])
-    sols = [sol_c1, sol_c1, sol_c1, sol_c4]
-    # C values 1,1,1,4 span only 4x
-    with pytest.raises(ValueError, match="span"):
-        mass_law(sols)
-
-
 def test_self_similar_sampling(sol_c1):
-    u0 = barenblatt_at(sol_c1, 0.0)
+    u0 = _barenblatt_at(sol_c1, 0.0)
     assert np.abs(u0.values - sol_c1.density.values).max() <= 1e-12
     for t in (1.0, 10.0):
-        assert barenblatt_at(sol_c1, t).mass() == pytest.approx(sol_c1.mass, rel=1e-6)
-    with pytest.raises(ValueError):
-        barenblatt_at(sol_c1, -1.0)
+        assert _barenblatt_at(sol_c1, t).mass() == pytest.approx(sol_c1.mass, rel=1e-6)
 
 
 def test_profile_is_stationary_under_rescaled_step(sol_c1):
@@ -369,7 +370,7 @@ def test_two_dimensional_solution():
 
 def test_two_dimensional_mass_law():
     sols = [solve_obstacle(make_problem(c, 2, 0.5, 64)) for c in (0.5, 1.0, 2.0, 4.0)]
-    slope, c_fit = mass_law(sols)
+    slope, c_fit = mass_fit(sols)
     # per-C boxes are exact rescalings of one another, so the discrete
     # exponent is exact; the intercept is the measured content
     assert abs(slope - 1.5) <= 1e-6
