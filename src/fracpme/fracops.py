@@ -86,10 +86,6 @@ class FracParams:
         return 1.0 / (self.dim + 2.0 - 2.0 * self.s)
 
     @property
-    def alpha(self) -> float:
-        return self.dim * self.beta
-
-    @property
     def a(self) -> float:
         return self.beta / 2.0
 

@@ -12,6 +12,7 @@ constraint of its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ class Grid:
         n = self.points_per_axis
         if n < 8 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 8, got {n}")
+        if n > sys.float_info.max:  # 2 L / N would raise OverflowError
+            raise ValueError(f"points_per_axis {n} is beyond the float range")
         h = self.spacing
         vol = math.prod([h] * self.dim)  # h ** dim, but inf rather than OverflowError
         if not (0.0 < h < math.inf and 0.0 < vol < math.inf):

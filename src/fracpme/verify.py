@@ -4,9 +4,13 @@ Fourteen checks cover the operator identities, conservation and
 monotonicity of the stepper, the decay and propagation laws, the
 entropy budget, the obstacle solver against dense oracles, the scaling
 relations of the stationary profile, and the convergence of the
-rescaled flow to it.  `run_suite(quick, out_dir)` prints one line per
-check and writes out_dir/verify_results.csv; the command layer turns the
-boolean into an exit status.
+rescaled flow to it.  Every profile comes from the one obstacle solver
+on the grid it is compared on: the self-similar solution through a
+profile at time t is the profile at level C (1+t)^(2 beta) over 1 + t
+(`_self_similar`), and the dilation law compares make_problem boxes cell
+by cell, so no check interpolates.  `run_suite(quick, out_dir)` prints one
+line per check and writes out_dir/verify_results.csv; the command layer
+turns the boolean into an exit status.
 
 The long runs and solves that checks read (artifacts) are built first,
 longest first, by `fanout.fan_out`; the checks then run in order in this
@@ -22,7 +26,7 @@ from __future__ import annotations
 import functools
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +40,6 @@ from .io import datum_box, datum_gaussian, datum_parabola_cap, write_diagnostics
 from .obstacle import ObstacleProblem, make_problem, match_mass, solve_obstacle
 from .oracles import (kernel_matrix, lemke_lcp, quadrature_taps_1d,
                       riesz_potential_gaussian)
-from .remap import resample
 
 
 @dataclass
@@ -128,10 +131,10 @@ def _settled(n_pts: int, width: float, height: float) -> Field:
     return states[-1]
 
 
-# builder of each kind, longest first: the prefetch order (in quick mode
-# the three runs take about 0.4, 0.7 and 0.6 s, in full mode 4.0, 1.5 and
-# 0.9 s, serial medians of three on a 2-core VM; every other artifact takes
-# at most about 0.3 s)
+# builder of each kind, longest first in full mode: the prefetch order.
+# Serial in-process medians of three on a 2-core VM, quick / full mode:
+# decay_2d 0.32 / 4.8 s, each mass_run 0.58-0.59 / 0.79-1.4 s,
+# smoothing_1d 0.10 / 0.21 s, every other artifact at most 0.06 / 0.20 s
 _BUILDERS = {
     "decay_2d": _decay_2d,
     "mass_run": _mass_run,
@@ -366,16 +369,13 @@ def _mass_law_families(ctx: Suite) -> list:
     return [("profile", ObstacleProblem(C=c, s=s, grid=g)) for s, g in grids for c in levels]
 
 
-# default sizing makes the level-4 box exactly twice the level-1 box,
-# so the rescaled grids align cell by cell
+# default sizing makes the level-4 box exactly twice the level-1 box with
+# the same N, so cell j of one grid is cell j of the other dilated by 2
 @_reads(lambda ctx: [("profile", make_problem(c, 1, 0.25, ctx.pick(1024, 512)))
                      for c in (1.0, 4.0)] + _mass_law_families(ctx))
 def _check_scaling(ctx: Suite, sol1, sol4, *families) -> CheckResult:
-    # the dilation law V_4(y) = 4^(1-s) V_1(y/2), with sol1 conservatively
-    # resampled onto sol4's grid: the deviation includes one interpolation error
-    ratio = sol4.problem.C / sol1.problem.C
-    v_pred = resample(sol1.density, sol4.density.grid, lam=1.0 / float(np.sqrt(ratio)))
-    v_pred = v_pred.values * ratio ** (1.0 - sol1.problem.s)
+    # the dilation law V_4(y) = 4^(1-s) V_1(y/2), cell by cell
+    v_pred = (sol4.problem.C / sol1.problem.C) ** (1.0 - sol1.problem.s) * sol1.density.values
     dev = float(np.abs(sol4.density.values - v_pred).max()) / sol4.density.linf()
     # the mass law mass = c C^p: p is the slope of the log-log fit per family
     p1, p2 = (float(np.polyfit(np.log([sol.problem.C for sol in family]),
@@ -393,31 +393,34 @@ def _check_scaling(ctx: Suite, sol1, sol4, *families) -> CheckResult:
         ok)
 
 
-def _barenblatt_at(sol, t: float) -> Field:
-    """The self-similar solution through the profile,
-    U_C(x, t) = (1+t)^(-alpha) V_C(x (1+t)^(-beta)), at time t on the
-    profile's grid."""
-    params = FracParams(sol.problem.s, sol.problem.grid.dim)
-    # resample yields V(lam x) with mass / lam^n; lam = (1+t)^-beta plus the
-    # (1+t)^-alpha amplitude leaves the mass exactly t-independent
-    out = resample(sol.density, sol.density.grid, lam=(1.0 + t) ** -params.beta)
-    return Field(out.grid, (1.0 + t) ** -params.alpha * out.values)
+def _self_similar(prob: ObstacleProblem, t: float) -> ObstacleProblem:
+    """`prob` at level C (1+t)^(2 beta) on the same grid.  The dilation law
+    V_C'(y) = (C'/C)^(1-s) V_C(y sqrt(C/C')) and alpha + (2-2s) beta = 1 make
+    the self-similar solution U_C(x, t) = (1+t)^(-alpha) V_C(x (1+t)^(-beta))
+    this problem's profile over 1 + t.  Raises ValueError once the level
+    outgrows the box margin (t > 2^(1/beta) - 1 on make_problem's box)."""
+    beta = FracParams(prob.s, prob.grid.dim).beta
+    return replace(prob, C=prob.C * (1.0 + t) ** (2.0 * beta))
 
 
-@_reads(lambda ctx: [_unit_level(n) for n in ctx.pick((256, 512, 1024),
-                                                      (128, 256, 512))])
+def _one_step_problems(ctx: Suite) -> list:
+    return [make_problem(1.0, 1, 0.25, n) for n in ctx.pick((256, 512, 1024), (128, 256, 512))]
+
+
+# the t = 1 profiles are prefetched; the t = 1 + dt ones wait for the step's dt
+@_reads(lambda ctx: [("profile", _self_similar(prob, 1.0)) for prob in _one_step_problems(ctx)])
 def _check_one_step(ctx: Suite, *sols) -> CheckResult:
     resids, ratios = [], []
-    for sol in sols:
-        prob = sol.problem
-        u1 = _barenblatt_at(sol, 1.0)
+    for prob, sol in zip(_one_step_problems(ctx), sols):
+        u1 = Field(prob.grid, sol.density.values / 2.0)  # U(., t) = V / (1 + t) at t = 1
         op = FracOperator(prob.grid, FracParams(s=prob.s, dim=prob.grid.dim))
         kernel = FlowKernel(op, False, 0.4)
         faces = kernel.faces(u1.values, op.convolve(u1.values))
         vals, dt, low = kernel.step(u1.values, faces, float(u1.values.max()), np.inf)
         if low < 0.0:
             raise NumericalAbort(f"positivity lost in step (min {low:.3e})")
-        r = _l1(Field(prob.grid, vals), _barenblatt_at(sol, 1.0 + dt))
+        v_next = solve_obstacle(_self_similar(prob, 1.0 + dt)).density.values
+        r = _l1(Field(prob.grid, vals), Field(prob.grid, v_next / (2.0 + dt)))
         resids.append(r)
         ratios.append(r / (dt * prob.grid.spacing))
     mean_order = float(np.log2(resids[0] / resids[-1]) / 2.0)

@@ -241,13 +241,16 @@ SMALL_RUN = ["--N", "32", "--L", "4", "--end-time", "0.01"]
     (["evolve", *SMALL_RUN, "--datum", "gaussian_truncated(1e-320)"],
      "datum gaussian_truncated(1e-320,): no mass on the grid"),
     (["evolve", *SMALL_RUN, "--s", "1e-320"], "Riesz kernel normalization underflows"),
+    (["evolve", *SMALL_RUN, "--N", str(10 ** 400)],
+     f"points_per_axis {10 ** 400} is beyond the float range"),
 ], ids=["L_inf", "L_nan",
         "datum_inf", "end_time_inf", "end_time_nan", "obstacle_C_nan",
         "L_spacing_overflows", "obstacle_cell_volume_overflows",
         "end_time_beyond_step_budget", "spacing_squared_underflows",
         "stiffness_scale_overflows", "evolve_corner_radius_overflows",
         "rescaled_corner_radius_overflows", "obstacle_corner_radius_overflows",
-        "datum_off_grid", "datum_below_the_cells", "s_underflows_the_kernel"])
+        "datum_off_grid", "datum_below_the_cells", "s_underflows_the_kernel",
+        "N_beyond_the_float_range"])
 def test_degenerate_config_is_config_error(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "run")])
     captured = capsys.readouterr()
@@ -308,6 +311,8 @@ SNAPSHOT_EDITS = {
     "unparsed_version": ("format_version: 1", "format_version: x",
                          "header format_version = 'x' does not parse as int"),
     "refused_grid": ("N: 32", "N: 0", "points_per_axis must be even and >= 8, got 0"),
+    "grid_beyond_floats": ("N: 32", f"N: {10 ** 400}",
+                           f"points_per_axis {10 ** 400} is beyond the float range"),
     "negative_time": ("time: 0", "time: -5", "header time = '-5' is negative"),
     "negative_zero_time": ("time: 0", "time: -0", None),
 }

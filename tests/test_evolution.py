@@ -9,7 +9,6 @@ from fracpme import evolution
 from fracpme.evolution import DT_MAX, MAX_STEPS, FlowKernel, NumericalAbort, run
 from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Field, Grid
-from fracpme.remap import resample
 
 
 # run's solver settings for a run recording every step at the CLI's CFL factor
@@ -49,7 +48,7 @@ def gaussian_datum(grid, width=0.8):
 def test_exponent_values(n, s, beta, alpha, sigma, a):
     e = FracParams(s, n)
     assert e.beta == pytest.approx(beta, abs=1e-15)
-    assert e.alpha == pytest.approx(alpha, abs=1e-15)
+    assert n * e.beta == pytest.approx(alpha, abs=1e-15)
     assert 1.0 - 2.0 * e.beta == pytest.approx(sigma, abs=1e-15)
     assert e.a == pytest.approx(a, abs=1e-15)
 
@@ -58,7 +57,8 @@ def test_exponent_values(n, s, beta, alpha, sigma, a):
                                   for n in (1, 2) if n == 2 or s < 0.5])
 def test_exponent_identity(n, s):
     e = FracParams(s, n)
-    assert e.alpha + (2.0 - 2.0 * s) * e.beta == pytest.approx(1.0, abs=1e-14)
+    alpha = n * e.beta
+    assert alpha + (2.0 - 2.0 * s) * e.beta == pytest.approx(1.0, abs=1e-14)
     assert e.a == pytest.approx(e.beta / 2.0, abs=1e-16)
 
 
@@ -196,30 +196,17 @@ def test_dt_cap_honored():
     assert traj.times.tolist() == [0.0, 1e-4]
 
 
-def rescale(u, t, exp):
-    """v(y) = (1+t)^alpha u(y (1+t)^beta): the rescaled state of u at time t."""
-    v = resample(u, u.grid, lam=(1.0 + t) ** exp.beta)
-    return Field(v.grid, (1.0 + t) ** exp.alpha * v.values)
-
-
-def test_rescale_matches_analytic_dilation():
-    grid = Grid(dim=1, half_width=8.0, points_per_axis=512)
-    exp = FracParams(0.25, 1)
-    width = 0.8
-    v = rescale(gaussian_datum(grid, width), 1.5, exp)
-    lam = 2.5**exp.beta
-    expected = 2.5**exp.alpha * np.exp(-((grid.axis() * lam) ** 2) / (2 * width**2))
-    assert np.abs(v.values - expected).max() < 2e-4
-
-
 def test_pressure_scaling_under_rescale():
-    # K u (x) = (1+t)^(-sigma) K v (x (1+t)^(-beta)) for v = rescale of u
+    # K u (x) = (1+t)^(-sigma) K v (x (1+t)^(-beta)) for the rescaled state
+    # v(y) = (1+t)^(n beta) u(y (1+t)^beta) of the Gaussian u, sampled directly
     grid = Grid(dim=1, half_width=8.0, points_per_axis=512)
     op = freespace_op(grid)
     exp = FracParams(0.25, 1)
-    u = gaussian_datum(grid)
+    width = 0.8
+    u = gaussian_datum(grid, width)
     t = 1.5
-    v = rescale(u, t, exp)
+    lam = (1.0 + t) ** exp.beta
+    v = Field(grid, lam ** grid.dim * np.exp(-(grid.axis() * lam) ** 2 / (2 * width**2)))
     pu = op.convolve(u.values)
     pv = op.convolve(v.values)
     x = grid.axis()

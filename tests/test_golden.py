@@ -43,7 +43,7 @@ RUNS = {
                       "4c00e55ae668f4a20d2af30f07540a7b6f8d040c2382e9097acacc06ae8c2cae"),
     # verify_results.csv, the same bytes on one core and on two
     "verify_quick": (["verify", "--quick"],
-                     "e64750429bf7e7a56942eeeb402d8fae8793913d6925ceb9dc7a0900c38e5514"),
+                     "9fcd2ccbc00eef63f7afd52df1f888de52b63ea61d64f0cc82400b5683a199f2"),
 }
 
 
