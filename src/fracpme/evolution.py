@@ -29,9 +29,9 @@ difference over h less the confining drift beta y_face when there is one, and
 the upwind value up of the density at that face.  The flux is w * up and the
 dissipation is sum(w * w * up) h^n, so one face pass per state serves both.
 
-The step itself is `FlowKernel.step`, the one single-step API; `run`, the one
-stepping loop, builds one operator and one kernel per run from the datum's
-grid and s, and carries value arrays through them.
+`FlowKernel` gives a state's bound on dt and its flux divergence; `run`, the
+one stepping loop, caps dt at the end time, takes the Euler update and floors
+its dust, with one operator and one kernel built from the datum's grid and s.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class _Axis(NamedTuple):
 
 
 class FlowKernel:
-    """Face pass and upwind step of the flow through `op`; confined adds the
-    drift of the rescaled form."""
+    """Face pass, step bound and flux divergence of the upwind flow through
+    `op`; confined adds the drift of the rescaled form."""
 
     def __init__(self, op: FracOperator, confined: bool, cfl_safety: float):
         grid = op.grid
@@ -119,18 +119,14 @@ class FlowKernel:
             out.append((w, np.where(w > 0.0, vals[lo], vals[hi])))
         return out
 
-    def step(self, vals: np.ndarray, faces: list, vmax: float, dt_cap: float) -> tuple:
-        """One upwind step of the state `vals` whose faces are `faces` and whose
-        maximum is `vmax`.
-
-        Returns (new values, dt, min of the new values); the new values are a
-        fresh array.  dt is at most dt_cap and otherwise cfl_safety times the
-        sharper of two bounds: h over the largest per-cell sum of outgoing
-        face speeds (advective positivity), and 2 / (vmax * operator
-        stiffness) (non-amplification of the linearized pressure diffusion;
-        it scales like h^(2-2s) and binds on fine grids when s < 1/2).
-        Raises NumericalAbort on a non-finite face speed and on a flux bound
-        that overflows."""
+    def bound(self, faces: list, vmax: float) -> float:
+        """The step of the state whose faces are `faces` and whose maximum is
+        `vmax`: DT_MAX when it is quiescent, else cfl_safety times the sharper
+        of h over the largest per-cell sum of outgoing face speeds (advective
+        positivity) and 2 / (vmax * operator stiffness) (non-amplification of
+        the linearized pressure diffusion; it scales like h^(2-2s) and binds on
+        fine grids when s < 1/2), and at most DT_MAX.  Raises NumericalAbort on
+        a non-finite face speed and on a flux bound that overflows."""
         outflow = None
         for axis, (w, _) in zip(self._axes, faces):
             np.maximum(w, 0.0, out=axis.out_up_lo)  # out through i+1/2
@@ -142,40 +138,30 @@ class FlowKernel:
         if not math.isfinite(peak):
             raise NumericalAbort("non-finite velocity (operator blowup)")
         # |w| <= peak and 0 <= up <= vmax, so this bounds every flux and
-        # divergence term below
-        bound = self._two_dim * peak * vmax / self.h
-        if not math.isfinite(bound):
+        # divergence term
+        flux_bound = self._two_dim * peak * vmax / self.h
+        if not math.isfinite(flux_bound):
             raise NumericalAbort(f"flux overflows: face speed {peak:.3e} times "
                                  f"peak density {vmax:.3e}")
         if peak < QUIESCENT_SPEED:
             # zero flux everywhere: the state is an exact fixed point of the
             # update and the diffusion bound has nothing to amplify
-            dt = DT_MAX
-        else:
-            dt = self._cfl_h / peak
-            rate = vmax * self._stiffness
-            if rate >= QUIESCENT_SPEED:
-                dt = min(dt, self._cfl_2 / rate)
-            dt = min(dt, DT_MAX)
-        dt = min(dt, dt_cap)
+            return DT_MAX
+        dt = self._cfl_h / peak
+        rate = vmax * self._stiffness
+        if rate >= QUIESCENT_SPEED:
+            dt = min(dt, self._cfl_2 / rate)
+        return min(dt, DT_MAX)
 
+    def divergence(self, faces: list) -> np.ndarray:
+        """div(w up) of the state whose faces are `faces`, a fresh array."""
         div = None
         for axis, (w, up) in zip(self._axes, faces):
             np.multiply(w, up, out=axis.flux_inner)
             term = np.subtract(axis.flux_hi, axis.flux_lo)
             term /= self.h
             div = term if div is None else np.add(div, term, out=div)
-        div *= dt
-        new_vals = np.subtract(vals, div, out=div)
-        # The convex-combination positivity bound is exact in exact arithmetic,
-        # but the flux-difference form can leave -O(eps * peak) dust when the
-        # bound is tight.  Zero only that dust; deeper negatives are genuine.
-        low = float(np.minimum.reduce(new_vals, axis=None))
-        if low < 0.0:
-            floor = -1e-12 * max(vmax, 1.0)
-            new_vals[(new_vals < 0.0) & (new_vals >= floor)] = 0.0
-            low = float(np.minimum.reduce(new_vals, axis=None))
-        return new_vals, dt, low
+        return div
 
 
 @dataclass
@@ -191,11 +177,13 @@ class Trajectory:
 
 def _check_time_span(start_time: float, end_time: float) -> None:
     """Raise ValueError unless a run can go from start_time to end_time: the
-    start must be finite and nonnegative, and since every step is at most
-    DT_MAX, (end_time - start_time) / DT_MAX steps at least must fit in
-    MAX_STEPS."""
+    start must be finite, nonnegative and not after the end, and since every
+    step is at most DT_MAX, (end_time - start_time) / DT_MAX steps at least
+    must fit in MAX_STEPS."""
     if not (math.isfinite(start_time) and start_time >= 0.0):
         raise ValueError(f"start_time must be finite and nonnegative, got {start_time}")
+    if end_time < start_time:
+        raise ValueError(f"end_time {end_time:g} is before start_time {start_time:g}")
     if (end_time - start_time) / DT_MAX > MAX_STEPS:
         raise ValueError(f"end_time {end_time:g} from t = {start_time:g} needs more "
                          f"than {MAX_STEPS} steps of at most DT_MAX = {DT_MAX:g}")
@@ -207,25 +195,27 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     on u0's grid, recording diagnostics every snapshot_stride accepted steps
     (plus the initial and final states).
 
-    The loop carries value arrays through one FlowKernel: each state's
-    pressure, face pass, sum and maximum are computed once and serve both its
-    record and the next step, and every step returns a fresh array.  A Field
-    is built only for a recorded state and handed to on_record(k, time,
-    state) for record k; run keeps no state, and on_record must not modify
-    it.  Diagnostics are recorded in blocks of about RECORD_BLOCK_CELLS
-    cells; each JOIN_BLOCKS flushed blocks are joined as the run goes (a
-    block may be one record, and a lone row costs more than its 88 B), and
-    all once when the run ends.
+    The loop carries value arrays through one FlowKernel.  A step's dt is
+    the kernel's bound capped at the time left, and its Euler update
+    u - dt div is a fresh array whose dust above -1e-12 max(peak, 1) is
+    zeroed.  Each state's pressure, face pass, sum and maximum are computed
+    once and serve both its record and the next step.  A Field is built only
+    for a recorded state and handed to on_record(k, time, state) for record
+    k; run keeps no state, and on_record must not modify it.  Diagnostics
+    are recorded in blocks of about RECORD_BLOCK_CELLS cells; each
+    JOIN_BLOCKS flushed blocks are joined as the run goes (a block may be
+    one record, and a lone row costs more than its 88 B), and all once when
+    the run ends.
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
-    any negative value, on non-finite velocities, on a datum whose pressure
-    overflows, on a recorded row that is not finite (the datum's row is
-    recorded once the first step has passed its flux check), on a step too
-    small to advance the clock (t + dt == t), and once MAX_STEPS steps have
-    not reached the end time.  A bad cfl_safety, end_time or
-    snapshot_stride, a time span that _check_time_span refuses, a negative
-    or non-finite datum and an s the operator refuses raise ValueError
-    before the first step.
+    a value below the dust floor, on non-finite velocities, on a datum whose
+    pressure overflows, on a recorded row that is not finite (the datum's row
+    is recorded once the first step has passed its flux check), on a step
+    too small to advance the clock (t + dt == t), and once MAX_STEPS steps
+    have not reached the end time.  A bad cfl_safety, end_time or
+    snapshot_stride, an end_time before start_time or a span that
+    _check_time_span otherwise refuses, a negative or non-finite datum and an
+    s the operator refuses raise ValueError before the first step.
     """
     if not 0.0 < cfl_safety <= 1.0:
         raise ValueError(f"cfl_safety must lie in (0, 1], got {cfl_safety}")
@@ -289,7 +279,16 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     while t < stop:
         if steps == MAX_STEPS:
             raise NumericalAbort(f"{MAX_STEPS} steps did not reach end_time (t = {t:.6g})")
-        vals, dt, low = kernel.step(vals, faces, peak, end_time - t)
+        dt = min(kernel.bound(faces, peak), end_time - t)
+        div = kernel.divergence(faces)
+        div *= dt
+        vals = np.subtract(vals, div, out=div)
+        # the positivity bound is exact, but flux differences leave -O(eps *
+        # peak) dust where it is tight: zero only that; deeper is genuine
+        low = float(np.minimum.reduce(vals, axis=None))
+        if low < 0.0:
+            vals[(vals < 0.0) & (vals >= -1e-12 * max(peak, 1.0))] = 0.0
+            low = float(np.minimum.reduce(vals, axis=None))
         if steps == 0 and pending:
             flush()  # the datum's row, once its flux passed the overflow check
         if t + dt == t:

@@ -9,6 +9,7 @@ from fracpme import evolution
 from fracpme.evolution import DT_MAX, MAX_STEPS, FlowKernel, NumericalAbort, run
 from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Field, Grid
+from fracpme.io import datum_box
 
 
 # run's solver settings for a run recording every step at the CLI's CFL factor
@@ -99,8 +100,11 @@ def test_velocity_points_outward():
 
 
 def kernel_step(kernel, op, vals):
-    """One FlowKernel step of the state `vals`, as run takes it: (values, dt, min)."""
-    return kernel.step(vals, kernel.faces(vals, op.convolve(vals)), float(vals.max()), np.inf)
+    """One Euler step of the state `vals` through the kernel's bound and
+    divergence, with no end-time cap and no dust floor: (values, dt)."""
+    faces = kernel.faces(vals, op.convolve(vals))
+    dt = kernel.bound(faces, float(vals.max()))
+    return vals - dt * kernel.divergence(faces), dt
 
 
 def test_step_rejects_negative_state():
@@ -113,15 +117,16 @@ def test_step_rejects_negative_state():
 
 def test_step_rejects_negative_result(monkeypatch):
     grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
+    divergence = FlowKernel.divergence
 
-    def overshoot(self, vals, *args):
-        # moves one unit of mass from the first cell to the last: mass kept, sign lost
-        new = vals.copy()
-        new[0] -= 1.0
-        new[-1] += 1.0
-        return new, 0.1, float(new.min())
+    def overshoot(self, faces):
+        # moves dt of mass from the empty first cell to the last: mass kept, sign lost
+        div = divergence(self, faces)
+        div[0] += 1.0
+        div[-1] -= 1.0
+        return div
 
-    monkeypatch.setattr(FlowKernel, "step", overshoot)
+    monkeypatch.setattr(FlowKernel, "divergence", overshoot)
     with pytest.raises(NumericalAbort, match="positivity lost"):
         run(box_datum(grid), "physical", 0.25, 1.0, **SETTINGS, on_record=discard)
 
@@ -158,7 +163,8 @@ def test_norms_non_increasing():
 
 
 def test_positivity_exact_at_sharp_cfl():
-    # flux-form roundoff dust must be repaired, not let through as -1e-16
+    # at cfl 1 the advective bound is tight, and no step leaves a negative
+    # value even before the dust floor
     grid = Grid(dim=1, half_width=4.0, points_per_axis=128)
     op = freespace_op(grid)
     kernel = FlowKernel(op, False, 1.0)
@@ -166,9 +172,8 @@ def test_positivity_exact_at_sharp_cfl():
     mass0 = state.mass()
     vals = state.values
     for _ in range(200):
-        vals, _, low = kernel_step(kernel, op, vals)
-        assert low >= 0.0
-    assert vals.min() >= 0.0
+        vals, _ = kernel_step(kernel, op, vals)
+        assert vals.min() >= 0.0
     assert abs(Field(grid, vals).mass() - mass0) <= 1e-12 * mass0
 
 
@@ -181,10 +186,32 @@ def test_zero_state_advances_in_dt_max_hops():
     assert all(np.array_equal(snap.values, zero.values) for snap in states)
 
 
+def test_dust_floor_zeroes_roundoff_negatives(monkeypatch):
+    # an update that leaves -1e-17 in a cell is floored to +0.0 and the run
+    # goes on; the zero datum steps DT_MAX = 1, so the update is minus div
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
+    divergence = FlowKernel.divergence
+
+    def dusty(self, faces):
+        div = divergence(self, faces)
+        div[0] += 1e-17
+        div[-1] -= 1e-17
+        return div
+
+    monkeypatch.setattr(FlowKernel, "divergence", dusty)
+    states = []
+    traj = run(Field(grid, np.zeros(64)), "physical", 0.25, 2.0 * DT_MAX, **SETTINGS,
+               on_record=collect(states))
+    assert traj.steps == 2
+    assert states[1].values[-1] == 1e-17
+    for snap in states:
+        assert snap.values[0] == 0.0 and not np.signbit(snap.values[0])
+
+
 def test_symmetry_preserved_by_step():
     grid = Grid(dim=1, half_width=6.0, points_per_axis=128)
     op = freespace_op(grid)
-    vals, _, _ = kernel_step(FlowKernel(op, False, 0.4), op, gaussian_datum(grid).values)
+    vals, _ = kernel_step(FlowKernel(op, False, 0.4), op, gaussian_datum(grid).values)
     np.testing.assert_allclose(vals, vals[::-1], atol=1e-14)
 
 
@@ -194,6 +221,41 @@ def test_dt_cap_honored():
     traj = run(box_datum(grid), "physical", 0.25, 1e-4, **SETTINGS, on_record=discard)
     assert traj.steps == 1
     assert traj.times.tolist() == [0.0, 1e-4]
+
+
+def test_bound_at_rest_is_dt_max():
+    grid = Grid(dim=1, half_width=4.0, points_per_axis=64)
+    op = freespace_op(grid)
+    kernel = FlowKernel(op, False, 0.4)
+    zero = np.zeros(64)
+    assert kernel.bound(kernel.faces(zero, op.convolve(zero)), 0.0) == DT_MAX
+
+
+def test_bound_diffusive_on_a_fine_grid():
+    # s = 0.1 on a fine grid: 2 / (vmax stiffness) is sharper than h / outflow
+    grid = Grid(1, 6.0, 1024)
+    op = freespace_op(grid, s=0.1)
+    vals = datum_box(grid, 0.0, 2.0, 1.0).values
+    kernel = FlowKernel(op, False, 0.4)
+    vmax = float(vals.max())
+    dt = kernel.bound(kernel.faces(vals, op.convolve(vals)), vmax)
+    assert dt == 0.4 * 2.0 / (vmax * op.stiffness_bound())
+
+
+def test_bound_advective_under_the_drift():
+    # a faint state in rescaled form: the drift beta y sets the outflow, and
+    # h over the largest per-cell outflow is the bound
+    grid = Grid(1, 6.0, 64)
+    op = freespace_op(grid)
+    vals = 1e-6 * datum_box(grid, 0.0, 2.0, 1.0).values
+    kernel = FlowKernel(op, True, 0.4)
+    dt = kernel.bound(kernel.faces(vals, op.convolve(vals)), float(vals.max()))
+    h = grid.spacing
+    w = -np.diff(op.convolve(vals)) / h - op.params.beta * grid.interior_faces()
+    outflow = np.zeros(grid.npoints)
+    outflow[:-1] += np.maximum(w, 0.0)
+    outflow[1:] -= np.minimum(w, 0.0)
+    assert dt == 0.4 * h / outflow.max()
 
 
 def test_pressure_scaling_under_rescale():
@@ -383,3 +445,6 @@ def test_run_continues_from_start_time():
     with pytest.raises(ValueError, match="start_time"):
         run(box_datum(grid), "physical", 0.25, 1.0, **SETTINGS,
             start_time=-1.0, on_record=discard)
+    with pytest.raises(ValueError, match="end_time 1 is before start_time 5"):
+        run(box_datum(grid), "physical", 0.25, 1.0, **SETTINGS,
+            start_time=5.0, on_record=discard)

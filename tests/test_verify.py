@@ -22,10 +22,14 @@ def test_pick_switches_on_mode():
 
 def test_one_step_check_aborts_on_lost_positivity(monkeypatch):
     # check 10 steps through FlowKernel itself and keeps the step's sign guard
-    def overshoot(self, vals, *args):
-        return vals - 1.0, 0.1, float((vals - 1.0).min())
+    divergence = FlowKernel.divergence
 
-    monkeypatch.setattr(FlowKernel, "step", overshoot)
+    def overshoot(self, faces):
+        div = divergence(self, faces)
+        div[0] += 1.0  # an outflow from the empty first cell
+        return div
+
+    monkeypatch.setattr(FlowKernel, "divergence", overshoot)
     with pytest.raises(NumericalAbort, match="positivity lost in step"):
         verify._check_one_step(Suite(quick=True, started=0.0))
 
