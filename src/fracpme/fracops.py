@@ -9,16 +9,21 @@ convolution (any grid) and the dense kernel submatrices that the pivoting
 oracles take.  `FracOperator.convolve`, on value arrays, is the one way to
 apply the operator.
 
-The convolution runs on the 2N-point embedding one axis at a time, pruned: the
-forward transforms zero-pad the N data rows themselves, and only the N rows that
-are kept pass through the last-axis inverse.  Every 1-D transform is the one
-``rfftn``/``irfftn`` of the padded box would run, on the same data and in the
-same order, so the result has their bits.  The transforms are the pocketfft
-gufuncs of ``numpy.fft._pocketfft_umath`` (``rfft_n_even``, ``fft``, ``ifft``,
-``irfft``) called directly: these are what the ``np.fft`` functions call, and
-``convolve`` passes them the same normalization factors (1 forward, 1/(2N)
-inverse) and the same lengths (through the shapes of the ``out=`` arrays).
-Skipping the Python wrappers saves about a quarter of a 1-D call at N = 512.
+The convolution runs on the 2N-point embedding one axis at a time, pruned: only
+the N data rows pass through the forward last-axis transform, and only the N
+rows that are kept pass through the last-axis inverse.  The transforms are
+scipy's ``pypocketfft`` (``r2c``, ``c2c``, ``c2r``, one thread), which keeps a
+cache of the plans it builds, so a run of one length pays for its twiddle
+tables once.  It is the pocketfft code that ``np.fft`` calls, and every 1-D
+transform is the one ``rfftn``/``irfftn`` of the padded box would run, on the
+same data and in the same order, so the result has their bits;
+``test_conv_apply_matches_padded_rfftn`` gates that.  The inverse factor
+(``inorm=2``) is 1/(2N) rounded through long double, which is numpy's double
+1/(2N) except at a sparse set of lengths, the smallest N = 2731, where the last
+bit of the potential may differ.  Each operator holds zero-padded scratch that
+``convolve`` writes only in its data part, so ``convolve`` is not reentrant: an
+operator must not be shared between threads (``fan_out`` forks processes, and
+no package code shares one).
 The 2-D tap table is built in blocks of rows, which bounds the Gauss-Legendre node
 arrays to about TAP_BLOCK_CELLS cells at any N.
 """
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import _pocketfft_umath as _pfu
+from scipy.fft._pocketfft.pypocketfft import c2c, c2r, r2c
 from scipy.integrate import quad
 from scipy.special import gamma, roots_legendre
 
@@ -36,7 +41,6 @@ from .grid import Grid
 
 FREESPACE = "freespace_kernel"
 TAP_BLOCK_CELLS = 2048  # cells per row block of the 2-D tap build
-_COLUMNS = [(0,), (), (0,)]  # gufunc axes: transform along axis 0 of a 2-D array
 
 
 def riesz_constant(n: int, s: float) -> float:
@@ -212,7 +216,10 @@ class FracOperator:
             emb[:n, n + 1:] = taps[:, 1:][:, ::-1]
             emb[n + 1:, n + 1:] = taps[1:, 1:][::-1, ::-1]
         self._taps_hat = np.fft.rfftn(emb)
-        self._pad_shape = emb.shape
+        # zero-padded data rows; convolve writes only their first N columns
+        self._pad = np.zeros(taps.shape[:-1] + (2 * n,))
+        if grid.dim == 2:  # the row spectra; convolve writes only the first N rows
+            self._cbuf = np.zeros(self._taps_hat.shape, complex)
 
     def stiffness_bound(self) -> float:
         """max over Fourier modes of (second-difference symbol) * (kernel symbol).
@@ -225,23 +232,28 @@ class FracOperator:
         CFL dt ~ h on fine grids whenever s < 1/2."""
         # circulant symbol of the embedded kernel; taps are symmetric so it
         # is real up to roundoff
+        n = self.grid.points_per_axis
         kernel = np.maximum(self._taps_hat.real, 0.0)
-        lap = _second_difference_symbol(self._pad_shape[0], self.grid.spacing, self.grid.dim)
+        lap = _second_difference_symbol(2 * n, self.grid.spacing, self.grid.dim)
         return float((lap * kernel).max())
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
         """The potential of a value array shaped like this grid: the pruned
-        rfftn/irfftn pair of the module docstring, by direct gufunc calls with
-        the lengths and factors ``np.fft`` would pass (an ``out`` of N + 1
-        bins makes a 2N-point ``rfft`` of the zero-padded rows), hence the
-        same bits.  Every call returns a fresh array, since a run keeps the
-        pressures it records.  The flow kernel calls it once per state."""
+        rfftn/irfftn pair of the module docstring on the operator's padded
+        scratch, with numpy's lengths and factors (1 forward, 1/(2N) inverse),
+        hence its bits.  Every call returns a fresh array, since a run keeps
+        the pressures it records; the scratch makes the call non-reentrant.
+        `run` calls it once per state, the obstacle CG once per product."""
+        # positional pypocketfft arguments (a, axes, [lastsize,] forward, inorm,
+        # out, nthreads): keywords cost about half a microsecond a call
         n = self.grid.points_per_axis
-        rows = values.shape[:-1]
-        spec = _pfu.rfft_n_even(values, 1.0, out=np.empty(rows + (n + 1,), complex))
-        if values.ndim == 2:
-            spec = _pfu.fft(spec, 1.0, axes=_COLUMNS, out=np.empty((2 * n, n + 1), complex))
+        self._pad[..., :n] = values
+        if values.ndim == 1:
+            spec = r2c(self._pad, (0,), True, 0, None, 1)
+        else:
+            r2c(self._pad, (1,), True, 0, self._cbuf[:n], 1)
+            spec = c2c(self._cbuf, (0,), True, 0, None, 1)
         spec *= self._taps_hat
         if values.ndim == 2:
-            spec = _pfu.ifft(spec, 1.0 / (2 * n), axes=_COLUMNS, out=np.empty_like(spec))[:n]
-        return _pfu.irfft(spec, 1.0 / (2 * n), out=np.empty(rows + (2 * n,)))[..., :n]
+            spec = c2c(spec, (0,), False, 2, spec, 1)[:n]
+        return c2r(spec, (values.ndim - 1,), 2 * n, False, 2, None, 1)[..., :n]

@@ -132,9 +132,10 @@ def _settled(n_pts: int, width: float, height: float) -> Field:
 
 
 # builder of each kind, longest first in full mode: the prefetch order.
-# Serial in-process medians of three on a 2-core VM, quick / full mode:
-# decay_2d 0.32 / 4.8 s, each mass_run 0.58-0.59 / 0.79-1.4 s,
-# smoothing_1d 0.10 / 0.21 s, every other artifact at most 0.06 / 0.20 s
+# Serial in-process medians of three on a 2-core VM, over two runs, quick /
+# full mode: decay_2d 0.24-0.40 / 2.7-3.0 s, each mass_run 0.40-0.68 /
+# 0.54-0.84 s, smoothing_1d 0.07-0.12 / 0.13 s, every other artifact at
+# most 0.05 / 0.12 s
 _BUILDERS = {
     "decay_2d": _decay_2d,
     "mass_run": _mass_run,

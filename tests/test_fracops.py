@@ -206,33 +206,49 @@ def test_closed_form_matches_fourier_quadrature():
         assert riesz_potential_gaussian(x * x, 2, 0.5) == pytest.approx(two, rel=1e-10)
 
 
-@pytest.mark.parametrize("dim, n", [(1, 8), (1, 96), (1, 512), (1, 1000),
-                                    (2, 8), (2, 40), (2, 48), (2, 96)])
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 96), (1, 512), (1, 1000), (1, 1024),
+                                    (2, 8), (2, 40), (2, 48), (2, 96), (2, 128)])
 def test_conv_apply_matches_padded_rfftn(dim, n):
     # the pruned per-axis transforms give the bits of the full padded pair;
-    # the 2N lengths 192, 2000 and 80 take pocketfft's radix-3 and -5 passes
+    # the 2N lengths 192, 2000 and 80 take pocketfft's radix-3 and -5 passes.
+    # A second input between two calls on the same input shows that neither
+    # the cached plans nor the operator's padded scratch carry anything over.
     g = Grid(dim=dim, half_width=6.0, points_per_axis=n)
     op = FracOperator(g, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim))
-    values = np.random.default_rng(n).random(g.shape)
+    rng = np.random.default_rng(n)
+    values, other = rng.random(g.shape), rng.random(g.shape)
     axes = tuple(range(dim))
     spec = np.fft.rfftn(values, s=(2 * n,) * dim, axes=axes)
     reference = np.fft.irfftn(spec * op._taps_hat, s=(2 * n,) * dim, axes=axes)
-    got = op.convolve(values)
-    assert got.shape == g.shape
-    assert got.tobytes() == reference[(slice(0, n),) * dim].tobytes()
+    reference = reference[(slice(0, n),) * dim].tobytes()
+    first = op.convolve(values)
+    op.convolve(other)
+    again = op.convolve(values)
+    assert first.shape == again.shape == g.shape
+    assert first.tobytes() == reference
+    assert again.tobytes() == reference
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_convolve_returns_a_fresh_array(dim):
     # a run keeps the pressure of every recorded state, so no call may hand
-    # back memory that the input or another call's result holds
+    # back memory that the input, another call's result or the operator's
+    # own arrays (taps, symbol, scratch) hold
     g = Grid(dim=dim, half_width=6.0, points_per_axis=16)
     op = FracOperator(g, FracParams(s=0.25, dim=dim))
-    values = np.random.default_rng(dim).random(g.shape)
-    first, second = op.convolve(values), op.convolve(values)
-    assert first.tobytes() == second.tobytes()
-    for a, b in ((first, second), (first, values), (second, values)):
-        assert not np.shares_memory(a, b)
+    rng = np.random.default_rng(dim)
+    values, other = rng.random(g.shape), rng.random(g.shape)
+    first = op.convolve(values)
+    kept = first.tobytes()
+    second = op.convolve(other)
+    assert first.tobytes() == kept
+    assert second.tobytes() != kept
+    held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
+    assert len(held) >= 3
+    for result in (first, second):
+        for a in (values, other, *held):
+            assert not np.shares_memory(result, a)
+    assert not np.shares_memory(first, second)
 
 
 def unblocked_taps_2d(grid, s):

@@ -386,6 +386,62 @@ def test_package_imports_no_sparse_solver():
     assert found == {}
 
 
+def under(name: str, root: str) -> bool:
+    return name == root or name.startswith(root + ".")
+
+
+def fft_imports(source: str) -> list:
+    """(line, dotted name) of each import of ``numpy.fft``, ``scipy.fft`` or a
+    name below either (``from numpy import fft`` and ``from numpy.fft import
+    _pocketfft_umath`` included), and of each attribute read that reaches one
+    through an imported name (``np.fft.rfftn`` after ``import numpy as np``)."""
+    tree = ast.parse(source)
+    found, bound, inner = [], {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.append((node.lineno, alias.name))
+                root = alias.name.split(".")[0]  # what `import a.b` binds
+                bound[alias.asname or root] = alias.name if alias.asname else root
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.extend((node.lineno, f"{node.module}.{alias.name}") for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            inner.add(id(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            parts, base = [], node
+            while isinstance(base, ast.Attribute):
+                parts.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                found.append((node.lineno, ".".join([bound[base.id], *reversed(parts)])))
+    return sorted((line, name) for line, name in found
+                  if under(name, "numpy.fft") or under(name, "scipy.fft"))
+
+
+def test_guard_sees_an_fft_import():
+    source = ("import numpy as np\nimport numpy.fft\nfrom numpy import fft, linalg\n"
+              "from numpy.fft import _pocketfft_umath as pfu\nimport scipy.fft as sf\n"
+              "from scipy.fft._pocketfft.pypocketfft import c2r\nfrom scipy import special\n"
+              "x = np.fft.rfftn(np.zeros(2)).real\ny = np.linalg.norm\nimport numpy.fftw\n"
+              "z = sf.next_fast_len(3)\n")
+    assert fft_imports(source) == [
+        (2, "numpy.fft"), (3, "numpy.fft"), (4, "numpy.fft._pocketfft_umath"),
+        (5, "scipy.fft"), (6, "scipy.fft._pocketfft.pypocketfft.c2r"),
+        (8, "numpy.fft.rfftn"), (11, "scipy.fft.next_fast_len")]
+
+
+def test_package_transforms_only_in_fracops():
+    # fracops owns the transforms (the convolution and the kernel symbol), and
+    # no module calls numpy's private pocketfft gufuncs
+    found = {path.name: hits for path in MODULES if (hits := fft_imports(path.read_text()))}
+    assert "fracops.py" in found
+    assert set(found) == {"fracops.py"}
+    private = [(module, hit) for module, hits in found.items() for hit in hits
+               if under(hit[1], "numpy.fft._pocketfft_umath")]
+    assert private == []
+
+
 def environment_reads(source: str) -> list:
     """(line, what) of each read of the process environment: ``os.environ``
     or ``os.getenv`` (through any name bound to ``os``) and ``from os import
