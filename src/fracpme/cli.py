@@ -86,40 +86,39 @@ def read_keys(mode: str) -> set:
 
 
 def validate_config(cfg: RunConfig) -> list:
-    """Every constraint violated by a key cfg's mode reads, in field order;
-    empty means runnable."""
-    reads = read_keys(cfg.mode)
+    """Every constraint cfg violates, in field order; empty means runnable.
+    A key its mode does not read holds its valid default (parse_argv refuses
+    its flag), so only the C/M rules wait for the obstacle mode."""
     bad = []
-    if "n" in reads and cfg.n not in (1, 2):
+    if cfg.n not in (1, 2):
         bad.append(f"n must be 1 or 2, got {cfg.n}")
-    if "s" in reads and not 0.0 < cfg.s < 1.0:
+    if not 0.0 < cfg.s < 1.0:
         bad.append(f"s must lie in (0, 1), got {cfg.s}")
-    elif "s" in reads and cfg.n == 1 and cfg.s >= 0.5:
+    elif cfg.n == 1 and cfg.s >= 0.5:
         bad.append(f"s = {cfg.s} violates the s < 1/2 restriction in one dimension "
                    "(kernel positivity)")
-    if "L" in reads and not 0.0 < cfg.L < math.inf:
+    if not 0.0 < cfg.L < math.inf:
         bad.append(f"L must be positive and finite, got {cfg.L}")
-    if "N" in reads and (cfg.N < 8 or cfg.N % 2):
+    if cfg.N < 8 or cfg.N % 2:
         bad.append(f"N must be even and >= 8, got {cfg.N}")
-    elif "N" in reads and cfg.n in (1, 2) and 0.0 < cfg.L < math.inf:
+    elif cfg.n in (1, 2) and 0.0 < cfg.L < math.inf:
         try:
             Grid(cfg.n, cfg.L, cfg.N)
         except ValueError as exc:  # a spacing or cell volume that over- or underflows
             bad.append(str(exc))
-    if "end_time" in reads and not 0.0 < cfg.end_time < math.inf:
+    if not 0.0 < cfg.end_time < math.inf:
         bad.append(f"end_time must be positive and finite, got {cfg.end_time}")
-    if "datum" in reads:
-        try:
-            parse_datum(cfg.datum)
-        except ValueError as exc:
-            bad.append(str(exc))
-    if "cfl_safety" in reads and not 0.0 < cfg.cfl_safety <= 1.0:
+    try:
+        parse_datum(cfg.datum)
+    except ValueError as exc:
+        bad.append(str(exc))
+    if not 0.0 < cfg.cfl_safety <= 1.0:
         bad.append(f"cfl_safety must lie in (0, 1], got {cfg.cfl_safety}")
-    if "snapshot_stride" in reads and cfg.snapshot_stride < 1:
+    if cfg.snapshot_stride < 1:
         bad.append(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
-    if "snapshot_every" in reads and cfg.snapshot_every < 1:
+    if cfg.snapshot_every < 1:
         bad.append(f"snapshot_every must be >= 1, got {cfg.snapshot_every}")
-    if "C" in reads:
+    if cfg.mode == "obstacle":
         if (cfg.C is None) == (cfg.M is None):
             bad.append("obstacle mode needs exactly one of C, M")
         if cfg.C is not None and not math.isfinite(cfg.C):

@@ -29,9 +29,10 @@ difference over h less the confining drift beta y_face when there is one, and
 the upwind value up of the density at that face.  The flux is w * up and the
 dissipation is sum(w * w * up) h^n, so one face pass per state serves both.
 
-`FlowKernel` gives a state's bound on dt and its flux divergence; `run`, the
-one stepping loop, caps dt at the end time, takes the Euler update and floors
-its dust, with one operator and one kernel built from the datum's grid and s.
+`FlowKernel` gives a state's bound on dt and its flux divergence.  `run`, the
+one stepping loop, builds one operator and one kernel from the datum's grid
+and s, and takes each state through one pass: bound it, record it when due,
+then stop or step (cap dt at the end time, Euler update, dust floor).
 """
 
 from __future__ import annotations
@@ -209,10 +210,10 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
     a value below the dust floor, on non-finite velocities, on a datum whose
-    pressure overflows, on a recorded row that is not finite (the datum's row
-    is recorded once the first step has passed its flux check), on a step
-    too small to advance the clock (t + dt == t), and once MAX_STEPS steps
-    have not reached the end time.  A bad cfl_safety, end_time or
+    pressure overflows, on a flux or a recorded row that is not finite (each
+    state's flux check precedes its row, the datum's row is checked at once),
+    on a step too small to advance the clock (t + dt == t), and once MAX_STEPS
+    steps have not reached the end time.  A bad cfl_safety, end_time or
     snapshot_stride, an end_time before start_time or a span that
     _check_time_span otherwise refuses, a negative or non-finite datum and an
     s the operator refuses raise ValueError before the first step.
@@ -267,19 +268,19 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
             joined.append(np.concatenate(blocks))
             blocks.clear()
 
-    def note(vals, p, faces, time, mass, peak):
-        k = recorded + len(pending)
-        pending.append((vals, p, faces, time, mass, peak))
-        on_record(k, time, Field(grid, vals))
-        if len(pending) == per_block:
-            flush()
-
-    note(vals, p, faces, t, mass, peak)
     steps = 0
-    while t < stop:
+    while True:
+        bound = kernel.bound(faces, peak)
+        if steps % snapshot_stride == 0 or t >= stop:
+            pending.append((vals, p, faces, t, mass, peak))
+            on_record(recorded + len(pending) - 1, t, Field(grid, vals))
+            if len(pending) == per_block or steps == 0:
+                flush()
+        if t >= stop:
+            break
         if steps == MAX_STEPS:
             raise NumericalAbort(f"{MAX_STEPS} steps did not reach end_time (t = {t:.6g})")
-        dt = min(kernel.bound(faces, peak), end_time - t)
+        dt = min(bound, end_time - t)
         div = kernel.divergence(faces)
         div *= dt
         vals = np.subtract(vals, div, out=div)
@@ -289,8 +290,6 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
         if low < 0.0:
             vals[(vals < 0.0) & (vals >= -1e-12 * max(peak, 1.0))] = 0.0
             low = float(np.minimum.reduce(vals, axis=None))
-        if steps == 0 and pending:
-            flush()  # the datum's row, once its flux passed the overflow check
         if t + dt == t:
             raise NumericalAbort(f"step {dt:.3e} does not advance the clock at t = {t:.6g}")
         t += dt
@@ -307,8 +306,6 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
             raise NumericalAbort(f"positivity lost at t = {t:.6g} (min {low:.3e})")
         p = op.convolve(vals)
         faces = kernel.faces(vals, p)
-        if steps % snapshot_stride == 0 or t >= stop:
-            note(vals, p, faces, t, mass, peak)
     if pending:
         flush()
     return Trajectory(np.concatenate(joined + blocks), steps)

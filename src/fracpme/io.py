@@ -158,17 +158,16 @@ def datum_gaussian(grid: Grid, sigma: float) -> Field:
     return Field(grid, vals)
 
 
-# name -> (maker, argument count) of each datum shape; from_file(path) has no
-# maker here, snapshot_datum reads it
+# name -> (maker, argument count) of each analytic datum shape; from_file(path)
+# takes one argument, and snapshot_datum reads it
 _DATUM_SHAPES = {"box": (datum_box, 3), "parabola_cap": (datum_parabola_cap, 2),
-                 "gaussian_truncated": (datum_gaussian, 1), "from_file": (None, 1)}
+                 "gaussian_truncated": (datum_gaussian, 1)}
 
 
-def _datum_shape(name: str, built: bool) -> tuple:
-    """(maker, argument count) of the datum shape `name`; from_file is
-    unknown where a datum is built."""
+def _datum_shape(name: str) -> tuple:
+    """(maker, argument count) of the analytic datum shape `name`."""
     shape = _DATUM_SHAPES.get(name)
-    if shape is None or (built and shape[0] is None):
+    if shape is None:
         raise ValueError(f"unknown datum shape {name!r}")
     return shape
 
@@ -186,7 +185,7 @@ def parse_datum(text: str) -> tuple:
     name, _, inner = text[:-1].partition("(")
     name = name.strip()
     parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
-    _, arity = _datum_shape(name, built=False)
+    arity = 1 if name == "from_file" else _datum_shape(name)[1]
     if len(parts) != arity:
         raise ValueError(f"datum {name} takes {arity} argument(s), got {len(parts)}")
     if name == "from_file":
@@ -215,7 +214,7 @@ def _checked_datum(datum: Field, label: str) -> Field:
 def build_datum(name: str, args: tuple, grid: Grid) -> Field:
     """Construct the named analytic datum on the grid (from_file: snapshot_datum).
     Values that overflow, a mass that does, or no mass raise ValueError."""
-    maker, _ = _datum_shape(name, built=True)
+    maker, _ = _datum_shape(name)
     # a sigma whose square underflows samples exp(-inf) = 0, not a warning
     with np.errstate(over="ignore", divide="ignore"):
         datum = maker(grid, *args)

@@ -340,6 +340,88 @@ def test_snapshot_fault_names_the_file(tmp_path, capsys, edit):
     assert not out.exists()
 
 
+def snapshot_mutations(text: str) -> dict:
+    """name -> bytes of each mutation of the snapshot `text`: every header
+    key dropped, repeated, garbled, without its colon and at each edge value;
+    the body truncated, extended or spoiled; binary bytes and other line ends."""
+    head, body = text.split("\n\n", 1)
+    lines, values = head.split("\n"), body.split()
+    cases = {}
+    for i, line in enumerate(lines):
+        key, _, value = line.partition(": ")
+
+        def swap(*new):
+            return "\n".join(lines[:i] + list(new) + lines[i + 1:]) + "\n\n" + body
+
+        cases[f"drop {key}"] = swap()
+        cases[f"repeat {key}"] = swap(line, line)
+        cases[f"garble {key}"] = swap(f"{key}x: {value}")
+        cases[f"no colon {key}"] = swap(f"{key} {value}")
+        cases[f"spaced {key}"] = swap(f"  {key} :{value}  ")
+        for edge in (*EDGE_VALUES, "-0", "2", "x", "obstacle", "rescaled"):
+            cases[f"{key}: {edge}"] = swap(f"{key}: {edge}")
+
+    def body_of(*new):
+        return head + "\n\n" + " ".join(new) + "\n"
+
+    cases["truncated body"] = body_of(*values[:-1])
+    cases["extended body"] = body_of(*values, "1")
+    cases["empty body"] = head + "\n\n"
+    cases["one value a line"] = head + "\n\n" + "\n".join(values) + "\n"
+    cases["blank lines in body"] = head + "\n\n\n" + body.replace("\n", "\n\n")
+    for name, bad in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"),
+                      ("overflowing", "1e999"), ("hex", "0x1"), ("nul", "\0")):
+        cases[f"{name} value"] = body_of(bad, *values[1:])
+    cases["all zero"] = body_of(*["0"] * len(values))
+    cases["no blank line"] = head + "\n" + body
+    cases["leading blank line"] = "\n" + text
+    cases["extra key"] = head + "\ncomment: x\n\n" + body
+    cases["byte order mark"] = "\ufeff" + text
+    cases["empty file"] = ""
+    cases["CRLF"] = text.replace("\n", "\r\n")
+    cases["CR"] = text.replace("\n", "\r")
+    mutated = {name: case.encode() for name, case in cases.items()}
+    mutated["binary tail"] = text.encode() + b"\xff\xfe\x00\x80"
+    mutated["binary head"] = b"\x89PNG\r\n\x1a\n" + text.encode()
+    return mutated
+
+
+# the mutations the reader accepts: each leaves a snapshot it reads with the
+# same values, and (mode: obstacle) as time-0 data
+SNAPSHOT_ACCEPTED = {"time: 0", "time: -0", "time: 1e-320", "mode: obstacle",
+                     "spaced format_version", "spaced n", "spaced s", "spaced L",
+                     "spaced N", "spaced time", "spaced mode", "one value a line",
+                     "blank lines in body", "CRLF", "CR"}
+
+
+def test_snapshot_mutation_corpus(tmp_path, capsys):
+    # each mutation of a 1-D N = 32 snapshot, as the datum of a short run: a
+    # clean run, or one config line that starts with the snapshot's path and
+    # nothing made
+    snap = tmp_path / "snap.txt"
+    write_snapshot(snap, Field(Grid(1, 4.0, 32), np.ones(32)), s=0.25, time=0.0,
+                   mode="physical")
+    corpus = snapshot_mutations(snap.read_text())
+    assert len(corpus) == 147
+    accepted, faults = set(), []
+    for k, (name, data) in enumerate(corpus.items()):
+        snap.write_bytes(data)
+        out = tmp_path / f"run{k}"
+        code = main(["evolve", *SMALL_RUN, "--datum", f"from_file({snap})",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        if code == EXIT_OK and len(lines) == 1 and (out / "diagnostics.csv").exists():
+            accepted.add(name)
+        elif not (code == EXIT_CONFIG and len(lines) == 1 and not out.exists()
+                  and lines[0].startswith(f"FRACPME-FAIL config: {snap}: ")):
+            faults.append((name, code, captured.out, captured.err))
+        if captured.err:
+            faults.append((name, "stderr", captured.err))
+    assert faults == []
+    assert accepted == SNAPSHOT_ACCEPTED
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_snapshot_is_config_error(tmp_path, capsys, kind):
     # the reader's OSError is a config fault with the system's message, and
@@ -417,11 +499,17 @@ def test_runtime_error_is_one_numerical_line(tmp_path, monkeypatch, capsys, comm
     ["evolve", "--datum", "parabola_cap(1e300,1)"],
     ["rescaled", "--datum", "parabola_cap(1e300,1)"],
     ["evolve", "--n", "2", "--s", "0.5", "--datum", "box(0,2,1e200)"],
-], ids=["evolve_box", "rescaled_box", "evolve_cap", "rescaled_cap", "evolve_2d_box"])
+    # more than RECORD_BLOCK_CELLS / 2 cells: a block holds one state
+    ["evolve", "--N", "8192", "--datum", "box(0,2,1e200)"],
+    ["evolve", "--n", "2", "--s", "0.5", "--N", "96", "--datum", "box(0,2,1e200)"],
+], ids=["evolve_box", "rescaled_box", "evolve_cap", "rescaled_cap", "evolve_2d_box",
+        "evolve_one_state_blocks", "evolve_2d_one_state_blocks"])
 def test_overflowing_flux_is_numerical_abort(tmp_path, capsys, argv):
     # the step stops before it multiplies out a flux that overflows, so no
-    # RuntimeWarning (an error under this suite) and no NaN state
-    code = main([*argv, "--N", "32", "--L", "4", "--end-time", "0.05",
+    # RuntimeWarning (an error under this suite) and no NaN state; each
+    # state's flux check comes before its row, on every grid (a case's own
+    # --N comes after the default one, and the last one given wins)
+    code = main([argv[0], "--N", "32", *argv[1:], "--L", "4", "--end-time", "0.05",
                  "--out", str(tmp_path / "run")])
     captured = capsys.readouterr()
     assert code == EXIT_NUMERICAL

@@ -324,7 +324,9 @@ def test_one_pressure_per_state(monkeypatch, dim, mode):
     grid = Grid(dim=dim, half_width=4.0, points_per_axis=64 if dim == 1 else 32)
     calls = []
     face_calls = []
-    convolve, faces = FracOperator.convolve, FlowKernel.faces
+    face_sets = []
+    bound_calls = []
+    convolve, faces, bound = FracOperator.convolve, FlowKernel.faces, FlowKernel.bound
 
     def counted(self, values):
         calls.append(values)
@@ -332,10 +334,16 @@ def test_one_pressure_per_state(monkeypatch, dim, mode):
 
     def counted_faces(self, vals, pressure):
         face_calls.append(vals)
-        return faces(self, vals, pressure)
+        face_sets.append(faces(self, vals, pressure))
+        return face_sets[-1]
+
+    def counted_bound(self, face_set, vmax):
+        bound_calls.append(face_set)
+        return bound(self, face_set, vmax)
 
     monkeypatch.setattr(FracOperator, "convolve", counted)
     monkeypatch.setattr(FlowKernel, "faces", counted_faces)
+    monkeypatch.setattr(FlowKernel, "bound", counted_bound)
     u0 = Field(grid, np.where(grid.radius2() < 1.0, 1.0, 0.0))
     states = []
     traj = run(u0, mode, 0.25 if dim == 1 else 0.5, 0.3, **SETTINGS,
@@ -344,6 +352,8 @@ def test_one_pressure_per_state(monkeypatch, dim, mode):
     assert len(traj.times) == traj.steps + 1
     assert len(calls) == traj.steps + 1
     assert len(face_calls) == traj.steps + 1
+    assert len(bound_calls) == traj.steps + 1  # the last state is checked too
+    assert all(b is f for b, f in zip(bound_calls, face_sets))  # on its own faces
     for vals, called, snap in zip(face_calls, calls, states, strict=True):
         assert vals is snap.values
         assert called is vals

@@ -4,8 +4,8 @@ import pytest
 from fracpme.diagnostics import CSV_COLUMNS, ROW
 from fracpme.evolution import run
 from fracpme.grid import Field, Grid
-from fracpme.io import (CSV_CHUNK_ROWS, SNAPSHOT_VERSION, datum_box, datum_gaussian,
-                        datum_parabola_cap, parse_datum, read_snapshot,
+from fracpme.io import (CSV_CHUNK_ROWS, SNAPSHOT_VERSION, build_datum, datum_box,
+                        datum_gaussian, datum_parabola_cap, parse_datum, read_snapshot,
                         snapshot_datum, write_diagnostics, write_snapshot)
 
 
@@ -262,6 +262,7 @@ def test_parse_datum_shapes():
     ("box 1 2 3", "not name"),
     ("blob(1)", "unknown datum shape"),
     ("box(1,2)", "takes 3 argument"),
+    ("from_file(a,b)", "takes 1 argument"),
     ("box(a,b,c)", "non-numeric"),
     ("box(0,1,inf)", "non-finite"),
     ("gaussian_truncated(nan)", "non-finite"),
@@ -269,6 +270,12 @@ def test_parse_datum_shapes():
 def test_parse_datum_rejects(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_datum(text)
+
+
+def test_build_datum_knows_only_the_analytic_shapes():
+    # a snapshot datum is read by snapshot_datum, never built
+    with pytest.raises(ValueError, match="unknown datum shape 'from_file'"):
+        build_datum("from_file", ("x.txt",), Grid(1, 4.0, 32))
 
 
 def test_snapshot_datum_round_trip(tmp_path):
