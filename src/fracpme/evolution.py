@@ -43,12 +43,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS, RECORD_BLOCK_CELLS, record
+from .diagnostics import CSV_COLUMNS, RECORD_BLOCK_CELLS, ROW, record
 from .fracops import FracOperator, FracParams
 from .grid import Field
 
 MAX_STEPS = 10 ** 7  # step budget of a run: checked up front and while stepping
-JOIN_BLOCKS = 1024  # flushed blocks of rows joined into one array as a run goes
 QUIESCENT_SPEED = 1e-14
 DT_MAX = 1.0  # step taken when the velocity field is quiescent
 
@@ -203,10 +202,10 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     once and serve both its record and the next step.  A Field is built only
     for a recorded state and handed to on_record(k, time, state) for record
     k; run keeps no state, and on_record must not modify it.  Diagnostics
-    are recorded in blocks of about RECORD_BLOCK_CELLS cells; each
-    JOIN_BLOCKS flushed blocks are joined as the run goes (a block may be
-    one record, and a lone row costs more than its 88 B), and all once when
-    the run ends.
+    are recorded in blocks of about RECORD_BLOCK_CELLS cells.  Each flushed
+    block's rows are appended to one growing buffer, and the returned
+    diagnostics are a view of it, with no copy at the end: about 88-99 MB
+    of rows for a million records (88 B a row, at most an eighth more slack).
 
     Aborts (NumericalAbort) on cumulative mass drift above 1e-9 relative, on
     a value below the dust floor, on non-finite velocities, on a datum whose
@@ -248,12 +247,9 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
     threshold = QUIESCENT_SPEED * max(mass0, 1.0)
     per_block = max(1, RECORD_BLOCK_CELLS // grid.npoints)
     pending = []  # (state, pressure, faces, time, mass, peak) awaiting their rows
-    joined = []  # the rows of each JOIN_BLOCKS flushed blocks, one ROW array
-    blocks = []  # the rows of each later flushed block, one ROW array
-    recorded = 0  # rows in joined and blocks
+    buf = bytearray()  # the flushed blocks' rows, ROW after ROW
 
     def flush():
-        nonlocal recorded
         states, ps, face_sets, times, masses, peaks = zip(*pending)
         pending.clear()
         rows = record(states, times, op, ps, face_sets, masses, peaks)
@@ -262,18 +258,14 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
             i, j = np.argwhere(~np.isfinite(table))[0]
             raise NumericalAbort(f"diagnostics overflow: {CSV_COLUMNS[j]} is "
                                  f"{table[i, j]} at t = {table[i, 0]:.6g}")
-        blocks.append(rows)
-        recorded += len(rows)
-        if len(blocks) == JOIN_BLOCKS:
-            joined.append(np.concatenate(blocks))
-            blocks.clear()
+        buf.extend(rows.tobytes())
 
     steps = 0
     while True:
         bound = kernel.bound(faces, peak)
         if steps % snapshot_stride == 0 or t >= stop:
             pending.append((vals, p, faces, t, mass, peak))
-            on_record(recorded + len(pending) - 1, t, Field(grid, vals))
+            on_record(len(buf) // ROW.itemsize + len(pending) - 1, t, Field(grid, vals))
             if len(pending) == per_block or steps == 0:
                 flush()
         if t >= stop:
@@ -308,4 +300,4 @@ def run(u0: Field, mode: str, s: float, end_time: float, *, snapshot_stride: int
         faces = kernel.faces(vals, p)
     if pending:
         flush()
-    return Trajectory(np.concatenate(joined + blocks), steps)
+    return Trajectory(np.frombuffer(buf, ROW), steps)
