@@ -5,9 +5,11 @@ realized as convolution with the Riesz kernel c(n,s) |x|^(2s-n), discretized by
 exact cell averages of the kernel over each source cell (the singular cell via
 closed form in 1-D and a polar-coordinate reduction in 2-D).  The operator is
 translation invariant, so a single tap table drives both a zero-padded circular
-convolution (any grid) and the dense kernel submatrices that the pivoting
-oracles take.  `FracOperator.convolve`, on value arrays, is the one way to
-apply the operator.
+convolution and the dense kernel submatrices that the pivoting oracles take.
+Its geometry is one path in either dimension: the 2N-point embedding (taps, a
+zero slice, taps[1:] flipped), the stiffness symbol and the submatrix gather all
+go one axis at a time.  `FracOperator.convolve`, on value arrays, is the one way
+to apply the operator.
 
 The convolution runs on the 2N-point embedding one axis at a time, pruned: only
 the N data rows pass through the forward last-axis transform, and only the N
@@ -178,15 +180,12 @@ def _taps_2d(grid: Grid, s: float) -> np.ndarray:
 
 
 def _second_difference_symbol(m: int, h: float, dim: int) -> np.ndarray:
-    """Symbol of the (negative) discrete Laplacian on an m-point periodic axis,
-    laid out like an rfftn half-spectrum."""
-    k1 = np.fft.fftfreq(m)
-    kr = np.abs(np.fft.rfftfreq(m))
-    if dim == 1:
-        return (4.0 / h**2) * np.sin(np.pi * kr) ** 2
-    return (4.0 / h**2) * (
-        np.sin(np.pi * k1[:, None]) ** 2 + np.sin(np.pi * kr[None, :]) ** 2
-    )
+    """Symbol of the (negative) discrete Laplacian on an m-point periodic box,
+    laid out like an rfftn half-spectrum: (4/h^2) sum over the axes, first axis
+    first, of sin^2(pi k), k from fftfreq on the leading axes, rfftfreq on the last."""
+    freqs = [np.fft.fftfreq(m)] * (dim - 1) + [np.fft.rfftfreq(m)]
+    return (4.0 / h**2) * sum(np.sin(np.pi * k) ** 2
+                              for k in np.meshgrid(*freqs, indexing="ij", sparse=True))
 
 
 class FracOperator:
@@ -205,21 +204,15 @@ class FracOperator:
         taps = _taps_1d(grid, params.s) if grid.dim == 1 else _taps_2d(grid, params.s)
         self.taps = taps
         n = grid.points_per_axis
-        if grid.dim == 1:
-            emb = np.zeros(2 * n)
-            emb[:n] = taps
-            emb[n + 1:] = taps[1:][::-1]
-        else:
-            emb = np.zeros((2 * n, 2 * n))
-            emb[:n, :n] = taps
-            emb[n + 1:, :n] = taps[1:, :][::-1, :]
-            emb[:n, n + 1:] = taps[:, 1:][:, ::-1]
-            emb[n + 1:, n + 1:] = taps[1:, 1:][::-1, ::-1]
+        emb = taps
+        for axis in range(grid.dim):  # taps, a zero slice, then taps[1:] flipped
+            e = np.moveaxis(emb, axis, 0)
+            emb = np.moveaxis(np.concatenate([e, np.zeros_like(e[:1]), e[:0:-1]]), 0, axis)
         self._taps_hat = np.fft.rfftn(emb)
         # zero-padded data rows; convolve writes only their first N columns
         self._pad = np.zeros(taps.shape[:-1] + (2 * n,))
-        if grid.dim == 2:  # the row spectra; convolve writes only the first N rows
-            self._cbuf = np.zeros(self._taps_hat.shape, complex)
+        # the forward spectra; in 2-D convolve writes only the first N rows
+        self._cbuf = np.zeros(self._taps_hat.shape, complex)
 
     def stiffness_bound(self) -> float:
         """max over Fourier modes of (second-difference symbol) * (kernel symbol).
@@ -249,7 +242,7 @@ class FracOperator:
         n = self.grid.points_per_axis
         self._pad[..., :n] = values
         if values.ndim == 1:
-            spec = r2c(self._pad, (0,), True, 0, None, 1)
+            spec = r2c(self._pad, (0,), True, 0, self._cbuf, 1)
         else:
             r2c(self._pad, (1,), True, 0, self._cbuf[:n], 1)
             spec = c2c(self._cbuf, (0,), True, 0, None, 1)

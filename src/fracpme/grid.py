@@ -70,22 +70,11 @@ class Grid:
         return -self.half_width + np.arange(1, n) * h
 
     def radius2(self) -> np.ndarray:
-        """Squared Euclidean distance of each cell center from the origin.
-
-        Built on first use and shared by every later call, so it is read-only."""
-        r2 = self.__dict__.get("_radius2")
-        if r2 is None:
-            r2 = self.axis() ** 2
-            if self.dim == 2:
-                r2 = r2[:, None] + r2[None, :]
-            r2.flags.writeable = False
-            object.__setattr__(self, "_radius2", r2)  # a cache, not a field
+        """Squared distance of each cell center from the origin, a new array each call."""
+        r2 = self.axis() ** 2
+        if self.dim == 2:
+            r2 = r2[:, None] + r2[None, :]
         return r2
-
-    def __getstate__(self) -> dict:
-        # the radius2 cache stays behind: an unpickled array would come back
-        # writeable, and the copy that gets it rebuilds it read-only on use
-        return {k: v for k, v in self.__dict__.items() if k != "_radius2"}
 
 
 @dataclass

@@ -54,18 +54,14 @@ def riesz_potential_gaussian(r2: np.ndarray, n: int, s: float) -> np.ndarray:
 
 def kernel_matrix(op: FracOperator, flat_index: np.ndarray) -> np.ndarray:
     """Dense potential matrix of a freespace operator restricted to the
-    given flat (row-major) cell indices, gathered from `op.taps`.
+    given flat (row-major) cell indices, gathered from `op.taps` at the index
+    distance along each axis, the same in any dimension.
 
     The matrix product is the direct-summation route to `op.convolve`, whose
     FFT convolution it checks, and the matrix is what the pivoting oracles
     take; the obstacle solver never forms it."""
-    if op.grid.dim == 1:
-        d = np.abs(flat_index[:, None] - flat_index[None, :])
-        return op.taps[d]
-    ix, iy = np.divmod(flat_index, op.grid.points_per_axis)
-    dx = np.abs(ix[:, None] - ix[None, :])
-    dy = np.abs(iy[:, None] - iy[None, :])
-    return op.taps[dx, dy]
+    cells = np.unravel_index(flat_index, op.grid.shape)
+    return op.taps[tuple(np.abs(i[:, None] - i[None, :]) for i in cells)]
 
 
 def lemke_lcp(m_mat: np.ndarray, q: np.ndarray) -> np.ndarray:

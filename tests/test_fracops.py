@@ -125,16 +125,18 @@ def test_dense_matrix_agrees_with_convolution():
 
 
 def test_kernel_submatrix_consistent_with_dense():
-    g = Grid(dim=2, half_width=2.0, points_per_axis=12)
-    op = FracOperator(g, FracParams(s=0.5, dim=2))
-    dense = kernel_matrix(op, np.arange(g.npoints))
-    # row-major block gather of the tap table, independent of the flat indexing
-    d = np.abs(np.arange(12)[:, None] - np.arange(12)[None, :])
-    blocks = op.taps[d[:, None, :, None], d[None, :, None, :]].reshape(g.npoints, g.npoints)
-    assert np.array_equal(dense, blocks)
-    idx = np.array([0, 5, 17, 100, 143])
-    sub = kernel_matrix(op, idx)
-    assert np.allclose(sub, dense[np.ix_(idx, idx)], rtol=0.0, atol=1e-15)
+    for dim, n, s in ((1, 144, 0.25), (2, 12, 0.5)):
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=n)
+        op = FracOperator(g, FracParams(s=s, dim=dim))
+        dense = kernel_matrix(op, np.arange(g.npoints))
+        # row-major block gather of the tap table, independent of the flat indexing
+        d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        blocks = (op.taps[d] if dim == 1 else
+                  op.taps[d[:, None, :, None], d[None, :, None, :]].reshape(g.npoints, -1))
+        assert np.array_equal(dense, blocks)
+        # unsorted, with one index repeated: a gather is exact
+        idx = np.array([100, 5, 143, 0, 17, 5])
+        assert np.array_equal(kernel_matrix(op, idx), dense[np.ix_(idx, idx)])
 
 
 def test_self_adjointness():
@@ -249,6 +251,45 @@ def test_convolve_returns_a_fresh_array(dim):
         for a in (values, other, *held):
             assert not np.shares_memory(result, a)
     assert not np.shares_memory(first, second)
+
+
+def explicit_embedding(taps):
+    """The 2N-point embedding written out per dimension: the taps, a zero
+    slice, then the negative displacements, taps[1:] flipped."""
+    n = taps.shape[0]
+    if taps.ndim == 1:
+        emb = np.zeros(2 * n)
+        emb[:n] = taps
+        emb[n + 1:] = taps[1:][::-1]
+        return emb
+    emb = np.zeros((2 * n, 2 * n))
+    emb[:n, :n] = taps
+    emb[n + 1:, :n] = taps[1:, :][::-1, :]
+    emb[:n, n + 1:] = taps[:, 1:][:, ::-1]
+    emb[n + 1:, n + 1:] = taps[1:, 1:][::-1, ::-1]
+    return emb
+
+
+def explicit_symbol(m, h, dim):
+    """The second-difference symbol written out per dimension."""
+    k1 = np.fft.fftfreq(m)
+    kr = np.fft.rfftfreq(m)
+    if dim == 1:
+        return (4.0 / h**2) * np.sin(np.pi * kr) ** 2
+    return (4.0 / h**2) * (np.sin(np.pi * k1[:, None]) ** 2 + np.sin(np.pi * kr[None, :]) ** 2)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 96), (1, 1000), (1, 1024),
+                                    (2, 8), (2, 40), (2, 128)])
+def test_geometry_matches_explicit_per_dimension_build(dim, n):
+    # the golden digests skip on another numpy, scipy or SIMD target; this
+    # pins the one-path embedding and symbol to the written-out ones anywhere
+    g = Grid(dim=dim, half_width=6.0, points_per_axis=n)
+    op = FracOperator(g, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim))
+    taps_hat = np.fft.rfftn(explicit_embedding(op.taps))
+    assert op._taps_hat.tobytes() == taps_hat.tobytes()
+    lap = explicit_symbol(2 * n, g.spacing, dim)
+    assert op.stiffness_bound() == float((lap * np.maximum(taps_hat.real, 0.0)).max())
 
 
 def unblocked_taps_2d(grid, s):

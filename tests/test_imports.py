@@ -3,7 +3,8 @@ module-level function, class and constant, public method and property is
 used by the package, every parameter default is both used and overridden by
 the package, every parameter is read by its def, every package-internal
 import names the module that defines the name, no package module imports
-scipy.sparse, no package module reads the environment, and only the CLI's
+scipy.sparse, no package module reads the environment, no package module
+writes behind a frozen dataclass or hooks pickling, and only the CLI's
 `main` prints a FRACPME-FAIL line.
 
 No lint tool is a dependency, so this walks the syntax tree with the
@@ -472,6 +473,39 @@ def test_guard_sees_an_environment_read():
 def test_package_reads_no_environment():
     # every setting comes from the command line
     found = {path.name: hits for path in MODULES if (hits := environment_reads(path.read_text()))}
+    assert found == {}
+
+
+def hidden_state(source: str) -> list:
+    """(line, what) of each ``object.__setattr__`` in `source` and of each def
+    of ``__getstate__`` or ``__setstate__``, at any depth: the ways a frozen
+    value grows state that its fields do not show, or hides some from pickle."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            found.append((node.lineno, "object.__setattr__"))
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name in ("__getstate__", "__setstate__")):
+            found.append((node.lineno, f"def {node.name}"))
+    return sorted(found)
+
+
+def test_guard_sees_hidden_state():
+    source = ("class G:\n    def cached(self):\n"
+              "        object.__setattr__(self, '_c', 1)\n\n"
+              "    def __getstate__(self):\n        return {}\n\n"
+              "    def __setstate__(self, state):\n        pass\n\n"
+              "    def __setattr__(self, name, value):\n        super().__setattr__(name, value)\n"
+              "\nsetter = object.__setattr__\n")
+    assert hidden_state(source) == [(3, "object.__setattr__"), (5, "def __getstate__"),
+                                    (8, "def __setstate__"), (14, "object.__setattr__")]
+
+
+def test_package_values_hold_only_their_fields():
+    # Grid, FracParams and ObstacleProblem are pickled to verify's workers as
+    # plain frozen values: no cache written behind the frozen flag, no pickle hook
+    found = {path.name: hits for path in MODULES if (hits := hidden_state(path.read_text()))}
     assert found == {}
 
 
