@@ -1,16 +1,17 @@
 """Independent oracles used to cross-check the operator and the obstacle solver.
 
 Everything here recomputes a quantity through a route that shares no code with the
-implementation it checks: adaptive quadrature instead of closed-form antiderivatives
-for the kernel taps, the closed-form Riesz potential of a Gaussian instead of the
-tap table and FFT convolution, dense kernel matrices instead of FFT convolution,
-and complementary pivoting instead of the active-set obstacle solver.
+implementation it checks: Gauss-Legendre quadrature instead of closed-form
+antiderivatives for the kernel taps, the closed-form Riesz potential of a Gaussian
+instead of the tap table and FFT convolution, dense kernel matrices instead of FFT
+convolution, and complementary pivoting instead of the active-set obstacle solver.
+The quadrature rules come from numpy, so no command loads scipy's integration package.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma, hyp1f1
 
 from .fracops import FracOperator, riesz_constant
@@ -20,22 +21,26 @@ LEMKE_MAX_PIVOTS = 20000  # pivots lemke_lcp takes before it gives up
 
 
 def quadrature_taps_1d(grid: Grid, s: float) -> np.ndarray:
-    """Cell averages of the 1-D Riesz kernel by adaptive quadrature.
+    """Cell integrals of the 1-D Riesz kernel by Gauss-Legendre quadrature.
 
-    Recomputes the freespace tap table integral by integral; the singular cell is
-    split at the kernel singularity via quad's `points` mechanism.
+    Recomputes the freespace tap table integral by integral, without the
+    antiderivative the operator uses.  A regular cell [d - h/2, d + h/2] takes one
+    20-point rule.  The singular cell is twice the integral over [0, h/2], cut into
+    64 dyadic pieces [a/2, a] graded toward z = 0, each with the same rule; halving
+    a piece scales |z|^(2s-1) by r = 4^(-s), so the rest [0, eps] below the last
+    piece is that piece times the geometric tail r / (1 - r), not dropped.
     """
     n, h = grid.points_per_axis, grid.spacing
-    c = riesz_constant(1, s)
-    kern = lambda z: abs(z) ** (2.0 * s - 1.0)
+    expo = 2.0 * s - 1.0
+    x, w = leggauss(20)
     taps = np.empty(n)
-    val, _ = quad(kern, -h / 2.0, h / 2.0, points=[0.0], epsabs=1e-13, limit=200)
-    taps[0] = val
-    for m in range(1, n):
-        d = m * h
-        val, _ = quad(kern, d - h / 2.0, d + h / 2.0, epsabs=1e-13, limit=200)
-        taps[m] = val
-    return c * taps
+    d = np.arange(1, n) * h
+    taps[1:] = (h / 2.0) * ((d[:, None] + (h / 2.0) * x) ** expo @ w)
+    a = (h / 2.0) * 0.5 ** np.arange(64)
+    pieces = (a / 4.0) * ((a[:, None] * (3.0 + x) / 4.0) ** expo @ w)
+    r = 0.25 ** s
+    taps[0] = 2.0 * (pieces[::-1].sum() + pieces[-1] * r / (1.0 - r))
+    return riesz_constant(1, s) * taps
 
 
 def riesz_potential_gaussian(r2: np.ndarray, n: int, s: float) -> np.ndarray:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fracpme import fracops
 from fracpme.fracops import FracOperator, FracParams, riesz_constant
@@ -52,9 +53,10 @@ def test_unknown_mode_rejected():
             FracOperator(g, params, mode)
 
 
-def test_freespace_taps_match_quadrature_1d():
-    g = grid1(L=6.0, N=512)
-    s = 0.25
+@pytest.mark.parametrize("n_pts", [128, 512])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.45])
+def test_freespace_taps_match_quadrature_1d(s, n_pts):
+    g = grid1(L=6.0, N=n_pts)
     op = FracOperator(g, FracParams(s=s, dim=1))
     oracle = quadrature_taps_1d(g, s)
     assert np.max(np.abs(op.taps - oracle) / oracle) < 1e-12
@@ -62,7 +64,7 @@ def test_freespace_taps_match_quadrature_1d():
 
 def test_freespace_inverse_matches_quadrature_oracle_on_gaussian():
     # acceptance item: K_s applied to a sampled Gaussian against kernel weights
-    # recomputed by adaptive quadrature, N = 512
+    # recomputed by Gauss-Legendre quadrature, N = 512
     g = grid1(L=6.0, N=512)
     s = 0.25
     op = FracOperator(g, FracParams(s=s, dim=1))
@@ -72,6 +74,18 @@ def test_freespace_inverse_matches_quadrature_oracle_on_gaussian():
     idx = np.abs(np.arange(g.points_per_axis)[:, None] - np.arange(g.points_per_axis)[None, :])
     ref = taps[idx] @ f.values
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 0.99])
+def test_singular_cell_2d_matches_adaptive_quadrature(s):
+    # the fixed 16-point rule on [0, pi/4] against quad at its tightest
+    # tolerances (quad warns that roundoff limits it there); at h = 2 the
+    # factor (h/2)^(2s) is exactly 1, so only the two integrals differ
+    sec_int, _ = quad(lambda t: np.cos(t) ** (-2.0 * s), 0.0, np.pi / 4.0,
+                      epsabs=1e-15, epsrel=1e-15)
+    ref = (8.0 / (2.0 * s)) * sec_int
+    assert fracops._singular_cell_2d(2.0, s) == pytest.approx(ref, rel=4e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("mx,my", [(0, 0), (1, 0), (1, 1), (5, 3)])

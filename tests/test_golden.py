@@ -29,7 +29,7 @@ RUNS = {
     "evolve_2d": (["evolve", "--n", "2", "--s", "0.5", "--N", "48", "--L", "6",
                    "--end-time", "2", "--snapshot-stride", "3",
                    "--snapshot-every", "5"],
-                  "052b96fae9c86d11f3754c73cad7dd026e590090497757bb22f910a4ed27e215"),
+                  "c6a5ed755b835e8f1d32856c04a2ef5562e08dae1800416f187bf0e35fe8131c"),
     "rescaled_1d": (["rescaled", "--N", "128", "--L", "6", "--end-time", "0.5",
                      "--datum", "gaussian_truncated(0.8)", "--snapshot-stride", "2",
                      "--snapshot-every", "10"],
@@ -38,7 +38,7 @@ RUNS = {
                     "735d155828bd4bce8c74d398a0a2340b236ebdffb5317dfeeda59cae1398340b"),
     "obstacle_2d": (["obstacle", "--n", "2", "--s", "0.5", "--N", "32", "--L", "8",
                      "--C", "4"],
-                    "45399519ac372acb3c7351ee8c4f25d3c4a54da922ae09a0828dff6eb86dd3db"),
+                    "3009ad71cddcb552460f11c189da8088b4b8a86e3a9cd7ead4fbb18b5cf4aa9c"),
     "obstacle_mass": (["obstacle", "--M", "2", "--N", "256", "--L", "4"],
                       "4c00e55ae668f4a20d2af30f07540a7b6f8d040c2382e9097acacc06ae8c2cae"),
     # verify_results.csv, the same bytes on one core and on two

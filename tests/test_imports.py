@@ -3,9 +3,10 @@ module-level function, class and constant, public method and property is
 used by the package, every parameter default is both used and overridden by
 the package, every parameter is read by its def, every package-internal
 import names the module that defines the name, no package module imports
-scipy.sparse, no package module reads the environment, no package module
-writes behind a frozen dataclass or hooks pickling, and only the CLI's
-`main` prints a FRACPME-FAIL line.
+scipy.integrate, linalg, optimize, sparse or spatial or a ``roots_*``
+function of scipy.special, and no command loads them, no package module
+reads the environment, no package module writes behind a frozen dataclass
+or hooks pickling, and only the CLI's `main` prints a FRACPME-FAIL line.
 
 No lint tool is a dependency, so this walks the syntax tree with the
 standard library: a name bound by an import statement must be read somewhere
@@ -358,9 +359,19 @@ def test_package_imports_each_name_from_its_definer():
     assert reexported_imports(sources) == []
 
 
-def sparse_imports(source: str) -> list:
-    """(line, module) of each import of ``scipy.sparse`` or a submodule of it,
-    ``from scipy import sparse`` included."""
+def under(name: str, root: str) -> bool:
+    return name == root or name.startswith(root + ".")
+
+
+COMMAND_PATH_BANNED = ("scipy.integrate", "scipy.linalg", "scipy.optimize",
+                       "scipy.sparse", "scipy.spatial")
+
+
+def banned_scipy_imports(source: str) -> list:
+    """(line, dotted name) of each import of a module in COMMAND_PATH_BANNED or
+    a submodule of one (``from scipy import sparse`` included), and of each
+    ``roots_*`` name taken from ``scipy.special``, whose first call loads
+    scipy.linalg."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -369,26 +380,36 @@ def sparse_imports(source: str) -> list:
             found.append((node.lineno, node.module))
             if node.module == "scipy":
                 found.extend((node.lineno, f"scipy.{alias.name}") for alias in node.names)
+            if node.module == "scipy.special":
+                found.extend((node.lineno, f"scipy.special.{alias.name}")
+                             for alias in node.names if alias.name.startswith("roots_"))
     return sorted((line, name) for line, name in found
-                  if name == "scipy.sparse" or name.startswith("scipy.sparse."))
+                  if any(under(name, root) for root in COMMAND_PATH_BANNED)
+                  or name.startswith("scipy.special.roots_"))
 
 
-def test_guard_sees_a_sparse_import():
+def test_guard_sees_a_banned_scipy_import():
     source = ("import scipy.sparse\nfrom scipy.sparse.linalg import cg\n"
               "from scipy import sparse, special\nimport scipy.sparse.linalg as sla\n"
-              "from scipy.special import gamma\nimport scipy.sparsity\n")
-    assert sparse_imports(source) == [(1, "scipy.sparse"), (2, "scipy.sparse.linalg"),
-                                      (3, "scipy.sparse"), (4, "scipy.sparse.linalg")]
+              "from scipy.special import gamma\nimport scipy.sparsity\n"
+              "from scipy.integrate import quad\nimport scipy.linalg as la\n"
+              "from scipy import optimize, spatial, fft\n"
+              "from scipy.special import hyp1f1, roots_legendre, roots_jacobi as rj\n"
+              "from scipy.linalgebra import x\nfrom numpy.polynomial.legendre import leggauss\n")
+    assert banned_scipy_imports(source) == [
+        (1, "scipy.sparse"), (2, "scipy.sparse.linalg"),
+        (3, "scipy.sparse"), (4, "scipy.sparse.linalg"),
+        (7, "scipy.integrate"), (8, "scipy.linalg"),
+        (9, "scipy.optimize"), (9, "scipy.spatial"),
+        (10, "scipy.special.roots_jacobi"), (10, "scipy.special.roots_legendre")]
 
 
-def test_package_imports_no_sparse_solver():
-    # the obstacle CG is the package's own; scipy.sparse stays out of the source
-    found = {path.name: hits for path in MODULES if (hits := sparse_imports(path.read_text()))}
+def test_package_imports_no_banned_scipy_module():
+    # the obstacle CG and every quadrature rule are the package's own or
+    # numpy's; the heavy scipy subpackages stay out of the source
+    found = {path.name: hits for path in MODULES
+             if (hits := banned_scipy_imports(path.read_text()))}
     assert found == {}
-
-
-def under(name: str, root: str) -> bool:
-    return name == root or name.startswith(root + ".")
 
 
 def fft_imports(source: str) -> list:
@@ -556,24 +577,33 @@ CLI_IMPORT_PROBE = """
 import sys
 from fracpme.cli import main
 
-print(sorted(m for m in ("multiprocessing", "concurrent.futures.process",
+def probe(*parts):  # the scipy modules no command may load are the arguments
+    print("probe:", *parts, sorted(m for m in sys.argv[1:] if m in sys.modules))
+
+probe(sorted(m for m in ("multiprocessing", "concurrent.futures.process",
                          "concurrent.futures.thread") if m in sys.modules))
 codes = [main(["evolve", "--N", "32", "--L", "4", "--end-time", "0.01", "--out", "evolve"]),
-         main(["obstacle", "--N", "32", "--L", "4", "--C", "1", "--out", "obstacle"])]
-print(codes, "scipy.interpolate" in sys.modules)
+         main(["evolve", "--n", "2", "--s", "0.5", "--N", "16", "--L", "4",
+               "--end-time", "0.01", "--out", "evolve2"]),
+         main(["obstacle", "--N", "32", "--L", "4", "--C", "1", "--out", "obstacle"]),
+         main(["obstacle", "--n", "2", "--s", "0.5", "--N", "16", "--L", "8", "--C", "4",
+               "--out", "obstacle2"])]
+probe(codes, "scipy.interpolate" in sys.modules)
 import fracpme.verify
-print("scipy.interpolate" in sys.modules)
+probe("scipy.interpolate" in sys.modules)
+probe(main(["verify", "--quick", "--out", "verify"]))
 """
 
 
 def test_cli_import_loads_no_process_machinery(tmp_path):
     # fanout imports the process pool; neither the command line nor an evolve
     # or obstacle run may pay for it, and no package module (verify included)
-    # imports scipy.interpolate
+    # imports scipy.interpolate.  No command, verify --quick included, loads
+    # scipy.integrate, linalg, optimize, sparse or spatial into this process
     env = dict(os.environ, PYTHONPATH=str(Path(fracpme.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", CLI_IMPORT_PROBE], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", CLI_IMPORT_PROBE, *COMMAND_PATH_BANNED],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[-2:] == ["[0, 0] False", "False"]
+    lines = [line for line in done.stdout.splitlines() if line.startswith("probe:")]
+    assert lines == ["probe: [] []", "probe: [0, 0, 0, 0] False []", "probe: False []",
+                     "probe: 0 []"]
