@@ -19,6 +19,15 @@ a row exactly as the state's own array is summed; the Boltzmann sum still
 runs over each row's compressed positive entries, and the square and fourth
 roots stay Python float powers.  So every row has the bits of the state
 recorded alone.  A run hands it blocks of about RECORD_BLOCK_CELLS cells.
+
+The block's arrays live in a `RecordBuffers` that `run` builds once and that
+dies with the run: `record` lays the states, pressures and faces end to end in
+it and takes its products, moduli and masks there with ``out=``, and the cell
+radii come from it too.  Left to fresh temporaries, a block of about 270 KB of
+64 KB arrays would land at the top of the heap, which the C allocator trims
+when they are freed and faults back in for the next block: tens of thousands
+of minor page faults and about 18 % more wall time on a stride-1 1-D run
+(glibc on x86-64).
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fracops import FracOperator
+from .grid import Grid
 
 BOLTZMANN_FLOOR = 1e-30
 # x ** 4 is exactly +0.0 at and below this: under correct rounding pow(x, 4)
@@ -37,13 +47,34 @@ CSV_COLUMNS = ("time", "mass", "linf", "l2", "l4", "moment2", "energy1", "entrop
 ROW = np.dtype([(name, np.float64) for name in CSV_COLUMNS])  # one record
 
 
+class RecordBuffers:
+    """The arrays `record` fills for a block of up to `states` states on
+    `grid`: the states, their pressures, and each axis's face velocities w
+    and upwind densities up, one state to a row; the product, modulus, fourth
+    power and mask scratch of the same rows; and the cell radii squared as
+    one row."""
+
+    def __init__(self, grid: Grid, states: int):
+        cells = grid.npoints
+        faces = cells // grid.points_per_axis * (grid.points_per_axis - 1)
+        self.r2 = grid.radius2().reshape(-1)
+        self.states, self.pressures, self.product, self.abs, self.a4 = (
+            np.empty((states, cells)) for _ in range(5))
+        self.mask = np.empty((states, cells), bool)
+        self.faces = [(np.empty((states, faces)), np.empty((states, faces)))
+                      for _ in range(grid.dim)]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def record(states: list, times: list, op: FracOperator, pressures: list, faces: list,
-           masses: list, peaks: list) -> np.ndarray:
+           masses: list, peaks: list, buffers: RecordBuffers) -> np.ndarray:
     """The ROW array of one row per state of `states` (value arrays on
     op.grid) at the matching `times`, from what the run computed for each
     state: its pressure op.convolve(state), its `FlowKernel.faces`, its mass
-    h^n * sum and its maximum (states are nonnegative).
+    h^n * sum and its maximum (states are nonnegative).  Every array the
+    block needs is taken from the first rows of `buffers`, built on op.grid
+    for at least len(states) states; only the compressed Boltzmann entries
+    and the rows themselves are allocated.
 
     The dissipation sums w^2 * up over the given faces, so it carries the
     confining drift exactly when the faces do; the entropy formula always
@@ -59,34 +90,41 @@ def record(states: list, times: list, op: FracOperator, pressures: list, faces: 
     vol = grid.spacing ** grid.dim
     k = len(states)
 
-    def rows_of(arrays) -> np.ndarray:
-        # the arrays end to end, one C-contiguous row each
-        return np.concatenate(arrays).reshape(k, -1)
+    def rows_of(arrays, out) -> np.ndarray:
+        # the arrays end to end in the first k rows of out, one row each
+        rows = out[:k]
+        np.concatenate(arrays, out=rows.reshape((-1,) + arrays[0].shape[1:]))
+        return rows
 
-    block = rows_of(states)
-    r2 = grid.radius2().reshape(-1)
-    moment2 = vol * np.add.reduce(r2 * block, axis=1)
-    energy1 = vol * np.add.reduce(block * rows_of(pressures), axis=1)
+    block = rows_of(states, buffers.states)
+    r2 = buffers.r2
+    product, mask = buffers.product[:k], buffers.mask[:k]
+    moment2 = vol * np.add.reduce(np.multiply(r2, block, out=product), axis=1)
+    energy1 = vol * np.add.reduce(
+        np.multiply(block, rows_of(pressures, buffers.pressures), out=product), axis=1)
     beta = op.params.beta
     # each row's Boltzmann sum runs over that row's compressed entries
-    pos_mask = block > BOLTZMANN_FLOOR
+    pos_mask = np.greater(block, BOLTZMANN_FLOOR, out=mask)
     pos = block[pos_mask]
-    plogp = np.log(pos)
+    plogp = np.log(pos, out=buffers.product.reshape(-1)[:pos.size])
     plogp *= pos
     ends = np.add.reduce(pos_mask, axis=1).cumsum().tolist()
     boltzmann = [vol * float(np.add.reduce(plogp[a:b])) for a, b in zip([0] + ends, ends)]
     dissipation = 0.0
-    for ax in range(grid.dim):
-        integrand = rows_of([f[ax][0] for f in faces])
+    for ax, (w_rows, up_rows) in enumerate(buffers.faces):
+        integrand = rows_of([f[ax][0] for f in faces], w_rows)
         integrand *= integrand
-        integrand *= rows_of([f[ax][1] for f in faces])
+        integrand *= rows_of([f[ax][1] for f in faces], up_rows)
         dissipation = dissipation + np.add.reduce(integrand, axis=1) * vol
-    a = np.abs(block)
+    a = np.abs(block, out=buffers.abs[:k])
     linf = np.abs(peaks)
     # pow(x, 4) is exactly 0 for x <= L4_UNDERFLOW but slow there, so only
     # larger entries (and nan) take the power; the summed array is unchanged
-    a4 = np.power(a, 4, out=np.zeros(a.shape), where=~(a <= L4_UNDERFLOW))
-    inside = block > (1e-10 * linf)[:, None]
+    a4 = buffers.a4[:k]
+    a4.fill(0.0)
+    np.power(a, 4, out=a4, where=np.logical_not(np.less_equal(a, L4_UNDERFLOW, out=mask),
+                                                out=mask))
+    inside = np.greater(block, (1e-10 * linf)[:, None], out=mask)
     np.square(a, out=a)
     columns = {
         "time": times,
@@ -101,7 +139,8 @@ def record(states: list, times: list, op: FracOperator, pressures: list, faces: 
         "boltzmann": boltzmann,
         "dissipation": dissipation,
         # r2 >= 0, so the zeros outside do not move a maximum over inside
-        "support_radius": np.sqrt(np.maximum.reduce(np.multiply(inside, r2), axis=1)),
+        "support_radius": np.sqrt(np.maximum.reduce(np.multiply(inside, r2, out=product),
+                                                    axis=1)),
     }
     rows = np.empty(k, ROW)
     for name in CSV_COLUMNS:

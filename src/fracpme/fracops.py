@@ -14,12 +14,19 @@ to apply the operator.
 The convolution runs on the 2N-point embedding one axis at a time, pruned: only
 the N data rows pass through the forward last-axis transform, and only the N
 rows that are kept pass through the last-axis inverse.  The transforms are
-scipy's ``pypocketfft`` (``r2c``, ``c2c``, ``c2r``, one thread), which keeps a
-cache of the plans it builds, so a run of one length pays for its twiddle
-tables once.  It is the pocketfft code that ``np.fft`` calls, and every 1-D
-transform is the one ``rfftn``/``irfftn`` of the padded box would run, on the
+scipy's compiled ``pypocketfft`` module (``r2c``, ``c2c``, ``c2r``, one thread),
+which keeps a cache of the plans it builds, so a run of one length pays for its
+twiddle tables once.  It is loaded from its extension file in scipy's folder,
+which `importlib.util.find_spec` finds without importing scipy: importing it by
+name would first run the ``scipy.fft`` package, which loads ``scipy.special``
+and scipy's array-API layer (about 0.3 s and 27 MiB of every command on a
+2-core x86-64 VM).  It is the pocketfft code that ``np.fft`` calls, and every
+1-D transform is the one ``rfftn``/``irfftn`` of the padded box would run, on the
 same data and in the same order, so the result has their bits;
-``test_conv_apply_matches_padded_rfftn`` gates that.  The inverse factor
+``test_conv_apply_matches_padded_rfftn`` gates that.  The kernel symbol is the
+same module's ``rfftn`` of the embedding, and the stiffness symbol takes numpy's
+``fftfreq``/``rfftfreq`` values from ``arange``, so no run loads ``numpy.fft``
+either (about 2 ms on the first operator of a process).  The inverse factor
 (``inorm=2``) is 1/(2N) rounded through long double, which is numpy's double
 1/(2N) except at a sparse set of lengths, the smallest N = 2731, where the last
 bit of the potential may differ.  Each operator holds zero-padded scratch that
@@ -28,20 +35,21 @@ operator must not be shared between threads (``fan_out`` forks processes, and
 no package code shares one).
 The 2-D tap table is built in blocks of rows, which bounds the Gauss-Legendre node
 arrays to about TAP_BLOCK_CELLS cells at any N.  Every Gauss-Legendre rule, the
-singular cell's included, comes from numpy's ``leggauss``, because scipy's
-quadrature and root tables would load its linear-algebra and integration
-packages into every command; the build takes from scipy only ``gamma`` and the
-transforms.
+singular cell's included, comes from numpy's ``leggauss``, and Gamma is the
+package's own port of Cephes' (`_gamma`, the code ``scipy.special.gamma`` runs,
+bit for bit), so a command imports no part of scipy.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft._pocketfft.pypocketfft import c2c, c2r, r2c
-from scipy.special import gamma
 
 from .grid import Grid
 
@@ -49,17 +57,89 @@ FREESPACE = "freespace_kernel"
 TAP_BLOCK_CELLS = 2048  # cells per row block of the 2-D tap build
 
 
+def _load_pocketfft():
+    """scipy's ``pypocketfft`` extension module, loaded from its file in
+    scipy's ``fft/_pocketfft`` folder under a bare name that enters no
+    ``sys.modules``; a later ``import scipy.fft`` loads its own copy of the
+    same code.  Raises ImportError naming the folder if the file is not
+    there."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed: it ships the pocketfft transforms")
+    folder = Path(spec.submodule_search_locations[0], "fft", "_pocketfft")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"pypocketfft{suffix}"
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader("pypocketfft", str(path))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader("pypocketfft", loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no pypocketfft extension module in {folder}")
+
+
+_pocketfft = _load_pocketfft()
+c2c, c2r, r2c = _pocketfft.c2c, _pocketfft.c2r, _pocketfft.r2c
+
+# Cephes' rational approximation of Gamma(2 + x) on x in [0, 1)
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
+            1.04213797561761569935e-2, 4.76367800457137231464e-2,
+            2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
+            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
+            3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for |x| <= 33, ported from Cephes' ``Gamma``, which
+    ``scipy.special.gamma`` runs; the same float operations in the same order
+    give its bits.  The recurrences bring x into [2, 3), where the P/Q
+    rational takes over; |x| below 1e-9 takes the two-term expansion.
+    Gamma(+-0) is +-inf and a pole at a negative integer is nan, as in scipy.
+    Cephes' Stirling branch for |x| > 33 is not ported: the package's
+    arguments are n/2, s and n/2 - s, so such an x raises ValueError."""
+    if x == 0.0:
+        return math.copysign(math.inf, x)
+    if not abs(x) <= 33.0:
+        raise ValueError(f"gamma is computed for |x| <= 33 only, got {x}")
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 0.0:
+        if x > -1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    while x < 2.0:
+        if x < 1e-9:
+            return math.nan if x == 0.0 else z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    p = q = 0.0
+    for c in _GAMMA_P:
+        p = p * x + c
+    for c in _GAMMA_Q:
+        q = q * x + c
+    return z * p / q
+
+
 def riesz_constant(n: int, s: float) -> float:
     """Normalization c(n,s) = Gamma((n-2s)/2) / (4^s pi^(n/2) Gamma(s)).
 
     With this constant, convolution against c(n,s)|x|^(2s-n) has Fourier symbol
     |k|^(-2s), i.e. it inverts the fractional Laplacian.  Positive for 2s < n.
-    Raises ValueError where it diverges (2s = n) and where it falls to 0 because
-    Gamma(s) overflows (s below about 1e-308).
+    Raises ValueError where it diverges (2s = n), where it falls to 0 because
+    Gamma(s) overflows (s below about 1e-308), and where `_gamma` refuses an
+    argument (beyond 33 in modulus).
     """
-    with np.errstate(over="ignore"):
-        c = float(gamma((n - 2.0 * s) / 2.0) / (4.0 ** s * np.pi ** (n / 2.0) * gamma(s)))
-    if not np.isfinite(c):
+    c = _gamma((n - 2.0 * s) / 2.0) / (4.0 ** s * np.pi ** (n / 2.0) * _gamma(s))
+    if not math.isfinite(c):
         raise ValueError(f"Riesz kernel normalization diverges at 2s = n (s = {s}, n = {n})")
     if c == 0.0:
         raise ValueError(f"Riesz kernel normalization underflows at s = {s:g} (n = {n})")
@@ -187,8 +267,11 @@ def _taps_2d(grid: Grid, s: float) -> np.ndarray:
 def _second_difference_symbol(m: int, h: float, dim: int) -> np.ndarray:
     """Symbol of the (negative) discrete Laplacian on an m-point periodic box,
     laid out like an rfftn half-spectrum: (4/h^2) sum over the axes, first axis
-    first, of sin^2(pi k), k from fftfreq on the leading axes, rfftfreq on the last."""
-    freqs = [np.fft.fftfreq(m)] * (dim - 1) + [np.fft.rfftfreq(m)]
+    first, of sin^2(pi k), k from fftfreq on the leading axes, rfftfreq on the last
+    (numpy's integers times 1/m, hence its bits)."""
+    full = np.arange(m)
+    full[(m + 1) // 2:] -= m
+    freqs = [full * (1.0 / m)] * (dim - 1) + [np.arange(m // 2 + 1) * (1.0 / m)]
     return (4.0 / h**2) * sum(np.sin(np.pi * k) ** 2
                               for k in np.meshgrid(*freqs, indexing="ij", sparse=True))
 
@@ -213,7 +296,10 @@ class FracOperator:
         for axis in range(grid.dim):  # taps, a zero slice, then taps[1:] flipped
             e = np.moveaxis(emb, axis, 0)
             emb = np.moveaxis(np.concatenate([e, np.zeros_like(e[:1]), e[:0:-1]]), 0, axis)
-        self._taps_hat = np.fft.rfftn(emb)
+        # numpy's rfftn: the last axis real to complex, then the others
+        self._taps_hat = r2c(emb, (grid.dim - 1,), True, 0, None, 1)
+        for axis in range(grid.dim - 1):
+            c2c(self._taps_hat, (axis,), True, 0, self._taps_hat, 1)
         # zero-padded data rows; convolve writes only their first N columns
         self._pad = np.zeros(taps.shape[:-1] + (2 * n,))
         # the forward spectra; in 2-D convolve writes only the first N rows

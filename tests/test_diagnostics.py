@@ -12,6 +12,7 @@ from fracpme.diagnostics import (
     L4_UNDERFLOW,
     RECORD_BLOCK_CELLS,
     ROW,
+    RecordBuffers,
     entropy_dissipation_identity_check,
     fit_power_law,
     record,
@@ -33,15 +34,19 @@ def make_rows(times, **overrides):
     return rows
 
 
-def record_states(states, times, op, confined):
+def record_states(states, times, op, confined, buffers=None):
     """record() of the value arrays `states`, handed their pressures, faces,
-    masses and peaks as `run` computes them."""
+    masses and peaks as `run` computes them, in `buffers` (by default fresh
+    ones for one state more than given, so a block never fills them)."""
     kernel = FlowKernel(op, confined, 1.0)
     vol = op.grid.spacing ** op.grid.dim
     pressures = [op.convolve(v) for v in states]
+    if buffers is None:
+        buffers = RecordBuffers(op.grid, len(states) + 1)
     return record(states, times, op, pressures,
                   [kernel.faces(v, p) for v, p in zip(states, pressures)],
-                  [vol * float(v.sum()) for v in states], [float(v.max()) for v in states])
+                  [vol * float(v.sum()) for v in states], [float(v.max()) for v in states],
+                  buffers)
 
 
 def record_one(v, op, confined=True, time=0.0):
@@ -222,7 +227,8 @@ def _bits(rows):
 def test_block_rows_equal_lone_state_rows(dim, n, confined):
     # a block's row sums must carry each state's own bits: tails from 1e-320
     # up (subnormal fourth powers), a nan, a zero state, a lone spike, and
-    # blocks of every length up to a partial one
+    # blocks of every length up to a partial one, all through one set of
+    # buffers, so no block reads what an earlier one left there
     grid = Grid(dim=dim, half_width=5.0, points_per_axis=n)
     op = FracOperator(grid, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim))
     rng = np.random.default_rng(n)
@@ -242,12 +248,13 @@ def test_block_rows_equal_lone_state_rows(dim, n, confined):
     nan.reshape(-1)[5] = np.nan
     states.append(nan)
     expected = [reference_row(v, op, confined) for v in states]
-    for size in (1, 3, len(states)):
+    buffers = RecordBuffers(grid, len(states))
+    for size in (len(states), 1, 3):
         blocks = []
         for start in range(0, len(states), size):
             part = states[start:start + size]
             blocks.append(record_states(part, [start + j + 1.0 for j in range(len(part))], op,
-                                        confined))
+                                        confined, buffers))
         got = structured_to_unstructured(np.concatenate(blocks))
         got[:, 0] = 0.0
         assert _bits(got) == _bits(expected), size

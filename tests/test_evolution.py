@@ -1,7 +1,11 @@
 """Stepper, similarity exponents, and the physical/rescaled change of frame."""
 
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +415,38 @@ def test_records_cost_one_table_row_each(monkeypatch):
         assert grown <= 128 * records
         if block_cells is not None:
             assert peak <= 128 * records
+
+
+PAGE_FAULT_PROBE = """
+import contextlib, io, resource, sys, tempfile
+from fracpme.cli import main
+
+argv = ["evolve", "--N", "1024", "--L", "12", "--s", "0.25", "--end-time", "2",
+        "--snapshot-stride", "1", "--snapshot-every", "1000", "--out"]
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    main(argv + [out + "/warm"])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = main(argv + [out + "/run"])
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(code, faults)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc's heap trims")
+def test_recorded_run_reuses_its_pages():
+    # a stride-1 1-D run records a block of 8 states at a time; with each
+    # block's arrays fresh, glibc trims the heap top they land on at every
+    # free and faults it back in for the next block.  Counted in a fresh
+    # interpreter that imports fracpme.cli alone, on the second of two equal
+    # runs: about 10 600 minor faults with fresh block arrays, about 200 when
+    # run's buffers hold them
+    env = dict(os.environ, PYTHONPATH=str(Path(evolution.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", PAGE_FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, faults = map(int, done.stdout.split())
+    assert code == 0
+    assert faults < 1000
 
 
 @pytest.mark.parametrize("dim", [1, 2])

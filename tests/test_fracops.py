@@ -30,6 +30,24 @@ def test_riesz_constant_diverges_at_2s_equal_n():
         riesz_constant(1, 0.5)
 
 
+def test_gamma_matches_scipy_bit_for_bit():
+    # the package's port of Cephes' Gamma against scipy.special.gamma, which
+    # runs Cephes' code: on (0, 3], on log-spaced (1e-320, 1), and at every
+    # argument riesz_constant and the Gaussian oracle take at n = 1, 2 (1-D
+    # s > 1/2 reaches (-1/2, 0))
+    from scipy.special import gamma
+
+    s = np.linspace(0.0, 1.0, 20001)[1:]
+    xs = np.concatenate([np.linspace(0.0, 3.0, 60001)[1:], np.geomspace(1e-320, 1.0, 20001)[:-1],
+                         s, (1.0 - 2.0 * s) / 2.0, (2.0 - 2.0 * s) / 2.0, 0.5 - s, 1.0 - s,
+                         [0.5, 1.0]])
+    got = np.array([fracops._gamma(float(x)) for x in xs])
+    assert got.tobytes() == gamma(xs).tobytes()
+    assert fracops._gamma(0.0) == np.inf
+    with pytest.raises(ValueError, match="33"):
+        fracops._gamma(34.0)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         FracParams(s=0.0, dim=1)
@@ -205,6 +223,39 @@ def test_gaussian_potential_matches_closed_form(dim, s, half_width, sizes, bound
         errors.append(np.abs(got - ref).max() / np.abs(ref).max())
     assert errors[1] < bound
     assert np.log2(errors[0] / errors[1]) >= 1.5
+
+
+@pytest.mark.parametrize("dim, s", [(1, 0.1), (1, 0.25), (1, 0.45), (2, 0.25), (2, 0.5),
+                                    (2, 0.9)])
+def test_gaussian_closed_form_matches_mpmath(dim, s):
+    # Kummer's series against 30-digit arithmetic at 61 points of x = |x|^2/2
+    # in [0, 100], verify's and these tests' range
+    mpmath = pytest.importorskip("mpmath")
+    x = np.linspace(0.0, 100.0, 61)
+    got = riesz_potential_gaussian(2.0 * x, dim, s)
+    a, b = dim / 2.0 - s, dim / 2.0
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.mpf(2) ** -s * mpmath.gamma(a) / mpmath.gamma(b)
+                              * mpmath.hyp1f1(a, b, -mpmath.mpf(float(v)))) for v in x])
+    assert np.abs(got / ref - 1.0).max() <= 1e-14
+
+
+def test_gaussian_closed_form_matches_scipy_hyp1f1():
+    # on verify check 1's grids, against the scipy function the oracle replaced
+    from scipy.special import gamma, hyp1f1
+
+    for dim, s, half_width, n in ((1, 0.25, 12.0, 1024), (2, 0.5, 10.0, 256)):
+        r2 = Grid(dim=dim, half_width=half_width, points_per_axis=n).radius2()
+        a, b = dim / 2.0 - s, dim / 2.0
+        ref = 2.0 ** (-s) * gamma(a) / gamma(b) * hyp1f1(a, b, -r2 / 2.0)
+        assert np.abs(riesz_potential_gaussian(r2, dim, s) / ref - 1.0).max() <= 1e-14
+
+
+def test_gaussian_closed_form_refuses_underflow():
+    # e^(-x) leaves the normal range near x = 708, and the series with it
+    assert np.isfinite(riesz_potential_gaussian(2.0 * 700.0, 1, 0.25))
+    with pytest.raises(ValueError, match="708"):
+        riesz_potential_gaussian(np.array([0.0, 2.0 * 710.0]), 1, 0.25)
 
 
 def test_closed_form_matches_fourier_quadrature():

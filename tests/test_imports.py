@@ -363,29 +363,18 @@ def under(name: str, root: str) -> bool:
     return name == root or name.startswith(root + ".")
 
 
-COMMAND_PATH_BANNED = ("scipy.integrate", "scipy.linalg", "scipy.optimize",
-                       "scipy.sparse", "scipy.spatial")
-
-
 def banned_scipy_imports(source: str) -> list:
-    """(line, dotted name) of each import of a module in COMMAND_PATH_BANNED or
-    a submodule of one (``from scipy import sparse`` included), and of each
-    ``roots_*`` name taken from ``scipy.special``, whose first call loads
-    scipy.linalg."""
+    """(line, dotted name) of each name an import statement in `source` takes
+    from scipy or a module below it: ``import scipy.a`` gives scipy.a and
+    ``from scipy.a import b`` gives scipy.a.b.  Relative imports are the
+    package's own."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found.extend((node.lineno, alias.name) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            found.append((node.lineno, node.module))
-            if node.module == "scipy":
-                found.extend((node.lineno, f"scipy.{alias.name}") for alias in node.names)
-            if node.module == "scipy.special":
-                found.extend((node.lineno, f"scipy.special.{alias.name}")
-                             for alias in node.names if alias.name.startswith("roots_"))
-    return sorted((line, name) for line, name in found
-                  if any(under(name, root) for root in COMMAND_PATH_BANNED)
-                  or name.startswith("scipy.special.roots_"))
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.extend((node.lineno, f"{node.module}.{alias.name}") for alias in node.names)
+    return sorted((line, name) for line, name in found if under(name, "scipy"))
 
 
 def test_guard_sees_a_banned_scipy_import():
@@ -395,21 +384,62 @@ def test_guard_sees_a_banned_scipy_import():
               "from scipy.integrate import quad\nimport scipy.linalg as la\n"
               "from scipy import optimize, spatial, fft\n"
               "from scipy.special import hyp1f1, roots_legendre, roots_jacobi as rj\n"
-              "from scipy.linalgebra import x\nfrom numpy.polynomial.legendre import leggauss\n")
+              "from scipy.linalgebra import x\nfrom numpy.polynomial.legendre import leggauss\n"
+              "import scipy\nimport scipyx, numpy as scipy\n"
+              "from scipy.fft._pocketfft.pypocketfft import c2r\nfrom .scipy import y\n")
     assert banned_scipy_imports(source) == [
-        (1, "scipy.sparse"), (2, "scipy.sparse.linalg"),
-        (3, "scipy.sparse"), (4, "scipy.sparse.linalg"),
-        (7, "scipy.integrate"), (8, "scipy.linalg"),
-        (9, "scipy.optimize"), (9, "scipy.spatial"),
-        (10, "scipy.special.roots_jacobi"), (10, "scipy.special.roots_legendre")]
+        (1, "scipy.sparse"), (2, "scipy.sparse.linalg.cg"),
+        (3, "scipy.sparse"), (3, "scipy.special"), (4, "scipy.sparse.linalg"),
+        (5, "scipy.special.gamma"), (6, "scipy.sparsity"),
+        (7, "scipy.integrate.quad"), (8, "scipy.linalg"),
+        (9, "scipy.fft"), (9, "scipy.optimize"), (9, "scipy.spatial"),
+        (10, "scipy.special.hyp1f1"), (10, "scipy.special.roots_jacobi"),
+        (10, "scipy.special.roots_legendre"), (11, "scipy.linalgebra.x"), (13, "scipy"),
+        (15, "scipy.fft._pocketfft.pypocketfft.c2r")]
 
 
 def test_package_imports_no_banned_scipy_module():
-    # the obstacle CG and every quadrature rule are the package's own or
-    # numpy's; the heavy scipy subpackages stay out of the source
+    # the transforms' extension file is loaded from its path, Gamma and 1F1
+    # are the package's own, the obstacle CG and every quadrature rule are
+    # the package's own or numpy's: no package module imports scipy
     found = {path.name: hits for path in MODULES
              if (hits := banned_scipy_imports(path.read_text()))}
     assert found == {}
+
+
+def module_file_lookups(source: str) -> list:
+    """(line, call) of each call in `source` of a function named
+    ``find_spec`` or ``ExtensionFileLoader``, by bare name or as an
+    attribute, with its first argument when that is a string literal: the
+    ways a module finds another package's files, or loads one, without
+    importing the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name in ("find_spec", "ExtensionFileLoader"):
+                arg = node.args[0] if node.args else None
+                what = repr(arg.value) if isinstance(arg, ast.Constant) else "..."
+                found.append((node.lineno, f"{name}({what})"))
+    return sorted(found)
+
+
+def test_guard_sees_a_module_file_lookup():
+    source = ("import importlib.util as iu\nfrom importlib.machinery import ExtensionFileLoader\n"
+              "spec = iu.find_spec('scipy')\nfind_spec(name)\n"
+              "loader = ExtensionFileLoader('pypocketfft', path)\nfind_specs('numpy')\n")
+    assert module_file_lookups(source) == [(3, "find_spec('scipy')"), (4, "find_spec(...)"),
+                                           (5, "ExtensionFileLoader('pypocketfft')")]
+
+
+def test_only_fracops_finds_scipy_files():
+    # fracops loads pocketfft's extension file from scipy's folder; no other
+    # module looks for a package's files, and fracops looks up scipy alone
+    found = {path.name: [call for _, call in hits] for path in MODULES
+             if (hits := module_file_lookups(path.read_text()))}
+    assert found == {"fracops.py": ["find_spec('scipy')", "ExtensionFileLoader('pypocketfft')"]}
 
 
 def fft_imports(source: str) -> list:
@@ -454,14 +484,11 @@ def test_guard_sees_an_fft_import():
 
 
 def test_package_transforms_only_in_fracops():
-    # fracops owns the transforms (the convolution and the kernel symbol), and
-    # no module calls numpy's private pocketfft gufuncs
+    # fracops owns the transforms (the convolution and the kernel symbol), all
+    # of them the pypocketfft functions it loads from their file: no module
+    # imports numpy.fft (its private pocketfft gufuncs included) or scipy.fft
     found = {path.name: hits for path in MODULES if (hits := fft_imports(path.read_text()))}
-    assert "fracops.py" in found
-    assert set(found) == {"fracops.py"}
-    private = [(module, hit) for module, hits in found.items() for hit in hits
-               if under(hit[1], "numpy.fft._pocketfft_umath")]
-    assert private == []
+    assert found == {}
 
 
 def environment_reads(source: str) -> list:
@@ -577,8 +604,9 @@ CLI_IMPORT_PROBE = """
 import sys
 from fracpme.cli import main
 
-def probe(*parts):  # the scipy modules no command may load are the arguments
-    print("probe:", *parts, sorted(m for m in sys.argv[1:] if m in sys.modules))
+def probe(*parts):  # with every scipy and numpy.fft module loaded so far
+    print("probe:", *parts, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                                   or m.split(".")[:2] == ["numpy", "fft"]))
 
 probe(sorted(m for m in ("multiprocessing", "concurrent.futures.process",
                          "concurrent.futures.thread") if m in sys.modules))
@@ -588,22 +616,21 @@ codes = [main(["evolve", "--N", "32", "--L", "4", "--end-time", "0.01", "--out",
          main(["obstacle", "--N", "32", "--L", "4", "--C", "1", "--out", "obstacle"]),
          main(["obstacle", "--n", "2", "--s", "0.5", "--N", "16", "--L", "8", "--C", "4",
                "--out", "obstacle2"])]
-probe(codes, "scipy.interpolate" in sys.modules)
+probe(codes)
 import fracpme.verify
-probe("scipy.interpolate" in sys.modules)
+probe()
 probe(main(["verify", "--quick", "--out", "verify"]))
 """
 
 
 def test_cli_import_loads_no_process_machinery(tmp_path):
     # fanout imports the process pool; neither the command line nor an evolve
-    # or obstacle run may pay for it, and no package module (verify included)
-    # imports scipy.interpolate.  No command, verify --quick included, loads
-    # scipy.integrate, linalg, optimize, sparse or spatial into this process
+    # or obstacle run may pay for it.  No command, verify --quick included,
+    # and no package module loads scipy or any module below it, or numpy.fft,
+    # into this process
     env = dict(os.environ, PYTHONPATH=str(Path(fracpme.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", CLI_IMPORT_PROBE, *COMMAND_PATH_BANNED],
+    done = subprocess.run([sys.executable, "-c", CLI_IMPORT_PROBE],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = [line for line in done.stdout.splitlines() if line.startswith("probe:")]
-    assert lines == ["probe: [] []", "probe: [0, 0, 0, 0] False []", "probe: False []",
-                     "probe: 0 []"]
+    assert lines == ["probe: [] []", "probe: [0, 0, 0, 0] []", "probe: []", "probe: 0 []"]
