@@ -22,12 +22,12 @@ recorded alone.  A run hands it blocks of about RECORD_BLOCK_CELLS cells.
 
 The block's arrays live in a `RecordBuffers` that `run` builds once and that
 dies with the run: `record` lays the states, pressures and faces end to end in
-it and takes its products, moduli and masks there with ``out=``, and the cell
-radii come from it too.  Left to fresh temporaries, a block of about 270 KB of
-64 KB arrays would land at the top of the heap, which the C allocator trims
-when they are freed and faults back in for the next block: tens of thousands
-of minor page faults and about 18 % more wall time on a stride-1 1-D run
-(glibc on x86-64).
+it and takes its products, powers and masks there with ``out=``, and the cell
+radii come from it too.  Left to fresh temporaries, a block's 64 KiB arrays
+(about 420 KiB at their peak on a 1-D N = 1024 run) would land at the top of
+the heap, which the C allocator trims when they are freed and faults back in
+for the next block: tens of thousands of minor page faults and about 18 % more
+wall time on a stride-1 1-D run (glibc on x86-64).
 """
 
 from __future__ import annotations
@@ -50,16 +50,16 @@ ROW = np.dtype([(name, np.float64) for name in CSV_COLUMNS])  # one record
 class RecordBuffers:
     """The arrays `record` fills for a block of up to `states` states on
     `grid`: the states, their pressures, and each axis's face velocities w
-    and upwind densities up, one state to a row; the product, modulus, fourth
-    power and mask scratch of the same rows; and the cell radii squared as
-    one row."""
+    and upwind densities up, one state to a row; the product, fourth power
+    and mask scratch of the same rows; and the cell radii squared as one
+    row."""
 
     def __init__(self, grid: Grid, states: int):
         cells = grid.npoints
         faces = cells // grid.points_per_axis * (grid.points_per_axis - 1)
         self.r2 = grid.radius2().reshape(-1)
-        self.states, self.pressures, self.product, self.abs, self.a4 = (
-            np.empty((states, cells)) for _ in range(5))
+        self.states, self.pressures, self.product, self.a4 = (
+            np.empty((states, cells)) for _ in range(4))
         self.mask = np.empty((states, cells), bool)
         self.faces = [(np.empty((states, faces)), np.empty((states, faces)))
                       for _ in range(grid.dim)]
@@ -116,22 +116,22 @@ def record(states: list, times: list, op: FracOperator, pressures: list, faces: 
         integrand *= integrand
         integrand *= rows_of([f[ax][1] for f in faces], up_rows)
         dissipation = dissipation + np.add.reduce(integrand, axis=1) * vol
-    a = np.abs(block, out=buffers.abs[:k])
-    linf = np.abs(peaks)
+    # states are >= 0 or -0.0, so l2 and l4 read the block as its own modulus
+    linf = np.abs(peaks)  # a -0.0 peak prints 0
     # pow(x, 4) is exactly 0 for x <= L4_UNDERFLOW but slow there, so only
     # larger entries (and nan) take the power; the summed array is unchanged
     a4 = buffers.a4[:k]
     a4.fill(0.0)
-    np.power(a, 4, out=a4, where=np.logical_not(np.less_equal(a, L4_UNDERFLOW, out=mask),
-                                                out=mask))
+    np.power(block, 4, out=a4,
+             where=np.logical_not(np.less_equal(block, L4_UNDERFLOW, out=mask), out=mask))
     inside = np.greater(block, (1e-10 * linf)[:, None], out=mask)
-    np.square(a, out=a)
+    np.square(block, out=block)
     columns = {
         "time": times,
         "mass": masses,
         "linf": linf,
         # the roots stay Python float powers, as for a state recorded alone
-        "l2": [(vol * x) ** 0.5 for x in np.add.reduce(a, axis=1).tolist()],
+        "l2": [(vol * x) ** 0.5 for x in np.add.reduce(block, axis=1).tolist()],
         "l4": [(vol * x) ** 0.25 for x in np.add.reduce(a4, axis=1).tolist()],
         "moment2": moment2,
         "energy1": energy1,

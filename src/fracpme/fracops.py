@@ -37,14 +37,14 @@ The 2-D tap table is built in blocks of rows, which bounds the Gauss-Legendre no
 arrays to about TAP_BLOCK_CELLS cells at any N.  Every Gauss-Legendre rule, the
 singular cell's included, comes from numpy's ``leggauss``, and Gamma is the
 package's own port of Cephes' (`_gamma`, the code ``scipy.special.gamma`` runs,
-bit for bit), so a command imports no part of scipy.
+bit for bit) on 0 < x < 3, which holds every argument it takes: s, n/2 - s and
+n/2 with 2s < n <= 2 lie in (0, 1].  So a command imports no part of scipy.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,29 +93,18 @@ _GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
 
 
 def _gamma(x: float) -> float:
-    """Gamma(x) for |x| <= 33, ported from Cephes' ``Gamma``, which
+    """Gamma(x) for 0 < x < 3, ported from Cephes' ``Gamma``, which
     ``scipy.special.gamma`` runs; the same float operations in the same order
-    give its bits.  The recurrences bring x into [2, 3), where the P/Q
-    rational takes over; |x| below 1e-9 takes the two-term expansion.
-    Gamma(+-0) is +-inf and a pole at a negative integer is nan, as in scipy.
-    Cephes' Stirling branch for |x| > 33 is not ported: the package's
-    arguments are n/2, s and n/2 - s, so such an x raises ValueError."""
-    if x == 0.0:
-        return math.copysign(math.inf, x)
-    if not abs(x) <= 33.0:
-        raise ValueError(f"gamma is computed for |x| <= 33 only, got {x}")
+    give its bits.  The upward recurrence brings x into [2, 3), where the P/Q
+    rational takes over; x below 1e-9 takes the two-term expansion.  Every
+    argument the package passes lies in (0, 1] (see the module docstring), so
+    any x outside (0, 3) raises ValueError."""
+    if not 0.0 < x < 3.0:
+        raise ValueError(f"gamma is computed for 0 < x < 3 only, got {x}")
     z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 0.0:
-        if x > -1e-9:
-            return z / ((1.0 + 0.5772156649015329 * x) * x)
-        z /= x
-        x += 1.0
     while x < 2.0:
         if x < 1e-9:
-            return math.nan if x == 0.0 else z / ((1.0 + 0.5772156649015329 * x) * x)
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
         z /= x
         x += 1.0
     if x == 2.0:
@@ -133,14 +122,13 @@ def riesz_constant(n: int, s: float) -> float:
     """Normalization c(n,s) = Gamma((n-2s)/2) / (4^s pi^(n/2) Gamma(s)).
 
     With this constant, convolution against c(n,s)|x|^(2s-n) has Fourier symbol
-    |k|^(-2s), i.e. it inverts the fractional Laplacian.  Positive for 2s < n.
-    Raises ValueError where it diverges (2s = n), where it falls to 0 because
-    Gamma(s) overflows (s below about 1e-308), and where `_gamma` refuses an
-    argument (beyond 33 in modulus).
+    |k|^(-2s), i.e. it inverts the fractional Laplacian.  Positive for 2s < n,
+    where both Gamma arguments lie in (0, 1) and `_gamma` is finite.  Raises
+    ValueError where `_gamma` refuses an argument (2s >= n, which `FracParams`
+    refuses too) and where c falls to 0 because Gamma(s) overflows (s below
+    about 1e-308).
     """
     c = _gamma((n - 2.0 * s) / 2.0) / (4.0 ** s * np.pi ** (n / 2.0) * _gamma(s))
-    if not math.isfinite(c):
-        raise ValueError(f"Riesz kernel normalization diverges at 2s = n (s = {s}, n = {n})")
     if c == 0.0:
         raise ValueError(f"Riesz kernel normalization underflows at s = {s:g} (n = {n})")
     return c

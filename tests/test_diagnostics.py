@@ -226,9 +226,10 @@ def _bits(rows):
 @pytest.mark.parametrize("dim, n", [(1, 256), (1, 1024), (2, 24), (2, 96)])
 def test_block_rows_equal_lone_state_rows(dim, n, confined):
     # a block's row sums must carry each state's own bits: tails from 1e-320
-    # up (subnormal fourth powers), a nan, a zero state, a lone spike, and
-    # blocks of every length up to a partial one, all through one set of
-    # buffers, so no block reads what an earlier one left there
+    # up (subnormal fourth powers), a nan, a zero state, a lone spike, -0.0
+    # cells among positive ones, an all -0.0 state, and blocks of every
+    # length up to a partial one, all through one set of buffers, so no block
+    # reads what an earlier one left there
     grid = Grid(dim=dim, half_width=5.0, points_per_axis=n)
     op = FracOperator(grid, FracParams(s=0.25 if dim == 1 else 0.5, dim=dim))
     rng = np.random.default_rng(n)
@@ -247,6 +248,9 @@ def test_block_rows_equal_lone_state_rows(dim, n, confined):
     nan = states[1].copy()
     nan.reshape(-1)[5] = np.nan
     states.append(nan)
+    # record reads a state as its own modulus, which -0.0 cells must not move
+    signed = np.where(bump > 0.0, states[0], -0.0)
+    states += [signed, np.full(grid.shape, -0.0)]
     expected = [reference_row(v, op, confined) for v in states]
     buffers = RecordBuffers(grid, len(states))
     for size in (len(states), 1, 3):

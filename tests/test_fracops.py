@@ -1,3 +1,6 @@
+import dis
+import inspect
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,27 +28,79 @@ def test_riesz_constant_closed_forms():
     assert riesz_constant(2, 0.5) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)
 
 
-def test_riesz_constant_diverges_at_2s_equal_n():
-    with pytest.raises(ValueError, match="diverges at 2s = n"):
-        riesz_constant(1, 0.5)
+def test_riesz_constant_refuses_2s_equal_n():
+    # (n - 2s)/2 = 0 is outside Gamma's domain; FracParams refuses such s too
+    for n, s in ((1, 0.5), (2, 1.0)):
+        with pytest.raises(ValueError, match="0 < x < 3"):
+            riesz_constant(n, s)
+
+
+@pytest.mark.parametrize("n, s", [(1, 1e-300), (1, 1e-10), (1, np.nextafter(0.5, 0.0)),
+                                  (2, 1e-12), (2, np.nextafter(1.0, 0.0))])
+def test_riesz_constant_matches_scipy_at_admitted_extremes(n, s):
+    from scipy.special import gamma
+
+    s = float(s)
+    want = gamma((n - 2.0 * s) / 2.0) / (4.0 ** s * np.pi ** (n / 2.0) * gamma(s))
+    assert np.float64(riesz_constant(n, s)).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_riesz_constant_refuses_underflow(n):
+    # Gamma(5e-324) overflows, so c would be 0
+    with pytest.raises(ValueError, match="underflows"):
+        riesz_constant(n, 5e-324)
 
 
 def test_gamma_matches_scipy_bit_for_bit():
     # the package's port of Cephes' Gamma against scipy.special.gamma, which
-    # runs Cephes' code: on (0, 3], on log-spaced (1e-320, 1), and at every
-    # argument riesz_constant and the Gaussian oracle take at n = 1, 2 (1-D
-    # s > 1/2 reaches (-1/2, 0))
+    # runs Cephes' code: on (0, 3), on log-spaced (1e-320, 1), and at every
+    # argument riesz_constant and the Gaussian oracle take at the admitted
+    # (n, s): s < 1/2 in 1-D, s < 1 in 2-D
     from scipy.special import gamma
 
-    s = np.linspace(0.0, 1.0, 20001)[1:]
-    xs = np.concatenate([np.linspace(0.0, 3.0, 60001)[1:], np.geomspace(1e-320, 1.0, 20001)[:-1],
-                         s, (1.0 - 2.0 * s) / 2.0, (2.0 - 2.0 * s) / 2.0, 0.5 - s, 1.0 - s,
+    s = np.linspace(0.0, 1.0, 20001)[1:-1]
+    s1 = s[s < 0.5]
+    xs = np.concatenate([np.linspace(0.0, 3.0, 60001)[1:-1], np.geomspace(1e-320, 1.0, 20001)[:-1],
+                         s, (1.0 - 2.0 * s1) / 2.0, 0.5 - s1, (2.0 - 2.0 * s) / 2.0, 1.0 - s,
                          [0.5, 1.0]])
     got = np.array([fracops._gamma(float(x)) for x in xs])
     assert got.tobytes() == gamma(xs).tobytes()
-    assert fracops._gamma(0.0) == np.inf
-    with pytest.raises(ValueError, match="33"):
-        fracops._gamma(34.0)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -0.5, 3.0, 34.0, np.inf, np.nan])
+def test_gamma_refuses_outside_its_domain(x):
+    with pytest.raises(ValueError, match="0 < x < 3"):
+        fracops._gamma(x)
+
+
+def test_gamma_runs_every_line_but_its_refusal():
+    # the package's own calls, at admitted (n, s) down to s = 1e-10, reach
+    # every line of _gamma except the raise: no branch serves a refused input
+    code = fracops._gamma.__code__
+    seen = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for n, s in ((1, 0.25), (1, 1e-10), (2, 0.5), (2, 1e-10)):
+            riesz_constant(n, s)
+            riesz_potential_gaussian(np.array([0.0, 1.0]), n, s)
+    finally:
+        sys.settrace(previous)
+    source, first = inspect.getsourcelines(fracops._gamma)
+    (refusal,) = [first + i for i, line in enumerate(source) if "raise " in line]
+    body = {line for _, line in dis.findlinestarts(code)
+            if line is not None and line != code.co_firstlineno}
+    assert seen == body - {refusal}
 
 
 def test_params_validation():

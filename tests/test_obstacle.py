@@ -7,6 +7,7 @@ from fracpme import obstacle, oracles
 from fracpme.evolution import run
 from fracpme.fracops import FracOperator, FracParams
 from fracpme.grid import Grid
+from fracpme.io import datum_box
 from fracpme.obstacle import ObstacleProblem, make_problem, match_mass, solve_obstacle
 from fracpme.oracles import kernel_matrix, lemke_lcp
 from fracpme.verify import _self_similar
@@ -375,3 +376,40 @@ def test_two_dimensional_mass_law():
     # exponent is exact; the intercept is the measured content
     assert abs(slope - 1.5) <= 1e-6
     assert c_fit == pytest.approx(4.62, abs=2e-2)
+
+
+@pytest.mark.parametrize("dim, half_width, n, s, end, fraction",
+                         [(1, 12.0, 256, 0.25, 8.0, 1e-5), (2, 6.0, 64, 0.5, 6.0, 1e-3)])
+def test_rescaled_entropy_falls_to_the_profile_minimum(dim, half_width, n, s, end, fraction):
+    # The profile V of the datum's mass minimises the recorded entropy
+    # E(v) = 1/2 h^n v.Tv + a h^n sum |y|^2 v (a = beta/2) over v >= 0: with
+    # P = T V and Phi = C - a|y|^2,
+    #   E(v) - E(V) = 1/2 h^n (v-V).T(v-V) + h^n sum v (P - Phi)
+    #                 - h^n sum V (P - Phi) + C (m(v) - m(V)),
+    # where the first two terms are >= 0 (T is SPD, P >= Phi).  record's
+    # entropy and the obstacle solver must agree on that minimum.
+    grid = Grid(dim, half_width, n)
+    u0 = datum_box(grid, 0.0, 2.0, 1.0)
+    states = []
+    rows = run(u0, "rescaled", s, end, snapshot_stride=10, cfl_safety=0.4,
+               on_record=lambda k, t, state: states.append(state.values)).diagnostics
+    sol = match_mass(u0.mass(), s, grid)
+    op = FracOperator(grid, FracParams(s, dim))
+    params = op.params
+    vol, r2, level = grid.spacing ** dim, grid.radius2(), sol.problem.C
+    V, P = sol.density.values, sol.pressure.values
+    gap = P - (level - params.a * r2)
+    e_min = 0.5 * (vol * float((V * P).sum()) + params.beta * vol * float((r2 * V).sum()))
+    complementarity = vol * float((V * gap).sum())
+    # the four-term identity at the terminal state
+    v, dm = states[-1], float(rows["mass"][-1]) - sol.mass
+    quadratic = 0.5 * vol * float(((v - V) * op.convolve(v - V)).sum())
+    identity = quadratic + vol * float((v * gap).sum()) - complementarity + level * dm
+    assert abs(rows["entropy"][-1] - e_min - identity) <= 1e-12 * e_min
+    # every row lies above the minimum, up to the slack the residuals give
+    slack = (abs(complementarity) + level * np.abs(rows["mass"] - sol.mass)
+             + rows["mass"] * sol.residuals["pressure_deficit"])
+    assert (rows["entropy"] >= e_min - slack).all()
+    # and the run's excess over it falls below a fixed fraction of the first
+    excess = rows["entropy"] - e_min
+    assert 0.0 < excess[-1] <= fraction * excess[0]
